@@ -2,8 +2,10 @@
 
 Subcommands: check, margin, table1, simulate, selftest.  Exit codes are a
 stable contract: 0 = pass/feasible (or the computation succeeded for
-non-verdict commands), 1 = fail/not_found, 2 = usage or file errors.  The
-environment variable IDS_STAB_SEED overrides the default seed.
+non-verdict commands), 1 = fail/not_found, 2 = usage or file errors, 3 =
+numerical failure (singular simulation step, ill-conditioned inverse,
+eigenvalue nonconvergence, overflow to non-finite values).  The environment
+variable IDS_STAB_SEED overrides the default seed.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import sys as _sys
 import numpy as np
 
 from . import criteria_spectral, margin, simulator, suites
+from .criteria_lmi import IllConditionedError
 from .lmi_core import DEFAULT_SEED, SolverConfig
 from .model import DiscreteIds, IdsSystem, ParseError, ValidationError, benchmark_system, load_system
 
@@ -238,6 +241,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except (
+        simulator.SimulationError,
+        IllConditionedError,
+        criteria_spectral.EigNonconvergence,
+        criteria_spectral.NonFiniteError,
+    ) as e:
+        print(f"error: numerical failure: {e}", file=_sys.stderr)
+        return 3
     except (ParseError, ValidationError, ValueError, OSError) as e:
         print(f"error: {e}", file=_sys.stderr)
         return 2

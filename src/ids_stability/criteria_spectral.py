@@ -18,6 +18,7 @@ from .model import DiscreteIds, IdsSystem
 __all__ = [
     "SpectralVerdict",
     "EigNonconvergence",
+    "NonFiniteError",
     "kron",
     "spectral_radius",
     "check_spectral",
@@ -34,6 +35,10 @@ _BOUNDARY_TOL = 1e-12
 
 class EigNonconvergence(RuntimeError):
     """The QR eigenvalue iteration failed to converge."""
+
+
+class NonFiniteError(ValueError):
+    """A matrix has inf or nan entries, e.g. a Kronecker sum that overflowed."""
 
 
 @dataclass(frozen=True)
@@ -65,18 +70,23 @@ def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.kron(A, B)
 
 
-def spectral_radius(M: np.ndarray) -> float:
-    """Largest eigenvalue modulus (Hessenberg reduction + shifted QR)."""
+def spectral_radius(M: np.ndarray):
+    """Largest eigenvalue modulus (Hessenberg reduction + shifted QR).
+
+    A stack of k square matrices, shape (k, n, n), gives the array of their
+    k radii from one batched eigenvalue call.
+    """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("spectral_radius expects a square matrix")
+    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
+        raise ValueError("spectral_radius expects a square matrix or a stack of them")
     if not np.all(np.isfinite(M)):
-        raise ValueError("spectral_radius expects finite entries")
+        raise NonFiniteError("spectral_radius: inf or nan entries (did a Kronecker sum overflow?)")
     try:
         ev = np.linalg.eigvals(M)
     except np.linalg.LinAlgError as e:
         raise EigNonconvergence(f"eigenvalue iteration did not converge: {e}") from e
-    return float(np.max(np.abs(ev))) if ev.size else 0.0
+    rho = np.abs(ev).max(axis=-1, initial=0.0)
+    return float(rho) if M.ndim == 2 else rho
 
 
 def _kron_sum(sys: IdsSystem) -> np.ndarray:
@@ -153,7 +163,7 @@ def optimize_weights(sys: IdsSystem, seed: int = DEFAULT_SEED) -> tuple[tuple[fl
 
     if N == 2:
         grid = np.linspace(delta, 1.0 - delta, 512)
-        vals = [rho_at((a, 1.0 - a)) for a in grid]
+        vals = spectral_radius(Ks[0] / grid[:, None, None] + Ks[1] / (1.0 - grid)[:, None, None])
         i = int(np.argmin(vals))
         lo = grid[max(i - 1, 0)]
         hi = grid[min(i + 1, len(grid) - 1)]

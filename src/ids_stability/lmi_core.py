@@ -186,6 +186,12 @@ def _sym_basis(d: int) -> list[np.ndarray]:
     return basis
 
 
+def _sym_stack(M: np.ndarray, m: int, x: np.ndarray) -> np.ndarray:
+    """The symmetrized m x m blocks of a stacked map M at x."""
+    B = (M @ x).reshape(-1, m, m)
+    return 0.5 * (B + B.transpose(0, 2, 1))
+
+
 class _Compiled:
     """Flattened affine maps vec(B_k) = M_k x for fast repeated evaluation."""
 
@@ -209,20 +215,25 @@ class _Compiled:
             off += v.n_params
         self.nx = off
 
-        self.block_dims: list[int] = []
-        self.block_maps: list[np.ndarray] = []
-        for blk in problem.blocks:
-            self.block_dims.append(blk.dim)
-            self.block_maps.append(self._compile_block(blk))
-        # implicit positivity blocks -V < 0
-        for v in problem.variables:
-            if v.require_pd:
-                blk = AffineBlock(
-                    dim=v.dim,
-                    terms=(BlockTerm(v.name, -np.eye(v.dim), np.eye(v.dim)),),
-                )
-                self.block_dims.append(v.dim)
-                self.block_maps.append(self._compile_block(blk))
+        # declared blocks, then the implicit positivity blocks -V < 0
+        blocks = list(problem.blocks) + [
+            AffineBlock(dim=v.dim, terms=(BlockTerm(v.name, -np.eye(v.dim), np.eye(v.dim)),))
+            for v in problem.variables
+            if v.require_pd
+        ]
+        # blocks of one dimension share one stacked map, so an evaluation
+        # costs one matvec and one batched eigensolve per distinct dimension;
+        # where[k] = (group, position) of block k
+        by_dim: dict[int, list[int]] = {}
+        for k, blk in enumerate(blocks):
+            by_dim.setdefault(blk.dim, []).append(k)
+        self.groups: list[tuple[int, np.ndarray, np.ndarray]] = []
+        self.where: list[tuple[int, int]] = [(0, 0)] * len(blocks)
+        for m, ks in by_dim.items():
+            for j, k in enumerate(ks):
+                self.where[k] = (len(self.groups), j)
+            maps = np.vstack([self._compile_block(blocks[k]) for k in ks])
+            self.groups.append((m, np.array(ks), maps))
 
         # trace functional over PD variables (the normalization slice a.x = 1)
         a = np.zeros(self.nx)
@@ -281,24 +292,27 @@ class _Compiled:
         return out
 
     def f_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        worst = -np.inf
-        grad = None
-        for m, M in zip(self.block_dims, self.block_maps):
-            B = (M @ x).reshape(m, m)
-            w, V = np.linalg.eigh(0.5 * (B + B.T))
-            if w[-1] > worst:
-                worst = float(w[-1])
-                u = V[:, -1]
-                grad = M.T @ np.outer(u, u).reshape(-1)
-        return worst, grad
+        """Worst lambda_max over all blocks and a subgradient: the top
+        eigenvector's rank-one term through the worst block's map.  Among
+        equal maxima the lowest block index wins."""
+        tops = np.empty(len(self.where))
+        vecs = []
+        for m, ks, M in self.groups:
+            w, V = np.linalg.eigh(_sym_stack(M, m, x))
+            tops[ks] = w[:, -1]
+            vecs.append(V)
+        k = int(tops.argmax())
+        g, j = self.where[k]
+        m, _, M = self.groups[g]
+        u = vecs[g][j, :, -1]
+        grad = M[j * m * m : (j + 1) * m * m].T @ (u[:, None] * u).reshape(-1)
+        return float(tops[k]), grad
 
     def f_only(self, x: np.ndarray) -> float:
-        worst = -np.inf
-        for m, M in zip(self.block_dims, self.block_maps):
-            B = (M @ x).reshape(m, m)
-            w = np.linalg.eigvalsh(0.5 * (B + B.T))
-            worst = max(worst, float(w[-1]))
-        return worst
+        return max(
+            float(np.linalg.eigvalsh(_sym_stack(M, m, x))[:, -1].max())
+            for m, _, M in self.groups
+        )
 
     def project(self, x: np.ndarray) -> np.ndarray:
         a = self.trace_vec

@@ -68,12 +68,15 @@ class HistorySpec:
         return cls(kind="custom-sampled", samples=v)
 
     def as_callable(self, n: int, tau: float):
-        """Function s -> R^n on [-tau, 0] (extended by clamping outside)."""
+        """Function s -> R^n on [-tau, 0] (extended by clamping outside).
+
+        An array of k times gives a (k, n) array, one row per time.
+        """
         if self.kind == "constant":
             c = np.asarray(self.const, dtype=float)
             if c.shape != (n,):
                 raise ValueError(f"constant history has dimension {c.shape}, expected ({n},)")
-            base = lambda s: c
+            base = lambda s: np.tile(c, np.shape(s) + (1,))
         elif self.kind == "random-smooth":
             rng = np.random.default_rng(self.seed)
             c0 = rng.standard_normal(n)
@@ -83,10 +86,11 @@ class HistorySpec:
             ]
 
             def base(s, c0=c0, coeffs=coeffs, tau=tau):
-                out = c0.copy()
+                s = np.asarray(s, dtype=float)[..., None]
+                out = np.tile(c0, s.shape)
                 for j, (a, b) in enumerate(coeffs, start=1):
                     th = j * math.pi * s / tau
-                    out += a * math.cos(th) + b * math.sin(th)
+                    out += a * np.cos(th) + b * np.sin(th)
                 return out
 
         elif self.kind == "custom-sampled":
@@ -96,7 +100,7 @@ class HistorySpec:
             grid = np.linspace(-tau, 0.0, v.shape[0])
 
             def base(s, grid=grid, v=v):
-                return np.array([np.interp(s, grid, v[:, i]) for i in range(v.shape[1])])
+                return np.stack([np.interp(s, grid, v[:, i]) for i in range(v.shape[1])], axis=-1)
 
         else:
             raise ValueError(f"unknown history kind {self.kind!r}")
@@ -165,8 +169,7 @@ def simulate(sys: IdsSystem, history: HistorySpec, h: float, T: float) -> Trajec
 
     phi = history.as_callable(n, sys.tau_max)
     X = np.zeros((khist + steps + 1, n))
-    for k in range(khist + 1):
-        X[k] = phi((k - khist) * h)
+    X[: khist + 1] = phi((np.arange(khist + 1) - khist) * h)
     sup_history = float(np.max(np.linalg.norm(X[: khist + 1], axis=1)))
 
     M = (h / 2.0) * sum(sys.A)
@@ -175,19 +178,16 @@ def simulate(sys: IdsSystem, history: HistorySpec, h: float, T: float) -> Trajec
         raise SimulationError(
             "implicit step matrix (I - (h/2) sum A_i) is numerically singular; try halving h"
         )
-    # prefix sums make each window sum O(1)
-    P = np.zeros((X.shape[0] + 1, n))
-    for k in range(khist + 1):
-        P[k + 1] = P[k] + X[k]
     max_residual = 0.0
     for k in range(khist + 1, khist + steps + 1):
         r = np.zeros(n)
         for Ai, mi in zip(sys.A, m):
-            inner = P[k] - P[k - mi + 1]  # samples k-mi+1 .. k-1
+            # summed directly: a running-sum difference would keep a
+            # rounding error of eps * |running sum| that never decays with x
+            inner = X[k - mi + 1 : k].sum(axis=0)
             r += Ai @ (h * (0.5 * X[k - mi] + inner))
         x = np.linalg.solve(step_mat, r)
         X[k] = x
-        P[k + 1] = P[k] + x
         res = np.linalg.norm(step_mat @ x - r)
         max_residual = max(max_residual, res / max(1.0, np.linalg.norm(x)))
     return Trajectory(
@@ -215,8 +215,7 @@ def make_compatible(sys: IdsSystem, history: HistorySpec, quad_points: int = 819
     base = history.as_callable(n, sys.tau_max)
     rhs = np.zeros(n)
     for Ai, ti in zip(sys.A, sys.tau):
-        s = np.linspace(-ti, 0.0, quad_points + 1)
-        vals = np.array([base(si) for si in s])
+        vals = base(np.linspace(-ti, 0.0, quad_points + 1))
         integ = np.trapezoid(vals, dx=ti / quad_points, axis=0)
         rhs += Ai @ integ
     lhs_mat = np.eye(n) - sum(ti * Ai for Ai, ti in zip(sys.A, sys.tau))

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from ids_stability import criteria_lmi
 from ids_stability.cli import main
-from ids_stability.criteria_lmi import build_th2_lmi
+from ids_stability.criteria_lmi import IllConditionedError, build_th2_lmi
 from ids_stability.lmi_core import check_witness
 from ids_stability.model import IdsSystem, benchmark_system, save_system, validate_system
 
@@ -158,3 +159,48 @@ def test_env_seed_override(monkeypatch):
     monkeypatch.setenv("IDS_STAB_SEED", "123")
     args = build_parser().parse_args(["selftest"])
     assert args.seed == 123
+
+
+# -- exit code 3: numerical failures ------------------------------------------
+
+
+def _system_file(tmp_path, A, tau):
+    p = tmp_path / "sys.json"
+    p.write_text(save_system(validate_system(IdsSystem(A=A, tau=tau))))
+    return str(p)
+
+
+def _assert_numerical_failure(code, capsys):
+    assert code == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: numerical failure")
+
+
+def test_simulate_singular_step_is_numerical_failure(tmp_path, capsys):
+    path = _system_file(tmp_path, (np.array([[200.0]]),), (0.1,))
+    code = main(["simulate", "--system", path, "--h", "0.01", "--T", "1.0", "--history", "constant:1"])
+    _assert_numerical_failure(code, capsys)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_check_overflowing_kron_sum_is_numerical_failure(tmp_path, capsys):
+    path = _system_file(tmp_path, (np.array([[1e200, 0.0], [0.0, 1.0]]),), (0.3,))
+    _assert_numerical_failure(main(["check", "--system", path, "--method", "spectral"]), capsys)
+
+
+def test_check_eig_nonconvergence_is_numerical_failure(bench_file, capsys, monkeypatch):
+    def no_convergence(M):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+    code = main(["check", "--system", bench_file(0.3, 0.04), "--method", "spectral"])
+    _assert_numerical_failure(code, capsys)
+
+
+def test_check_ill_conditioned_is_numerical_failure(bench_file, capsys, monkeypatch):
+    def ill_conditioned(sys):
+        raise IllConditionedError("sum(Q) has condition number 1e+13 > 1e12")
+
+    monkeypatch.setitem(criteria_lmi.LMI_CRITERIA, "th2-lmi", ill_conditioned)
+    code = main(["check", "--system", bench_file(0.3, 0.04), "--method", "th2-lmi"])
+    _assert_numerical_failure(code, capsys)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from ids_stability.criteria_spectral import (
+    NonFiniteError,
+    _golden_section,
     check_spectral,
     check_spectral_weighted,
     kron,
@@ -117,6 +119,43 @@ def test_optimize_weights_single_term():
     alpha, rho = optimize_weights(s)
     assert alpha == (1.0,)
     assert abs(rho - check_spectral(s).rho) < 1e-12
+
+
+def test_optimize_weights_two_terms_matches_pointwise_scan():
+    rng = np.random.default_rng(4)
+    systems = [
+        benchmark_system(0.4, 0.02),
+        benchmark_system(0.1, 0.3),
+        validate_system(IdsSystem(A=tuple(rng.standard_normal((2, 3, 3))), tau=(0.2, 0.05))),
+    ]
+    for s in systems:
+        # the scan and refinement one weight at a time
+        Ks = [t * t * kron(A, A) for A, t in zip(s.A, s.tau)]
+
+        def rho_at(alpha):
+            return spectral_radius(sum(K / a for K, a in zip(Ks, alpha)))
+
+        delta = 1e-3
+        grid = np.linspace(delta, 1.0 - delta, 512)
+        vals = [rho_at((a, 1.0 - a)) for a in grid]
+        i = int(np.argmin(vals))
+        a1 = _golden_section(lambda a: rho_at((a, 1.0 - a)), grid[max(i - 1, 0)], grid[min(i + 1, 511)])
+        a1 = min(max(a1, delta), 1.0 - delta)
+        expected = ((0.5, 0.5), rho_at((0.5, 0.5)))
+        if rho_at((a1, 1.0 - a1)) < expected[1]:
+            expected = ((a1, 1.0 - a1), rho_at((a1, 1.0 - a1)))
+        assert optimize_weights(s) == expected
+        stack = np.stack([Ks[0] / a + Ks[1] / (1.0 - a) for a in grid])
+        np.testing.assert_array_equal(spectral_radius(stack), vals)
+
+
+def test_spectral_radius_rejects_non_finite_stacks():
+    with pytest.raises(NonFiniteError):
+        spectral_radius(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    with pytest.raises(NonFiniteError):
+        spectral_radius(np.stack([np.eye(2), np.full((2, 2), np.nan)]))
+    with pytest.raises(ValueError, match="square"):
+        spectral_radius(np.zeros((2, 2, 3)))
 
 
 def test_optimize_weights_three_terms_never_worse_than_uniform():

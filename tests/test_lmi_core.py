@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ids_stability.criteria_lmi import build_single
+from ids_stability.criteria_lmi import LMI_CRITERIA, build_single
 from ids_stability.lmi_core import (
     AffineBlock,
     BlockTerm,
@@ -11,13 +11,14 @@ from ids_stability.lmi_core import (
     MatrixVariable,
     ProblemError,
     SolverConfig,
+    _Compiled,
     check_witness,
     evaluate,
     linearize_inverse_bound,
     normalize_witness,
     solve_feasibility,
 )
-from ids_stability.model import benchmark_system
+from ids_stability.model import DiscreteIds, IdsSystem, benchmark_system, validate_system
 
 
 def scalar_problem(a: float, tau: float) -> LmiProblem:
@@ -221,3 +222,81 @@ def test_linearize_reverse_direction_on_random_pairs():
             hits += 1
             assert np.linalg.eigvalsh(Q - np.linalg.inv(S))[-1] < 0
     assert hits > 20
+
+
+# -- the compiled objective kernel --------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def kernel_cases():
+    """(name, problem) for all six builders on seeded random systems, n, N <= 3,
+    plus the zero system, where every block of most builders ties at the
+    all-identity point."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for n in (1, 2, 3):
+        for N in (1, 2, 3):
+            for A in (list(rng.standard_normal((N, n, n))), [np.zeros((n, n))] * N):
+                tau = tuple(np.sort(rng.uniform(0.05, 0.5, N)) + 0.01 * np.arange(N))
+                for name, build in LMI_CRITERIA.items():
+                    kind = DiscreteIds if name == "laa" else IdsSystem
+                    cases.append((f"{name}-n{n}-N{N}", build(validate_system(kind(A=A, tau=tau)))))
+    return cases
+
+
+def _block_values(problem, witness):
+    """lambda_max of each declared block, then of each -V block, in order."""
+    values, _ = evaluate(problem, witness)
+    vals = [np.linalg.eigvalsh(B)[-1] for B in values]
+    vals += [np.linalg.eigvalsh(-witness[v.name])[-1] for v in problem.variables if v.require_pd]
+    return np.array(vals)
+
+
+def _reference_f_and_grad(comp, x):
+    """Block-by-block evaluation: the first block attaining the maximum wins."""
+    worst, grad = -np.inf, None
+    for k, (g, j) in enumerate(comp.where):
+        m, _, M = comp.groups[g]
+        Mk = M[j * m * m : (j + 1) * m * m]
+        B = (Mk @ x).reshape(m, m)
+        w, V = np.linalg.eigh(0.5 * (B + B.T))
+        if w[-1] > worst:
+            worst, u = float(w[-1]), V[:, -1]
+            grad = Mk.T @ np.outer(u, u).reshape(-1)
+    return worst, grad
+
+
+def test_kernel_matches_block_evaluation(kernel_cases):
+    rng = np.random.default_rng(5)
+    for name, problem in kernel_cases:
+        comp = _Compiled(problem)
+        for _ in range(3):
+            x = comp.project(rng.standard_normal(comp.nx))
+            vals = _block_values(problem, comp.to_witness(x))
+            scale = max(1.0, np.abs(vals).max())
+            f, g = comp.f_and_grad(x)
+            assert abs(comp.f_only(x) - vals.max()) <= 1e-12 * scale, name
+            assert abs(f - vals.max()) <= 1e-12 * scale, name
+            # subgradient inequality f(y) >= f(x) + g.(y - x)
+            for _ in range(3):
+                y = x + rng.standard_normal(comp.nx)
+                assert comp.f_only(y) >= f + g @ (y - x) - 1e-10 * scale, name
+
+
+def test_kernel_tie_goes_to_lowest_block(kernel_cases):
+    ties = 0
+    for name, problem in kernel_cases:
+        comp = _Compiled(problem)
+        a = comp.trace_vec
+        x = a / (a @ a)  # every PD variable the same multiple of the identity
+        vals = _block_values(problem, comp.to_witness(x))
+        npd = sum(v.require_pd for v in problem.variables)
+        assert np.all(vals[-npd:] == vals[-1]), name  # the -V blocks tie exactly
+        ties += np.sum(vals == vals.max()) > 1
+        # a different tied block would move the gradient onto other variables
+        f, g = comp.f_and_grad(x)
+        f_ref, g_ref = _reference_f_and_grad(comp, x)
+        scale = max(1.0, np.abs(vals).max())
+        assert abs(f - f_ref) <= 1e-12 * scale, name
+        np.testing.assert_allclose(g, g_ref, rtol=0, atol=1e-12 * scale, err_msg=name)
+    assert ties > 10  # the zero systems tie declared and -V blocks

@@ -269,3 +269,31 @@ def test_export_csv_layout():
     assert lines[-2].startswith("# decay alpha")
     assert lines[-1].startswith("# decay beta")
     assert len(lines) == traj.samples.shape[0] + 3
+
+
+def test_history_callables_accept_time_arrays():
+    samples = np.random.default_rng(2).standard_normal((7, 3))
+    specs = [
+        HistorySpec.constant([1.0, -2.0, 0.5]),
+        HistorySpec.random_smooth(5),
+        HistorySpec.sampled(samples),
+        make_compatible(benchmark_system(0.3, 0.1), HistorySpec.random_smooth(5)),
+    ]
+    s = np.linspace(-0.35, 0.05, 41)
+    for spec in specs:
+        n = 2 if spec.offset is not None else 3
+        phi = spec.as_callable(n, 0.3)
+        rows = phi(s)
+        assert rows.shape == (s.size, n)
+        np.testing.assert_array_equal(rows, np.array([phi(si) for si in s]))
+        assert phi(0.0).shape == (n,)
+
+
+@pytest.mark.parametrize("tau, beta", [((0.3, 0.3), 3.158), ((0.3, 0.05), 4.709)])
+def test_decay_rate_matches_rightmost_root(tau, beta):
+    # beta is minus the rightmost characteristic root; a running-sum window
+    # stalls the fast decays at its rounding floor (beta 0.88 and 14.8 here)
+    sys = benchmark_system(*tau)
+    traj = simulate(sys, make_compatible(sys, HistorySpec.random_smooth(3)), h=0.005, T=30.0)
+    _, fitted = estimate_decay(traj)
+    assert abs(fitted - beta) <= 0.01 * beta
