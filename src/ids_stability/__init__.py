@@ -48,6 +48,7 @@ from .criteria_spectral import (
     check_spectral,
     check_spectral_weighted,
     kron,
+    kron_operator,
     laa_spectral,
     operator_block,
     optimize_weights,
@@ -75,7 +76,7 @@ from .margin import (
     CRITERIA,
     bisect_margin,
     criterion_feasible,
-    monotonicity_audit,
+    evaluate_criterion,
     table1,
 )
 

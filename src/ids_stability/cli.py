@@ -19,8 +19,8 @@ import numpy as np
 
 from . import criteria_spectral, margin, simulator, suites
 from .criteria_lmi import IllConditionedError
-from .lmi_core import DEFAULT_SEED, SolverConfig
-from .model import DiscreteIds, IdsSystem, ParseError, ValidationError, benchmark_system, load_system
+from .lmi_core import DEFAULT_SEED, FeasReport, SolverConfig
+from .model import IdsSystem, ParseError, ValidationError, benchmark_system, load_system
 
 
 def _default_seed() -> int:
@@ -61,49 +61,27 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 
 def cmd_check(args) -> int:
     system = _read_system(args.system)
-    cfg = _cfg_from(args)
-    method = args.method
-    kind, needs_discrete = margin.CRITERIA[method]
-    if needs_discrete != isinstance(system, DiscreteIds):
-        want = "discrete" if needs_discrete else "integral"
-        raise ValidationError(f"method {method!r} requires a {want} system")
+    alpha = None if args.alpha is None else tuple(float(a) for a in args.alpha.split(","))
+    result = margin.evaluate_criterion(system, args.method, _cfg_from(args), alpha=alpha)
     witness = None
-    if kind == "spectral":
-        if method == "spectral":
-            v = criteria_spectral.check_spectral(system)
-        elif method == "spectral-weighted":
-            if args.alpha is not None:
-                alpha = tuple(float(a) for a in args.alpha.split(","))
-            else:
-                alpha, _ = criteria_spectral.optimize_weights(system, seed=args.seed)
-                print("alpha = " + ", ".join(_fmt(a) for a in alpha))
-            v = criteria_spectral.check_spectral_weighted(system, alpha)
-        elif method == "laa-spectral":
-            v = criteria_spectral.laa_spectral(system)
-        else:  # single-delay
-            if system.N != 1:
-                raise ValidationError("method 'single-delay' requires N = 1")
-            c = criteria_spectral.single_delay_checks(system.A[0], system.tau[0])
-            print(f"rho = {_fmt(c.rho)}")
-            print(f"norm = {_fmt(c.norm)}")
-            print(f"norm test: {'pass' if c.norm_pass else 'fail'}")
-            print(f"verdict: {'pass' if c.rho_pass else 'fail'}")
-            return 0 if c.rho_pass else 1
-        print(f"rho = {_fmt(v.rho)}")
-        print(f"threshold = {_fmt(v.threshold)}")
-        if v.boundary:
-            print("boundary: rho is within 1e-12 of the threshold")
-        print(f"verdict: {'pass' if v.passed else 'fail'}")
-        ok = v.passed
+    if isinstance(result, FeasReport):
+        print(f"lambda_star = {_fmt(result.lambda_star)}")
+        print(f"verdict: {result.status}")
+        ok = result.feasible
+        witness = result.witness if ok else None
     else:
-        from .criteria_lmi import LMI_CRITERIA
-        from .lmi_core import solve_feasibility
-
-        report = solve_feasibility(LMI_CRITERIA[method](system), cfg)
-        print(f"lambda_star = {_fmt(report.lambda_star)}")
-        print(f"verdict: {report.status}")
-        ok = report.feasible
-        witness = report.witness if report.feasible else None
+        if getattr(result, "alpha", None) is not None and alpha is None:
+            print("alpha = " + ", ".join(_fmt(a) for a in result.alpha))
+        print(f"rho = {_fmt(result.rho)}")
+        if isinstance(result, criteria_spectral.SingleDelayChecks):
+            print(f"norm = {_fmt(result.norm)}")
+            print(f"norm test: {'pass' if result.norm_pass else 'fail'}")
+        else:
+            print(f"threshold = {_fmt(result.threshold)}")
+            if result.boundary:
+                print("boundary: rho is within 1e-12 of the threshold")
+        ok = result.passed
+        print(f"verdict: {'pass' if ok else 'fail'}")
     if args.witness_out:
         payload = (
             {k: np.asarray(v).tolist() for k, v in witness.items()} if witness else {}

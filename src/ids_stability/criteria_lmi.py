@@ -7,15 +7,15 @@ also attaches closed-form warm starts derived from the dominant eigenmatrix
 of the operator; these let the solver certify feasibility essentially up to
 the true boundary.
 
-Criterion identifiers used by the margin module and the CLI:
-"amc", "th2-coupled", "single", "th1", "th2-lmi", "laa".
+:data:`LMI_CRITERIA` only maps the LMI criterion ids to their builders;
+``margin.CRITERIA`` looks them up there at call time and does the dispatch.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .criteria_spectral import kron, optimize_weights
+from .criteria_spectral import kron_operator, optimize_weights
 from .lmi_core import (
     AffineBlock,
     BlockTerm,
@@ -119,10 +119,7 @@ def _blend_candidates(base: dict, pd_names: list[str], thetas=(0.0, 1e-6, 1e-3, 
 
 def _coupled_operator(sys: IdsSystem) -> np.ndarray:
     """Row-major vec matrix of T -> N * sum_i tau_i^2 A_i.T T A_i."""
-    n = sys.n
-    return sys.N * sum(
-        t * t * np.kron(A.T, A.T) for A, t in zip(sys.A, sys.tau)
-    ).reshape(n * n, n * n)
+    return sys.N * kron_operator(sys.A, [t * t for t in sys.tau]).T
 
 
 def _coupled_perron_starts(sys: IdsSystem) -> tuple[np.ndarray | None, list[np.ndarray] | None]:
@@ -148,10 +145,7 @@ def _eq44_candidates(sys: IdsSystem) -> list[list[np.ndarray]]:
 
     alpha, rho_w = optimize_weights(sys)
     if rho_w < 1.0:
-        op = sum(
-            (t * t / a) * np.kron(A.T, A.T)
-            for A, t, a in zip(sys.A, sys.tau, alpha)
-        )
+        op = kron_operator(sys.A, [t * t / a for t, a in zip(sys.tau, alpha)]).T
         Qw = _perron_matrix(op, n)
         if Qw is not None:
             for th in (1e-9, 1e-6, 1e-3):

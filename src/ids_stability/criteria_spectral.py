@@ -20,6 +20,7 @@ __all__ = [
     "EigNonconvergence",
     "NonFiniteError",
     "kron",
+    "kron_operator",
     "spectral_radius",
     "check_spectral",
     "check_spectral_weighted",
@@ -46,19 +47,20 @@ class SpectralVerdict:
     """Outcome of a strict spectral-radius test.
 
     ``passed`` is rho < threshold strictly; a tie within 1e-12 is reported
-    as a failure with ``boundary`` set.
+    as a failure with ``boundary`` set.  ``alpha`` holds the simplex weights
+    of a weighted test (None for the unweighted ones).
     """
 
     rho: float
     threshold: float
     passed: bool
     boundary: bool = False
+    alpha: tuple[float, ...] | None = None
 
 
-def _verdict(rho: float, threshold: float) -> SpectralVerdict:
-    if abs(rho - threshold) < _BOUNDARY_TOL:
-        return SpectralVerdict(rho, threshold, False, boundary=True)
-    return SpectralVerdict(rho, threshold, rho < threshold)
+def _verdict(rho: float, threshold: float, alpha=None) -> SpectralVerdict:
+    boundary = abs(rho - threshold) < _BOUNDARY_TOL
+    return SpectralVerdict(rho, threshold, not boundary and rho < threshold, boundary, alpha)
 
 
 def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -68,6 +70,15 @@ def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if A.ndim != 2 or A.shape[0] != A.shape[1] or B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise ValueError("kron expects square matrices")
     return np.kron(A, B)
+
+
+def kron_operator(As, weights) -> np.ndarray:
+    """The Kronecker sum sum_i w_i A_i (x) A_i.
+
+    The transpose is the row-major vec matrix of T -> sum_i w_i A_i.T T A_i,
+    since A.T (x) A.T = (A (x) A).T.
+    """
+    return sum(w * kron(A, A) for A, w in zip(As, weights))
 
 
 def spectral_radius(M: np.ndarray):
@@ -89,19 +100,10 @@ def spectral_radius(M: np.ndarray):
     return float(rho) if M.ndim == 2 else rho
 
 
-def _kron_sum(sys: IdsSystem) -> np.ndarray:
-    return sum(t * t * kron(A, A) for A, t in zip(sys.A, sys.tau))
-
-
 def check_spectral(sys: IdsSystem) -> SpectralVerdict:
     """Strict test rho(sum_i tau_i^2 A_i (x) A_i) < 1/N."""
-    return _verdict(spectral_radius(_kron_sum(sys)), 1.0 / sys.N)
-
-
-def weighted_kron_sum(sys: IdsSystem, alpha) -> np.ndarray:
-    return sum(
-        (t * t / a) * kron(A, A) for A, t, a in zip(sys.A, sys.tau, alpha)
-    )
+    M = kron_operator(sys.A, [t * t for t in sys.tau])
+    return _verdict(spectral_radius(M), 1.0 / sys.N)
 
 
 def _check_weights(alpha, N: int) -> tuple[float, ...]:
@@ -120,7 +122,8 @@ def _check_weights(alpha, N: int) -> tuple[float, ...]:
 def check_spectral_weighted(sys: IdsSystem, alpha) -> SpectralVerdict:
     """Strict test rho(sum_i (tau_i^2/alpha_i) A_i (x) A_i) < 1 for simplex weights."""
     alpha = _check_weights(alpha, sys.N)
-    return _verdict(spectral_radius(weighted_kron_sum(sys, alpha)), 1.0)
+    M = kron_operator(sys.A, [t * t / a for t, a in zip(sys.tau, alpha)])
+    return _verdict(spectral_radius(M), 1.0, alpha)
 
 
 def _golden_section(fun, lo: float, hi: float, tol: float = 1e-12) -> float:
@@ -149,7 +152,7 @@ def optimize_weights(sys: IdsSystem, seed: int = DEFAULT_SEED) -> tuple[tuple[fl
     Deterministic for a fixed seed.
     """
     N = sys.N
-    Ks = [t * t * kron(A, A) for A, t in zip(sys.A, sys.tau)]
+    Ks = [kron_operator((A,), (t * t,)) for A, t in zip(sys.A, sys.tau)]
 
     def rho_at(alpha) -> float:
         return spectral_radius(sum(K / a for K, a in zip(Ks, alpha)))
@@ -218,6 +221,11 @@ class SingleDelayChecks:
     rho_pass: bool
     norm_pass: bool
 
+    @property
+    def passed(self) -> bool:
+        """The criterion's verdict: the spectral-radius test."""
+        return self.rho_pass
+
 
 def single_delay_checks(A1: np.ndarray, tau1: float) -> SingleDelayChecks:
     """Single-term tests rho(A1) < 1/tau1 and ||A1|| < 1/tau1.
@@ -235,5 +243,5 @@ def single_delay_checks(A1: np.ndarray, tau1: float) -> SingleDelayChecks:
 
 def laa_spectral(sys: DiscreteIds) -> SpectralVerdict:
     """Delay-independent test rho(sum_i A_i (x) A_i) < 1/N for pointwise delays."""
-    M = sum(kron(A, A) for A in sys.A)
+    M = kron_operator(sys.A, [1.0] * sys.N)
     return _verdict(spectral_radius(M), 1.0 / sys.N)

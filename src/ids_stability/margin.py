@@ -1,9 +1,14 @@
-"""Delay-margin search by bisection, and the four-criterion margin table.
+"""The criterion registry, delay-margin bisection and the margin table.
 
-Bisection assumes feasibility is monotone in the varied delay; that holds
-for every criterion on the shipped benchmark but is not guaranteed in
-general, so :func:`monotonicity_audit` is provided as a guard for new
-systems.
+:data:`CRITERIA` alone maps a criterion id to the system kind it accepts
+and to how it is evaluated.  Bisection relies on feasibility being
+monotone in each delay, which every shipped criterion is.  Each LMI
+carries its delay terms as PSD factors scaled by tau_i or tau_i^2, so its
+feasible sets nest as a delay shrinks.  rho(sum_i tau_i^2 A_i (x) A_i),
+and the weighted radius at any fixed weights, is monotone because each
+term T -> tau_i^2 A_i.T T A_i preserves the PSD cone (Krein-Rutman).
+"single-delay" compares rho(A_1) with 1/tau_1; "laa" and "laa-spectral"
+do not depend on tau.
 """
 
 from __future__ import annotations
@@ -11,32 +16,54 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import criteria_lmi, criteria_spectral
-from .lmi_core import LmiProblem, SolverConfig, solve_feasibility
+from .lmi_core import FeasReport, SolverConfig, solve_feasibility
 from .model import DiscreteIds, IdsSystem, ValidationError, validate_system
 
 __all__ = [
     "CRITERIA",
+    "evaluate_criterion",
     "criterion_feasible",
     "bisect_margin",
     "table1",
     "Table1Result",
-    "monotonicity_audit",
-    "AuditReport",
     "TABLE1_COLUMNS",
 ]
 
-#: criterion id -> ("lmi" | "spectral", requires-discrete-system)
+
+def _lmi(criterion: str):
+    def evaluate(sys, cfg, warm, alpha) -> FeasReport:
+        problem = criteria_lmi.LMI_CRITERIA[criterion](sys)
+        if warm is not None:
+            problem = replace(problem, starts=(warm,) + problem.starts)
+        return solve_feasibility(problem, cfg)
+
+    return evaluate
+
+
+def _spectral_weighted(sys, cfg, warm, alpha):
+    if alpha is None:
+        alpha, _rho = criteria_spectral.optimize_weights(sys, seed=cfg.seed)
+    return criteria_spectral.check_spectral_weighted(sys, alpha)
+
+
+def _single_delay(sys, cfg, warm, alpha):
+    if sys.N != 1:
+        raise ValueError("criterion 'single-delay' requires N = 1")
+    return criteria_spectral.single_delay_checks(sys.A[0], sys.tau[0])
+
+
+#: criterion id -> (requires-discrete-system, evaluate(sys, cfg, warm, alpha))
 CRITERIA = {
-    "amc": ("lmi", False),
-    "th2-coupled": ("lmi", False),
-    "single": ("lmi", False),
-    "th1": ("lmi", False),
-    "th2-lmi": ("lmi", False),
-    "laa": ("lmi", True),
-    "spectral": ("spectral", False),
-    "spectral-weighted": ("spectral", False),
-    "laa-spectral": ("spectral", True),
-    "single-delay": ("spectral", False),
+    "amc": (False, _lmi("amc")),
+    "th2-coupled": (False, _lmi("th2-coupled")),
+    "single": (False, _lmi("single")),
+    "th1": (False, _lmi("th1")),
+    "th2-lmi": (False, _lmi("th2-lmi")),
+    "laa": (True, _lmi("laa")),
+    "spectral": (False, lambda sys, cfg, warm, alpha: criteria_spectral.check_spectral(sys)),
+    "spectral-weighted": (False, _spectral_weighted),
+    "laa-spectral": (True, lambda sys, cfg, warm, alpha: criteria_spectral.laa_spectral(sys)),
+    "single-delay": (False, _single_delay),
 }
 
 TABLE1_COLUMNS = ("th2-lmi", "amc", "single", "spectral")
@@ -47,11 +74,29 @@ def _check_criterion(criterion: str, sys) -> None:
         raise ValueError(
             f"unknown criterion {criterion!r}; valid: {', '.join(sorted(CRITERIA))}"
         )
-    _, needs_discrete = CRITERIA[criterion]
+    needs_discrete, _ = CRITERIA[criterion]
     if needs_discrete and not isinstance(sys, DiscreteIds):
         raise ValueError(f"criterion {criterion!r} requires a discrete-delay system")
     if not needs_discrete and not isinstance(sys, IdsSystem):
         raise ValueError(f"criterion {criterion!r} requires an integral system")
+
+
+def evaluate_criterion(
+    sys,
+    criterion: str,
+    cfg: SolverConfig | None = None,
+    warm: dict | None = None,
+    alpha=None,
+):
+    """Evaluate one criterion and return its own result object: a
+    ``FeasReport`` (LMI criteria), ``SpectralVerdict`` or ``SingleDelayChecks``.
+
+    ``warm`` is an extra solver start for the LMI criteria (used by the
+    bisection chain); ``alpha`` selects the weights of "spectral-weighted",
+    which are optimized with ``cfg.seed`` when absent.
+    """
+    _check_criterion(criterion, sys)
+    return CRITERIA[criterion][1](sys, cfg or SolverConfig(), warm, alpha)
 
 
 def criterion_feasible(
@@ -61,33 +106,11 @@ def criterion_feasible(
     warm: dict | None = None,
     alpha=None,
 ) -> tuple[bool, dict | None]:
-    """Evaluate one criterion; returns (verdict, certifying witness or None).
-
-    ``warm`` is an extra solver start (used by the bisection chain);
-    ``alpha`` selects the weights of "spectral-weighted" (optimized when
-    absent).
-    """
-    _check_criterion(criterion, sys)
-    kind, _ = CRITERIA[criterion]
-    if kind == "lmi":
-        problem: LmiProblem = criteria_lmi.LMI_CRITERIA[criterion](sys)
-        if warm is not None:
-            problem = replace(problem, starts=(warm,) + problem.starts)
-        report = solve_feasibility(problem, cfg)
-        return report.feasible, (report.witness if report.feasible else None)
-    if criterion == "spectral":
-        return criteria_spectral.check_spectral(sys).passed, None
-    if criterion == "spectral-weighted":
-        if alpha is None:
-            alpha, _rho = criteria_spectral.optimize_weights(sys)
-        return criteria_spectral.check_spectral_weighted(sys, alpha).passed, None
-    if criterion == "laa-spectral":
-        return criteria_spectral.laa_spectral(sys).passed, None
-    if criterion == "single-delay":
-        if sys.N != 1:
-            raise ValueError("criterion 'single-delay' requires N = 1")
-        return criteria_spectral.single_delay_checks(sys.A[0], sys.tau[0]).rho_pass, None
-    raise AssertionError(criterion)
+    """Evaluate one criterion; returns (verdict, certifying witness or None)."""
+    result = evaluate_criterion(sys, criterion, cfg, warm, alpha)
+    if isinstance(result, FeasReport):
+        return result.feasible, (result.witness if result.feasible else None)
+    return result.passed, None
 
 
 def _with_delay(sys, index: int, value: float):
@@ -185,41 +208,3 @@ def table1(
         for c in TABLE1_COLUMNS:
             cells[(r, c)] = bisect_margin(base, 1, c, lo=1e-4, tol=tol, cfg=cfg)
     return Table1Result(rows=tuple(rows), columns=TABLE1_COLUMNS, cells=cells)
-
-
-@dataclass(frozen=True)
-class AuditReport:
-    grid: tuple[float, ...]
-    verdicts: tuple[bool, ...]
-    violations: tuple[tuple[float, float], ...]
-
-    @property
-    def monotone(self) -> bool:
-        return not self.violations
-
-
-def monotonicity_audit(
-    sys_template,
-    vary_index: int,
-    criterion: str,
-    grid,
-    cfg: SolverConfig | None = None,
-) -> AuditReport:
-    """Evaluate the criterion on an ascending delay grid and report every
-    feasible-after-infeasible pattern (which would invalidate bisection)."""
-    grid = tuple(float(g) for g in grid)
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("grid must be strictly ascending")
-    verdicts = []
-    for g in grid:
-        sys_g = _with_delay(sys_template, vary_index, g)
-        ok, _ = criterion_feasible(sys_g, criterion, cfg)
-        verdicts.append(ok)
-    violations = []
-    last_infeasible = None
-    for g, ok in zip(grid, verdicts):
-        if not ok:
-            last_infeasible = g
-        elif last_infeasible is not None:
-            violations.append((last_infeasible, g))
-    return AuditReport(grid=grid, verdicts=tuple(verdicts), violations=tuple(violations))

@@ -12,7 +12,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import criteria_lmi, criteria_spectral, jensen
-from .lmi_core import SolverConfig, solve_feasibility
+from .lmi_core import SolverConfig
+from .margin import evaluate_criterion
 from .model import IdsSystem, validate_system
 
 __all__ = [
@@ -181,11 +182,6 @@ def run_jensen_suite(seed: int = 7, draws: int = 2000, quad_draws: int = 60) -> 
     return SuiteReport("jensen", tuple(checks))
 
 
-def _verdict(sys: IdsSystem, builder, cfg: SolverConfig):
-    report = solve_feasibility(builder(sys), cfg)
-    return report.feasible, report
-
-
 def run_equivalence_suite(seed: int = 7, count: int = 25, cfg: SolverConfig | None = None) -> SuiteReport:
     """Solver verdicts of the three coupled/single conditions against the
     spectral test, on an off-boundary corpus."""
@@ -196,13 +192,8 @@ def run_equivalence_suite(seed: int = 7, count: int = 25, cfg: SolverConfig | No
     for sys in systems:
         expected = criteria_spectral.check_spectral(sys).passed
         feasible += int(expected)
-        for builder in (
-            criteria_lmi.build_amc,
-            criteria_lmi.build_th2_coupled,
-            criteria_lmi.build_single,
-        ):
-            got, _ = _verdict(sys, builder, cfg)
-            if got != expected:
+        for criterion in ("amc", "th2-coupled", "single"):
+            if evaluate_criterion(sys, criterion, cfg).feasible != expected:
                 disagreements += 1
     detail = f"{count} systems ({feasible} stable), {disagreements} disagreements"
     return SuiteReport(
@@ -217,29 +208,21 @@ def run_ordering_suite(seed: int = 7, count: int = 12, cfg: SolverConfig | None 
     checks = []
     ord_ok = conv_a_ok = conv_b_ok = iff_ok = True
     n_coupled = n_b = 0
-    boosted = SolverConfig(
-        seed=cfg.seed, restarts=3 * cfg.restarts, max_iters=cfg.max_iters,
-        eps_feas=cfg.eps_feas, stop_target=cfg.stop_target,
-    )
-
-    def solve_with_start(builder, sys, start):
-        problem = builder(sys)
-        if start is not None:
-            problem = replace(problem, starts=(start,) + problem.starts)
-        return solve_feasibility(problem, boosted)
+    boosted = replace(cfg, restarts=3 * cfg.restarts)
 
     for sys in systems:
         N = sys.N
-        ok_c, rep_c = _verdict(sys, criteria_lmi.build_th2_coupled, cfg)
-        ok_1, rep_1 = _verdict(sys, criteria_lmi.build_th1, cfg)
-        ok_2, rep_2 = _verdict(sys, criteria_lmi.build_th2_lmi, cfg)
+        rep_c = evaluate_criterion(sys, "th2-coupled", cfg)
+        rep_1 = evaluate_criterion(sys, "th1", cfg)
+        rep_2 = evaluate_criterion(sys, "th2-lmi", cfg)
+        ok_c, ok_1, ok_2 = rep_c.feasible, rep_1.feasible, rep_2.feasible
 
         if ok_c:
             n_coupled += 1
-            if not (ok_1 or _escalate_th1(sys, rep_c, solve_with_start)):
+            if not (ok_1 or _escalate_th1(sys, rep_c, boosted)):
                 ord_ok = False
             if not ok_2:
-                rep_b = solve_with_start(criteria_lmi.build_th2_lmi, sys, None)
+                rep_b = evaluate_criterion(sys, "th2-lmi", boosted)
                 ok_2 = rep_b.feasible
                 if ok_2:
                     rep_2 = rep_b
@@ -267,7 +250,7 @@ def run_ordering_suite(seed: int = 7, count: int = 12, cfg: SolverConfig | None 
         # the two linearized families accept exactly the same systems
         if ok_1 != ok_2:
             if ok_2 and not ok_1:
-                ok_1 = _escalate_th1(sys, None, solve_with_start, from_th2=[
+                ok_1 = _escalate_th1(sys, None, boosted, from_th2=[
                     rep_2.witness[f"Q{i+1}"] for i in range(N)
                 ])
             elif ok_1 and not ok_2:
@@ -280,7 +263,7 @@ def run_ordering_suite(seed: int = 7, count: int = 12, cfg: SolverConfig | None 
                         }
                     )
                     start = {f"Q{i+1}": nmi["Q"][i] for i in range(N)}
-                    ok_2 = solve_with_start(criteria_lmi.build_th2_lmi, sys, start).feasible
+                    ok_2 = evaluate_criterion(sys, "th2-lmi", boosted, warm=start).feasible
                 except (criteria_lmi.IllConditionedError, np.linalg.LinAlgError):
                     ok_2 = False
             if ok_1 != ok_2:
@@ -301,7 +284,7 @@ def run_ordering_suite(seed: int = 7, count: int = 12, cfg: SolverConfig | None 
     return SuiteReport("ordering", tuple(checks))
 
 
-def _escalate_th1(sys, rep_c, solve_with_start, from_th2=None) -> bool:
+def _escalate_th1(sys, rep_c, cfg: SolverConfig, from_th2=None) -> bool:
     """Retry the two-family condition with a witness transported from another
     feasible condition."""
     try:
@@ -317,7 +300,7 @@ def _escalate_th1(sys, rep_c, solve_with_start, from_th2=None) -> bool:
         start = {f"S{i+1}": S[i] for i in range(sys.N)}
         start.update({f"Q{i+1}": R @ Q[i] @ R for i in range(sys.N)})
         start["R"] = R
-        return solve_with_start(criteria_lmi.build_th1, sys, start).feasible
+        return evaluate_criterion(sys, "th1", cfg, warm=start).feasible
     except (criteria_lmi.ConversionError, criteria_lmi.IllConditionedError, np.linalg.LinAlgError):
         return False
 

@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from ids_stability import criteria_lmi
+from ids_stability import criteria_lmi, margin
 from ids_stability.cli import main
 from ids_stability.criteria_lmi import IllConditionedError, build_th2_lmi
-from ids_stability.lmi_core import check_witness
-from ids_stability.model import IdsSystem, benchmark_system, save_system, validate_system
+from ids_stability.lmi_core import SolverConfig, check_witness
+from ids_stability.model import DiscreteIds, IdsSystem, benchmark_system, save_system, validate_system
 
 
 @pytest.fixture
@@ -72,6 +72,80 @@ def test_check_weighted_with_explicit_alpha(bench_file, capsys):
     )
     assert code == 0
     assert "rho = 0.97834" in capsys.readouterr().out
+
+
+def _write(tmp_path, system):
+    p = tmp_path / "sys.json"
+    p.write_text(save_system(validate_system(system)))
+    return str(p)
+
+
+def _discrete(scale=1.0):
+    A = (np.array([[0.3, 0.1], [0.0, 0.2]]), np.array([[0.1, 0.0], [0.2, -0.15]]))
+    return DiscreteIds(A=tuple(scale * Ai for Ai in A), tau=(0.2, 0.5))
+
+
+def _scalar(a, tau=1.0):
+    return IdsSystem(A=(np.array([[a]]),), tau=(tau,))
+
+
+def test_check_weighted_prints_optimized_alpha_first(bench_file, capsys):
+    assert main(["check", "--system", bench_file(0.4, 0.02), "--method", "spectral-weighted"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("alpha = ") and len(lines[0].split(", ")) == 2
+    assert lines[1].startswith("rho = ") and lines[2:] == ["threshold = 1", "verdict: pass"]
+
+
+def test_check_single_delay_lines(tmp_path, capsys):
+    A1 = np.array([[-4.0, 1.0], [-13.0, 2.0]])
+    path = _write(tmp_path, IdsSystem(A=(A1,), tau=(0.44,)))
+    assert main(["check", "--system", path, "--method", "single-delay"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "rho = 2.23607"  # |-1 +- 2i| = sqrt(5) < 1/0.44
+    assert lines[1].startswith("norm = ") and float(lines[1][7:]) > 1 / 0.44
+    assert lines[2:] == ["norm test: fail", "verdict: pass"]
+
+
+@pytest.mark.parametrize("method, first", [("laa", "lambda_star = "), ("laa-spectral", "rho = ")])
+def test_check_laa_methods_on_discrete_file(tmp_path, capsys, method, first):
+    path = _write(tmp_path, _discrete())
+    assert main(["check", "--system", path, "--method", method]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(first)
+    assert lines[-1] in ("verdict: feasible", "verdict: pass")
+
+
+def test_check_lmi_not_found_exits_1(tmp_path, capsys):
+    path = _write(tmp_path, _scalar(3.0))  # 9 q - q < 0 has no solution q > 0
+    code = main(["check", "--system", path, "--method", "single", "--restarts", "1", "--max-iters", "300"])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "verdict: not_found"
+
+
+@pytest.mark.parametrize(
+    "method, system",
+    [("laa", _scalar(0.5)), ("laa-spectral", _scalar(0.5)), ("spectral", _discrete()), ("amc", _discrete())],
+)
+def test_check_kind_mismatch_is_usage_error(tmp_path, capsys, method, system):
+    assert main(["check", "--system", _write(tmp_path, system), "--method", method]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert captured.out == "" and len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("stable", [True, False])
+@pytest.mark.parametrize("method", sorted(margin.CRITERIA))
+def test_check_exit_code_matches_criterion_feasible(tmp_path, capsys, method, stable):
+    needs_discrete, _ = margin.CRITERIA[method]
+    if needs_discrete:
+        system = validate_system(_discrete(1.0 if stable else 4.0))
+    else:
+        system = validate_system(_scalar(0.5 if stable else 3.0))
+    flags = ["--seed", "7", "--restarts", "1", "--max-iters", "300"]
+    code = main(["check", "--system", _write(tmp_path, system), "--method", method, *flags])
+    ok, _ = margin.criterion_feasible(system, method, SolverConfig(seed=7, restarts=1, max_iters=300))
+    assert code == (0 if ok else 1)
+    assert ok == stable
 
 
 def test_margin_command_values(bench_file, capsys):
@@ -165,9 +239,7 @@ def test_env_seed_override(monkeypatch):
 
 
 def _system_file(tmp_path, A, tau):
-    p = tmp_path / "sys.json"
-    p.write_text(save_system(validate_system(IdsSystem(A=A, tau=tau))))
-    return str(p)
+    return _write(tmp_path, IdsSystem(A=A, tau=tau))
 
 
 def _assert_numerical_failure(code, capsys):

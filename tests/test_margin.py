@@ -3,13 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ids_stability.margin import (
-    AuditReport,
-    bisect_margin,
-    criterion_feasible,
-    monotonicity_audit,
-    table1,
-)
+from ids_stability import criteria_lmi, margin
+from ids_stability.lmi_core import FeasReport
+from ids_stability.margin import bisect_margin, criterion_feasible, table1
 from ids_stability.model import DiscreteIds, IdsSystem, benchmark_system, validate_system
 
 A1 = np.array([[-4.0, 1.0], [-13.0, 2.0]])
@@ -98,35 +94,6 @@ def test_single_delay_criterion():
         criterion_feasible(benchmark_system(), "single-delay")
 
 
-def test_monotonicity_audit_benchmark_spectral():
-    sys = benchmark_system(0.3, 0.1)
-    grid = np.linspace(1e-4, 0.2, 50)
-    rep = monotonicity_audit(sys, 1, "spectral", grid)
-    assert rep.monotone
-    assert rep.verdicts[0] and not rep.verdicts[-1]
-
-
-def test_monotonicity_audit_zero_system_all_feasible():
-    sys = validate_system(IdsSystem(A=(np.zeros((2, 2)),) * 2, tau=(0.3, 0.1)))
-    rep = monotonicity_audit(sys, 1, "spectral", np.linspace(0.05, 2.0, 10))
-    assert rep.monotone and all(rep.verdicts)
-
-
-def test_audit_report_flags_violation_pattern():
-    rep = AuditReport(
-        grid=(0.1, 0.2, 0.3, 0.4),
-        verdicts=(True, False, True, False),
-        violations=((0.2, 0.3),),
-    )
-    assert not rep.monotone
-    assert rep.violations[0] == (0.2, 0.3)
-
-
-def test_audit_requires_ascending_grid():
-    with pytest.raises(ValueError, match="ascending"):
-        monotonicity_audit(benchmark_system(), 1, "spectral", [0.2, 0.1])
-
-
 def test_table1_requires_two_delays():
     sys = validate_system(IdsSystem(A=(A1,), tau=(0.2,)))
     with pytest.raises(ValueError, match="two-delay"):
@@ -154,3 +121,46 @@ def test_table1_csv_rendering():
     assert lines[0] == "tau1, th2-lmi, amc, single, spectral"
     assert lines[1] == "0.4, 0.0317, inf, inf, inf"
     assert lines[2].startswith("0.3, 0.1146, 0.0474")
+
+
+# -- wrap points: callers must look these names up at call time -------------
+
+
+def test_registry_looks_builders_up_at_call_time(monkeypatch, scalar_system):
+    built = []
+
+    def spy(sys):
+        built.append(sys)
+        return criteria_lmi.build_th2_coupled(sys)
+
+    monkeypatch.setitem(criteria_lmi.LMI_CRITERIA, "single", spy)
+    sys = scalar_system(0.5, 1.0)
+    ok, witness = criterion_feasible(sys, "single")
+    assert built == [sys]
+    assert ok and set(witness) == {"Q1"}  # th2-coupled's variable, not single's "Q"
+
+
+def test_registry_solves_through_margin_binding(monkeypatch, scalar_system):
+    solved = []
+
+    def fake_solve(problem, cfg=None):
+        solved.append(problem)
+        return FeasReport("feasible", -1.0, {"Q": np.eye(1)}, 0, 0)
+
+    monkeypatch.setattr(margin, "solve_feasibility", fake_solve)
+    ok, witness = criterion_feasible(scalar_system(3.0, 1.0), "single")  # infeasible in truth
+    assert ok and witness["Q"][0, 0] == 1.0
+    assert len(solved) == 1 and [v.name for v in solved[0].variables] == ["Q"]
+
+
+def test_bisection_probes_through_margin_binding(monkeypatch, scalar_system):
+    probed = []
+
+    def fake_probe(sys, criterion, cfg=None, warm=None, alpha=None):
+        probed.append(sys.tau[0])
+        return sys.tau[0] <= 0.25, None
+
+    monkeypatch.setattr(margin, "criterion_feasible", fake_probe)
+    m = bisect_margin(scalar_system(0.0, 0.5), 0, "spectral", lo=0.1, hi=1.0, tol=1e-3)
+    assert abs(m - 0.25) <= 1e-3
+    assert probed[:2] == [0.1, 1.0] and len(probed) > 2
