@@ -66,6 +66,8 @@ def cmd_check(args) -> int:
     witness = None
     if isinstance(result, FeasReport):
         print(f"lambda_star = {_fmt(result.lambda_star)}")
+        if result.lower_bound is not None:
+            print(f"lower_bound = {_fmt(result.lower_bound)}")
         print(f"verdict: {result.status}")
         ok = result.feasible
         witness = result.witness if ok else None

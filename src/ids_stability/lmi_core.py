@@ -13,9 +13,14 @@ over the affine slice trace(sum of PD variables) = 1 (homogeneity makes the
 normalization lossless).  The minimization runs a projected subgradient
 method (Polyak-style steps once a negative value is known, diminishing steps
 otherwise, random restarts), followed by a cutting-plane polish that refines
-the iterate near the feasibility boundary.  The method cannot certify
-infeasibility: a negative certificate is "feasible", anything else is
-"not_found".
+the iterate near the feasibility boundary.  A negative certificate is
+"feasible", anything else is "not_found".  Because every block is linear,
+each subgradient row h satisfies h.x <= f(x) everywhere, so the recent
+rows bound f from below on the slice (Kelley's cutting-plane bound).  When
+that bound excludes a witness the search stops early and the report
+carries it as ``lower_bound``; the LP dual of the bound is a Farkas
+certificate, multipliers sum y_i u_i u_i^T >= 0 whose adjoint image is a
+multiple of the trace functional.
 """
 
 from __future__ import annotations
@@ -145,13 +150,15 @@ class SolverConfig:
     restarts: int = 8
     max_iters: int = 5000
     eps_feas: float = 1e-7
-    # optimization is stopped once the objective reaches this value; deeper
-    # minima do not change the verdict
+    # a subgradient run stops once the objective reaches this value; the
+    # restarts and the polish stop at it or at -10 * eps_feas, whichever is
+    # shallower.  Deeper minima do not change the verdict
     stop_target: float = -1e-2
     stall_limit: int = 450
     polish_iters: int = 200
     # skip the cutting-plane polish when the subgradient phase already ended
-    # far from the feasibility boundary
+    # far from the feasibility boundary, or when the cut bound proved that
+    # no witness exists
     polish_window: float = 0.25
 
 
@@ -162,6 +169,8 @@ class FeasReport:
     witness: dict
     iterations: int
     restarts: int
+    # a proven lower bound on f over the normalization slice (not_found only)
+    lower_bound: float | None = None
 
     @property
     def feasible(self) -> bool:
@@ -308,6 +317,16 @@ class _Compiled:
         grad = M[j * m * m : (j + 1) * m * m].T @ (u[:, None] * u).reshape(-1)
         return float(tops[k]), grad
 
+    def eig_rows(self, x: np.ndarray) -> np.ndarray:
+        """The rows (u (x) u)^T M_k for every eigenvector u of every block at
+        x; each satisfies h.y <= f(y) for all y."""
+        rows = []
+        for m, ks, M in self.groups:
+            _, V = np.linalg.eigh(_sym_stack(M, m, x))
+            R = np.einsum("jpc,jqc,jpqn->jcn", V, V, M.reshape(len(ks), m, m, -1))
+            rows.append(R.reshape(-1, self.nx))
+        return np.vstack(rows)
+
     def f_only(self, x: np.ndarray) -> float:
         return max(
             float(np.linalg.eigvalsh(_sym_stack(M, m, x))[:, -1].max())
@@ -393,12 +412,34 @@ def _check_homogeneous(problem: LmiProblem) -> None:
         raise ProblemError("no positive-definite variable to normalize against")
 
 
-def _polish(comp: _Compiled, x0: np.ndarray, f0: float, cfg: SolverConfig):
+def _prove_no_witness(comp: _Compiled, rows: np.ndarray, cfg: SolverConfig) -> float | None:
+    """min t s.t. h.x <= t for every row h and a.x = 1, with x and t free.
+
+    Every row is a global minorant of f, so t* bounds f below on the slice.
+    Returns t* when it is at least 10 * eps_feas (no witness exists), else
+    None, including when the rows leave the LP unbounded.
+    """
+    nx = comp.nx
+    c = np.zeros(nx + 1)
+    c[-1] = 1.0
+    A_ub = np.hstack((rows, -np.ones((len(rows), 1))))
+    A_eq = np.append(comp.trace_vec, 0.0)[None, :]
+    res = linprog(
+        c, A_ub=A_ub, b_ub=np.zeros(len(rows)), A_eq=A_eq, b_eq=[1.0],
+        bounds=(None, None), method="highs",
+    )
+    if res.status == 0 and res.x[-1] >= 10.0 * cfg.eps_feas:
+        return float(res.x[-1])
+    return None
+
+
+def _polish(comp: _Compiled, x0: np.ndarray, f0: float, cfg: SolverConfig, settled: float):
     """Cutting-plane refinement of the worst-lambda-max minimization.
 
     Kelley-style: accumulate linearizations f(x) >= f_k + g_k.(x - x_k) and
     repeatedly minimize their max over the normalization slice intersected
-    with a box around the incumbent.  Deterministic; the LP backend is HiGHS.
+    with a box around the incumbent, until the incumbent reaches the
+    ``settled`` depth.  Deterministic; the LP backend is HiGHS.
     """
     nx = comp.nx
     a = comp.trace_vec
@@ -445,7 +486,7 @@ def _polish(comp: _Compiled, x0: np.ndarray, f0: float, cfg: SolverConfig):
             # no point of the box reaches a negative value; the verdict for
             # this solve cannot improve
             break
-        if best_f <= cfg.stop_target:
+        if best_f <= settled:
             break
     return best_f, best_x, evals
 
@@ -500,7 +541,12 @@ def solve_feasibility(problem: LmiProblem, cfg: SolverConfig | None = None) -> F
 
     # a value this deep settles the verdict; further depth only adds slack
     clear_feas = -10.0 * cfg.eps_feas
+    settled = max(cfg.stop_target, clear_feas)
 
+    # the last subgradients, a ring: the rows of the cut bound
+    cuts = np.empty((300, nx))
+    n_cuts = 0
+    lower_bound = None
     restarts_run = 0
     no_gain = 0
     for r in range(cfg.restarts):
@@ -512,6 +558,8 @@ def solve_feasibility(problem: LmiProblem, cfg: SolverConfig | None = None) -> F
         for k in range(cfg.max_iters):
             f, g = comp.f_and_grad(x)
             iterations += 1
+            cuts[n_cuts % len(cuts)] = g
+            n_cuts += 1
             if f < f_run - 1e-12:
                 f_run = f
                 stall = 0
@@ -535,8 +583,14 @@ def solve_feasibility(problem: LmiProblem, cfg: SolverConfig | None = None) -> F
             else:
                 t = 0.3 / (np.sqrt(k + 1.0) * np.sqrt(gnorm2))
             x = comp.project(x - t * g)
-        if best_f <= max(cfg.stop_target, clear_feas):
+        if best_f <= settled:
             break
+        if best_f >= -clear_feas:
+            # subgradient rows alone can leave the bound unbounded below
+            rows = np.vstack((cuts[:n_cuts], comp.eig_rows(best_x), comp.eig_rows(x)))
+            lower_bound = _prove_no_witness(comp, rows, cfg)
+            if lower_bound is not None:
+                break
         # the objective is convex: once several restarts in a row stop moving
         # the plateau, further random starts cannot change the verdict
         if best_f >= f_before - 0.1 * abs(f_before):
@@ -546,8 +600,8 @@ def solve_feasibility(problem: LmiProblem, cfg: SolverConfig | None = None) -> F
         else:
             no_gain = 0
 
-    if cfg.stop_target < best_f < cfg.polish_window and best_f > clear_feas and cfg.polish_iters > 0:
-        f_p, x_p, ev = _polish(comp, best_x, best_f, cfg)
+    if lower_bound is None and settled < best_f < cfg.polish_window and cfg.polish_iters > 0:
+        f_p, x_p, ev = _polish(comp, best_x, best_f, cfg, settled)
         iterations += ev
         if f_p < best_f:
             best_f, best_x = f_p, x_p
@@ -555,7 +609,7 @@ def solve_feasibility(problem: LmiProblem, cfg: SolverConfig | None = None) -> F
     witness = comp.to_witness(best_x)
     lambda_star = comp.f_only(best_x)
     status = "feasible" if lambda_star <= -cfg.eps_feas else "not_found"
-    return FeasReport(status, lambda_star, witness, iterations, restarts_run)
+    return FeasReport(status, lambda_star, witness, iterations, restarts_run, lower_bound)
 
 
 def linearize_inverse_bound(Q: np.ndarray, S: np.ndarray) -> np.ndarray | None:

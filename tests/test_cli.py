@@ -122,6 +122,21 @@ def test_check_lmi_not_found_exits_1(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "verdict: not_found"
 
 
+def test_check_prints_proven_lower_bound(bench_file, capsys):
+    code = main(["check", "--system", bench_file(0.3, 3.0), "--method", "th2-lmi"])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" ")[0] for line in lines] == ["lambda_star", "lower_bound", "verdict:"]
+    assert lines[-1] == "verdict: not_found"
+    lam, bound = (float(line.split(" = ")[1]) for line in lines[:2])
+    assert 1e-6 <= bound <= lam
+
+
+def test_check_feasible_prints_no_lower_bound(bench_file, capsys):
+    assert main(["check", "--system", bench_file(0.3, 0.05), "--method", "th2-lmi"]) == 0
+    assert "lower_bound" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "method, system",
     [("laa", _scalar(0.5)), ("laa-spectral", _scalar(0.5)), ("spectral", _discrete()), ("amc", _discrete())],

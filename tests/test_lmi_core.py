@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ids_stability import lmi_core
 from ids_stability.criteria_lmi import LMI_CRITERIA, build_single
+from ids_stability.criteria_spectral import check_spectral
 from ids_stability.lmi_core import (
     AffineBlock,
     BlockTerm,
@@ -12,6 +16,7 @@ from ids_stability.lmi_core import (
     ProblemError,
     SolverConfig,
     _Compiled,
+    _prove_no_witness,
     check_witness,
     evaluate,
     linearize_inverse_bound,
@@ -19,6 +24,7 @@ from ids_stability.lmi_core import (
     solve_feasibility,
 )
 from ids_stability.model import DiscreteIds, IdsSystem, benchmark_system, validate_system
+from ids_stability.suites import random_corpus
 
 
 def scalar_problem(a: float, tau: float) -> LmiProblem:
@@ -300,3 +306,121 @@ def test_kernel_tie_goes_to_lowest_block(kernel_cases):
         assert abs(f - f_ref) <= 1e-12 * scale, name
         np.testing.assert_allclose(g, g_ref, rtol=0, atol=1e-12 * scale, err_msg=name)
     assert ties > 10  # the zero systems tie declared and -V blocks
+
+
+# -- early exits: the settling depth and the cut bound -----------------------
+
+
+def _count_lps(monkeypatch):
+    """Route lmi_core's LP binding through a recorder; returns the list of
+    calls, each "proof" (free variables) or "polish" (boxed variables)."""
+    calls = []
+    real = lmi_core.linprog
+
+    def spy(*args, **kwargs):
+        calls.append("proof" if kwargs["bounds"] == (None, None) else "polish")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lmi_core, "linprog", spy)
+    return calls
+
+
+def test_cut_bound_settles_infeasible_probe_in_one_restart(monkeypatch):
+    calls = _count_lps(monkeypatch)
+    cfg = SolverConfig()
+    rep = solve_feasibility(LMI_CRITERIA["th2-lmi"](benchmark_system(0.3, 3.0)), cfg)
+    assert rep.status == "not_found"
+    assert rep.restarts == 1 and calls == ["proof"]
+    assert 10 * cfg.eps_feas <= rep.lower_bound <= rep.lambda_star
+
+
+def test_polish_stops_at_settling_depth(monkeypatch):
+    # a near-boundary probe of the 0.3 / th2-lmi margin chain; polishing
+    # toward stop_target used to spend all polish_iters LPs on it
+    calls = _count_lps(monkeypatch)
+    seen, depth = [], []
+    real_polish, real_fg = lmi_core._polish, _Compiled.f_and_grad
+
+    def polish(*args):
+        depth.append(1)
+        try:
+            return real_polish(*args)
+        finally:
+            depth.pop()
+
+    def f_and_grad(self, x):
+        f, g = real_fg(self, x)
+        if depth:
+            seen.append(f)
+        return f, g
+
+    monkeypatch.setattr(lmi_core, "_polish", polish)
+    monkeypatch.setattr(_Compiled, "f_and_grad", f_and_grad)
+    cfg = SolverConfig()
+    rep = solve_feasibility(LMI_CRITERIA["th2-lmi"](benchmark_system(0.3, 0.11435)), cfg)
+    clear_feas = -10 * cfg.eps_feas
+    assert rep.feasible and rep.lower_bound is None
+    assert seen and seen[-1] <= clear_feas
+    assert all(f > clear_feas for f in seen[:-1])
+    assert calls.count("polish") == len(seen) < cfg.polish_iters
+
+
+def test_both_lp_kinds_reach_the_module_binding(monkeypatch):
+    # the proof and the polish must call lmi_core.linprog by its module
+    # name, so that patching it (as tracing does) sees every LP
+    calls = _count_lps(monkeypatch)
+    solve_feasibility(LMI_CRITERIA["th2-lmi"](benchmark_system(0.3, 3.0)))
+    solve_feasibility(LMI_CRITERIA["th2-lmi"](benchmark_system(0.3, 0.11435)))
+    assert "proof" in calls and "polish" in calls
+
+
+@pytest.fixture(scope="module")
+def stable_problems():
+    """(name, problem without warm starts, witness vector) for the coupled
+    and single conditions on the stable systems of a seeded off-boundary
+    corpus and on copies scaled to N * rho = 0.99.  The spectral test is
+    equivalent to each condition, so every problem has a strict witness."""
+    cases = []
+    for i, sys in enumerate(random_corpus(2024, 10)):
+        verdict = check_spectral(sys)
+        if not verdict.passed:
+            continue
+        c = np.sqrt(0.99 / (sys.N * verdict.rho))
+        edge = validate_system(IdsSystem(A=tuple(c * A for A in sys.A), tau=sys.tau))
+        for label, s in ((f"{i}", sys), (f"{i}-edge", edge)):
+            for name in ("th2-coupled", "single", "amc"):
+                problem = LMI_CRITERIA[name](s)
+                rep = solve_feasibility(problem)
+                assert rep.feasible, f"{name}-{label}"
+                x = _Compiled(problem).to_vector(normalize_witness(problem, rep.witness))
+                cases.append((f"{name}-{label}", replace(problem, starts=()), x))
+    assert len(cases) >= 18
+    return cases
+
+
+def test_cut_bound_never_fires_on_feasible_problems(stable_problems, monkeypatch):
+    # short restarts end before a negative value is found, so the bound is
+    # tried on few and poorly placed rows
+    calls = _count_lps(monkeypatch)
+    for name, problem, _ in stable_problems:
+        for max_iters in (2, 20, 200):
+            cfg = SolverConfig(max_iters=max_iters, restarts=3, polish_iters=0)
+            assert solve_feasibility(problem, cfg).lower_bound is None, name
+    assert calls.count("proof") > 50
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data())
+def test_cut_bound_helper_is_sound_at_arbitrary_points(stable_problems, data):
+    name, problem, witness = data.draw(st.sampled_from(stable_problems))
+    rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
+    comp = _Compiled(problem)
+    points = [comp.project(rng.standard_normal(comp.nx)) for _ in range(data.draw(st.integers(1, 4)))]
+    rows = np.vstack([comp.f_and_grad(x)[1] for x in points] + [comp.eig_rows(x) for x in points])
+    cfg = SolverConfig()
+    assert _prove_no_witness(comp, rows, cfg) is None, name
+    # with no margin the helper returns t* whenever the LP is bounded; it
+    # must lie below f everywhere on the slice, the witness included
+    t = _prove_no_witness(comp, rows, replace(cfg, eps_feas=-np.inf))
+    if t is not None:
+        assert t <= comp.f_only(witness) + 1e-9, name
