@@ -5,7 +5,8 @@ stable contract: 0 = pass/feasible (or the computation succeeded for
 non-verdict commands), 1 = fail/not_found, 2 = usage or file errors, 3 =
 numerical failure (singular simulation step, ill-conditioned inverse,
 eigenvalue nonconvergence, overflow to non-finite values).  The environment
-variable IDS_STAB_SEED overrides the default seed.
+variable IDS_STAB_SEED overrides the default seed (solver restarts, random
+histories, selftest); spectral-weighted's optimized weights ignore it.
 """
 
 from __future__ import annotations

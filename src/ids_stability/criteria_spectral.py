@@ -2,7 +2,8 @@
 
 The central quantity is rho(sum_i tau_i^2 A_i (x) A_i); the system is
 exponentially stable when it is below 1/N.  Weighted variants replace the
-uniform 1/N split by an optimizable point of the open simplex.
+uniform 1/N split by the point of the open simplex that minimizes the weighted
+radius, which is convex in the weights: one Nelder-Mead descent finds it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .lmi_core import DEFAULT_SEED
 from .model import DiscreteIds, IdsSystem
 
 __all__ = [
@@ -143,13 +143,21 @@ def _golden_section(fun, lo: float, hi: float, tol: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
-def optimize_weights(sys: IdsSystem, seed: int = DEFAULT_SEED) -> tuple[tuple[float, ...], float]:
-    """Search the open simplex for weights minimizing the weighted radius.
+def optimize_weights(sys: IdsSystem) -> tuple[tuple[float, ...], float]:
+    """Minimize phi(alpha) = rho(sum_i tau_i^2 A_i (x) A_i / alpha_i) over the
+    open simplex: for N=2 by a coarse scan plus golden-section refinement, for
+    N>=3 by one Nelder-Mead descent from the uniform point in a softmax
+    parametrization.  The result never loses to the uniform point.
 
-    N=2 uses a coarse scan plus golden-section refinement; N>=3 a seeded
-    Nelder-Mead search in a softmax parametrization with 20 restarts.  The
-    uniform point is always a candidate, so the result never loses to it.
-    Deterministic for a fixed seed.
+    One descent suffices: phi is convex, so every local minimum is global
+    (Kingman 1961; Nussbaum 1986).  The Kronecker sum at weights e^{x_i} is
+    the vec matrix of the positive map Phi_x(T) = sum_i e^{x_i} tau_i^2
+    A_i.T T A_i.  By Russo-Dye ||Phi^k|| = ||Phi^k(I)||, within a factor n
+    of tr Phi^k(I), so rho(Phi_x) = lim_k (tr Phi_x^k(I))^(1/k).  Over words
+    w in {1..N}^k, tr Phi_x^k(I) = sum_w tr(M_w) exp(x_w1 + ... + x_wk) with
+    every M_w PSD: a log-sum-exp of affine functions of x with nonnegative
+    weights.  So log rho(Phi_x) is convex and nondecreasing in x; with the
+    convex x_i = -log alpha_i, log phi and hence phi are convex in alpha.
     """
     N = sys.N
     Ks = [kron_operator((A,), (t * t,)) for A, t in zip(sys.A, sys.tau)]
@@ -162,7 +170,7 @@ def optimize_weights(sys: IdsSystem, seed: int = DEFAULT_SEED) -> tuple[tuple[fl
 
     delta = 1e-3
     uniform = tuple(1.0 / N for _ in range(N))
-    best_alpha, best_rho = uniform, rho_at(uniform)
+    rho_uniform = rho_at(uniform)
 
     if N == 2:
         grid = np.linspace(delta, 1.0 - delta, 512)
@@ -173,31 +181,21 @@ def optimize_weights(sys: IdsSystem, seed: int = DEFAULT_SEED) -> tuple[tuple[fl
         a1 = _golden_section(lambda a: rho_at((a, 1.0 - a)), lo, hi)
         a1 = min(max(a1, delta), 1.0 - delta)
         cand = (a1, 1.0 - a1)
-        r = rho_at(cand)
-        if r < best_rho:
-            best_alpha, best_rho = cand, r
-        return best_alpha, best_rho
+    else:
+        def softmax(z: np.ndarray) -> np.ndarray:
+            e = np.exp(z - z.max())
+            p = np.clip(e / e.sum(), delta, None)
+            return p / p.sum()
 
-    def softmax(z: np.ndarray) -> np.ndarray:
-        e = np.exp(z - z.max())
-        p = e / e.sum()
-        p = np.clip(p, delta, None)
-        return p / p.sum()
-
-    rng = np.random.default_rng(seed)
-    for trial in range(20):
-        z0 = np.zeros(N) if trial == 0 else rng.standard_normal(N)
         res = minimize(
             lambda z: rho_at(softmax(z)),
-            z0,
+            np.zeros(N),
             method="Nelder-Mead",
             options={"maxiter": 400, "xatol": 1e-10, "fatol": 1e-12},
         )
-        alpha = tuple(float(a) for a in softmax(res.x))
-        r = rho_at(alpha)
-        if r < best_rho:
-            best_alpha, best_rho = alpha, r
-    return best_alpha, best_rho
+        cand = tuple(float(a) for a in softmax(res.x))
+    r = rho_at(cand)
+    return (cand, r) if r < rho_uniform else (uniform, rho_uniform)
 
 
 def operator_block(sys: IdsSystem) -> np.ndarray:

@@ -42,7 +42,7 @@ def _lmi(criterion: str):
 
 def _spectral_weighted(sys, cfg, warm, alpha):
     if alpha is None:
-        alpha, _rho = criteria_spectral.optimize_weights(sys, seed=cfg.seed)
+        alpha, _rho = criteria_spectral.optimize_weights(sys)
     return criteria_spectral.check_spectral_weighted(sys, alpha)
 
 
@@ -93,7 +93,7 @@ def evaluate_criterion(
 
     ``warm`` is an extra solver start for the LMI criteria (used by the
     bisection chain); ``alpha`` selects the weights of "spectral-weighted",
-    which are optimized with ``cfg.seed`` when absent.
+    which are optimized (independently of ``cfg.seed``) when absent.
     """
     _check_criterion(criterion, sys)
     return CRITERIA[criterion][1](sys, cfg or SolverConfig(), warm, alpha)

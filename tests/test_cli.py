@@ -8,6 +8,7 @@ from ids_stability.cli import main
 from ids_stability.criteria_lmi import IllConditionedError, build_th2_lmi
 from ids_stability.lmi_core import SolverConfig, check_witness
 from ids_stability.model import DiscreteIds, IdsSystem, benchmark_system, save_system, validate_system
+from ids_stability.suites import random_corpus
 
 
 @pytest.fixture
@@ -94,6 +95,18 @@ def test_check_weighted_prints_optimized_alpha_first(bench_file, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("alpha = ") and len(lines[0].split(", ")) == 2
     assert lines[1].startswith("rho = ") and lines[2:] == ["threshold = 1", "verdict: pass"]
+
+
+def test_check_weighted_three_terms_ignores_seed(tmp_path, capsys):
+    # a three-term system whose weights once moved in the 6th digit with --seed
+    path = _write(tmp_path, random_corpus(7, 64)[63])
+    outs = []
+    for seed in ("1", "99"):
+        main(["check", "--system", path, "--method", "spectral-weighted", "--seed", seed])
+        outs.append(capsys.readouterr().out.splitlines()[:2])
+    assert outs[0] == outs[1]
+    assert outs[0][0].startswith("alpha = ") and len(outs[0][0].split(", ")) == 3
+    assert outs[0][1].startswith("rho = ")
 
 
 def test_check_single_delay_lines(tmp_path, capsys):

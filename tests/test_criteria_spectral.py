@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from ids_stability.criteria_spectral import (
     NonFiniteError,
@@ -16,6 +19,7 @@ from ids_stability.criteria_spectral import (
     spectral_radius,
 )
 from ids_stability.model import DiscreteIds, IdsSystem, benchmark_system, validate_system
+from ids_stability.suites import random_corpus
 
 A1 = np.array([[-4.0, 1.0], [-13.0, 2.0]])
 A2 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -166,6 +170,78 @@ def test_optimize_weights_three_terms_never_worse_than_uniform():
     uniform = check_spectral_weighted(s, (1 / 3, 1 / 3, 1 / 3)).rho
     assert rho <= uniform + 1e-12
     assert all(0 < a < 1 for a in alpha)
+
+
+_simplex3 = st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3).map(
+    lambda w: tuple(x / sum(w) for x in w)
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(0, 10_000), _simplex3, _simplex3)
+def test_weighted_radius_is_midpoint_convex(n, seed, a, b):
+    rng = np.random.default_rng(seed)
+    s = validate_system(
+        IdsSystem(A=tuple(rng.standard_normal((3, n, n))), tau=tuple(rng.uniform(0.05, 1.0, 3)))
+    )
+    mid = tuple(0.5 * (x + y) for x, y in zip(a, b))
+
+    def phi(alpha):
+        return check_spectral_weighted(s, alpha).rho
+
+    assert phi(mid) <= (1 + 1e-12) * 0.5 * (phi(a) + phi(b))
+
+
+@pytest.fixture(scope="module")
+def three_term_optima():
+    """(system, optimize_weights result) for the N = 3 systems of two corpora."""
+    systems = [s for seed in (7, 2024) for s in random_corpus(seed, 100) if s.N == 3]
+    return [(s, optimize_weights(s)) for s in systems]
+
+
+def test_optimize_weights_three_terms_reaches_grid_minimum(three_term_optima):
+    # the simplex grid with step 1/64 and every entry >= delta = 1e-3
+    grid = np.array(
+        [(i, j, 64 - i - j) for i in range(1, 64) for j in range(1, 64 - i)], dtype=float
+    ) / 64
+    assert len(three_term_optima) >= 50
+    for s, (alpha, rho) in three_term_optima:
+        Ks = np.stack([t * t * kron(A, A) for A, t in zip(s.A, s.tau)])
+        grid_min = spectral_radius(np.einsum("gi,ijk->gjk", 1.0 / grid, Ks)).min()
+        assert rho <= (1 + 1e-12) * grid_min
+        assert abs(check_spectral_weighted(s, alpha).rho - rho) <= 1e-12 * rho
+
+
+def _twenty_restart_rho(s, seed=7):
+    """The N >= 3 search optimize_weights used before one descent sufficed:
+    Nelder-Mead from the uniform point and from 19 seeded random starts."""
+    Ks = [t * t * kron(A, A) for A, t in zip(s.A, s.tau)]
+
+    def rho_at(alpha):
+        return spectral_radius(sum(K / a for K, a in zip(Ks, alpha)))
+
+    def softmax(z):
+        e = np.exp(z - z.max())
+        p = np.clip(e / e.sum(), 1e-3, None)
+        return p / p.sum()
+
+    best = rho_at((1 / 3, 1 / 3, 1 / 3))
+    rng = np.random.default_rng(seed)
+    for trial in range(20):
+        z0 = np.zeros(3) if trial == 0 else rng.standard_normal(3)
+        res = minimize(
+            lambda z: rho_at(softmax(z)),
+            z0,
+            method="Nelder-Mead",
+            options={"maxiter": 400, "xatol": 1e-10, "fatol": 1e-12},
+        )
+        best = min(best, rho_at(softmax(res.x)))
+    return best
+
+
+def test_optimize_weights_three_terms_matches_twenty_restarts(three_term_optima):
+    for s, (_alpha, rho) in three_term_optima[::12]:
+        assert rho <= (1 + 1e-12) * _twenty_restart_rho(s)
 
 
 def test_operator_block_single_term_is_the_kron_block():

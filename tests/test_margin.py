@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ids_stability import criteria_lmi, margin
+from ids_stability import criteria_lmi, criteria_spectral, margin
 from ids_stability.lmi_core import FeasReport
-from ids_stability.margin import bisect_margin, criterion_feasible, table1
+from ids_stability.margin import bisect_margin, criterion_feasible, evaluate_criterion, table1
 from ids_stability.model import DiscreteIds, IdsSystem, benchmark_system, validate_system
 
 A1 = np.array([[-4.0, 1.0], [-13.0, 2.0]])
@@ -164,3 +164,35 @@ def test_bisection_probes_through_margin_binding(monkeypatch, scalar_system):
     m = bisect_margin(scalar_system(0.0, 0.5), 0, "spectral", lo=0.1, hi=1.0, tol=1e-3)
     assert abs(m - 0.25) <= 1e-3
     assert probed[:2] == [0.1, 1.0] and len(probed) > 2
+
+
+def _spy_weights(monkeypatch, module, result=None):
+    calls = []
+    real = criteria_spectral.optimize_weights
+
+    def spy(sys):
+        calls.append(sys)
+        return real(sys) if result is None else result
+
+    monkeypatch.setattr(module, "optimize_weights", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "builder, system",
+    [
+        ("build_th1", benchmark_system(0.3, 0.05)),
+        ("build_th2_lmi", benchmark_system(0.3, 0.05)),
+        ("build_laa", DiscreteIds(A=(np.eye(2) / 4, np.eye(2) / 8), tau=(0.2, 0.5))),
+    ],
+)
+def test_builders_optimize_weights_through_criteria_lmi_binding(monkeypatch, builder, system):
+    calls = _spy_weights(monkeypatch, criteria_lmi)
+    getattr(criteria_lmi, builder)(validate_system(system))
+    assert len(calls) == 1
+
+
+def test_spectral_weighted_optimizes_through_criteria_spectral_binding(monkeypatch):
+    calls = _spy_weights(monkeypatch, criteria_spectral, result=((0.9, 0.1), 0.0))
+    v = evaluate_criterion(benchmark_system(0.4, 0.02), "spectral-weighted")
+    assert len(calls) == 1 and v.alpha == (0.9, 0.1)
