@@ -5,8 +5,9 @@ stable contract: 0 = pass/feasible (or the computation succeeded for
 non-verdict commands), 1 = fail/not_found, 2 = usage or file errors, 3 =
 numerical failure (singular simulation step, ill-conditioned inverse,
 eigenvalue nonconvergence, overflow to non-finite values).  The environment
-variable IDS_STAB_SEED overrides the default seed (solver restarts, random
-histories, selftest); spectral-weighted's optimized weights ignore it.
+variable IDS_STAB_SEED overrides the default seed (random histories,
+selftest).  No solver result depends on it: the LMI solver makes one
+deterministic run, and spectral-weighted's optimized weights ignore it.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ import numpy as np
 
 from . import criteria_spectral, margin, simulator, suites
 from .criteria_lmi import IllConditionedError
-from .lmi_core import DEFAULT_SEED, FeasReport, SolverConfig
+from .lmi_core import FeasReport, SolverConfig
 from .model import IdsSystem, ParseError, ValidationError, benchmark_system, load_system
+
+DEFAULT_SEED = 7
 
 
 def _default_seed() -> int:
@@ -46,16 +49,15 @@ def _read_system(path: str):
 def _cfg_from(args) -> SolverConfig:
     base = SolverConfig()
     return SolverConfig(
-        seed=args.seed,
-        restarts=args.restarts if args.restarts is not None else base.restarts,
         max_iters=args.max_iters if args.max_iters is not None else base.max_iters,
         eps_feas=args.eps_feas if args.eps_feas is not None else base.eps_feas,
     )
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--restarts", type=int, default=None)
+    p.add_argument(
+        "--seed", type=int, default=_default_seed(), help="accepted; no solver result depends on it"
+    )
     p.add_argument("--max-iters", type=int, default=None)
     p.add_argument("--eps-feas", type=float, default=None)
 
@@ -159,8 +161,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    cfg = SolverConfig(seed=args.seed)
-    reports = suites.run_all(seed=args.seed, cfg=cfg, quick=True)
+    reports = suites.run_all(seed=args.seed, quick=True)
     ok = True
     for rep in reports:
         for line in rep.lines():

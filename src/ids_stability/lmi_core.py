@@ -10,15 +10,17 @@ Feasibility is decided by minimizing
     f(x) = max over blocks of lambda_max(B_k(x))
 
 over the affine slice trace(sum of PD variables) = 1 (homogeneity makes the
-normalization lossless).  The minimization runs a projected subgradient
-method (Polyak-style steps once a negative value is known, diminishing steps
-otherwise, random restarts), followed by a cutting-plane polish that refines
-the iterate near the feasibility boundary.  A negative certificate is
-"feasible", anything else is "not_found".  Because every block is linear,
-each subgradient row h satisfies h.x <= f(x) everywhere, so the recent
-rows bound f from below on the slice (Kelley's cutting-plane bound).  When
-that bound excludes a witness the search stops early and the report
-carries it as ``lower_bound``; the LP dual of the bound is a Farkas
+normalization lossless).  f is convex, so the minimization is one run of a
+projected subgradient method (Polyak-style steps once a negative value is
+known, diminishing steps otherwise), followed by a cutting-plane polish
+that refines the iterate near the feasibility boundary.  Both stop once
+f <= -10 * eps_feas, a depth that settles the verdict.  A negative
+certificate is "feasible", anything else is "not_found".  Because every
+block is linear, each subgradient row h satisfies h.x <= f(x) everywhere,
+so the recent rows bound f from below on the slice (Kelley's cutting-plane
+bound).  The bound is tried at iterations 64, 128, 256 and 512 of the run
+and at its end; when it excludes a witness the search stops early and the
+report carries it as ``lower_bound``.  The LP dual of the bound is a Farkas
 certificate, multipliers sum y_i u_i u_i^T >= 0 whose adjoint image is a
 multiple of the trace functional.
 """
@@ -46,9 +48,11 @@ __all__ = [
     "is_pd",
 ]
 
-DEFAULT_SEED = 7
-
 _SQRT2 = np.sqrt(2.0)
+
+# iterations of the run at which the cut bound is tried (and at its end);
+# doubling caps the extra LPs of one solve at four
+_BOUND_AT = (64, 128, 256, 512)
 
 
 class ProblemError(ValueError):
@@ -129,8 +133,8 @@ class LmiProblem:
 
     ``starts`` are optional deterministic warm-start assignments (builders
     attach closed-form candidates when the problem structure provides them);
-    they participate as extra restart seeds and never change the verdict
-    semantics.
+    the best of them starts the subgradient run, and they never change the
+    verdict semantics.
     """
 
     variables: tuple[MatrixVariable, ...]
@@ -146,19 +150,15 @@ class LmiProblem:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    seed: int = DEFAULT_SEED
-    restarts: int = 8
+    # one subgradient run: it stops at the settling depth -10 * eps_feas,
+    # after max_iters iterations or after stall_limit steps without progress
     max_iters: int = 5000
     eps_feas: float = 1e-7
-    # a subgradient run stops once the objective reaches this value; the
-    # restarts and the polish stop at it or at -10 * eps_feas, whichever is
-    # shallower.  Deeper minima do not change the verdict
-    stop_target: float = -1e-2
     stall_limit: int = 450
     polish_iters: int = 200
-    # skip the cutting-plane polish when the subgradient phase already ended
-    # far from the feasibility boundary, or when the cut bound proved that
-    # no witness exists
+    # skip the cutting-plane polish when the run already ended far from the
+    # feasibility boundary, or when the cut bound proved that no witness
+    # exists
     polish_window: float = 0.25
 
 
@@ -168,7 +168,7 @@ class FeasReport:
     lambda_star: float
     witness: dict
     iterations: int
-    restarts: int
+    restarts: int  # 0 when a warm start certified, else 1 (the run)
     # a proven lower bound on f over the normalization slice (not_found only)
     lower_bound: float | None = None
 
@@ -482,9 +482,9 @@ def _polish(comp: _Compiled, x0: np.ndarray, f0: float, cfg: SolverConfig, settl
             if f < best_f:
                 best_f, best_x = f, x.copy()
             break
-        if lower > 0.0:
-            # no point of the box reaches a negative value; the verdict for
-            # this solve cannot improve
+        if lower > -cfg.eps_feas:
+            # no point of the box reaches the verdict threshold; the verdict
+            # for this solve cannot improve
             break
         if best_f <= settled:
             break
@@ -494,15 +494,15 @@ def _polish(comp: _Compiled, x0: np.ndarray, f0: float, cfg: SolverConfig, settl
 def solve_feasibility(problem: LmiProblem, cfg: SolverConfig | None = None) -> FeasReport:
     """Search for a strictly feasible witness of a homogeneous problem.
 
-    Deterministic given ``cfg.seed``.  Warm starts attached to the problem
-    are tried first; a start that already certifies feasibility at
-    ``eps_feas`` short-circuits the search.
+    Deterministic: one subgradient run from the best warm start (or from
+    the normalized identity), then the polish.  Warm starts attached to the
+    problem are tried first; a start that already certifies feasibility at
+    ``eps_feas`` short-circuits the search.  The objective is convex, so a
+    second run from another point could not reach a lower minimum.
     """
     cfg = cfg or SolverConfig()
     _check_homogeneous(problem)
     comp = _Compiled(problem)
-    rng = np.random.default_rng(cfg.seed)
-    nx = comp.nx
     a = comp.trace_vec
 
     best_f, best_x = np.inf, None
@@ -521,84 +521,51 @@ def solve_feasibility(problem: LmiProblem, cfg: SolverConfig | None = None) -> F
             witness = comp.to_witness(x)
             return FeasReport("feasible", f, witness, iterations, 0)
 
-    def initial_point(r: int) -> np.ndarray:
-        if r == 0:
-            if best_x is not None:
-                return best_x.copy()
-            return a / (a @ a)  # every PD variable a scaled identity
-        x = rng.standard_normal(nx)
-        # bias symmetric PD variables toward the PSD cone
-        for v in problem.variables:
-            off = comp.offsets[v.name]
-            if v.require_pd:
-                W = sum(
-                    x[off + j] * E for j, E in enumerate(comp.bases[v.name])
-                )
-                W = W @ W.T + 0.1 * np.eye(v.dim)
-                for j, E in enumerate(comp.bases[v.name]):
-                    x[off + j] = float(np.tensordot(E, W))
-        return comp.project(x)
-
     # a value this deep settles the verdict; further depth only adds slack
-    clear_feas = -10.0 * cfg.eps_feas
-    settled = max(cfg.stop_target, clear_feas)
+    settled = -10.0 * cfg.eps_feas
+    x = best_x.copy() if best_x is not None else a / (a @ a)  # scaled identities
 
     # the last subgradients, a ring: the rows of the cut bound
-    cuts = np.empty((300, nx))
-    n_cuts = 0
+    cuts = np.empty((300, comp.nx))
     lower_bound = None
-    restarts_run = 0
-    no_gain = 0
-    for r in range(cfg.restarts):
-        restarts_run += 1
-        f_before = best_f
-        x = initial_point(r)
-        f_run = np.inf
-        stall = 0
-        for k in range(cfg.max_iters):
-            f, g = comp.f_and_grad(x)
-            iterations += 1
-            cuts[n_cuts % len(cuts)] = g
-            n_cuts += 1
-            if f < f_run - 1e-12:
-                f_run = f
-                stall = 0
-                if f < best_f:
-                    best_f, best_x = f, x.copy()
-            else:
-                stall += 1
-            if best_f <= cfg.stop_target or stall > cfg.stall_limit:
-                break
-            # while no negative value is known the subgradient phase only has
-            # to deliver a decent incumbent; precision is the polish's job
-            if best_f >= 0.0 and k >= 900:
-                break
-            gnorm2 = float(g @ g)
-            if gnorm2 <= 1e-300:
-                break
-            if best_f < 0.0:
-                # Polyak step toward an adaptively deepened negative target
-                target = 1.5 * best_f
-                t = min((f - target) / gnorm2, 1.0 / np.sqrt(k + 1.0))
-            else:
-                t = 0.3 / (np.sqrt(k + 1.0) * np.sqrt(gnorm2))
-            x = comp.project(x - t * g)
-        if best_f <= settled:
-            break
-        if best_f >= -clear_feas:
+    f_run = np.inf
+    stall = 0
+    for k in range(cfg.max_iters):
+        f, g = comp.f_and_grad(x)
+        iterations += 1
+        cuts[k % len(cuts)] = g
+        if f < f_run - 1e-12:
+            f_run = f
+            stall = 0
+            if f < best_f:
+                best_f, best_x = f, x.copy()
+        else:
+            stall += 1
+        gnorm2 = float(g @ g)
+        done = (
+            best_f <= settled
+            or stall > cfg.stall_limit
+            or gnorm2 <= 1e-300
+            # while no negative value is known the run only has to deliver
+            # a decent incumbent; precision is the polish's job
+            or (best_f >= 0.0 and k >= 900)
+            or k + 1 == cfg.max_iters
+        )
+        if best_f >= -settled and (done or k + 1 in _BOUND_AT):
             # subgradient rows alone can leave the bound unbounded below
-            rows = np.vstack((cuts[:n_cuts], comp.eig_rows(best_x), comp.eig_rows(x)))
+            rows = np.vstack((cuts[: k + 1], comp.eig_rows(best_x), comp.eig_rows(x)))
             lower_bound = _prove_no_witness(comp, rows, cfg)
             if lower_bound is not None:
                 break
-        # the objective is convex: once several restarts in a row stop moving
-        # the plateau, further random starts cannot change the verdict
-        if best_f >= f_before - 0.1 * abs(f_before):
-            no_gain += 1
-            if no_gain >= 3:
-                break
+        if done:
+            break
+        if best_f < 0.0:
+            # Polyak step toward an adaptively deepened negative target
+            target = 1.5 * best_f
+            t = min((f - target) / gnorm2, 1.0 / np.sqrt(k + 1.0))
         else:
-            no_gain = 0
+            t = 0.3 / (np.sqrt(k + 1.0) * np.sqrt(gnorm2))
+        x = comp.project(x - t * g)
 
     if lower_bound is None and settled < best_f < cfg.polish_window and cfg.polish_iters > 0:
         f_p, x_p, ev = _polish(comp, best_x, best_f, cfg, settled)
@@ -609,7 +576,7 @@ def solve_feasibility(problem: LmiProblem, cfg: SolverConfig | None = None) -> F
     witness = comp.to_witness(best_x)
     lambda_star = comp.f_only(best_x)
     status = "feasible" if lambda_star <= -cfg.eps_feas else "not_found"
-    return FeasReport(status, lambda_star, witness, iterations, restarts_run, lower_bound)
+    return FeasReport(status, lambda_star, witness, iterations, 1, lower_bound)
 
 
 def linearize_inverse_bound(Q: np.ndarray, S: np.ndarray) -> np.ndarray | None:

@@ -93,7 +93,7 @@ def evaluate_criterion(
 
     ``warm`` is an extra solver start for the LMI criteria (used by the
     bisection chain); ``alpha`` selects the weights of "spectral-weighted",
-    which are optimized (independently of ``cfg.seed``) when absent.
+    which are optimized when absent.
     """
     _check_criterion(criterion, sys)
     return CRITERIA[criterion][1](sys, cfg or SolverConfig(), warm, alpha)
@@ -135,9 +135,7 @@ def bisect_margin(
     """Largest value of the varied delay (within tol) at which the criterion
     holds, assuming monotone feasibility; None when it already fails at lo.
 
-    LMI probes reuse the witness of the last feasible probe as a warm start,
-    and run with triple the configured restarts once the bracket closes in
-    on the boundary.
+    LMI probes reuse the witness of the last feasible probe as a warm start.
     """
     _check_criterion(criterion, sys_template)
     cfg = cfg or SolverConfig()
@@ -147,28 +145,26 @@ def bisect_margin(
         raise ValueError(f"invalid bracket [{lo}, {hi}]")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    boosted = replace(cfg, restarts=3 * cfg.restarts)
     warm: dict | None = None
 
-    def probe(value: float, width: float) -> bool:
+    def probe(value: float) -> bool:
         nonlocal warm
         try:
             probe_sys = _with_delay(sys_template, vary_index, value)
         except ValidationError:
             return False  # varying a discrete delay out of order
-        use = boosted if width <= 16 * tol else cfg
-        ok, wit = criterion_feasible(probe_sys, criterion, use, warm=warm)
+        ok, wit = criterion_feasible(probe_sys, criterion, cfg, warm=warm)
         if ok and wit is not None:
             warm = wit
         return ok
 
-    if not probe(lo, hi - lo):
+    if not probe(lo):
         return None
-    if probe(hi, hi - lo):
+    if probe(hi):
         return hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if probe(mid, hi - lo):
+        if probe(mid):
             lo = mid
         else:
             hi = mid

@@ -7,7 +7,7 @@ deterministic for a fixed seed, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -208,7 +208,6 @@ def run_ordering_suite(seed: int = 7, count: int = 12, cfg: SolverConfig | None 
     checks = []
     ord_ok = conv_a_ok = conv_b_ok = iff_ok = True
     n_coupled = n_b = 0
-    boosted = replace(cfg, restarts=3 * cfg.restarts)
 
     for sys in systems:
         N = sys.N
@@ -219,15 +218,8 @@ def run_ordering_suite(seed: int = 7, count: int = 12, cfg: SolverConfig | None 
 
         if ok_c:
             n_coupled += 1
-            if not (ok_1 or _escalate_th1(sys, rep_c, boosted)):
+            if not (ok_1 or _escalate_th1(sys, rep_c, cfg)) or not ok_2:
                 ord_ok = False
-            if not ok_2:
-                rep_b = evaluate_criterion(sys, "th2-lmi", boosted)
-                ok_2 = rep_b.feasible
-                if ok_2:
-                    rep_2 = rep_b
-                else:
-                    ord_ok = False
             Q = [rep_c.witness[f"Q{i+1}"] for i in range(N)]
             try:
                 pr = criteria_lmi.witness_th1_from_th2coupled(sys, Q)
@@ -250,7 +242,7 @@ def run_ordering_suite(seed: int = 7, count: int = 12, cfg: SolverConfig | None 
         # the two linearized families accept exactly the same systems
         if ok_1 != ok_2:
             if ok_2 and not ok_1:
-                ok_1 = _escalate_th1(sys, None, boosted, from_th2=[
+                ok_1 = _escalate_th1(sys, None, cfg, from_th2=[
                     rep_2.witness[f"Q{i+1}"] for i in range(N)
                 ])
             elif ok_1 and not ok_2:
@@ -263,7 +255,7 @@ def run_ordering_suite(seed: int = 7, count: int = 12, cfg: SolverConfig | None 
                         }
                     )
                     start = {f"Q{i+1}": nmi["Q"][i] for i in range(N)}
-                    ok_2 = evaluate_criterion(sys, "th2-lmi", boosted, warm=start).feasible
+                    ok_2 = evaluate_criterion(sys, "th2-lmi", cfg, warm=start).feasible
                 except (criteria_lmi.IllConditionedError, np.linalg.LinAlgError):
                     ok_2 = False
             if ok_1 != ok_2:

@@ -130,7 +130,7 @@ def test_check_laa_methods_on_discrete_file(tmp_path, capsys, method, first):
 
 def test_check_lmi_not_found_exits_1(tmp_path, capsys):
     path = _write(tmp_path, _scalar(3.0))  # 9 q - q < 0 has no solution q > 0
-    code = main(["check", "--system", path, "--method", "single", "--restarts", "1", "--max-iters", "300"])
+    code = main(["check", "--system", path, "--method", "single", "--max-iters", "300"])
     assert code == 1
     assert capsys.readouterr().out.splitlines()[-1] == "verdict: not_found"
 
@@ -169,9 +169,9 @@ def test_check_exit_code_matches_criterion_feasible(tmp_path, capsys, method, st
         system = validate_system(_discrete(1.0 if stable else 4.0))
     else:
         system = validate_system(_scalar(0.5 if stable else 3.0))
-    flags = ["--seed", "7", "--restarts", "1", "--max-iters", "300"]
+    flags = ["--seed", "7", "--max-iters", "300"]
     code = main(["check", "--system", _write(tmp_path, system), "--method", method, *flags])
-    ok, _ = margin.criterion_feasible(system, method, SolverConfig(seed=7, restarts=1, max_iters=300))
+    ok, _ = margin.criterion_feasible(system, method, SolverConfig(max_iters=300))
     assert code == (0 if ok else 1)
     assert ok == stable
 
@@ -253,6 +253,13 @@ def test_table1_cli_quick(tmp_path, capsys):
     assert row04[0] == "0.4"
     assert row04[2] == "inf" and row04[3] == "inf" and row04[4] == "inf"
     assert abs(float(row04[1]) - 0.0317) <= 5e-3
+
+
+def test_restarts_flag_is_gone(bench_file):
+    # the solver makes one deterministic run, so there is nothing to restart
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--system", bench_file(0.3, 0.04), "--method", "amc", "--restarts", "3"])
+    assert exc.value.code == 2
 
 
 def test_env_seed_override(monkeypatch):

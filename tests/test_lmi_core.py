@@ -132,13 +132,17 @@ def test_solver_requires_pd_variable():
         solve_feasibility(p)
 
 
-def test_solver_deterministic_for_seed():
-    p = build_single(benchmark_system(0.3, 0.06))
-    r1 = solve_feasibility(p, SolverConfig(seed=3))
-    r2 = solve_feasibility(p, SolverConfig(seed=3))
-    assert r1.status == r2.status and r1.lambda_star == r2.lambda_star
-    for k in r1.witness:
-        np.testing.assert_array_equal(r1.witness[k], r2.witness[k])
+def test_two_solves_give_bitwise_equal_reports():
+    # a cold feasible solve and a not-found one; the solver draws nothing
+    for tau2, status in ((0.04, "feasible"), (0.06, "not_found")):
+        p = replace(build_single(benchmark_system(0.3, tau2)), starts=())
+        r1, r2 = solve_feasibility(p), solve_feasibility(p)
+        assert r1.status == status
+        assert (r1.status, r1.lambda_star, r1.iterations, r1.restarts, r1.lower_bound) == (
+            r2.status, r2.lambda_star, r2.iterations, r2.restarts, r2.lower_bound
+        )
+        for k in r1.witness:
+            np.testing.assert_array_equal(r1.witness[k], r2.witness[k])
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -326,17 +330,69 @@ def _count_lps(monkeypatch):
 
 
 def test_cut_bound_settles_infeasible_probe_in_one_restart(monkeypatch):
+    # proven by the first scheduled bound, 64 iterations into the run
     calls = _count_lps(monkeypatch)
     cfg = SolverConfig()
-    rep = solve_feasibility(LMI_CRITERIA["th2-lmi"](benchmark_system(0.3, 3.0)), cfg)
+    problem = LMI_CRITERIA["th2-lmi"](benchmark_system(0.3, 3.0))
+    rep = solve_feasibility(problem, cfg)
     assert rep.status == "not_found"
     assert rep.restarts == 1 and calls == ["proof"]
+    assert rep.iterations <= 64 + len(problem.starts)
     assert 10 * cfg.eps_feas <= rep.lower_bound <= rep.lambda_star
 
 
+def _record_values(monkeypatch):
+    """Route _Compiled.f_and_grad through a recorder; returns its values."""
+    seen = []
+    real = _Compiled.f_and_grad
+
+    def f_and_grad(self, x):
+        f, g = real(self, x)
+        seen.append(f)
+        return f, g
+
+    monkeypatch.setattr(_Compiled, "f_and_grad", f_and_grad)
+    return seen
+
+
+@pytest.mark.parametrize("criterion", ["amc", "th2-lmi"])  # ends in the polish / in the run
+def test_cold_solve_stops_at_settling_depth(monkeypatch, criterion):
+    seen = _record_values(monkeypatch)
+    cfg = SolverConfig()
+    problem = replace(LMI_CRITERIA[criterion](benchmark_system(0.3, 0.04)), starts=())
+    rep = solve_feasibility(problem, cfg)
+    clear_feas = -10 * cfg.eps_feas
+    assert rep.feasible and rep.restarts == 1
+    assert seen[-1] <= clear_feas
+    assert all(f > clear_feas for f in seen[:-1])
+
+
+def test_polish_stops_on_infimum_zero_problem(monkeypatch):
+    # tau * A has eigenvalues sqrt(2) and 0.3: N rho = 2, and the infimum of
+    # f is exactly 0, so neither the cut bound nor a witness can settle it
+    calls = _count_lps(monkeypatch)
+    A = np.array([[np.sqrt(2.0), 0.7], [0.0, 0.3]])
+    sys = validate_system(IdsSystem(A=(A,), tau=(1.0,)))
+    cfg = SolverConfig()
+    rep = solve_feasibility(LMI_CRITERIA["single"](sys), cfg)
+    assert rep.status == "not_found" and rep.lower_bound is None
+    assert 0 < calls.count("polish") < 50 < cfg.polish_iters
+
+
+def test_restarts_field_tells_start_hits_from_runs():
+    # the benchmark reads FeasReport.restarts for its restart count and its
+    # start hit ratio: 0 when a warm start certified, 1 for the one run
+    problem = LMI_CRITERIA["single"](benchmark_system(0.3, 0.04))
+    assert problem.starts
+    hit = solve_feasibility(problem)
+    assert hit.feasible and hit.restarts == 0 and hit.iterations <= len(problem.starts)
+    cold = solve_feasibility(replace(problem, starts=()))
+    assert cold.feasible and cold.restarts == 1
+
+
 def test_polish_stops_at_settling_depth(monkeypatch):
-    # a near-boundary probe of the 0.3 / th2-lmi margin chain; polishing
-    # toward stop_target used to spend all polish_iters LPs on it
+    # a near-boundary probe of the 0.3 / th2-lmi margin chain: its polish
+    # must stop at the settling depth, well before polish_iters LPs
     calls = _count_lps(monkeypatch)
     seen, depth = [], []
     real_polish, real_fg = lmi_core._polish, _Compiled.f_and_grad
@@ -399,12 +455,12 @@ def stable_problems():
 
 
 def test_cut_bound_never_fires_on_feasible_problems(stable_problems, monkeypatch):
-    # short restarts end before a negative value is found, so the bound is
+    # short runs end before a negative value is found, so the bound is
     # tried on few and poorly placed rows
     calls = _count_lps(monkeypatch)
     for name, problem, _ in stable_problems:
-        for max_iters in (2, 20, 200):
-            cfg = SolverConfig(max_iters=max_iters, restarts=3, polish_iters=0)
+        for max_iters in (2, 20, 64, 128, 200, 256):
+            cfg = SolverConfig(max_iters=max_iters, polish_iters=0)
             assert solve_feasibility(problem, cfg).lower_bound is None, name
     assert calls.count("proof") > 50
 
