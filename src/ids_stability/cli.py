@@ -5,9 +5,10 @@ stable contract: 0 = pass/feasible (or the computation succeeded for
 non-verdict commands), 1 = fail/not_found, 2 = usage or file errors, 3 =
 numerical failure (singular simulation step, ill-conditioned inverse,
 eigenvalue nonconvergence, overflow to non-finite values).  The environment
-variable IDS_STAB_SEED overrides the default seed (random histories,
-selftest).  No solver result depends on it: the LMI solver makes one
-deterministic run, and spectral-weighted's optimized weights ignore it.
+variable IDS_STAB_SEED overrides the default seed of random-smooth
+histories and of selftest.  check, margin and table1 take no --seed (it
+exits with code 2): the LMI solver makes one deterministic run, and
+spectral-weighted's optimized weights need no seed.
 """
 
 from __future__ import annotations
@@ -55,9 +56,6 @@ def _cfg_from(args) -> SolverConfig:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--seed", type=int, default=_default_seed(), help="accepted; no solver result depends on it"
-    )
     p.add_argument("--max-iters", type=int, default=None)
     p.add_argument("--eps-feas", type=float, default=None)
 

@@ -41,6 +41,7 @@ __all__ = [
     "recover_nmi_th1",
     "witness_th1_from_th2coupled",
     "witness_th1_from_th2",
+    "th1_start_from_th2",
     "th2_functional_params",
     "ConversionError",
     "IllConditionedError",
@@ -290,24 +291,22 @@ def build_th1(sys: IdsSystem) -> LmiProblem:
     starts: list[dict] = []
     for Q in _eq44_candidates(sys):
         try:
-            S = witness_th1_from_th2(sys, Q)
-        except (ConversionError, IllConditionedError, ValueError):
+            base = th1_start_from_th2(sys, Q)
+        except ValueError:  # the conversion's and the inverse guard's errors
             continue
-        R = sum(S)
-        base = {f"S{i+1}": S[i] for i in range(N)}
-        base.update({f"Q{i+1}": R @ Q[i] @ R for i in range(N)})
-        base["R"] = R
-        starts.extend(
-            _blend_candidates(base, [f"Q{i+1}" for i in range(N)] + [f"S{i+1}" for i in range(N)],
-                              thetas=(0.0, 1e-6))
-        )
+        starts.extend(_blend_candidates(base, [k for k in base if k != "R"], thetas=(0.0, 1e-6)))
     return LmiProblem(tuple(variables), tuple(blocks), tuple(starts))
 
 
-def _stacked_lmi(mats, taus, pd_dim: int, starts) -> LmiProblem:
-    N = len(mats)
-    n = pd_dim
-    T = np.vstack([t * A for A, t in zip(mats, taus)])
+def _stacked_lmi(sys: IdsSystem) -> LmiProblem:
+    """Single stacked block of size nN in PD Q_i:
+
+        sum_i [tau_1 A_1; ...; tau_N A_N] Q_i [.]^T - blockdiag(Q_1..Q_N) < 0
+
+    with the inverse-weighted candidates as warm starts.
+    """
+    n, N = sys.n, sys.N
+    T = np.vstack([t * A for A, t in zip(sys.A, sys.tau)])
     variables = [MatrixVariable(f"Q{i+1}", n, require_pd=True) for i in range(N)]
     terms = []
     for i in range(N):
@@ -315,32 +314,24 @@ def _stacked_lmi(mats, taus, pd_dim: int, starts) -> LmiProblem:
         E[i * n : (i + 1) * n, :] = np.eye(n)
         terms.append(BlockTerm(f"Q{i+1}", T, T.T))
         terms.append(BlockTerm(f"Q{i+1}", -E, E.T))
-    blocks = [AffineBlock(dim=n * N, terms=tuple(terms))]
-    return LmiProblem(tuple(variables), tuple(blocks), tuple(starts))
+    starts: list[dict] = []
+    for Q in _eq44_candidates(sys):
+        base = {f"Q{i+1}": Q[i] for i in range(N)}
+        starts.extend(_blend_candidates(base, list(base), thetas=(0.0, 1e-6)))
+    block = AffineBlock(dim=n * N, terms=tuple(terms))
+    return LmiProblem(tuple(variables), (block,), tuple(starts))
 
 
 def build_th2_lmi(sys: IdsSystem) -> LmiProblem:
-    """Single stacked block of size nN in PD Q_i:
-
-        sum_i [tau_1 A_1; ...; tau_N A_N] Q_i [.]^T - blockdiag(Q_1..Q_N) < 0
-    """
-    starts: list[dict] = []
-    for Q in _eq44_candidates(sys):
-        base = {f"Q{i+1}": Q[i] for i in range(sys.N)}
-        starts.extend(_blend_candidates(base, list(base), thetas=(0.0, 1e-6)))
-    return _stacked_lmi(sys.A, sys.tau, sys.n, starts)
+    """The stacked block of Theorem 2 (see _stacked_lmi)."""
+    return _stacked_lmi(sys)
 
 
 def build_laa(sys: DiscreteIds) -> LmiProblem:
     """Delay-independent variant of the stacked block (all delay factors 1)."""
     if not isinstance(sys, DiscreteIds):
         raise TypeError("build_laa expects a DiscreteIds system")
-    proxy = IdsSystem(A=sys.A, tau=tuple(1.0 for _ in sys.A), tau_max=1.0)
-    starts: list[dict] = []
-    for Q in _eq44_candidates(proxy):
-        base = {f"Q{i+1}": Q[i] for i in range(sys.N)}
-        starts.extend(_blend_candidates(base, list(base), thetas=(0.0, 1e-6)))
-    return _stacked_lmi(sys.A, tuple(1.0 for _ in sys.A), sys.n, starts)
+    return _stacked_lmi(IdsSystem(A=sys.A, tau=tuple(1.0 for _ in sys.A), tau_max=1.0))
 
 
 def laa_convert_X_to_Q(X) -> list[np.ndarray]:
@@ -453,6 +444,17 @@ def witness_th1_from_th2(sys: IdsSystem, Q) -> list[np.ndarray]:
     ]
     Omega = (_inv_guarded(sum(Q), "sum(Q)") - sum(terms)) / (2.0 * N)
     return [sym(T + Omega) for T in terms]
+
+
+def th1_start_from_th2(sys: IdsSystem, Q) -> dict:
+    """Linearized two-family assignment {S_i, Q_i: R Q_i R, R = sum_i S_i}
+    from an inverse-weighted witness Q, with S from witness_th1_from_th2."""
+    S = witness_th1_from_th2(sys, Q)
+    R = sum(S)
+    start = {f"S{i+1}": S[i] for i in range(sys.N)}
+    start.update({f"Q{i+1}": R @ Q[i] @ R for i in range(sys.N)})
+    start["R"] = R
+    return start
 
 
 def th2_functional_params(sys: IdsSystem, Q) -> dict:

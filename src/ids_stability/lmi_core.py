@@ -3,9 +3,9 @@
 A problem is a set of symmetric-matrix-valued blocks, each affine and
 homogeneous in named matrix variables, required strictly negative definite.
 Every variable flagged ``require_pd`` implicitly contributes an extra block
-``-V`` so positivity is part of the same objective.
-
-Feasibility is decided by minimizing
+``-V`` so positivity is part of the same objective.  Each block compiles to
+a matrix M_k with vec(B_k) = M_k x (a term L V R contributes L kron R^T
+times the variable's basis matrix).  Feasibility is decided by minimizing
 
     f(x) = max over blocks of lambda_max(B_k(x))
 
@@ -13,16 +13,17 @@ over the affine slice trace(sum of PD variables) = 1 (homogeneity makes the
 normalization lossless).  f is convex, so the minimization is one run of a
 projected subgradient method (Polyak-style steps once a negative value is
 known, diminishing steps otherwise), followed by a cutting-plane polish
-that refines the iterate near the feasibility boundary.  Both stop once
-f <= -10 * eps_feas, a depth that settles the verdict.  A negative
-certificate is "feasible", anything else is "not_found".  Because every
-block is linear, each subgradient row h satisfies h.x <= f(x) everywhere,
-so the recent rows bound f from below on the slice (Kelley's cutting-plane
-bound).  The bound is tried at iterations 64, 128, 256 and 512 of the run
-and at its end; when it excludes a witness the search stops early and the
-report carries it as ``lower_bound``.  The LP dual of the bound is a Farkas
-certificate, multipliers sum y_i u_i u_i^T >= 0 whose adjoint image is a
-multiple of the trace functional.
+near the feasibility boundary.  Both stop once f <= -10 * eps_feas, a depth
+that settles the verdict.  A negative certificate is "feasible", anything
+else is "not_found".  Because every block is linear, each subgradient row h
+satisfies h.x <= f(x) everywhere, with equality where it was taken, and one
+LP (Kelley's cutting-plane model) serves twice.  Unboxed, its optimum bounds
+f from below on the slice: the bound is tried at iterations 64, 128, 256
+and 512 of the run and at its end, and when it excludes a witness the search
+stops early and the report carries it as ``lower_bound``.  Its LP dual is a
+Farkas certificate, multipliers sum y_i u_i u_i^T >= 0 whose adjoint image
+is a multiple of the trace functional.  Boxed around the incumbent, its
+minimizer is the polish's next point.
 """
 
 from __future__ import annotations
@@ -48,11 +49,14 @@ __all__ = [
     "is_pd",
 ]
 
-_SQRT2 = np.sqrt(2.0)
-
 # iterations of the run at which the cut bound is tried (and at its end);
 # doubling caps the extra LPs of one solve at four
 _BOUND_AT = (64, 128, 256, 512)
+_STALL_LIMIT = 450  # the run also stops after this many steps without progress
+# the polish (at most _POLISH_ITERS steps) runs only when the run ended with
+# no bound and below _POLISH_WINDOW, near the feasibility boundary
+_POLISH_WINDOW = 0.25
+_POLISH_ITERS = 200
 
 
 class ProblemError(ValueError):
@@ -150,16 +154,10 @@ class LmiProblem:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    # one subgradient run: it stops at the settling depth -10 * eps_feas,
-    # after max_iters iterations or after stall_limit steps without progress
+    # one subgradient run: it stops at the settling depth -10 * eps_feas or
+    # after max_iters iterations
     max_iters: int = 5000
     eps_feas: float = 1e-7
-    stall_limit: int = 450
-    polish_iters: int = 200
-    # skip the cutting-plane polish when the run already ended far from the
-    # feasibility boundary, or when the cut bound proved that no witness
-    # exists
-    polish_window: float = 0.25
 
 
 @dataclass(frozen=True)
@@ -180,19 +178,20 @@ class FeasReport:
 # -- parametrization ---------------------------------------------------------
 
 
-def _sym_basis(d: int) -> list[np.ndarray]:
-    """Frobenius-orthonormal basis of d x d symmetric matrices."""
-    basis = []
-    for i in range(d):
-        E = np.zeros((d, d))
-        E[i, i] = 1.0
-        basis.append(E)
-    for i in range(d):
-        for j in range(i + 1, d):
-            E = np.zeros((d, d))
-            E[i, j] = E[j, i] = 1.0 / _SQRT2
-            basis.append(E)
-    return basis
+def _basis(v: MatrixVariable) -> np.ndarray:
+    """The d^2 x n_params matrix taking a variable's parameters to vec(V),
+    row-major: for symmetric variables the Frobenius-orthonormal basis (the
+    diagonal units, then (E_ij + E_ji) / sqrt(2) for i < j in row order)."""
+    d = v.dim
+    if v.kind == "general":
+        return np.eye(d * d)
+    B = np.zeros((d, d, v.n_params))
+    k = np.arange(d)
+    B[k, k, k] = 1.0
+    i, j = np.triu_indices(d, 1)
+    c = np.arange(d, v.n_params)
+    B[i, j, c] = B[j, i, c] = 1.0 / np.sqrt(2.0)
+    return B.reshape(d * d, -1)
 
 
 def _sym_stack(M: np.ndarray, m: int, x: np.ndarray) -> np.ndarray:
@@ -206,21 +205,11 @@ class _Compiled:
 
     def __init__(self, problem: LmiProblem):
         self.problem = problem
-        self.offsets: dict[str, int] = {}
-        self.bases: dict[str, list[np.ndarray]] = {}
+        # name -> (variable, offset of its parameters in x, its basis matrix)
+        self.vars: dict[str, tuple[MatrixVariable, int, np.ndarray]] = {}
         off = 0
         for v in problem.variables:
-            self.offsets[v.name] = off
-            if v.kind == "symmetric":
-                self.bases[v.name] = _sym_basis(v.dim)
-            else:
-                basis = []
-                for i in range(v.dim):
-                    for j in range(v.dim):
-                        E = np.zeros((v.dim, v.dim))
-                        E[i, j] = 1.0
-                        basis.append(E)
-                self.bases[v.name] = basis
+            self.vars[v.name] = (v, off, _basis(v))
             off += v.n_params
         self.nx = off
 
@@ -246,37 +235,33 @@ class _Compiled:
 
         # trace functional over PD variables (the normalization slice a.x = 1)
         a = np.zeros(self.nx)
-        for v in problem.variables:
+        for v, off, _ in self.vars.values():
             if v.require_pd:
-                a[self.offsets[v.name] : self.offsets[v.name] + v.dim] = 1.0
+                a[off : off + v.dim] = 1.0
         self.trace_vec = a
 
     def _compile_block(self, blk: AffineBlock) -> np.ndarray:
+        """vec(sym(sum of L V R)) = M x, from vec(L V R) = (L kron R^T) vec(V)."""
         m = blk.dim
         M = np.zeros((m * m, self.nx))
         for term in blk.terms:
-            var = self.problem.variable(term.var)
+            v, off, B = self.vars[self.problem.variable(term.var).name]
             L = np.asarray(term.left, dtype=float)
             R = np.asarray(term.right, dtype=float)
-            if L.shape[0] != m or R.shape[1] != m:
+            if L.shape != (m, v.dim) or R.shape != (v.dim, m):
                 raise ProblemError(
-                    f"term for {term.var!r} maps to {L.shape[0]}x{R.shape[1]}, "
-                    f"block is {m}x{m}"
+                    f"term for {term.var!r} has factors {L.shape} and {R.shape}; "
+                    f"block is {m}x{m}, variable {v.dim}x{v.dim}"
                 )
-            off = self.offsets[term.var]
-            for j, E in enumerate(self.bases[term.var]):
-                V = E.T if term.transpose else E
-                if L.shape[1] != V.shape[0] or R.shape[0] != V.shape[1]:
-                    raise ProblemError(
-                        f"term for {term.var!r} has incompatible factor shapes"
-                    )
-                C = L @ V @ R
-                M[:, off + j] += (0.5 * (C + C.T)).reshape(-1)
-        return M
+            if term.transpose:  # vec(V^T) permutes the rows of vec(V)
+                B = B.reshape(v.dim, v.dim, -1).transpose(1, 0, 2).reshape(B.shape)
+            M[:, off : off + v.n_params] += np.kron(L, R.T) @ B
+        M = M.reshape(m, m, -1)
+        return (0.5 * (M + M.transpose(1, 0, 2))).reshape(m * m, -1)
 
     def to_vector(self, witness: dict) -> np.ndarray:
         x = np.zeros(self.nx)
-        for v in self.problem.variables:
+        for v, off, B in self.vars.values():
             if v.name not in witness:
                 raise ProblemError(f"witness missing variable {v.name!r}")
             W = np.asarray(witness[v.name], dtype=float)
@@ -285,20 +270,14 @@ class _Compiled:
                     f"witness for {v.name!r} has shape {W.shape}, expected "
                     f"({v.dim}, {v.dim})"
                 )
-            off = self.offsets[v.name]
-            for j, E in enumerate(self.bases[v.name]):
-                x[off + j] = float(np.tensordot(E, W))
+            x[off : off + v.n_params] = B.T @ W.reshape(-1)
         return x
 
     def to_witness(self, x: np.ndarray) -> dict:
-        out = {}
-        for v in self.problem.variables:
-            off = self.offsets[v.name]
-            W = np.zeros((v.dim, v.dim))
-            for j, E in enumerate(self.bases[v.name]):
-                W += x[off + j] * E
-            out[v.name] = W
-        return out
+        return {
+            v.name: (B @ x[off : off + v.n_params]).reshape(v.dim, v.dim)
+            for v, off, B in self.vars.values()
+        }
 
     def f_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """Worst lambda_max over all blocks and a subgradient: the top
@@ -412,70 +391,60 @@ def _check_homogeneous(problem: LmiProblem) -> None:
         raise ProblemError("no positive-definite variable to normalize against")
 
 
-def _prove_no_witness(comp: _Compiled, rows: np.ndarray, cfg: SolverConfig) -> float | None:
-    """min t s.t. h.x <= t for every row h and a.x = 1, with x and t free.
+def _cut_lp(
+    comp: _Compiled, rows: np.ndarray, center: np.ndarray | None = None
+) -> tuple[np.ndarray, float] | None:
+    """Kelley's cutting-plane LP: min t s.t. h.x <= t for every row h and
+    a.x = 1, with x free or, given ``center``, inside the box
+    |x - center| <= 0.5.
 
-    Every row is a global minorant of f, so t* bounds f below on the slice.
-    Returns t* when it is at least 10 * eps_feas (no witness exists), else
-    None, including when the rows leave the LP unbounded.
+    Every row is a global minorant of f through the origin, so t* bounds f
+    below on the slice (on the box).  Returns (x*, t*), or None when the LP
+    has no solution, including when the rows leave it unbounded.
     """
     nx = comp.nx
     c = np.zeros(nx + 1)
     c[-1] = 1.0
-    A_ub = np.hstack((rows, -np.ones((len(rows), 1))))
-    A_eq = np.append(comp.trace_vec, 0.0)[None, :]
+    free = (None, None)
+    bounds = free if center is None else [(ci - 0.5, ci + 0.5) for ci in center] + [free]
     res = linprog(
-        c, A_ub=A_ub, b_ub=np.zeros(len(rows)), A_eq=A_eq, b_eq=[1.0],
-        bounds=(None, None), method="highs",
+        c, A_ub=np.hstack((rows, -np.ones((len(rows), 1)))), b_ub=np.zeros(len(rows)),
+        A_eq=np.append(comp.trace_vec, 0.0)[None, :], b_eq=[1.0], bounds=bounds, method="highs",
     )
-    if res.status == 0 and res.x[-1] >= 10.0 * cfg.eps_feas:
-        return float(res.x[-1])
-    return None
+    return (res.x[:nx], float(res.x[-1])) if res.status == 0 else None
+
+
+def _prove_no_witness(comp: _Compiled, rows: np.ndarray, cfg: SolverConfig) -> float | None:
+    """t* of the unboxed cut LP when it is at least 10 * eps_feas (no
+    witness exists), else None."""
+    sol = _cut_lp(comp, rows)
+    return sol[1] if sol is not None and sol[1] >= 10.0 * cfg.eps_feas else None
 
 
 def _polish(comp: _Compiled, x0: np.ndarray, f0: float, cfg: SolverConfig, settled: float):
     """Cutting-plane refinement of the worst-lambda-max minimization.
 
-    Kelley-style: accumulate linearizations f(x) >= f_k + g_k.(x - x_k) and
-    repeatedly minimize their max over the normalization slice intersected
+    Kelley-style: accumulate the subgradient rows and repeatedly step to
+    the minimizer of their max over the normalization slice intersected
     with a box around the incumbent, until the incumbent reaches the
     ``settled`` depth.  Deterministic; the LP backend is HiGHS.
     """
-    nx = comp.nx
-    a = comp.trace_vec
     best_f, best_x = f0, x0.copy()
-    cuts_c0: list[float] = []
-    cuts_g: list[np.ndarray] = []
-    x = x0.copy()
-    box = 0.5
+    cuts: list[np.ndarray] = []
+    x = x0
     evals = 0
-    for _ in range(cfg.polish_iters):
+    for _ in range(_POLISH_ITERS):
         f, g = comp.f_and_grad(x)
         evals += 1
         if f < best_f:
             best_f, best_x = f, x.copy()
-        cuts_c0.append(f - float(g @ x))
-        cuts_g.append(g)
-        if len(cuts_c0) > 250:
-            cuts_c0.pop(0)
-            cuts_g.pop(0)
-        nc = len(cuts_c0)
-        c = np.zeros(nx + 1)
-        c[-1] = 1.0
-        A_ub = np.zeros((nc, nx + 1))
-        A_ub[:, :nx] = np.vstack(cuts_g)
-        A_ub[:, -1] = -1.0
-        b_ub = -np.asarray(cuts_c0)
-        A_eq = np.zeros((1, nx + 1))
-        A_eq[0, :nx] = a
-        bounds = [(best_x[i] - box, best_x[i] + box) for i in range(nx)] + [(None, None)]
-        res = linprog(
-            c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0], bounds=bounds, method="highs"
-        )
-        if not res.success:
+        if best_f <= settled:
             break
-        x = res.x[:nx]
-        lower = res.x[-1]
+        cuts = cuts[-249:] + [g]
+        sol = _cut_lp(comp, np.vstack(cuts), best_x)
+        if sol is None:
+            break
+        x, lower = sol
         if best_f - lower < 1e-10:
             f = comp.f_only(x)
             evals += 1
@@ -485,8 +454,6 @@ def _polish(comp: _Compiled, x0: np.ndarray, f0: float, cfg: SolverConfig, settl
         if lower > -cfg.eps_feas:
             # no point of the box reaches the verdict threshold; the verdict
             # for this solve cannot improve
-            break
-        if best_f <= settled:
             break
     return best_f, best_x, evals
 
@@ -544,7 +511,7 @@ def solve_feasibility(problem: LmiProblem, cfg: SolverConfig | None = None) -> F
         gnorm2 = float(g @ g)
         done = (
             best_f <= settled
-            or stall > cfg.stall_limit
+            or stall > _STALL_LIMIT
             or gnorm2 <= 1e-300
             # while no negative value is known the run only has to deliver
             # a decent incumbent; precision is the polish's job
@@ -567,7 +534,7 @@ def solve_feasibility(problem: LmiProblem, cfg: SolverConfig | None = None) -> F
             t = 0.3 / (np.sqrt(k + 1.0) * np.sqrt(gnorm2))
         x = comp.project(x - t * g)
 
-    if lower_bound is None and settled < best_f < cfg.polish_window and cfg.polish_iters > 0:
+    if lower_bound is None and settled < best_f < _POLISH_WINDOW:
         f_p, x_p, ev = _polish(comp, best_x, best_f, cfg, settled)
         iterations += ev
         if f_p < best_f:

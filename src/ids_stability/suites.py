@@ -283,15 +283,9 @@ def _escalate_th1(sys, rep_c, cfg: SolverConfig, from_th2=None) -> bool:
         if from_th2 is not None:
             Q = [Qi / np.trace(sum(from_th2)) for Qi in from_th2]
         else:
-            N = sys.N
-            Qc = [rep_c.witness[f"Q{i+1}"] for i in range(N)]
-            pr = criteria_lmi.witness_th1_from_th2coupled(sys, Qc)
-            Q = pr["P"]
-        S = criteria_lmi.witness_th1_from_th2(sys, Q)
-        R = sum(S)
-        start = {f"S{i+1}": S[i] for i in range(sys.N)}
-        start.update({f"Q{i+1}": R @ Q[i] @ R for i in range(sys.N)})
-        start["R"] = R
+            Qc = [rep_c.witness[f"Q{i+1}"] for i in range(sys.N)]
+            Q = criteria_lmi.witness_th1_from_th2coupled(sys, Qc)["P"]
+        start = criteria_lmi.th1_start_from_th2(sys, Q)
         return evaluate_criterion(sys, "th1", cfg, warm=start).feasible
     except (criteria_lmi.ConversionError, criteria_lmi.IllConditionedError, np.linalg.LinAlgError):
         return False

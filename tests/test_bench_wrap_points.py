@@ -1,0 +1,71 @@
+"""The benchmark's tracer patches named bindings of the program
+(bench/layers.py).  A renamed or deleted wrap target would crash every
+traced benchmark run; these tests fail first."""
+
+import os
+
+import numpy as np
+import pytest
+import scipy.optimize
+
+from ids_stability import (
+    DiscreteIds,
+    criteria_lmi,
+    criteria_spectral,
+    jensen,
+    lmi_core,
+    margin,
+    model,
+    simulator,
+    validate_system,
+)
+
+BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench")
+MODULES = (criteria_lmi, criteria_spectral, jensen, lmi_core, margin, model, simulator)
+
+
+@pytest.fixture
+def layers(monkeypatch):
+    monkeypatch.syspath_prepend(BENCH)
+    import layers
+
+    return layers
+
+
+def _bindings():
+    snap = {(m.__name__, k): v for m in MODULES for k, v in vars(m).items()}
+    snap.update({("LMI_CRITERIA", k): v for k, v in criteria_lmi.LMI_CRITERIA.items()})
+    return snap
+
+
+def test_install_patches_and_restore_puts_every_binding_back(layers):
+    before = _bindings()
+    tr = layers.install()
+    try:
+        during = _bindings()
+    finally:
+        tr.restore()
+    patched = {key for key, v in before.items() if during[key] is not v}
+    assert {("ids_stability.lmi_core", "np"), ("ids_stability.lmi_core", "linprog")} <= patched
+    assert ("ids_stability.criteria_lmi", "optimize_weights") in patched
+    assert {("LMI_CRITERIA", k) for k in criteria_lmi.LMI_CRITERIA} <= patched
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is v for key, v in before.items())
+    assert lmi_core.np is np and lmi_core.linprog is scipy.optimize.linprog
+
+
+def test_each_builder_call_is_one_traced_build(layers):
+    # builders must not call each other by their wrapped names, or one
+    # build would be counted twice
+    systems = {
+        "th2-lmi": validate_system(model.benchmark_system(0.3, 0.05)),
+        "laa": validate_system(DiscreteIds(A=(np.eye(2) / 4, np.eye(2) / 8), tau=(0.2, 0.5))),
+    }
+    tr = layers.install()
+    try:
+        for name, sys in systems.items():
+            criteria_lmi.LMI_CRITERIA[name](sys)
+    finally:
+        tr.restore()
+    assert [s.name for s in tr.spans].count(layers.BUILD) == len(systems)

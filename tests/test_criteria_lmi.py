@@ -15,6 +15,7 @@ from ids_stability.criteria_lmi import (
     build_th2_lmi,
     laa_convert_X_to_Q,
     recover_nmi_th1,
+    th1_start_from_th2,
     th2_functional_params,
     verify_nmi_th1,
     verify_nmi_th2,
@@ -369,6 +370,15 @@ def test_construction_from_summed_benchmark():
     Q = [rep.witness["Q1"], rep.witness["Q2"]]
     S = witness_th1_from_th2(sys, Q)
     assert verify_nmi_th1(sys, S=S, Q=Q)
+
+
+def test_th1_start_from_th2_is_strictly_feasible_for_th1():
+    # the congruence R = sum S turns the nonlinear pair into an LMI witness
+    sys = benchmark_system(0.4, 0.03)
+    rep = solve_feasibility(build_th2_lmi(sys))
+    start = th1_start_from_th2(sys, [rep.witness["Q1"], rep.witness["Q2"]])
+    assert sorted(start) == ["Q1", "Q2", "R", "S1", "S2"]
+    assert evaluate(build_th1(sys), start)[1] < 0
 
 
 def test_construction_from_summed_requires_precondition(scalar_system):

@@ -376,7 +376,7 @@ def test_polish_stops_on_infimum_zero_problem(monkeypatch):
     cfg = SolverConfig()
     rep = solve_feasibility(LMI_CRITERIA["single"](sys), cfg)
     assert rep.status == "not_found" and rep.lower_bound is None
-    assert 0 < calls.count("polish") < 50 < cfg.polish_iters
+    assert 0 < calls.count("polish") < 50 < lmi_core._POLISH_ITERS
 
 
 def test_restarts_field_tells_start_hits_from_runs():
@@ -392,7 +392,8 @@ def test_restarts_field_tells_start_hits_from_runs():
 
 def test_polish_stops_at_settling_depth(monkeypatch):
     # a near-boundary probe of the 0.3 / th2-lmi margin chain: its polish
-    # must stop at the settling depth, well before polish_iters LPs
+    # must stop at the settling depth, well before _POLISH_ITERS LPs; the
+    # evaluation that reaches it solves no LP
     calls = _count_lps(monkeypatch)
     seen, depth = [], []
     real_polish, real_fg = lmi_core._polish, _Compiled.f_and_grad
@@ -418,7 +419,7 @@ def test_polish_stops_at_settling_depth(monkeypatch):
     assert rep.feasible and rep.lower_bound is None
     assert seen and seen[-1] <= clear_feas
     assert all(f > clear_feas for f in seen[:-1])
-    assert calls.count("polish") == len(seen) < cfg.polish_iters
+    assert calls.count("polish") == len(seen) - 1 < lmi_core._POLISH_ITERS
 
 
 def test_both_lp_kinds_reach_the_module_binding(monkeypatch):
@@ -456,11 +457,13 @@ def stable_problems():
 
 def test_cut_bound_never_fires_on_feasible_problems(stable_problems, monkeypatch):
     # short runs end before a negative value is found, so the bound is
-    # tried on few and poorly placed rows
+    # tried on few and poorly placed rows; the polish cannot change
+    # lower_bound, so it is switched off to save time
     calls = _count_lps(monkeypatch)
+    monkeypatch.setattr(lmi_core, "_POLISH_ITERS", 0)
     for name, problem, _ in stable_problems:
         for max_iters in (2, 20, 64, 128, 200, 256):
-            cfg = SolverConfig(max_iters=max_iters, polish_iters=0)
+            cfg = SolverConfig(max_iters=max_iters)
             assert solve_feasibility(problem, cfg).lower_bound is None, name
     assert calls.count("proof") > 50
 
