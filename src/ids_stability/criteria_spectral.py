@@ -76,9 +76,11 @@ def kron_operator(As, weights) -> np.ndarray:
     """The Kronecker sum sum_i w_i A_i (x) A_i.
 
     The transpose is the row-major vec matrix of T -> sum_i w_i A_i.T T A_i,
-    since A.T (x) A.T = (A (x) A).T.
+    since A.T (x) A.T = (A (x) A).T.  Overflow is left to the caller:
+    ``spectral_radius`` rejects the non-finite sum.
     """
-    return sum(w * kron(A, A) for A, w in zip(As, weights))
+    with np.errstate(over="ignore"):
+        return sum(w * kron(A, A) for A, w in zip(As, weights))
 
 
 def spectral_radius(M: np.ndarray):
@@ -146,8 +148,9 @@ def _golden_section(fun, lo: float, hi: float, tol: float = 1e-12) -> float:
 def optimize_weights(sys: IdsSystem) -> tuple[tuple[float, ...], float]:
     """Minimize phi(alpha) = rho(sum_i tau_i^2 A_i (x) A_i / alpha_i) over the
     open simplex: for N=2 by a coarse scan plus golden-section refinement, for
-    N>=3 by one Nelder-Mead descent from the uniform point in a softmax
-    parametrization.  The result never loses to the uniform point.
+    N>=3 by one Nelder-Mead descent from the uniform point over N-1 softmax
+    logits (the last pinned at 0: softmax ignores a common shift).  The
+    result never loses to the uniform point.
 
     One descent suffices: phi is convex, so every local minimum is global
     (Kingman 1961; Nussbaum 1986).  The Kronecker sum at weights e^{x_i} is
@@ -183,13 +186,14 @@ def optimize_weights(sys: IdsSystem) -> tuple[tuple[float, ...], float]:
         cand = (a1, 1.0 - a1)
     else:
         def softmax(z: np.ndarray) -> np.ndarray:
+            z = np.append(z, 0.0)
             e = np.exp(z - z.max())
             p = np.clip(e / e.sum(), delta, None)
             return p / p.sum()
 
         res = minimize(
             lambda z: rho_at(softmax(z)),
-            np.zeros(N),
+            np.zeros(N - 1),
             method="Nelder-Mead",
             options={"maxiter": 400, "xatol": 1e-10, "fatol": 1e-12},
         )

@@ -10,20 +10,20 @@ times the variable's basis matrix).  Feasibility is decided by minimizing
     f(x) = max over blocks of lambda_max(B_k(x))
 
 over the affine slice trace(sum of PD variables) = 1 (homogeneity makes the
-normalization lossless).  f is convex, so the minimization is one run of a
-projected subgradient method (Polyak-style steps once a negative value is
-known, diminishing steps otherwise), followed by a cutting-plane polish
-near the feasibility boundary.  Both stop once f <= -10 * eps_feas, a depth
-that settles the verdict.  A negative certificate is "feasible", anything
-else is "not_found".  Because every block is linear, each subgradient row h
-satisfies h.x <= f(x) everywhere, with equality where it was taken, and one
-LP (Kelley's cutting-plane model) serves twice.  Unboxed, its optimum bounds
-f from below on the slice: the bound is tried at iterations 64, 128, 256
-and 512 of the run and at its end, and when it excludes a witness the search
-stops early and the report carries it as ``lower_bound``.  Its LP dual is a
-Farkas certificate, multipliers sum y_i u_i u_i^T >= 0 whose adjoint image
-is a multiple of the trace functional.  Boxed around the incumbent, its
-minimizer is the polish's next point.
+normalization lossless), that is by max t s.t. B_k(x) + t I < 0 for every
+block.  One path-following barrier run solves it (Vandenberghe & Boyd,
+SIAM Review 1996): damped Newton steps on -s t - sum log det(-B_k - t I)
+over a null-space basis of the slice, with s growing tenfold per centring.
+At a centre, theta / s (theta the sum of the block dimensions) bounds the
+distance of t to its optimum, so the run stops once f <= -10 * eps_feas
+(a depth that settles the verdict), once no witness can reach -eps_feas,
+or once the gap has closed.  A negative certificate is "feasible",
+anything else is "not_found".  Because every block is linear, each
+eigenvector row h = (u kron u)^T M_k satisfies h.x <= f(x) everywhere, and
+Kelley's cutting-plane LP over the rows of the last centres bounds f from
+below on the slice: when a run ends without a value below 10 * eps_feas
+and the bound is at least that, no witness exists and the report carries
+it as ``lower_bound``.
 """
 
 from __future__ import annotations
@@ -49,14 +49,12 @@ __all__ = [
     "is_pd",
 ]
 
-# iterations of the run at which the cut bound is tried (and at its end);
-# doubling caps the extra LPs of one solve at four
-_BOUND_AT = (64, 128, 256, 512)
-_STALL_LIMIT = 450  # the run also stops after this many steps without progress
-# the polish (at most _POLISH_ITERS steps) runs only when the run ended with
-# no bound and below _POLISH_WINDOW, near the feasibility boundary
-_POLISH_WINDOW = 0.25
-_POLISH_ITERS = 200
+# the barrier weight s grows by _GROWTH after each centring; a centring ends
+# once the squared Newton decrement is below _CENTRED; the proof LP uses the
+# eigenvector rows of the last _PROOF_CENTRES centres
+_GROWTH = 10.0
+_CENTRED = 1e-6
+_PROOF_CENTRES = 3
 
 
 class ProblemError(ValueError):
@@ -137,7 +135,7 @@ class LmiProblem:
 
     ``starts`` are optional deterministic warm-start assignments (builders
     attach closed-form candidates when the problem structure provides them);
-    the best of them starts the subgradient run, and they never change the
+    the best of them starts the barrier run, and they never change the
     verdict semantics.
     """
 
@@ -154,8 +152,8 @@ class LmiProblem:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    # one subgradient run: it stops at the settling depth -10 * eps_feas or
-    # after max_iters iterations
+    # one barrier run: it stops at the settling depth -10 * eps_feas or
+    # after max_iters Newton steps
     max_iters: int = 5000
     eps_feas: float = 1e-7
 
@@ -165,7 +163,7 @@ class FeasReport:
     status: str  # "feasible" | "not_found"
     lambda_star: float
     witness: dict
-    iterations: int
+    iterations: int  # start evaluations plus Newton steps
     restarts: int  # 0 when a warm start certified, else 1 (the run)
     # a proven lower bound on f over the normalization slice (not_found only)
     lower_bound: float | None = None
@@ -194,14 +192,9 @@ def _basis(v: MatrixVariable) -> np.ndarray:
     return B.reshape(d * d, -1)
 
 
-def _sym_stack(M: np.ndarray, m: int, x: np.ndarray) -> np.ndarray:
-    """The symmetrized m x m blocks of a stacked map M at x."""
-    B = (M @ x).reshape(-1, m, m)
-    return 0.5 * (B + B.transpose(0, 2, 1))
-
-
 class _Compiled:
-    """Flattened affine maps vec(B_k) = M_k x for fast repeated evaluation."""
+    """Flattened affine maps vec(B_k) = M_k x for fast repeated evaluation;
+    each M_k x is exactly symmetric."""
 
     def __init__(self, problem: LmiProblem):
         self.problem = problem
@@ -220,18 +213,15 @@ class _Compiled:
             if v.require_pd
         ]
         # blocks of one dimension share one stacked map, so an evaluation
-        # costs one matvec and one batched eigensolve per distinct dimension;
-        # where[k] = (group, position) of block k
+        # costs one matvec and one batched eigensolve per distinct dimension
         by_dim: dict[int, list[int]] = {}
         for k, blk in enumerate(blocks):
             by_dim.setdefault(blk.dim, []).append(k)
-        self.groups: list[tuple[int, np.ndarray, np.ndarray]] = []
-        self.where: list[tuple[int, int]] = [(0, 0)] * len(blocks)
-        for m, ks in by_dim.items():
-            for j, k in enumerate(ks):
-                self.where[k] = (len(self.groups), j)
-            maps = np.vstack([self._compile_block(blocks[k]) for k in ks])
-            self.groups.append((m, np.array(ks), maps))
+        # groups: (block size m, number of blocks K, stacked K m^2 x nx map)
+        self.groups: list[tuple[int, int, np.ndarray]] = [
+            (m, len(ks), np.vstack([self._compile_block(blocks[k]) for k in ks]))
+            for m, ks in by_dim.items()
+        ]
 
         # trace functional over PD variables (the normalization slice a.x = 1)
         a = np.zeros(self.nx)
@@ -279,42 +269,21 @@ class _Compiled:
             for v, off, B in self.vars.values()
         }
 
-    def f_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """Worst lambda_max over all blocks and a subgradient: the top
-        eigenvector's rank-one term through the worst block's map.  Among
-        equal maxima the lowest block index wins."""
-        tops = np.empty(len(self.where))
-        vecs = []
-        for m, ks, M in self.groups:
-            w, V = np.linalg.eigh(_sym_stack(M, m, x))
-            tops[ks] = w[:, -1]
-            vecs.append(V)
-        k = int(tops.argmax())
-        g, j = self.where[k]
-        m, _, M = self.groups[g]
-        u = vecs[g][j, :, -1]
-        grad = M[j * m * m : (j + 1) * m * m].T @ (u[:, None] * u).reshape(-1)
-        return float(tops[k]), grad
-
     def eig_rows(self, x: np.ndarray) -> np.ndarray:
         """The rows (u (x) u)^T M_k for every eigenvector u of every block at
         x; each satisfies h.y <= f(y) for all y."""
         rows = []
-        for m, ks, M in self.groups:
-            _, V = np.linalg.eigh(_sym_stack(M, m, x))
-            R = np.einsum("jpc,jqc,jpqn->jcn", V, V, M.reshape(len(ks), m, m, -1))
+        for m, K, M in self.groups:
+            _, V = np.linalg.eigh((M @ x).reshape(K, m, m))
+            R = np.einsum("jpc,jqc,jpqn->jcn", V, V, M.reshape(K, m, m, -1))
             rows.append(R.reshape(-1, self.nx))
         return np.vstack(rows)
 
     def f_only(self, x: np.ndarray) -> float:
         return max(
-            float(np.linalg.eigvalsh(_sym_stack(M, m, x))[:, -1].max())
-            for m, _, M in self.groups
+            float(np.linalg.eigvalsh((M @ x).reshape(K, m, m))[:, -1].max())
+            for m, K, M in self.groups
         )
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        a = self.trace_vec
-        return x - a * ((a @ x - 1.0) / (a @ a))
 
 
 # -- public operations -------------------------------------------------------
@@ -391,81 +360,142 @@ def _check_homogeneous(problem: LmiProblem) -> None:
         raise ProblemError("no positive-definite variable to normalize against")
 
 
-def _cut_lp(
-    comp: _Compiled, rows: np.ndarray, center: np.ndarray | None = None
-) -> tuple[np.ndarray, float] | None:
-    """Kelley's cutting-plane LP: min t s.t. h.x <= t for every row h and
-    a.x = 1, with x free or, given ``center``, inside the box
-    |x - center| <= 0.5.
+def _cut_lp(comp: _Compiled, rows: np.ndarray) -> float | None:
+    """t* of Kelley's cutting-plane LP: min t s.t. h.x <= t for every row h
+    and a.x = 1, with x free.
 
     Every row is a global minorant of f through the origin, so t* bounds f
-    below on the slice (on the box).  Returns (x*, t*), or None when the LP
-    has no solution, including when the rows leave it unbounded.
+    below on the slice.  Returns None when the LP has no solution,
+    including when the rows leave it unbounded.
     """
-    nx = comp.nx
-    c = np.zeros(nx + 1)
+    c = np.zeros(comp.nx + 1)
     c[-1] = 1.0
-    free = (None, None)
-    bounds = free if center is None else [(ci - 0.5, ci + 0.5) for ci in center] + [free]
     res = linprog(
         c, A_ub=np.hstack((rows, -np.ones((len(rows), 1)))), b_ub=np.zeros(len(rows)),
-        A_eq=np.append(comp.trace_vec, 0.0)[None, :], b_eq=[1.0], bounds=bounds, method="highs",
+        A_eq=np.append(comp.trace_vec, 0.0)[None, :], b_eq=[1.0], bounds=(None, None),
+        method="highs",
     )
-    return (res.x[:nx], float(res.x[-1])) if res.status == 0 else None
+    return float(res.x[-1]) if res.status == 0 else None
 
 
 def _prove_no_witness(comp: _Compiled, rows: np.ndarray, cfg: SolverConfig) -> float | None:
-    """t* of the unboxed cut LP when it is at least 10 * eps_feas (no
-    witness exists), else None."""
-    sol = _cut_lp(comp, rows)
-    return sol[1] if sol is not None and sol[1] >= 10.0 * cfg.eps_feas else None
+    """t* of the cut LP when it is at least 10 * eps_feas (no witness
+    exists), else None."""
+    t = _cut_lp(comp, rows)
+    return t if t is not None and t >= 10.0 * cfg.eps_feas else None
 
 
-def _polish(comp: _Compiled, x0: np.ndarray, f0: float, cfg: SolverConfig, settled: float):
-    """Cutting-plane refinement of the worst-lambda-max minimization.
+class _Barrier:
+    """The log-barrier of max t s.t. B_k(x) + t I < 0 for every compiled
+    block, on the slice x = x0 + Z z (Z an orthonormal basis of a's null
+    space), in the variables w = (z, t).
 
-    Kelley-style: accumulate the subgradient rows and repeatedly step to
-    the minimizer of their max over the normalization slice intersected
-    with a box around the incumbent, until the incumbent reaches the
-    ``settled`` depth.  Deterministic; the LP backend is HiGHS.
+    The slack S_k(w) = -B_k(x) - t I of each group is affine, C + G w; the
+    barrier is -s t - sum log det S_k.
     """
-    best_f, best_x = f0, x0.copy()
-    cuts: list[np.ndarray] = []
-    x = x0
-    evals = 0
-    for _ in range(_POLISH_ITERS):
-        f, g = comp.f_and_grad(x)
-        evals += 1
+
+    def __init__(self, comp: _Compiled, x0: np.ndarray):
+        self.x0 = x0
+        self.Z = np.linalg.qr(comp.trace_vec[:, None], mode="complete")[0][:, 1:]
+        self.nw = self.Z.shape[1] + 1
+        self.groups = [
+            (m, K, -(M @ x0), -np.hstack((M @ self.Z, np.tile(np.eye(m).ravel(), K)[:, None])))
+            for m, K, M in comp.groups
+        ]
+        self.theta = sum(m * K for m, K, _, _ in self.groups)  # sum of block dimensions
+
+    def x(self, w: np.ndarray) -> np.ndarray:
+        return self.x0 + self.Z @ w[:-1]
+
+    def spectra(self, w: np.ndarray) -> list:
+        """eigh of every slack, one batched call per block size."""
+        return [np.linalg.eigh((C + G @ w).reshape(K, m, m)) for m, K, C, G in self.groups]
+
+    def newton(self, spectra: list, s: float) -> tuple[np.ndarray, np.ndarray]:
+        """(gradient, Newton step) of the barrier at weight s.  The Hessian
+        is sum T^T T with T = (S^-1/2 kron S^-1/2) G, whose columns
+        W^T G_p W (W = U diag(lam)^-1/2) also give the gradient
+        -tr(S^-1 G_p) on their diagonals."""
+        nw = self.nw
+        g = np.zeros(nw)
+        g[-1] = -s
+        H = np.zeros((nw, nw))
+        for (m, K, _, G), (lam, U) in zip(self.groups, spectra):
+            W = U / np.sqrt(lam)[:, None, :]
+            T = (W.transpose(0, 2, 1) @ G.reshape(K, m, m * nw)).reshape(K, m, m, nw)
+            T = (T.transpose(0, 1, 3, 2).reshape(K, m * nw, m) @ W).reshape(K, m, nw, m)
+            g -= np.einsum("kipi->p", T)
+            T = T.transpose(0, 1, 3, 2).reshape(-1, nw)
+            H += T.T @ T
+        # least squares: a variable that no block uses leaves H singular
+        return g, np.linalg.lstsq(H, -g, rcond=None)[0]
+
+
+def _value(w: np.ndarray, spectra: list, s: float) -> float:
+    """The barrier at weight s, or inf outside its domain."""
+    lam = np.concatenate([l.ravel() for l, _ in spectra])
+    return -s * w[-1] - float(np.log(lam).sum()) if lam.min() > 0.0 else np.inf
+
+
+def _worst(w: np.ndarray, spectra: list) -> float:
+    """f at the point of w: lambda_min(S_k) = -lambda_max(B_k) - t."""
+    return -w[-1] - min(float(l[:, 0].min()) for l, _ in spectra)
+
+
+def _barrier_run(comp: _Compiled, x0: np.ndarray, f0: float, cfg: SolverConfig):
+    """Path following from (x0, t0 = -f(x0) - 1): damped Newton steps with
+    Armijo backtracking centre the barrier, and s grows by _GROWTH after
+    each centring.  At a centre, t* <= t + theta / s (theta the sum of the
+    block dimensions).  Returns the least f seen, its point, the Newton
+    steps taken and the centres."""
+    bar = _Barrier(comp, x0)
+    settled = -10.0 * cfg.eps_feas
+    w = np.zeros(bar.nw)
+    w[-1] = -f0 - 1.0
+    s = 1.0
+    spectra = bar.spectra(w)
+    phi = _value(w, spectra, s)
+    best_f, best_x = f0, x0
+    steps = 0
+    centres: list[np.ndarray] = []
+    while best_f > settled and steps < cfg.max_iters:
+        g, dw = bar.newton(spectra, s)
+        lam2 = float(-g @ dw)
+        if lam2 < _CENTRED:
+            centres.append(bar.x(w))
+            gap = bar.theta / s
+            if w[-1] + gap < cfg.eps_feas or gap < 0.1 * cfg.eps_feas:
+                break  # no witness reaches the threshold / the gap has closed
+            s *= _GROWTH
+            phi = _value(w, spectra, s)
+            continue
+        step = 1.0
+        while step > 1e-12:
+            trial = w + step * dw
+            trial_spectra = bar.spectra(trial)
+            trial_phi = _value(trial, trial_spectra, s)
+            if trial_phi <= phi - 0.25 * step * lam2:
+                break
+            step *= 0.5
+        else:
+            break  # rounding stalls the centring
+        w, spectra, phi = trial, trial_spectra, trial_phi
+        steps += 1
+        f = _worst(w, spectra)
         if f < best_f:
-            best_f, best_x = f, x.copy()
-        if best_f <= settled:
-            break
-        cuts = cuts[-249:] + [g]
-        sol = _cut_lp(comp, np.vstack(cuts), best_x)
-        if sol is None:
-            break
-        x, lower = sol
-        if best_f - lower < 1e-10:
-            f = comp.f_only(x)
-            evals += 1
-            if f < best_f:
-                best_f, best_x = f, x.copy()
-            break
-        if lower > -cfg.eps_feas:
-            # no point of the box reaches the verdict threshold; the verdict
-            # for this solve cannot improve
-            break
-    return best_f, best_x, evals
+            best_f, best_x = f, bar.x(w)
+    return best_f, best_x, steps, centres or [bar.x(w)]
 
 
 def solve_feasibility(problem: LmiProblem, cfg: SolverConfig | None = None) -> FeasReport:
     """Search for a strictly feasible witness of a homogeneous problem.
 
-    Deterministic: one subgradient run from the best warm start (or from
-    the normalized identity), then the polish.  Warm starts attached to the
-    problem are tried first; a start that already certifies feasibility at
-    ``eps_feas`` short-circuits the search.  The objective is convex, so a
-    second run from another point could not reach a lower minimum.
+    Deterministic: warm starts attached to the problem are tried first; a
+    start that already certifies feasibility at ``eps_feas`` short-circuits
+    the search.  Otherwise one barrier run from the best start (or from the
+    normalized identities) follows the central path until the verdict is
+    settled, and a run that ends without a value below ``10 * eps_feas``
+    tries the proof LP on the eigenvector rows of its last centres.
     """
     cfg = cfg or SolverConfig()
     _check_homogeneous(problem)
@@ -488,57 +518,16 @@ def solve_feasibility(problem: LmiProblem, cfg: SolverConfig | None = None) -> F
             witness = comp.to_witness(x)
             return FeasReport("feasible", f, witness, iterations, 0)
 
-    # a value this deep settles the verdict; further depth only adds slack
-    settled = -10.0 * cfg.eps_feas
-    x = best_x.copy() if best_x is not None else a / (a @ a)  # scaled identities
+    if best_x is None:
+        best_x = a / (a @ a)  # scaled identities
+        best_f = comp.f_only(best_x)
+    best_f, best_x, steps, centres = _barrier_run(comp, best_x, best_f, cfg)
+    iterations += steps
 
-    # the last subgradients, a ring: the rows of the cut bound
-    cuts = np.empty((300, comp.nx))
     lower_bound = None
-    f_run = np.inf
-    stall = 0
-    for k in range(cfg.max_iters):
-        f, g = comp.f_and_grad(x)
-        iterations += 1
-        cuts[k % len(cuts)] = g
-        if f < f_run - 1e-12:
-            f_run = f
-            stall = 0
-            if f < best_f:
-                best_f, best_x = f, x.copy()
-        else:
-            stall += 1
-        gnorm2 = float(g @ g)
-        done = (
-            best_f <= settled
-            or stall > _STALL_LIMIT
-            or gnorm2 <= 1e-300
-            # while no negative value is known the run only has to deliver
-            # a decent incumbent; precision is the polish's job
-            or (best_f >= 0.0 and k >= 900)
-            or k + 1 == cfg.max_iters
-        )
-        if best_f >= -settled and (done or k + 1 in _BOUND_AT):
-            # subgradient rows alone can leave the bound unbounded below
-            rows = np.vstack((cuts[: k + 1], comp.eig_rows(best_x), comp.eig_rows(x)))
-            lower_bound = _prove_no_witness(comp, rows, cfg)
-            if lower_bound is not None:
-                break
-        if done:
-            break
-        if best_f < 0.0:
-            # Polyak step toward an adaptively deepened negative target
-            target = 1.5 * best_f
-            t = min((f - target) / gnorm2, 1.0 / np.sqrt(k + 1.0))
-        else:
-            t = 0.3 / (np.sqrt(k + 1.0) * np.sqrt(gnorm2))
-        x = comp.project(x - t * g)
-
-    if lower_bound is None and settled < best_f < _POLISH_WINDOW:
-        f_p, x_p, ev = _polish(comp, best_x, best_f, cfg, settled)
-        iterations += ev
-        if f_p < best_f:
-            best_f, best_x = f_p, x_p
+    if best_f >= 10.0 * cfg.eps_feas:
+        rows = np.vstack([comp.eig_rows(x) for x in centres[-_PROOF_CENTRES:]])
+        lower_bound = _prove_no_witness(comp, rows, cfg)
 
     witness = comp.to_witness(best_x)
     lambda_star = comp.f_only(best_x)

@@ -218,7 +218,7 @@ def run_ordering_suite(seed: int = 7, count: int = 12, cfg: SolverConfig | None 
 
         if ok_c:
             n_coupled += 1
-            if not (ok_1 or _escalate_th1(sys, rep_c, cfg)) or not ok_2:
+            if not ok_1 or not ok_2:
                 ord_ok = False
             Q = [rep_c.witness[f"Q{i+1}"] for i in range(N)]
             try:
@@ -241,25 +241,7 @@ def run_ordering_suite(seed: int = 7, count: int = 12, cfg: SolverConfig | None 
 
         # the two linearized families accept exactly the same systems
         if ok_1 != ok_2:
-            if ok_2 and not ok_1:
-                ok_1 = _escalate_th1(sys, None, cfg, from_th2=[
-                    rep_2.witness[f"Q{i+1}"] for i in range(N)
-                ])
-            elif ok_1 and not ok_2:
-                try:
-                    nmi = criteria_lmi.recover_nmi_th1(
-                        {
-                            "Q": [rep_1.witness[f"Q{i+1}"] for i in range(N)],
-                            "S": [rep_1.witness[f"S{i+1}"] for i in range(N)],
-                            "R": rep_1.witness["R"],
-                        }
-                    )
-                    start = {f"Q{i+1}": nmi["Q"][i] for i in range(N)}
-                    ok_2 = evaluate_criterion(sys, "th2-lmi", cfg, warm=start).feasible
-                except (criteria_lmi.IllConditionedError, np.linalg.LinAlgError):
-                    ok_2 = False
-            if ok_1 != ok_2:
-                iff_ok = False
+            iff_ok = False
 
     checks.append(
         Check(
@@ -274,21 +256,6 @@ def run_ordering_suite(seed: int = 7, count: int = 12, cfg: SolverConfig | None 
     checks.append(Check("construction-from-summed", conv_b_ok, f"{n_b} conversions"))
     checks.append(Check("linearized-families-agree", iff_ok, f"{count} systems"))
     return SuiteReport("ordering", tuple(checks))
-
-
-def _escalate_th1(sys, rep_c, cfg: SolverConfig, from_th2=None) -> bool:
-    """Retry the two-family condition with a witness transported from another
-    feasible condition."""
-    try:
-        if from_th2 is not None:
-            Q = [Qi / np.trace(sum(from_th2)) for Qi in from_th2]
-        else:
-            Qc = [rep_c.witness[f"Q{i+1}"] for i in range(sys.N)]
-            Q = criteria_lmi.witness_th1_from_th2coupled(sys, Qc)["P"]
-        start = criteria_lmi.th1_start_from_th2(sys, Q)
-        return evaluate_criterion(sys, "th1", cfg, warm=start).feasible
-    except (criteria_lmi.ConversionError, criteria_lmi.IllConditionedError, np.linalg.LinAlgError):
-        return False
 
 
 def run_factorization_suite(seed: int = 7, count: int = 50) -> SuiteReport:

@@ -300,7 +300,6 @@ def test_simulate_singular_step_is_numerical_failure(tmp_path, capsys):
     _assert_numerical_failure(code, capsys)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_check_overflowing_kron_sum_is_numerical_failure(tmp_path, capsys):
     path = _system_file(tmp_path, (np.array([[1e200, 0.0], [0.0, 1.0]]),), (0.3,))
     _assert_numerical_failure(main(["check", "--system", path, "--method", "spectral"]), capsys)

@@ -240,8 +240,7 @@ def test_linearize_reverse_direction_on_random_pairs():
 @pytest.fixture(scope="module")
 def kernel_cases():
     """(name, problem) for all six builders on seeded random systems, n, N <= 3,
-    plus the zero system, where every block of most builders ties at the
-    all-identity point."""
+    plus the zero system."""
     rng = np.random.default_rng(11)
     cases = []
     for n in (1, 2, 3):
@@ -262,18 +261,10 @@ def _block_values(problem, witness):
     return np.array(vals)
 
 
-def _reference_f_and_grad(comp, x):
-    """Block-by-block evaluation: the first block attaining the maximum wins."""
-    worst, grad = -np.inf, None
-    for k, (g, j) in enumerate(comp.where):
-        m, _, M = comp.groups[g]
-        Mk = M[j * m * m : (j + 1) * m * m]
-        B = (Mk @ x).reshape(m, m)
-        w, V = np.linalg.eigh(0.5 * (B + B.T))
-        if w[-1] > worst:
-            worst, u = float(w[-1]), V[:, -1]
-            grad = Mk.T @ np.outer(u, u).reshape(-1)
-    return worst, grad
+def _on_slice(comp, y):
+    """The projection of y onto the normalization slice a.x = 1."""
+    a = comp.trace_vec
+    return y - a * ((a @ y - 1.0) / (a @ a))
 
 
 def test_kernel_matches_block_evaluation(kernel_cases):
@@ -281,48 +272,29 @@ def test_kernel_matches_block_evaluation(kernel_cases):
     for name, problem in kernel_cases:
         comp = _Compiled(problem)
         for _ in range(3):
-            x = comp.project(rng.standard_normal(comp.nx))
+            x = _on_slice(comp, rng.standard_normal(comp.nx))
             vals = _block_values(problem, comp.to_witness(x))
             scale = max(1.0, np.abs(vals).max())
-            f, g = comp.f_and_grad(x)
             assert abs(comp.f_only(x) - vals.max()) <= 1e-12 * scale, name
-            assert abs(f - vals.max()) <= 1e-12 * scale, name
-            # subgradient inequality f(y) >= f(x) + g.(y - x)
+            # the eigenvector rows at x are minorants of f, tight at x
+            rows = comp.eig_rows(x)
+            assert abs((rows @ x).max() - vals.max()) <= 1e-10 * scale, name
             for _ in range(3):
                 y = x + rng.standard_normal(comp.nx)
-                assert comp.f_only(y) >= f + g @ (y - x) - 1e-10 * scale, name
+                assert (rows @ y).max() <= comp.f_only(y) + 1e-10 * scale, name
 
 
-def test_kernel_tie_goes_to_lowest_block(kernel_cases):
-    ties = 0
-    for name, problem in kernel_cases:
-        comp = _Compiled(problem)
-        a = comp.trace_vec
-        x = a / (a @ a)  # every PD variable the same multiple of the identity
-        vals = _block_values(problem, comp.to_witness(x))
-        npd = sum(v.require_pd for v in problem.variables)
-        assert np.all(vals[-npd:] == vals[-1]), name  # the -V blocks tie exactly
-        ties += np.sum(vals == vals.max()) > 1
-        # a different tied block would move the gradient onto other variables
-        f, g = comp.f_and_grad(x)
-        f_ref, g_ref = _reference_f_and_grad(comp, x)
-        scale = max(1.0, np.abs(vals).max())
-        assert abs(f - f_ref) <= 1e-12 * scale, name
-        np.testing.assert_allclose(g, g_ref, rtol=0, atol=1e-12 * scale, err_msg=name)
-    assert ties > 10  # the zero systems tie declared and -V blocks
-
-
-# -- early exits: the settling depth and the cut bound -----------------------
+# -- early exits: the settling depth, the duality gap and the proof LP --------
 
 
 def _count_lps(monkeypatch):
     """Route lmi_core's LP binding through a recorder; returns the list of
-    calls, each "proof" (free variables) or "polish" (boxed variables)."""
+    calls, each "proof" (free variables) or "boxed"."""
     calls = []
     real = lmi_core.linprog
 
     def spy(*args, **kwargs):
-        calls.append("proof" if kwargs["bounds"] == (None, None) else "polish")
+        calls.append("proof" if kwargs["bounds"] == (None, None) else "boxed")
         return real(*args, **kwargs)
 
     monkeypatch.setattr(lmi_core, "linprog", spy)
@@ -330,7 +302,7 @@ def _count_lps(monkeypatch):
 
 
 def test_cut_bound_settles_infeasible_probe_in_one_restart(monkeypatch):
-    # proven by the first scheduled bound, 64 iterations into the run
+    # the gap excludes a witness after a few centrings, and one LP proves it
     calls = _count_lps(monkeypatch)
     cfg = SolverConfig()
     problem = LMI_CRITERIA["th2-lmi"](benchmark_system(0.3, 3.0))
@@ -342,41 +314,47 @@ def test_cut_bound_settles_infeasible_probe_in_one_restart(monkeypatch):
 
 
 def _record_values(monkeypatch):
-    """Route _Compiled.f_and_grad through a recorder; returns its values."""
+    """Route lmi_core._worst, f at each Newton iterate, through a recorder;
+    returns its values."""
     seen = []
-    real = _Compiled.f_and_grad
+    real = lmi_core._worst
 
-    def f_and_grad(self, x):
-        f, g = real(self, x)
+    def worst(*args):
+        f = real(*args)
         seen.append(f)
-        return f, g
+        return f
 
-    monkeypatch.setattr(_Compiled, "f_and_grad", f_and_grad)
+    monkeypatch.setattr(lmi_core, "_worst", worst)
     return seen
 
 
-@pytest.mark.parametrize("criterion", ["amc", "th2-lmi"])  # ends in the polish / in the run
+@pytest.mark.parametrize("criterion", ["amc", "th2-lmi"])
 def test_cold_solve_stops_at_settling_depth(monkeypatch, criterion):
+    # one value per Newton step; the run ends at the first iterate that
+    # reaches the settling depth
     seen = _record_values(monkeypatch)
     cfg = SolverConfig()
     problem = replace(LMI_CRITERIA[criterion](benchmark_system(0.3, 0.04)), starts=())
     rep = solve_feasibility(problem, cfg)
     clear_feas = -10 * cfg.eps_feas
     assert rep.feasible and rep.restarts == 1
+    assert len(seen) == rep.iterations
     assert seen[-1] <= clear_feas
     assert all(f > clear_feas for f in seen[:-1])
+    assert abs(rep.lambda_star - seen[-1]) <= 1e-12
 
 
-def test_polish_stops_on_infimum_zero_problem(monkeypatch):
+def test_infimum_zero_problem_ends_without_bound(monkeypatch):
     # tau * A has eigenvalues sqrt(2) and 0.3: N rho = 2, and the infimum of
-    # f is exactly 0, so neither the cut bound nor a witness can settle it
+    # f is exactly 0, so neither the proof LP nor a witness can settle it;
+    # the run ends once the duality gap excludes a witness
     calls = _count_lps(monkeypatch)
     A = np.array([[np.sqrt(2.0), 0.7], [0.0, 0.3]])
     sys = validate_system(IdsSystem(A=(A,), tau=(1.0,)))
     cfg = SolverConfig()
     rep = solve_feasibility(LMI_CRITERIA["single"](sys), cfg)
     assert rep.status == "not_found" and rep.lower_bound is None
-    assert 0 < calls.count("polish") < 50 < lmi_core._POLISH_ITERS
+    assert len(calls) <= 1
 
 
 def test_restarts_field_tells_start_hits_from_runs():
@@ -390,45 +368,34 @@ def test_restarts_field_tells_start_hits_from_runs():
     assert cold.feasible and cold.restarts == 1
 
 
-def test_polish_stops_at_settling_depth(monkeypatch):
-    # a near-boundary probe of the 0.3 / th2-lmi margin chain: its polish
-    # must stop at the settling depth, well before _POLISH_ITERS LPs; the
-    # evaluation that reaches it solves no LP
-    calls = _count_lps(monkeypatch)
-    seen, depth = [], []
-    real_polish, real_fg = lmi_core._polish, _Compiled.f_and_grad
-
-    def polish(*args):
-        depth.append(1)
-        try:
-            return real_polish(*args)
-        finally:
-            depth.pop()
-
-    def f_and_grad(self, x):
-        f, g = real_fg(self, x)
-        if depth:
-            seen.append(f)
-        return f, g
-
-    monkeypatch.setattr(lmi_core, "_polish", polish)
-    monkeypatch.setattr(_Compiled, "f_and_grad", f_and_grad)
-    cfg = SolverConfig()
-    rep = solve_feasibility(LMI_CRITERIA["th2-lmi"](benchmark_system(0.3, 0.11435)), cfg)
-    clear_feas = -10 * cfg.eps_feas
-    assert rep.feasible and rep.lower_bound is None
-    assert seen and seen[-1] <= clear_feas
-    assert all(f > clear_feas for f in seen[:-1])
-    assert calls.count("polish") == len(seen) - 1 < lmi_core._POLISH_ITERS
-
-
-def test_both_lp_kinds_reach_the_module_binding(monkeypatch):
-    # the proof and the polish must call lmi_core.linprog by its module
-    # name, so that patching it (as tracing does) sees every LP
+def test_proof_lp_reaches_the_module_binding(monkeypatch):
+    # the proof LP must call lmi_core.linprog by its module name, so that
+    # patching it (as tracing does) sees every LP
     calls = _count_lps(monkeypatch)
     solve_feasibility(LMI_CRITERIA["th2-lmi"](benchmark_system(0.3, 3.0)))
-    solve_feasibility(LMI_CRITERIA["th2-lmi"](benchmark_system(0.3, 0.11435)))
-    assert "proof" in calls and "polish" in calls
+    assert calls == ["proof"]
+
+
+def test_cold_amc_near_the_margin_is_feasible():
+    # 5e-6 inside the exact margin 0.0474051, with no warm start
+    problem = replace(LMI_CRITERIA["amc"](benchmark_system(0.3, 0.0474)), starts=())
+    assert solve_feasibility(problem).feasible
+
+
+def test_variable_no_block_uses_still_gets_a_verdict():
+    # the unused variable leaves the Newton system singular
+    p = scalar_problem(1.0, 0.9)
+    p = replace(p, variables=p.variables + (MatrixVariable("G", 2, kind="general"),))
+    rep = solve_feasibility(p)
+    assert rep.status == "feasible"
+    assert check_witness(p, rep.witness, tol=SolverConfig().eps_feas / 2)
+
+
+def test_cold_integral_solves_take_few_newton_steps():
+    for sys in random_corpus(2024, 100):
+        for name in ("amc", "th2-coupled", "single", "th1", "th2-lmi"):
+            rep = solve_feasibility(replace(LMI_CRITERIA[name](sys), starts=()))
+            assert rep.iterations <= 100, name
 
 
 @pytest.fixture(scope="module")
@@ -457,12 +424,10 @@ def stable_problems():
 
 def test_cut_bound_never_fires_on_feasible_problems(stable_problems, monkeypatch):
     # short runs end before a negative value is found, so the bound is
-    # tried on few and poorly placed rows; the polish cannot change
-    # lower_bound, so it is switched off to save time
+    # tried on few and poorly placed rows
     calls = _count_lps(monkeypatch)
-    monkeypatch.setattr(lmi_core, "_POLISH_ITERS", 0)
     for name, problem, _ in stable_problems:
-        for max_iters in (2, 20, 64, 128, 200, 256):
+        for max_iters in (1, 2, 5, 10, 20, 40):
             cfg = SolverConfig(max_iters=max_iters)
             assert solve_feasibility(problem, cfg).lower_bound is None, name
     assert calls.count("proof") > 50
@@ -474,8 +439,8 @@ def test_cut_bound_helper_is_sound_at_arbitrary_points(stable_problems, data):
     name, problem, witness = data.draw(st.sampled_from(stable_problems))
     rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
     comp = _Compiled(problem)
-    points = [comp.project(rng.standard_normal(comp.nx)) for _ in range(data.draw(st.integers(1, 4)))]
-    rows = np.vstack([comp.f_and_grad(x)[1] for x in points] + [comp.eig_rows(x) for x in points])
+    points = [_on_slice(comp, rng.standard_normal(comp.nx)) for _ in range(data.draw(st.integers(1, 4)))]
+    rows = np.vstack([comp.eig_rows(x) for x in points])
     cfg = SolverConfig()
     assert _prove_no_witness(comp, rows, cfg) is None, name
     # with no margin the helper returns t* whenever the LP is bounded; it
