@@ -13,12 +13,13 @@ over the affine slice trace(sum of PD variables) = 1 (homogeneity makes the
 normalization lossless), that is by max t s.t. B_k(x) + t I < 0 for every
 block.  One path-following barrier run solves it (Vandenberghe & Boyd,
 SIAM Review 1996): damped Newton steps on -s t - sum log det(-B_k - t I)
-over a null-space basis of the slice, with s growing tenfold per centring.
-At a centre, theta / s (theta the sum of the block dimensions) bounds the
-distance of t to its optimum, so the run stops once f <= -10 * eps_feas
-(a depth that settles the verdict), once no witness can reach -eps_feas,
-or once the gap has closed.  A negative certificate is "feasible",
-anything else is "not_found".  Because every block is linear, each
+over a null-space basis of the slice (within a ball around the start when
+a variable is not required PD), with s growing tenfold per centring.  At a
+centre, theta / s (theta the barrier parameter) bounds the distance of t
+to its optimum, so the run stops once f <= -10 * eps_feas (a depth that
+settles the verdict), once no witness can reach -eps_feas, or once the gap
+has closed.  A negative certificate is "feasible", anything else is
+"not_found".  Because every block is linear, each
 eigenvector row h = (u kron u)^T M_k satisfies h.x <= f(x) everywhere, and
 Kelley's cutting-plane LP over the rows of the last centres bounds f from
 below on the slice: when a run ends without a value below 10 * eps_feas
@@ -51,10 +52,13 @@ __all__ = [
 
 # the barrier weight s grows by _GROWTH after each centring; a centring ends
 # once the squared Newton decrement is below _CENTRED; the proof LP uses the
-# eigenvector rows of the last _PROOF_CENTRES centres
+# eigenvector rows of the last _PROOF_CENTRES centres; a problem with a
+# variable that is not required PD keeps the run within distance _RADIUS of
+# its start on the slice
 _GROWTH = 10.0
 _CENTRED = 1e-6
 _PROOF_CENTRES = 3
+_RADIUS = 1e3
 
 
 class ProblemError(ValueError):
@@ -391,7 +395,11 @@ class _Barrier:
     space), in the variables w = (z, t).
 
     The slack S_k(w) = -B_k(x) - t I of each group is affine, C + G w; the
-    barrier is -s t - sum log det S_k.
+    barrier is -s t - sum log det S_k.  A direction that widens every slack
+    sends it to -inf, and then no centre exists (th1's R = v v^T when every
+    A_i has the left null vector v).  Such a direction moves only variables
+    without require_pd, as the trace pins the PD ones, so problems with such
+    a variable add -log(_RADIUS^2 - |z|^2): the run stays in a ball.
     """
 
     def __init__(self, comp: _Compiled, x0: np.ndarray):
@@ -402,7 +410,8 @@ class _Barrier:
             (m, K, -(M @ x0), -np.hstack((M @ self.Z, np.tile(np.eye(m).ravel(), K)[:, None])))
             for m, K, M in comp.groups
         ]
-        self.theta = sum(m * K for m, K, _, _ in self.groups)  # sum of block dimensions
+        self.ball = not all(v.require_pd for v in comp.problem.variables)
+        self.theta = sum(m * K for m, K, _, _ in self.groups) + self.ball  # the ball adds 1
 
     def x(self, w: np.ndarray) -> np.ndarray:
         return self.x0 + self.Z @ w[:-1]
@@ -411,15 +420,20 @@ class _Barrier:
         """eigh of every slack, one batched call per block size."""
         return [np.linalg.eigh((C + G @ w).reshape(K, m, m)) for m, K, C, G in self.groups]
 
-    def newton(self, spectra: list, s: float) -> tuple[np.ndarray, np.ndarray]:
-        """(gradient, Newton step) of the barrier at weight s.  The Hessian
-        is sum T^T T with T = (S^-1/2 kron S^-1/2) G, whose columns
-        W^T G_p W (W = U diag(lam)^-1/2) also give the gradient
+    def newton(self, w: np.ndarray, spectra: list, s: float) -> tuple[np.ndarray, np.ndarray]:
+        """(gradient, Newton step) of the barrier at w and weight s.  The
+        slacks' Hessian is sum T^T T with T = (S^-1/2 kron S^-1/2) G, whose
+        columns W^T G_p W (W = U diag(lam)^-1/2) also give the gradient
         -tr(S^-1 G_p) on their diagonals."""
         nw = self.nw
         g = np.zeros(nw)
         g[-1] = -s
         H = np.zeros((nw, nw))
+        if self.ball:
+            z = w[:-1]
+            room = _RADIUS**2 - z @ z
+            g[:-1] = 2.0 * z / room
+            H[:-1, :-1] = (2.0 / room) * np.eye(nw - 1) + (4.0 / room**2) * np.outer(z, z)
         for (m, K, _, G), (lam, U) in zip(self.groups, spectra):
             W = U / np.sqrt(lam)[:, None, :]
             T = (W.transpose(0, 2, 1) @ G.reshape(K, m, m * nw)).reshape(K, m, m, nw)
@@ -428,13 +442,15 @@ class _Barrier:
             T = T.transpose(0, 1, 3, 2).reshape(-1, nw)
             H += T.T @ T
         # least squares: a variable that no block uses leaves H singular
+        # (or, under the ball, singular to working precision)
         return g, np.linalg.lstsq(H, -g, rcond=None)[0]
 
-
-def _value(w: np.ndarray, spectra: list, s: float) -> float:
-    """The barrier at weight s, or inf outside its domain."""
-    lam = np.concatenate([l.ravel() for l, _ in spectra])
-    return -s * w[-1] - float(np.log(lam).sum()) if lam.min() > 0.0 else np.inf
+    def value(self, w: np.ndarray, spectra: list, s: float) -> float:
+        """The barrier at weight s, or inf outside its domain."""
+        lam = np.concatenate([l.ravel() for l, _ in spectra])
+        room = _RADIUS**2 - w[:-1] @ w[:-1] if self.ball else 1.0
+        ok = lam.min() > 0.0 and room > 0.0
+        return -s * w[-1] - float(np.log(lam).sum() + np.log(room)) if ok else np.inf
 
 
 def _worst(w: np.ndarray, spectra: list) -> float:
@@ -446,20 +462,21 @@ def _barrier_run(comp: _Compiled, x0: np.ndarray, f0: float, cfg: SolverConfig):
     """Path following from (x0, t0 = -f(x0) - 1): damped Newton steps with
     Armijo backtracking centre the barrier, and s grows by _GROWTH after
     each centring.  At a centre, t* <= t + theta / s (theta the sum of the
-    block dimensions).  Returns the least f seen, its point, the Newton
-    steps taken and the centres."""
+    block dimensions, plus 1 for the ball, whose points alone count in t*).
+    Returns the least f seen, its point, the Newton steps taken and the
+    centres."""
     bar = _Barrier(comp, x0)
     settled = -10.0 * cfg.eps_feas
     w = np.zeros(bar.nw)
     w[-1] = -f0 - 1.0
     s = 1.0
     spectra = bar.spectra(w)
-    phi = _value(w, spectra, s)
+    phi = bar.value(w, spectra, s)
     best_f, best_x = f0, x0
     steps = 0
     centres: list[np.ndarray] = []
     while best_f > settled and steps < cfg.max_iters:
-        g, dw = bar.newton(spectra, s)
+        g, dw = bar.newton(w, spectra, s)
         lam2 = float(-g @ dw)
         if lam2 < _CENTRED:
             centres.append(bar.x(w))
@@ -467,13 +484,13 @@ def _barrier_run(comp: _Compiled, x0: np.ndarray, f0: float, cfg: SolverConfig):
             if w[-1] + gap < cfg.eps_feas or gap < 0.1 * cfg.eps_feas:
                 break  # no witness reaches the threshold / the gap has closed
             s *= _GROWTH
-            phi = _value(w, spectra, s)
+            phi = bar.value(w, spectra, s)
             continue
         step = 1.0
         while step > 1e-12:
             trial = w + step * dw
             trial_spectra = bar.spectra(trial)
-            trial_phi = _value(trial, trial_spectra, s)
+            trial_phi = bar.value(trial, trial_spectra, s)
             if trial_phi <= phi - 0.25 * step * lam2:
                 break
             step *= 0.5

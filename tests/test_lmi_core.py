@@ -288,13 +288,14 @@ def test_kernel_matches_block_evaluation(kernel_cases):
 
 
 def _count_lps(monkeypatch):
-    """Route lmi_core's LP binding through a recorder; returns the list of
-    calls, each "proof" (free variables) or "boxed"."""
+    """Route lmi_core's LP binding through a recorder that checks each call
+    is the proof LP (free variables); returns the list of calls."""
     calls = []
     real = lmi_core.linprog
 
     def spy(*args, **kwargs):
-        calls.append("proof" if kwargs["bounds"] == (None, None) else "boxed")
+        assert kwargs["bounds"] == (None, None)
+        calls.append("proof")
         return real(*args, **kwargs)
 
     monkeypatch.setattr(lmi_core, "linprog", spy)
@@ -396,6 +397,19 @@ def test_cold_integral_solves_take_few_newton_steps():
         for name in ("amc", "th2-coupled", "single", "th1", "th2-lmi"):
             rep = solve_feasibility(replace(LMI_CRITERIA[name](sys), starts=()))
             assert rep.iterations <= 100, name
+
+
+@pytest.mark.parametrize("A", [[[2.0, 0.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]]])
+@pytest.mark.parametrize("tau, status", [(0.3, "feasible"), (1.0, "not_found")])
+def test_cold_th1_with_singular_a_stays_in_the_ball(A, tau, status):
+    # A has a left null vector v (the margin is tau = 0.5), so R = c v v^T
+    # widens the first block's slack and leaves the other unchanged: the
+    # barrier needs the ball to have a centre, and R stays in it
+    sys = validate_system(IdsSystem(A=(np.array(A),), tau=(tau,)))
+    rep = solve_feasibility(replace(LMI_CRITERIA["th1"](sys), starts=()))
+    assert rep.status == status
+    assert rep.iterations <= 100
+    assert np.abs(rep.witness["R"]).max() <= lmi_core._RADIUS
 
 
 @pytest.fixture(scope="module")
