@@ -76,11 +76,23 @@ def kron_operator(As, weights) -> np.ndarray:
     """The Kronecker sum sum_i w_i A_i (x) A_i.
 
     The transpose is the row-major vec matrix of T -> sum_i w_i A_i.T T A_i,
-    since A.T (x) A.T = (A (x) A).T.  Overflow is left to the caller:
+    since A.T (x) A.T = (A (x) A).T.  A term whose product A_i (x) A_i
+    overflows is formed as (sqrt(w_i) A_i) (x) (sqrt(w_i) A_i), which is
+    finite when w_i brings it back into range (entries near 1e160 at
+    tau = 1e-10); the other terms keep the unscaled product, whose digits
+    the scaling would move.  Overflow that remains is left to the caller:
     ``spectral_radius`` rejects the non-finite sum.
     """
+
+    def term(A, w):
+        AA = kron(A, A)
+        if np.isfinite(AA).all():
+            return w * AA
+        r = np.sqrt(w)
+        return kron(r * A, r * A)
+
     with np.errstate(over="ignore"):
-        return sum(w * kron(A, A) for A, w in zip(As, weights))
+        return sum(term(A, w) for A, w in zip(As, weights))
 
 
 def spectral_radius(M: np.ndarray):

@@ -3,9 +3,15 @@
 Discretization: the state grid has step h, each delay is snapped to the
 grid (tau_i -> round(tau_i/h) h, perturbation recorded), and the window
 integral uses the composite trapezoid rule.  The unknown endpoint x(t)
-enters with weight h/2, so each step is one n x n linear solve
+enters with weight h/2, so each step solves
 
-    (I - (h/2) sum_i A_i) x(t) = known quadrature of the history.
+    (I - (h/2) sum_i A_i) x(t) = known quadrature of the history,
+
+whose right-hand side is a fixed linear map of the last max(m_i) states.
+``simulate`` folds the trapezoid weights of every delay into that map and
+the solve into it once, so each step is one matrix-vector product with the
+precomputed kernel.  The residual of every step is then recomputed against
+the equation with directly summed windows.
 
 The module also fits exponential decay envelopes and evaluates the
 certificate functionals of the LMI criteria along trajectories.
@@ -17,6 +23,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import IdsSystem
 
@@ -116,8 +123,10 @@ class Trajectory:
     """Discrete solution with its history segment.
 
     ``samples[k]`` is the state at t = (k - hist_len) * h; rows up to
-    ``hist_len`` hold the initial condition, later rows satisfy the
-    discretized dynamics with relative residual at most ``max_residual``.
+    ``hist_len`` hold the initial condition.  ``max_residual`` is the largest
+    residual of a later row in the discretized equation, its windows summed
+    directly rather than taken from the step kernel, relative to
+    max(1, |x_k|).
     """
 
     h: float
@@ -152,7 +161,8 @@ def simulate(sys: IdsSystem, history: HistorySpec, h: float, T: float) -> Trajec
 
     Requires h <= min(tau_i)/8 and T >= max(tau_i).  Raises
     :class:`SimulationError` when the implicit step matrix is numerically
-    singular (halving h changes the matrix and usually cures it).
+    singular (halving h changes the matrix and usually cures it) and when
+    the solution overflows to non-finite values before T.
     """
     if h <= 0:
         raise ValueError("h must be positive")
@@ -172,24 +182,25 @@ def simulate(sys: IdsSystem, history: HistorySpec, h: float, T: float) -> Trajec
     X[: khist + 1] = phi((np.arange(khist + 1) - khist) * h)
     sup_history = float(np.max(np.linalg.norm(X[: khist + 1], axis=1)))
 
-    M = (h / 2.0) * sum(sys.A)
-    step_mat = np.eye(n) - M
+    # B[j] = sum_i w_ij A_i weighs x_{k-khist+j}; the last, x_k's, is implicit
+    B = np.einsum("ij,iab->jab", _trapezoid_weights(m, h, khist), np.asarray(sys.A))
+    step_mat = np.eye(n) - B[-1]
     if np.linalg.cond(step_mat) > 1e12:
         raise SimulationError(
             "implicit step matrix (I - (h/2) sum A_i) is numerically singular; try halving h"
         )
-    max_residual = 0.0
-    for k in range(khist + 1, khist + steps + 1):
-        r = np.zeros(n)
-        for Ai, mi in zip(sys.A, m):
-            # summed directly: a running-sum difference would keep a
-            # rounding error of eps * |running sum| that never decays with x
-            inner = X[k - mi + 1 : k].sum(axis=0)
-            r += Ai @ (h * (0.5 * X[k - mi] + inner))
-        x = np.linalg.solve(step_mat, r)
-        X[k] = x
-        res = np.linalg.norm(step_mat @ x - r)
-        max_residual = max(max_residual, res / max(1.0, np.linalg.norm(x)))
+    # one step is x_k = K [x_{k-khist}; ...; x_{k-1}]
+    K = np.linalg.solve(step_mat, B[:-1].transpose(1, 0, 2).reshape(n, -1))
+    flat = X.reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(khist + 1, khist + steps + 1):
+            np.dot(K, flat[(k - khist) * n : k * n], out=X[k])
+    bad = ~np.isfinite(X).all(axis=1)
+    if bad.any():
+        t_bad = (int(np.argmax(bad)) - khist) * h
+        raise SimulationError(
+            f"the solution overflows to non-finite values at t = {t_bad:.6g}; use T < {t_bad:.6g}"
+        )
     return Trajectory(
         h=h,
         T=steps * h,
@@ -198,8 +209,35 @@ def simulate(sys: IdsSystem, history: HistorySpec, h: float, T: float) -> Trajec
         tau_snapped=tau_snapped,
         snap_error=snap_error,
         sup_history=sup_history,
-        max_residual=max_residual,
+        max_residual=_max_residual(sys.A, m, h, X, khist + 1),
     )
+
+
+def _trapezoid_weights(m, h: float, width: int) -> np.ndarray:
+    """Composite trapezoid weights of windows of m_i steps that end at the
+    last of width + 1 grid points, one row per window: h/2 at both ends of a
+    window, h inside it and 0 before it."""
+    lag = np.arange(width, -1, -1)  # steps back from the last point
+    m = np.asarray(m)[:, None]
+    w = np.where(lag < m, h, np.where(lag == m, h / 2.0, 0.0))
+    w[:, -1] = h / 2.0
+    return w
+
+
+def _max_residual(A, m, h: float, X: np.ndarray, first: int) -> float:
+    """Largest relative residual of the rows ``X[first:]`` in the discretized
+    equation x_k = sum_i A_i h (x_{k-m_i}/2 + sum_{0<j<m_i} x_{k-j} + x_k/2).
+
+    Each window is summed directly: a running-sum difference would keep a
+    rounding error of eps * |running sum| that never decays with x.
+    """
+    x = X[first:]
+    acc = np.zeros_like(x)
+    for Ai, mi in zip(A, m):
+        inner = sliding_window_view(X[first - mi + 1 : -1], mi - 1, axis=0).sum(axis=-1)
+        acc += (h * (0.5 * (X[first - mi : X.shape[0] - mi] + x) + inner)) @ Ai.T
+    res = np.linalg.norm(x - acc, axis=1) / np.maximum(1.0, np.linalg.norm(x, axis=1))
+    return float(res.max(initial=0.0))
 
 
 def make_compatible(sys: IdsSystem, history: HistorySpec, quad_points: int = 8192) -> HistorySpec:
@@ -257,15 +295,6 @@ def estimate_decay(traj: Trajectory) -> tuple[float, float] | None:
     return fit
 
 
-def _window_quad(traj: Trajectory, k_end: int, mi: int, M: np.ndarray, weight) -> float:
-    """Trapezoid of weight(s) * x(t+s).T M x(t+s) over s in [-mi*h, 0]."""
-    vals = traj.samples[k_end - mi : k_end + 1]
-    q = np.einsum("ki,ij,kj->k", vals, M, vals)
-    s = (np.arange(mi + 1) - mi) * traj.h
-    f = q if weight is None else weight(s) * q
-    return float(np.trapezoid(f, dx=traj.h))
-
-
 def eval_functional(
     sys: IdsSystem, traj: Trajectory, which: str, witness: dict, t: float
 ) -> float:
@@ -279,51 +308,56 @@ def eval_functional(
             V = eps * sum_i int_{t-tau_i}^t x.T R_i x
             + sum_i int (s+tau_i) x.T (tau_i A_i.T Q_i^-1 A_i + delta I) x.
 
-    Snapped delays are used throughout so V is consistent with the
-    discretized dynamics; t must lie on the grid in [0, T - max(tau)].
+    Every term is a trapezoid integral of weight(s) * x(t+s).T M x(t+s) over
+    its window; all terms are one stacked quadratic form on the longest
+    window, dotted with trapezoid-times-weight coefficients that vanish
+    outside each term's own window.  Snapped delays are used throughout so V
+    is consistent with the discretized dynamics; t must lie on the grid in
+    [0, T - max(tau)].
     """
     taus = traj.tau_snapped
     tau = max(taus)
     if t < -1e-12 or t > traj.T - tau + 1e-12:
         raise ValueError(f"t={t} outside [0, T - tau] = [0, {traj.T - tau:.6g}]")
     k = traj.index_of(t)
-    m = [int(round(ti / traj.h)) for ti in taus]
+    h = traj.h
+    m = [int(round(ti / h)) for ti in taus]
     mmax = max(m)
-    n = traj.n
+    n, N = traj.n, len(taus)
 
-    def dim_checked(M, what) -> np.ndarray:
-        M = np.asarray(M, dtype=float)
-        if M.shape != (n, n):
-            raise ValueError(f"{what} has shape {M.shape}, expected ({n}, {n})")
-        return M
+    def checked(Ms, what, count) -> np.ndarray:
+        Ms = [np.asarray(M, dtype=float) for M in Ms]
+        for M in Ms:
+            if M.shape != (n, n):
+                raise ValueError(f"{what} has shape {M.shape}, expected ({n}, {n})")
+        if len(Ms) != count:
+            raise ValueError(f"expected {count} matrices {what}, got {len(Ms)}")
+        return np.array(Ms)
 
+    # term j: matrix mats[j] on a window of win[j] steps, weight a[j] + b[j] s
     if which == "amc":
-        P = dim_checked(witness["P"], "P")
-        Qs = [dim_checked(Qi, "Q_i") for Qi in witness["Q"]]
-        V = _window_quad(traj, k, mmax, P, None)
-        for Qi, mi, ti in zip(Qs, m, taus):
-            V += _window_quad(traj, k, mi, Qi, lambda s, ti=ti: s + ti)
-        return V
-    if which == "th1":
-        P = dim_checked(witness["P"], "P")
-        Ss = [dim_checked(Si, "S_i") for Si in witness["S"]]
-        V = _window_quad(traj, k, mmax, P, None)
-        for Si, mi, ti in zip(Ss, m, taus):
-            V += _window_quad(traj, k, mi, Si, lambda s, ti=ti: s / ti + 1.0)
-        return V
-    if which == "th2":
-        Rs = [dim_checked(Ri, "R_i") for Ri in witness["R"]]
-        Qs = [dim_checked(Qi, "Q_i") for Qi in witness["Q"]]
-        delta = float(witness["delta"])
-        eps = float(witness["eps"])
-        V = 0.0
-        for Ri, mi in zip(Rs, m):
-            V += eps * _window_quad(traj, k, mi, Ri, None)
-        for Ai, Qi, mi, ti in zip(sys.A, Qs, m, taus):
-            W = ti * Ai.T @ np.linalg.inv(Qi) @ Ai + delta * np.eye(n)
-            V += _window_quad(traj, k, mi, W, lambda s, ti=ti: s + ti)
-        return V
-    raise ValueError(f"unknown functional {which!r}; expected amc, th1, or th2")
+        mats = checked([witness["P"], *witness["Q"]], "P, Q_i", N + 1)
+        win, a, b = [mmax, *m], [1.0, *taus], [0.0] + [1.0] * N
+    elif which == "th1":
+        mats = checked([witness["P"], *witness["S"]], "P, S_i", N + 1)
+        win, a, b = [mmax, *m], [1.0] * (N + 1), [0.0] + [1.0 / ti for ti in taus]
+    elif which == "th2":
+        Rs = checked(witness["R"], "R_i", N)
+        Qs = checked(witness["Q"], "Q_i", N)
+        As = np.asarray(sys.A)
+        W = np.asarray(taus)[:, None, None] * np.swapaxes(As, 1, 2) @ np.linalg.inv(Qs) @ As
+        W.reshape(N, n * n)[:, :: n + 1] += float(witness["delta"])  # W_i + delta I
+        mats = np.concatenate([Rs, W])
+        win, a, b = m + m, [float(witness["eps"])] * N + list(taus), [0.0] * N + [1.0] * N
+    else:
+        raise ValueError(f"unknown functional {which!r}; expected amc, th1, or th2")
+
+    a, b = np.array([a, b])[:, :, None]
+    coef = _trapezoid_weights(win, h, mmax) * (a + b * ((np.arange(mmax + 1) - mmax) * h))
+    # sum_k coef[j, k] x_k.T M_j x_k as <M_j, sum_k coef[j, k] x_k x_k.T>
+    vals = traj.samples[k - mmax : k + 1]
+    gram = coef @ (vals[:, :, None] * vals[:, None, :]).reshape(mmax + 1, n * n)
+    return float(np.vdot(mats, gram))
 
 
 def export_csv(traj: Trajectory, fh, decay: tuple[float, float] | None = None) -> None:

@@ -2,6 +2,7 @@
 (bench/layers.py).  A renamed or deleted wrap target would crash every
 traced benchmark run; these tests fail first."""
 
+import math
 import os
 
 import numpy as np
@@ -69,3 +70,26 @@ def test_each_builder_call_is_one_traced_build(layers):
     finally:
         tr.restore()
     assert [s.name for s in tr.spans].count(layers.BUILD) == len(systems)
+
+
+def test_one_trajectory_is_one_simulate_span_and_one_span_per_functional_time(layers):
+    # a helper that called the wrapped names would count its steps or
+    # functional evaluations twice
+    import workloads
+
+    sys = validate_system(model.benchmark_system(0.3, 0.05))
+    rep = lmi_core.solve_feasibility(criteria_lmi.build_th2_lmi(sys))
+    Qs = [rep.witness[f"Q{i + 1}"] for i in range(sys.N)]
+    params = criteria_lmi.th2_functional_params(sys, Qs)
+    tr = layers.install()
+    try:
+        _, failure = workloads.one_trajectory(sys, 1, params, Qs)
+    finally:
+        tr.restore()
+    assert failure is None
+    sims = [s for s in tr.spans if s.name == layers.SIMULATE]
+    assert len(sims) == 1
+    assert sims[0].attrs["steps"] == math.ceil(workloads.SIM_T / workloads.SIM_H)
+    # functional times 0, 0.05, ... below T - max(tau) = 14.7
+    times = np.round(np.arange(0.0, workloads.SIM_T - 0.3, workloads.FUNC_DT), 10)
+    assert [s.name for s in tr.spans].count(layers.FUNCTIONAL) == times.size

@@ -305,6 +305,21 @@ def test_check_overflowing_kron_sum_is_numerical_failure(tmp_path, capsys):
     _assert_numerical_failure(main(["check", "--system", path, "--method", "spectral"]), capsys)
 
 
+def test_check_kron_term_scaled_by_its_weight_gives_a_verdict(tmp_path, capsys):
+    # A (x) A overflows at 1e320, (tau A) (x) (tau A) is 1e300
+    path = _system_file(tmp_path, (np.array([[1e160, 0.0], [0.0, 1.0]]),), (1e-10,))
+    assert main(["check", "--system", path, "--method", "spectral"]) == 1
+    captured = capsys.readouterr()
+    assert "rho = 1e+300" in captured.out and "verdict: fail" in captured.out
+    assert captured.err == ""
+
+
+def test_simulate_divergence_is_numerical_failure(tmp_path, capsys):
+    path = _system_file(tmp_path, (np.array([[10.0]]),), (0.5,))
+    code = main(["simulate", "--system", path, "--h", "0.01", "--T", "400", "--history", "constant:1"])
+    _assert_numerical_failure(code, capsys)
+
+
 def test_check_eig_nonconvergence_is_numerical_failure(bench_file, capsys, monkeypatch):
     def no_convergence(M):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from ids_stability.simulator import (
     HistorySpec,
     SimulationError,
     Trajectory,
+    _max_residual,
     estimate_decay,
     eval_functional,
     export_csv,
@@ -47,6 +49,13 @@ def test_singular_step_matrix_reports():
     sys = _scalar(20.0, 0.8)
     with pytest.raises(SimulationError, match="halving h"):
         simulate(sys, HistorySpec.constant([1.0]), h=0.1, T=2.0)
+
+
+def test_divergent_solution_is_a_simulation_error():
+    # growth rate about 10: the samples overflow long before T = 400; numpy's
+    # overflow warnings are errors under this suite's warning filter
+    with pytest.raises(SimulationError, match="non-finite"):
+        simulate(_scalar(10.0, 0.5), HistorySpec.constant([1.0]), h=0.01, T=400.0)
 
 
 def test_delay_snapping_reported():
@@ -297,3 +306,129 @@ def test_decay_rate_matches_rightmost_root(tau, beta):
     traj = simulate(sys, make_compatible(sys, HistorySpec.random_smooth(3)), h=0.005, T=30.0)
     _, fitted = estimate_decay(traj)
     assert abs(fitted - beta) <= 0.01 * beta
+
+
+# -- reference implementations: the per-step loop and per-term quadrature ------
+
+
+def _reference_simulate(sys, history, h, T):
+    """One window sum, matvec and n x n solve per delay and step."""
+    n = sys.n
+    m = [int(round(t / h)) for t in sys.tau]
+    tau_snapped = tuple(mi * h for mi in m)
+    snap_error = max(abs(ts - t) for ts, t in zip(tau_snapped, sys.tau))
+    khist = max(m)
+    steps = int(math.ceil(T / h - 1e-9))
+    phi = history.as_callable(n, sys.tau_max)
+    X = np.zeros((khist + steps + 1, n))
+    X[: khist + 1] = phi((np.arange(khist + 1) - khist) * h)
+    step_mat = np.eye(n) - (h / 2.0) * sum(sys.A)
+    for k in range(khist + 1, khist + steps + 1):
+        r = np.zeros(n)
+        for Ai, mi in zip(sys.A, m):
+            r += Ai @ (h * (0.5 * X[k - mi] + X[k - mi + 1 : k].sum(axis=0)))
+        X[k] = np.linalg.solve(step_mat, r)
+    return Trajectory(
+        h=h,
+        T=steps * h,
+        samples=X,
+        hist_len=khist,
+        tau_snapped=tau_snapped,
+        snap_error=snap_error,
+        sup_history=float(np.max(np.linalg.norm(X[: khist + 1], axis=1))),
+        max_residual=0.0,
+    )
+
+
+def _reference_functional(sys, traj, which, witness, t):
+    """Each term its own np.trapezoid over its own window."""
+    k = traj.index_of(t)
+    m = [int(round(ti / traj.h)) for ti in traj.tau_snapped]
+
+    def quad(M, mi, weight=None):
+        vals = traj.samples[k - mi : k + 1]
+        q = np.einsum("ki,ij,kj->k", vals, M, vals)
+        s = (np.arange(mi + 1) - mi) * traj.h
+        return float(np.trapezoid(q if weight is None else weight(s) * q, dx=traj.h))
+
+    taus = traj.tau_snapped
+    if which == "th2":
+        V = sum(witness["eps"] * quad(Ri, mi) for Ri, mi in zip(witness["R"], m))
+        for Ai, Qi, mi, ti in zip(sys.A, witness["Q"], m, taus):
+            W = ti * Ai.T @ np.linalg.inv(Qi) @ Ai + witness["delta"] * np.eye(sys.n)
+            V += quad(W, mi, lambda s, ti=ti: s + ti)
+        return V
+    key, weight = {"amc": ("Q", lambda s, ti: s + ti), "th1": ("S", lambda s, ti: s / ti + 1.0)}[which]
+    V = quad(witness["P"], max(m))
+    for Mi, mi, ti in zip(witness[key], m, taus):
+        V += quad(Mi, mi, lambda s, ti=ti: weight(s, ti))
+    return V
+
+
+# N = 1: a snapped delay (20.5 steps); N = 2: a snapped delay; N = 3: two
+# delays that snap to the same m = 10
+_TAUS = {1: (0.205,), 2: (0.3, 0.1004), 3: (0.3, 0.1, 0.1004)}
+_SHAPES = list(itertools.product((1, 2, 3), (1, 2, 3)))
+
+
+def _random_system(n, N):
+    rng = np.random.default_rng(10 * n + N)
+    A = tuple(rng.standard_normal((n, n)) for _ in range(N))
+    return validate_system(IdsSystem(A=A, tau=_TAUS[N]))
+
+
+def _spd(rng, n):
+    B = rng.standard_normal((n, n))
+    return B @ B.T + n * np.eye(n)
+
+
+@pytest.mark.parametrize("n, N", _SHAPES)
+def test_simulate_matches_reference_loop(n, N):
+    sys = _random_system(n, N)
+    hist = HistorySpec.random_smooth(n + N)
+    got = simulate(sys, hist, h=0.01, T=3.0)
+    ref = _reference_simulate(sys, hist, h=0.01, T=3.0)
+    assert (got.hist_len, got.tau_snapped, got.snap_error) == (
+        ref.hist_len,
+        ref.tau_snapped,
+        ref.snap_error,
+    )
+    assert (got.T, got.sup_history) == (ref.T, ref.sup_history)
+    assert got.samples.shape == ref.samples.shape
+    err = np.max(np.abs(got.samples - ref.samples))
+    assert err <= 1e-12 * np.max(np.abs(ref.samples))
+    assert got.max_residual <= 1e-12
+    assert ref.snap_error > 0 and len(set(ref.tau_snapped)) == min(N, 2)
+
+
+@pytest.mark.parametrize("n, N", _SHAPES)
+def test_functional_matches_per_term_quadrature(n, N):
+    sys = _random_system(n, N)
+    traj = simulate(sys, HistorySpec.random_smooth(n + N), h=0.01, T=3.0)
+    rng = np.random.default_rng(n * N)
+    witnesses = {
+        "amc": {"P": _spd(rng, n), "Q": [_spd(rng, n) for _ in range(N)]},
+        "th1": {"P": _spd(rng, n), "S": [_spd(rng, n) for _ in range(N)]},
+        "th2": {
+            "R": [_spd(rng, n) for _ in range(N)],
+            "Q": [_spd(rng, n) for _ in range(N)],
+            "delta": 0.3,
+            "eps": 0.7,
+        },
+    }
+    for which, w in witnesses.items():
+        for t in (0.0, 0.37, 2.4):
+            got = eval_functional(sys, traj, which, w, t)
+            ref = _reference_functional(sys, traj, which, w, t)
+            assert abs(got - ref) <= 1e-12 * abs(ref), (which, t)
+
+
+def test_residual_checks_the_equation_not_the_solve():
+    sys = benchmark_system(0.3, 0.11)
+    traj = simulate(sys, HistorySpec.random_smooth(2), h=0.01, T=3.0)
+    m = [int(round(t / traj.h)) for t in traj.tau_snapped]
+    first = traj.hist_len + 1
+    assert _max_residual(sys.A, m, traj.h, traj.samples, first) <= 1e-12
+    bent = traj.samples.copy()
+    bent[first + 100] += 1e-6
+    assert _max_residual(sys.A, m, traj.h, bent, first) >= 1e-8
