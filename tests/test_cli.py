@@ -320,6 +320,13 @@ def test_simulate_divergence_is_numerical_failure(tmp_path, capsys):
     _assert_numerical_failure(code, capsys)
 
 
+def test_simulate_norm_overflow_is_numerical_failure(tmp_path, capsys):
+    # finite samples whose squared norms overflow
+    path = _system_file(tmp_path, (np.array([[3.0]]),), (0.5,))
+    code = main(["simulate", "--system", path, "--h", "0.01", "--T", "400", "--history", "constant:1"])
+    _assert_numerical_failure(code, capsys)
+
+
 def test_check_eig_nonconvergence_is_numerical_failure(bench_file, capsys, monkeypatch):
     def no_convergence(M):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

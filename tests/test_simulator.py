@@ -10,6 +10,7 @@ from ids_stability.criteria_lmi import th2_functional_params
 from ids_stability.lmi_core import solve_feasibility
 from ids_stability.criteria_lmi import build_amc, build_th2_lmi
 from ids_stability.model import IdsSystem, benchmark_system, validate_system
+from ids_stability import simulator as simulator_module
 from ids_stability.simulator import (
     HistorySpec,
     SimulationError,
@@ -56,6 +57,14 @@ def test_divergent_solution_is_a_simulation_error():
     # overflow warnings are errors under this suite's warning filter
     with pytest.raises(SimulationError, match="non-finite"):
         simulate(_scalar(10.0, 0.5), HistorySpec.constant([1.0]), h=0.01, T=400.0)
+
+
+def test_growth_past_the_norm_range_is_a_simulation_error():
+    # growth rate about 3: the samples stay finite (up to 7.5e303) but their
+    # squared norms overflow, which would leave a NaN residual and an
+    # infinite decay rate
+    with pytest.raises(SimulationError, match=r"overflows to non-finite values at t = "):
+        simulate(_scalar(3.0, 0.5), HistorySpec.constant([1.0]), h=0.01, T=400.0)
 
 
 def test_delay_snapping_reported():
@@ -382,12 +391,9 @@ def _spd(rng, n):
     return B @ B.T + n * np.eye(n)
 
 
-@pytest.mark.parametrize("n, N", _SHAPES)
-def test_simulate_matches_reference_loop(n, N):
-    sys = _random_system(n, N)
-    hist = HistorySpec.random_smooth(n + N)
-    got = simulate(sys, hist, h=0.01, T=3.0)
-    ref = _reference_simulate(sys, hist, h=0.01, T=3.0)
+def _assert_matches_reference(sys, hist, h, T):
+    got = simulate(sys, hist, h=h, T=T)
+    ref = _reference_simulate(sys, hist, h=h, T=T)
     assert (got.hist_len, got.tau_snapped, got.snap_error) == (
         ref.hist_len,
         ref.tau_snapped,
@@ -398,7 +404,65 @@ def test_simulate_matches_reference_loop(n, N):
     err = np.max(np.abs(got.samples - ref.samples))
     assert err <= 1e-12 * np.max(np.abs(ref.samples))
     assert got.max_residual <= 1e-12
+    return ref
+
+
+@pytest.mark.parametrize("n, N", _SHAPES)
+def test_simulate_matches_reference_loop(n, N):
+    sys = _random_system(n, N)
+    ref = _assert_matches_reference(sys, HistorySpec.random_smooth(n + N), h=0.01, T=3.0)
     assert ref.snap_error > 0 and len(set(ref.tau_snapped)) == min(N, 2)
+
+
+def _random_2x2(*tau):
+    rng = np.random.default_rng(len(tau))
+    return validate_system(IdsSystem(A=tuple(rng.standard_normal((2, 2)) for _ in tau), tau=tau))
+
+
+# simulate advances 32 steps per kernel product (simulator._BLOCK)
+@pytest.mark.parametrize(
+    "sys, h, T",
+    [
+        (_random_2x2(0.1), 0.01, 3.0),
+        (_random_2x2(0.45, 0.2), 0.01, 3.0),
+        (_random_2x2(0.32, 0.1), 0.01, 3.2),
+        (_random_2x2(0.3, 0.1), 0.01, 3.33),
+        (_random_2x2(0.1), 0.01, 0.2),
+        (_random_2x2(0.25), 0.01, 0.32),
+        (benchmark_system(0.3, 0.3), 0.005, 15.0),
+    ],
+    ids=[
+        "khist-10-below-a-block",
+        "khist-45-above-a-block",
+        "khist-32-one-block",
+        "333-steps-not-a-multiple",
+        "20-steps-shorter-than-a-block",
+        "32-steps-one-block",
+        "benchmark-trajectory-grid",
+    ],
+)
+def test_simulate_matches_reference_across_block_boundaries(sys, h, T):
+    _assert_matches_reference(sys, HistorySpec.random_smooth(5), h=h, T=T)
+
+
+def test_simulate_makes_one_kernel_product_per_block(monkeypatch):
+    # a per-step loop would make one np.dot per step (3,000 here)
+    calls = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def dot(self, *args, **kwargs):
+            calls.append(1)
+            return np.dot(*args, **kwargs)
+
+    monkeypatch.setattr(simulator_module, "np", CountingNumpy())
+    sys = benchmark_system(0.3, 0.3)
+    traj = simulate(sys, HistorySpec.random_smooth(1), h=0.005, T=15.0)
+    steps = traj.samples.shape[0] - traj.hist_len - 1
+    assert steps == 3000
+    assert len(calls) <= math.ceil(steps / 32) + 2
 
 
 @pytest.mark.parametrize("n, N", _SHAPES)
