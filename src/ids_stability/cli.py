@@ -6,7 +6,8 @@ non-verdict commands), 1 = fail/not_found, 2 = usage or file errors, 3 =
 numerical failure (singular simulation step, ill-conditioned inverse,
 eigenvalue nonconvergence, overflow to non-finite values).  The environment
 variable IDS_STAB_SEED overrides the default seed of random-smooth
-histories and of selftest.  check, margin and table1 take no --seed (it
+histories and of selftest; a value that is not an integer exits with code
+2 where the default is used.  check, margin and table1 take no --seed (it
 exits with code 2): the LMI solver makes one deterministic run, and
 spectral-weighted's optimized weights need no seed.
 """
@@ -28,14 +29,10 @@ from .model import IdsSystem, ParseError, ValidationError, benchmark_system, loa
 DEFAULT_SEED = 7
 
 
-def _default_seed() -> int:
-    env = os.environ.get("IDS_STAB_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return DEFAULT_SEED
+def _default_seed() -> str:
+    """IDS_STAB_SEED, or DEFAULT_SEED when it is unset, as text: argparse
+    converts a text default only when the option is absent."""
+    return os.environ.get("IDS_STAB_SEED", str(DEFAULT_SEED))
 
 
 def _fmt(x: float) -> str:
@@ -128,7 +125,7 @@ def _parse_history(spec: str) -> simulator.HistorySpec:
             raise ValidationError("constant history needs values, e.g. constant:1,0")
         return simulator.HistorySpec.constant(vec)
     if kind == "random-smooth":
-        return simulator.HistorySpec.random_smooth(int(rest) if rest else _default_seed())
+        return simulator.HistorySpec.random_smooth(int(rest or _default_seed()))
     if kind == "sampled":
         with open(rest, "r", encoding="utf-8") as fh:
             return simulator.HistorySpec.sampled(json.load(fh))
@@ -159,7 +156,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    reports = suites.run_all(seed=args.seed, quick=True)
+    reports = suites.run_all(seed=args.seed)
     ok = True
     for rep in reports:
         for line in rep.lines():
@@ -224,7 +221,7 @@ def main(argv=None) -> int:
     except (
         simulator.SimulationError,
         IllConditionedError,
-        criteria_spectral.EigNonconvergence,
+        np.linalg.LinAlgError,
         criteria_spectral.NonFiniteError,
     ) as e:
         print(f"error: numerical failure: {e}", file=_sys.stderr)

@@ -159,19 +159,13 @@ def gap_shared_weight(omegas, Q: np.ndarray) -> float:
     inequalities:
 
         N * sum_i tau_i * int w_i.T Q w_i  minus  (sum x_i).T Q (sum x_i).
-
-    A ``None`` entry stands for a zero-length window and contributes zero to
-    both sides.
     """
-    present = [om for om in omegas if om is not None]
-    if not present:
-        return 0.0
-    n = present[0].n
+    n = omegas[0].n
     Q = _check_dim(Q, n, "Q")
     N = len(omegas)
     rhs = 0.0
     xsum = np.zeros(n)
-    for om in present:
+    for om in omegas:
         if om.n != n:
             raise ValueError("all functions must share one dimension")
         rhs += om.tau * om.quad_form_integral(Q)
@@ -180,12 +174,9 @@ def gap_shared_weight(omegas, Q: np.ndarray) -> float:
 
 
 def gap_shared_weight_budget(omegas, Q: np.ndarray) -> float:
-    present = [om for om in omegas if om is not None]
-    if not present:
-        return 0.0
     lam = float(np.linalg.eigvalsh(0.5 * (np.asarray(Q) + np.asarray(Q).T))[-1])
     N = len(omegas)
     return sum(
         10.0 * om.h**2 * om.max_norm() ** 2 * lam * N * max(om.tau, 1.0)
-        for om in present
+        for om in omegas
     )

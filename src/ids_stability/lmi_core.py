@@ -130,14 +130,13 @@ class AffineBlock:
 
     dim: int
     terms: tuple[BlockTerm, ...]
-    constant: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class LmiProblem:
     """Blocks required strictly negative definite, in the given variables.
 
-    ``starts`` are optional deterministic warm-start assignments (builders
+    ``starts`` are optional deterministic start assignments (builders
     attach closed-form candidates when the problem structure provides them);
     the best of them starts the barrier run, and they never change the
     verdict semantics.
@@ -161,6 +160,12 @@ class SolverConfig:
     max_iters: int = 5000
     eps_feas: float = 1e-7
 
+    def __post_init__(self):
+        if not (isinstance(self.max_iters, int) and self.max_iters >= 1):
+            raise ValueError(f"max_iters must be an integer >= 1 (got {self.max_iters!r})")
+        if not (np.isfinite(self.eps_feas) and self.eps_feas > 0):
+            raise ValueError(f"eps_feas must be finite and positive (got {self.eps_feas!r})")
+
 
 @dataclass(frozen=True)
 class FeasReport:
@@ -168,7 +173,7 @@ class FeasReport:
     lambda_star: float
     witness: dict
     iterations: int  # start evaluations plus Newton steps
-    restarts: int  # 0 when a warm start certified, else 1 (the run)
+    restarts: int  # 0 when a start certified, else 1 (the run)
     # a proven lower bound on f over the normalization slice (not_found only)
     lower_bound: float | None = None
 
@@ -304,8 +309,6 @@ def evaluate(problem: LmiProblem, witness: dict) -> tuple[list[np.ndarray], floa
     worst = -np.inf
     for blk in problem.blocks:
         B = np.zeros((blk.dim, blk.dim))
-        if blk.constant is not None:
-            B += np.asarray(blk.constant, dtype=float)
         for term in blk.terms:
             var = problem.variable(term.var)
             if term.var not in witness:
@@ -354,14 +357,6 @@ def check_witness(problem: LmiProblem, witness: dict, tol: float) -> bool:
         if v.require_pd and eig_min(w[v.name]) < tol:
             return False
     return True
-
-
-def _check_homogeneous(problem: LmiProblem) -> None:
-    for i, blk in enumerate(problem.blocks):
-        if blk.constant is not None and np.any(np.asarray(blk.constant) != 0.0):
-            raise ProblemError(f"block {i} has a nonzero constant part")
-    if not any(v.require_pd for v in problem.variables):
-        raise ProblemError("no positive-definite variable to normalize against")
 
 
 def _cut_lp(comp: _Compiled, rows: np.ndarray) -> float | None:
@@ -507,7 +502,7 @@ def _barrier_run(comp: _Compiled, x0: np.ndarray, f0: float, cfg: SolverConfig):
 def solve_feasibility(problem: LmiProblem, cfg: SolverConfig | None = None) -> FeasReport:
     """Search for a strictly feasible witness of a homogeneous problem.
 
-    Deterministic: warm starts attached to the problem are tried first; a
+    Deterministic: starts attached to the problem are tried first; a
     start that already certifies feasibility at ``eps_feas`` short-circuits
     the search.  Otherwise one barrier run from the best start (or from the
     normalized identities) follows the central path until the verdict is
@@ -515,7 +510,8 @@ def solve_feasibility(problem: LmiProblem, cfg: SolverConfig | None = None) -> F
     tries the proof LP on the eigenvector rows of its last centres.
     """
     cfg = cfg or SolverConfig()
-    _check_homogeneous(problem)
+    if not any(v.require_pd for v in problem.variables):
+        raise ProblemError("no positive-definite variable to normalize against")
     comp = _Compiled(problem)
     a = comp.trace_vec
 

@@ -13,7 +13,8 @@ do not depend on tau.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 from . import criteria_lmi, criteria_spectral
 from .lmi_core import FeasReport, SolverConfig, solve_feasibility
@@ -31,28 +32,25 @@ __all__ = [
 
 
 def _lmi(criterion: str):
-    def evaluate(sys, cfg, warm, alpha) -> FeasReport:
-        problem = criteria_lmi.LMI_CRITERIA[criterion](sys)
-        if warm is not None:
-            problem = replace(problem, starts=(warm,) + problem.starts)
-        return solve_feasibility(problem, cfg)
+    def evaluate(sys, cfg, alpha) -> FeasReport:
+        return solve_feasibility(criteria_lmi.LMI_CRITERIA[criterion](sys), cfg)
 
     return evaluate
 
 
-def _spectral_weighted(sys, cfg, warm, alpha):
+def _spectral_weighted(sys, cfg, alpha):
     if alpha is None:
         alpha, _rho = criteria_spectral.optimize_weights(sys)
     return criteria_spectral.check_spectral_weighted(sys, alpha)
 
 
-def _single_delay(sys, cfg, warm, alpha):
+def _single_delay(sys, cfg, alpha):
     if sys.N != 1:
         raise ValueError("criterion 'single-delay' requires N = 1")
     return criteria_spectral.single_delay_checks(sys.A[0], sys.tau[0])
 
 
-#: criterion id -> (requires-discrete-system, evaluate(sys, cfg, warm, alpha))
+#: criterion id -> (requires-discrete-system, evaluate(sys, cfg, alpha))
 CRITERIA = {
     "amc": (False, _lmi("amc")),
     "th2-coupled": (False, _lmi("th2-coupled")),
@@ -60,9 +58,9 @@ CRITERIA = {
     "th1": (False, _lmi("th1")),
     "th2-lmi": (False, _lmi("th2-lmi")),
     "laa": (True, _lmi("laa")),
-    "spectral": (False, lambda sys, cfg, warm, alpha: criteria_spectral.check_spectral(sys)),
+    "spectral": (False, lambda sys, cfg, alpha: criteria_spectral.check_spectral(sys)),
     "spectral-weighted": (False, _spectral_weighted),
-    "laa-spectral": (True, lambda sys, cfg, warm, alpha: criteria_spectral.laa_spectral(sys)),
+    "laa-spectral": (True, lambda sys, cfg, alpha: criteria_spectral.laa_spectral(sys)),
     "single-delay": (False, _single_delay),
 }
 
@@ -81,33 +79,22 @@ def _check_criterion(criterion: str, sys) -> None:
         raise ValueError(f"criterion {criterion!r} requires an integral system")
 
 
-def evaluate_criterion(
-    sys,
-    criterion: str,
-    cfg: SolverConfig | None = None,
-    warm: dict | None = None,
-    alpha=None,
-):
+def evaluate_criterion(sys, criterion: str, cfg: SolverConfig | None = None, alpha=None):
     """Evaluate one criterion and return its own result object: a
     ``FeasReport`` (LMI criteria), ``SpectralVerdict`` or ``SingleDelayChecks``.
 
-    ``warm`` is an extra solver start for the LMI criteria (used by the
-    bisection chain); ``alpha`` selects the weights of "spectral-weighted",
-    which are optimized when absent.
+    ``alpha`` selects the weights of "spectral-weighted", which are
+    optimized when absent.
     """
     _check_criterion(criterion, sys)
-    return CRITERIA[criterion][1](sys, cfg or SolverConfig(), warm, alpha)
+    return CRITERIA[criterion][1](sys, cfg or SolverConfig(), alpha)
 
 
 def criterion_feasible(
-    sys,
-    criterion: str,
-    cfg: SolverConfig | None = None,
-    warm: dict | None = None,
-    alpha=None,
+    sys, criterion: str, cfg: SolverConfig | None = None, alpha=None
 ) -> tuple[bool, dict | None]:
     """Evaluate one criterion; returns (verdict, certifying witness or None)."""
-    result = evaluate_criterion(sys, criterion, cfg, warm, alpha)
+    result = evaluate_criterion(sys, criterion, cfg, alpha)
     if isinstance(result, FeasReport):
         return result.feasible, (result.witness if result.feasible else None)
     return result.passed, None
@@ -134,29 +121,24 @@ def bisect_margin(
 ) -> float | None:
     """Largest value of the varied delay (within tol) at which the criterion
     holds, assuming monotone feasibility; None when it already fails at lo.
-
-    LMI probes reuse the witness of the last feasible probe as a warm start.
+    Each probe is one cold criterion evaluation.
     """
     _check_criterion(criterion, sys_template)
-    cfg = cfg or SolverConfig()
     if hi is None:
         hi = 10.0 * max(sys_template.tau)
+    if not all(math.isfinite(v) for v in (lo, hi, tol)):
+        raise ValueError(f"lo, hi and tol must be finite (got {lo}, {hi}, {tol})")
     if not (0 < lo < hi):
         raise ValueError(f"invalid bracket [{lo}, {hi}]")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    warm: dict | None = None
 
     def probe(value: float) -> bool:
-        nonlocal warm
         try:
             probe_sys = _with_delay(sys_template, vary_index, value)
         except ValidationError:
             return False  # varying a discrete delay out of order
-        ok, wit = criterion_feasible(probe_sys, criterion, cfg, warm=warm)
-        if ok and wit is not None:
-            warm = wit
-        return ok
+        return criterion_feasible(probe_sys, criterion, cfg)[0]
 
     if not probe(lo):
         return None

@@ -76,9 +76,11 @@ class HistorySpec:
         return cls(kind="custom-sampled", samples=v)
 
     def as_callable(self, n: int, tau: float):
-        """Function s -> R^n on [-tau, 0] (extended by clamping outside).
+        """Function s -> R^n on [-tau, 0].
 
-        An array of k times gives a (k, n) array, one row per time.
+        An array of k times gives a (k, n) array, one row per time.  Outside
+        [-tau, 0] a "custom-sampled" history is clamped to its end samples;
+        the other kinds extend their formula.
         """
         if self.kind == "constant":
             c = np.asarray(self.const, dtype=float)
@@ -138,7 +140,6 @@ class Trajectory:
     snap_error: float
     sup_history: float
     max_residual: float
-    decay_fit: tuple[float, float] | None = None
 
     @property
     def n(self) -> int:
@@ -279,7 +280,11 @@ def _max_residual(A, m, h: float, X: np.ndarray, first: int) -> float:
     return float(res.max(initial=0.0))
 
 
-def make_compatible(sys: IdsSystem, history: HistorySpec, quad_points: int = 8192) -> HistorySpec:
+# trapezoid panels per window in make_compatible's history integrals
+_COMPAT_PANELS = 8192
+
+
+def make_compatible(sys: IdsSystem, history: HistorySpec) -> HistorySpec:
     """Shift a history by a constant so it satisfies the defining equation at
     t = 0.
 
@@ -292,8 +297,8 @@ def make_compatible(sys: IdsSystem, history: HistorySpec, quad_points: int = 819
     base = history.as_callable(n, sys.tau_max)
     rhs = np.zeros(n)
     for Ai, ti in zip(sys.A, sys.tau):
-        vals = base(np.linspace(-ti, 0.0, quad_points + 1))
-        integ = np.trapezoid(vals, dx=ti / quad_points, axis=0)
+        vals = base(np.linspace(-ti, 0.0, _COMPAT_PANELS + 1))
+        integ = np.trapezoid(vals, dx=ti / _COMPAT_PANELS, axis=0)
         rhs += Ai @ integ
     lhs_mat = np.eye(n) - sum(ti * Ai for Ai, ti in zip(sys.A, sys.tau))
     try:
@@ -322,16 +327,12 @@ def estimate_decay(traj: Trajectory) -> tuple[float, float] | None:
     # exact zeros (a solution that died out) have no logarithm
     pos = env > 0.0
     if pos.sum() < 2:
-        fit = (1.0, math.inf)
-        traj.decay_fit = fit
-        return fit
+        return (1.0, math.inf)
     slope, intercept = np.polyfit(t[pos], np.log(env[pos]), 1)
     if slope >= 0:
         return None
     alpha = math.exp(intercept) / traj.sup_history if traj.sup_history > 0 else math.exp(intercept)
-    fit = (float(alpha), float(-slope))
-    traj.decay_fit = fit
-    return fit
+    return (float(alpha), float(-slope))
 
 
 def eval_functional(

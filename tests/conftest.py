@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ids_stability import IdsSystem, benchmark_system, validate_system
+from ids_stability import IdsSystem, benchmark_system, margin, validate_system
 from ids_stability.lmi_core import SolverConfig
 
 A1 = np.array([[-4.0, 1.0], [-13.0, 2.0]])
@@ -33,3 +33,19 @@ def scalar_system():
 @pytest.fixture
 def cfg():
     return SolverConfig()
+
+
+@pytest.fixture
+def probe_limit(monkeypatch):
+    """Make a margin search that runs away fail after 200 probes instead of
+    hanging.  Every probe, also one whose delay fails validation, sets its
+    delay through ``margin._with_delay``."""
+    real, count = margin._with_delay, [0]
+
+    def limited(*args):
+        count[0] += 1
+        if count[0] > 200:
+            raise RuntimeError("the margin search made more than 200 probes")
+        return real(*args)
+
+    monkeypatch.setattr(margin, "_with_delay", limited)

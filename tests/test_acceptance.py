@@ -75,6 +75,32 @@ PAPER_TABLE = {
 
 CORPUS_SEED = 2024
 
+# the bytes that must not move: `ids-stab table1` ...
+TABLE1_CSV = """\
+tau1, th2-lmi, amc, single, spectral
+0.4, 0.0317765, inf, inf, inf
+0.3, 0.114629, 0.0473396, 0.0473396, 0.0473396
+0.2, 0.241787, 0.152741, 0.152741, 0.152741
+0.1, 0.488149, 0.341435, 0.341435, 0.341435
+"""
+
+# ... and `ids-stab selftest --seed 7`.  The rounding-level digits
+# (-4.263e-14, 5.375e-15) hold for numpy 2.4.6 on x86-64 Linux; another
+# numpy or BLAS may move them.
+SELFTEST_SEED_7 = """\
+PASS jensen/discrete-gaps-nonnegative: 1500 draws, worst gap -4.263e-14
+PASS jensen/integral-gaps-above-budget: 40 draws, worst gap+budget 4.740e-03
+PASS jensen/shared-weight-dominance: 40 draws
+PASS jensen/quadrature-order: median observed order 2.011 over 12 functions
+PASS equivalence/verdicts-match-spectral: 15 systems (9 stable), 0 disagreements
+PASS ordering/coupled-implies-linearized: 4/8 coupled-feasible systems
+PASS ordering/construction-from-coupled: 4 conversions
+PASS ordering/construction-from-summed: 5 conversions
+PASS ordering/linearized-families-agree: 8 systems
+PASS factorization/block-vs-kron-sum: 40 systems, worst relative gap 5.375e-15
+selftest: all 10 checks passed (seed 7)
+"""
+
 
 def _report(k, msg):
     print(f"criterion {k}: PASS - {msg}")
@@ -100,6 +126,7 @@ def test_criterion_1_margin_table():
             assert all(v is None for v in vals)
         else:
             assert max(vals) - min(vals) <= 2e-4
+    assert result.to_csv() == TABLE1_CSV
     assert elapsed <= 300.0, f"table took {elapsed:.1f}s"
     _report(1, f"16/16 cells within 2e-3 (worst {worst:.2e}), {elapsed:.1f}s")
 
@@ -189,4 +216,5 @@ def test_criterion_9_selftest_determinism():
     assert r1.returncode == 0, r1.stdout.decode()
     assert r2.returncode == 0
     assert r1.stdout == r2.stdout
+    assert r1.stdout.decode() == SELFTEST_SEED_7
     _report(9, f"{len(r1.stdout.splitlines())} identical report lines across runs")

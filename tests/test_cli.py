@@ -185,6 +185,14 @@ def test_margin_command_values(bench_file, capsys):
     assert capsys.readouterr().out.strip() == "inf"
 
 
+@pytest.mark.parametrize("flag, value", [("--hi", "inf"), ("--tol", "nan")])
+def test_margin_non_finite_bracket_is_usage_error(bench_file, capsys, probe_limit, flag, value):
+    argv = ["margin", "--system", bench_file(0.3, 0.05), "--vary", "1", "--method", "spectral"]
+    assert main([*argv, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite" in captured.err
+
+
 def test_margin_th2_lmi_small_row(bench_file, capsys):
     assert (
         main(["margin", "--system", bench_file(0.1, 0.1), "--vary", "1", "--method", "th2-lmi"])
@@ -281,6 +289,32 @@ def test_env_seed_override(monkeypatch):
     assert args.seed == 123
 
 
+def test_bad_env_seed_is_usage_error_for_selftest(monkeypatch, capsys):
+    monkeypatch.setenv("IDS_STAB_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest"])
+    assert exc.value.code == 2 and "'abc'" in capsys.readouterr().err
+
+
+def test_bad_env_seed_is_usage_error_for_random_smooth(bench_file, monkeypatch, capsys):
+    monkeypatch.setenv("IDS_STAB_SEED", "abc")
+    argv = ["simulate", "--system", bench_file(0.3, 0.1), "--h", "0.01", "--T", "1.0"]
+    assert main([*argv, "--history", "random-smooth"]) == 2
+    assert "'abc'" in capsys.readouterr().err
+    # an explicit seed does not read the variable
+    assert main([*argv, "--history", "random-smooth:3"]) == 0
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--eps-feas", "-1"), ("--eps-feas", "0"), ("--eps-feas", "nan"), ("--max-iters", "-5")]
+)
+def test_invalid_solver_config_is_usage_error(bench_file, capsys, flag, value):
+    # at tau = (0.4, 0.05) spectral fails, so no amc verdict may be "feasible"
+    assert main(["check", "--system", bench_file(0.4, 0.05), "--method", "amc", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
 # -- exit code 3: numerical failures ------------------------------------------
 
 
@@ -302,6 +336,13 @@ def test_simulate_singular_step_is_numerical_failure(tmp_path, capsys):
 
 def test_check_overflowing_kron_sum_is_numerical_failure(tmp_path, capsys):
     path = _system_file(tmp_path, (np.array([[1e200, 0.0], [0.0, 1.0]]),), (0.3,))
+    _assert_numerical_failure(main(["check", "--system", path, "--method", "spectral"]), capsys)
+
+
+@pytest.mark.filterwarnings("error")
+def test_check_infinite_kron_weight_warns_nothing(tmp_path, capsys):
+    # tau^2 = inf times the zero entries of A (x) A is nan
+    path = _system_file(tmp_path, (np.array([[0.0, 1.0], [0.0, 0.0]]),), (1e200,))
     _assert_numerical_failure(main(["check", "--system", path, "--method", "spectral"]), capsys)
 
 

@@ -129,15 +129,6 @@ def test_shared_weight_zero_functions():
     assert gap_shared_weight([om, om], np.eye(2)) == 0.0
 
 
-def test_shared_weight_allows_zero_horizon_terms():
-    om = SampledFunction.from_callable(lambda s: np.array([1.0, 0.0]), 0.7, 16)
-    full = gap_shared_weight([om, None], np.eye(2))
-    # the None window contributes nothing, but the term count still scales the bound
-    rhs = 2 * om.tau * om.quad_form_integral(np.eye(2))
-    x = om.integral()
-    assert abs(full - (rhs - x @ x)) <= 1e-12
-
-
 def test_shared_weight_bound_dominates_individual_bound():
     # exponential-like shapes: the shared-weight RHS is N times the
     # individually weighted RHS evaluated at Q_i = Q^-1

@@ -104,21 +104,6 @@ def test_check_witness_rejects_zero_and_is_scale_invariant():
     assert check_witness(p, w, 1e-9) == check_witness(p, {"q": 7 * w["q"]}, 1e-9)
 
 
-def test_solver_requires_homogeneous_problem():
-    p = LmiProblem(
-        variables=(MatrixVariable("q", 1, require_pd=True),),
-        blocks=(
-            AffineBlock(
-                dim=1,
-                terms=(BlockTerm("q", np.array([[1.0]]), np.array([[1.0]])),),
-                constant=np.array([[2.0]]),
-            ),
-        ),
-    )
-    with pytest.raises(ProblemError, match="constant"):
-        solve_feasibility(p)
-
-
 def test_solver_requires_pd_variable():
     p = LmiProblem(
         variables=(MatrixVariable("q", 1),),
@@ -457,8 +442,8 @@ def test_cut_bound_helper_is_sound_at_arbitrary_points(stable_problems, data):
     rows = np.vstack([comp.eig_rows(x) for x in points])
     cfg = SolverConfig()
     assert _prove_no_witness(comp, rows, cfg) is None, name
-    # with no margin the helper returns t* whenever the LP is bounded; it
-    # must lie below f everywhere on the slice, the witness included
-    t = _prove_no_witness(comp, rows, replace(cfg, eps_feas=-np.inf))
+    # the LP under the helper returns t* whenever it is bounded; it must
+    # lie below f everywhere on the slice, the witness included
+    t = lmi_core._cut_lp(comp, rows)
     if t is not None:
         assert t <= comp.f_only(witness) + 1e-9, name

@@ -23,6 +23,16 @@ def test_invalid_bracket_rejected():
         bisect_margin(benchmark_system(), 1, "spectral", tol=0.0)
 
 
+@pytest.mark.parametrize(
+    "bracket",
+    [{"lo": math.nan}, {"hi": math.inf}, {"hi": math.nan}, {"tol": math.nan}, {"tol": math.inf}],
+)
+def test_non_finite_bracket_rejected(probe_limit, bracket):
+    # with hi = inf every midpoint is inf; with tol = nan the loop never runs
+    with pytest.raises(ValueError, match="finite"):
+        bisect_margin(benchmark_system(0.3, 0.05), 1, "spectral", **bracket)
+
+
 def test_criterion_system_kind_mismatch():
     with pytest.raises(ValueError, match="discrete"):
         criterion_feasible(benchmark_system(), "laa-spectral")
@@ -156,7 +166,7 @@ def test_registry_solves_through_margin_binding(monkeypatch, scalar_system):
 def test_bisection_probes_through_margin_binding(monkeypatch, scalar_system):
     probed = []
 
-    def fake_probe(sys, criterion, cfg=None, warm=None, alpha=None):
+    def fake_probe(sys, criterion, cfg=None, alpha=None):
         probed.append(sys.tau[0])
         return sys.tau[0] <= 0.25, None
 
