@@ -351,53 +351,108 @@ def eval_functional(
     Every term is a trapezoid integral of weight(s) * x(t+s).T M x(t+s) over
     its window; all terms are one stacked quadratic form on the longest
     window, dotted with trapezoid-times-weight coefficients that vanish
-    outside each term's own window.  Snapped delays are used throughout so V
-    is consistent with the discretized dynamics; t must lie on the grid in
-    [0, T - max(tau)].
+    outside each term's own window.  The matrices and coefficients do not
+    depend on t: they are built once per distinct (system, grid, witness),
+    compared by value, and reused across times.  Snapped delays are used
+    throughout so V is consistent with the discretized dynamics; t must lie
+    on the grid in [0, T - max(tau)].  A witness with a non-finite entry
+    raises ValueError.
     """
-    taus = traj.tau_snapped
-    tau = max(taus)
+    tau = max(traj.tau_snapped)
     if t < -1e-12 or t > traj.T - tau + 1e-12:
         raise ValueError(f"t={t} outside [0, T - tau] = [0, {traj.T - tau:.6g}]")
     k = traj.index_of(t)
-    h = traj.h
-    m = [int(round(ti / h)) for ti in taus]
-    mmax = max(m)
-    n, N = traj.n, len(taus)
+    mats, coef = _functional_terms(sys, traj, which, witness)
+    mmax, n = coef.shape[1] - 1, traj.n
+    # sum_k coef[j, k] x_k.T M_j x_k as <M_j, sum_k coef[j, k] x_k x_k.T>
+    vals = traj.samples[k - mmax : k + 1]
+    gram = coef @ (vals[:, :, None] * vals[:, None, :]).reshape(mmax + 1, n * n)
+    return float(np.vdot(mats, gram))
 
-    def checked(Ms, what, count) -> np.ndarray:
-        Ms = [np.asarray(M, dtype=float) for M in Ms]
+
+# (key, (mats, coef)) of the last terms _functional_terms built.  One tuple,
+# read and replaced in one statement each, so concurrent callers can at worst
+# build the same terms twice.
+_memo: tuple = (None, None)
+
+
+def _functional_terms(sys: IdsSystem, traj: Trajectory, which: str, witness: dict):
+    """The t-independent part of :func:`eval_functional`: the stacked term
+    matrices and their trapezoid-times-weight coefficients on the longest
+    window, (mats, coef).
+
+    The last terms are reused while their key matches: the functional, the
+    grid, the values and shapes of every witness matrix, delta/eps and the
+    values of A.  A witness changed in place therefore gets new terms, and a
+    rejected witness is never stored.
+    """
+    global _memo
+    taus = traj.tau_snapped
+    n, N = traj.n, len(taus)
+    if which == "amc":
+        groups = [("P, Q_i", [witness["P"], *witness["Q"]], N + 1)]
+        scalars = ()
+    elif which == "th1":
+        groups = [("P, S_i", [witness["P"], *witness["S"]], N + 1)]
+        scalars = ()
+    elif which == "th2":
+        groups = [("R_i", witness["R"], N), ("Q_i", witness["Q"], N)]
+        scalars = (float(witness["delta"]), float(witness["eps"]))
+    else:
+        raise ValueError(f"unknown functional {which!r}; expected amc, th1, or th2")
+    groups = [(what, [np.asarray(M, dtype=float) for M in Ms], count) for what, Ms, count in groups]
+    As = np.asarray(sys.A)
+    key = (
+        which,
+        n,
+        traj.h,
+        taus,
+        scalars,
+        tuple(tuple((M.shape, M.tobytes()) for M in Ms) for _, Ms, _ in groups),
+        As.shape,
+        As.tobytes(),
+    )
+    memo = _memo
+    if memo[0] == key:
+        return memo[1]
+
+    stacks = []
+    for what, Ms, count in groups:
         for M in Ms:
             if M.shape != (n, n):
                 raise ValueError(f"{what} has shape {M.shape}, expected ({n}, {n})")
         if len(Ms) != count:
             raise ValueError(f"expected {count} matrices {what}, got {len(Ms)}")
-        return np.array(Ms)
+        stack = np.array(Ms)
+        if not np.isfinite(stack).all():
+            raise ValueError(f"{what} has a non-finite entry")
+        stacks.append(stack)
+    if not all(map(math.isfinite, scalars)):
+        raise ValueError(f"delta = {scalars[0]} and eps = {scalars[1]} must be finite")
 
+    h = traj.h
+    m = [int(round(ti / h)) for ti in taus]
+    mmax = max(m)
     # term j: matrix mats[j] on a window of win[j] steps, weight a[j] + b[j] s
     if which == "amc":
-        mats = checked([witness["P"], *witness["Q"]], "P, Q_i", N + 1)
+        (mats,) = stacks
         win, a, b = [mmax, *m], [1.0, *taus], [0.0] + [1.0] * N
     elif which == "th1":
-        mats = checked([witness["P"], *witness["S"]], "P, S_i", N + 1)
+        (mats,) = stacks
         win, a, b = [mmax, *m], [1.0] * (N + 1), [0.0] + [1.0 / ti for ti in taus]
-    elif which == "th2":
-        Rs = checked(witness["R"], "R_i", N)
-        Qs = checked(witness["Q"], "Q_i", N)
-        As = np.asarray(sys.A)
-        W = np.asarray(taus)[:, None, None] * np.swapaxes(As, 1, 2) @ np.linalg.inv(Qs) @ As
-        W.reshape(N, n * n)[:, :: n + 1] += float(witness["delta"])  # W_i + delta I
-        mats = np.concatenate([Rs, W])
-        win, a, b = m + m, [float(witness["eps"])] * N + list(taus), [0.0] * N + [1.0] * N
     else:
-        raise ValueError(f"unknown functional {which!r}; expected amc, th1, or th2")
+        Rs, Qs = stacks
+        delta, eps = scalars
+        W = np.asarray(taus)[:, None, None] * np.swapaxes(As, 1, 2) @ np.linalg.inv(Qs) @ As
+        W.reshape(N, n * n)[:, :: n + 1] += delta  # W_i + delta I
+        mats = np.concatenate([Rs, W])
+        win, a, b = m + m, [eps] * N + list(taus), [0.0] * N + [1.0] * N
 
     a, b = np.array([a, b])[:, :, None]
     coef = _trapezoid_weights(win, h, mmax) * (a + b * ((np.arange(mmax + 1) - mmax) * h))
-    # sum_k coef[j, k] x_k.T M_j x_k as <M_j, sum_k coef[j, k] x_k x_k.T>
-    vals = traj.samples[k - mmax : k + 1]
-    gram = coef @ (vals[:, :, None] * vals[:, None, :]).reshape(mmax + 1, n * n)
-    return float(np.vdot(mats, gram))
+    terms = (mats, coef)
+    _memo = (key, terms)
+    return terms
 
 
 def export_csv(traj: Trajectory, fh, decay: tuple[float, float] | None = None) -> None:

@@ -1,6 +1,8 @@
 import io
 import itertools
 import math
+import threading
+from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
 import pytest
@@ -390,6 +392,20 @@ def _spd(rng, n):
     return B @ B.T + n * np.eye(n)
 
 
+def _witnesses(rng, n, N):
+    """One random positive definite witness for each certificate functional."""
+    return {
+        "amc": {"P": _spd(rng, n), "Q": [_spd(rng, n) for _ in range(N)]},
+        "th1": {"P": _spd(rng, n), "S": [_spd(rng, n) for _ in range(N)]},
+        "th2": {
+            "R": [_spd(rng, n) for _ in range(N)],
+            "Q": [_spd(rng, n) for _ in range(N)],
+            "delta": 0.3,
+            "eps": 0.7,
+        },
+    }
+
+
 def _assert_matches_reference(sys, hist, h, T):
     got = simulate(sys, hist, h=h, T=T)
     ref = _reference_simulate(sys, hist, h=h, T=T)
@@ -468,22 +484,178 @@ def test_simulate_makes_one_kernel_product_per_block(monkeypatch):
 def test_functional_matches_per_term_quadrature(n, N):
     sys = _random_system(n, N)
     traj = simulate(sys, HistorySpec.random_smooth(n + N), h=0.01, T=3.0)
-    rng = np.random.default_rng(n * N)
-    witnesses = {
-        "amc": {"P": _spd(rng, n), "Q": [_spd(rng, n) for _ in range(N)]},
-        "th1": {"P": _spd(rng, n), "S": [_spd(rng, n) for _ in range(N)]},
-        "th2": {
-            "R": [_spd(rng, n) for _ in range(N)],
-            "Q": [_spd(rng, n) for _ in range(N)],
-            "delta": 0.3,
-            "eps": 0.7,
-        },
-    }
-    for which, w in witnesses.items():
+    for which, w in _witnesses(np.random.default_rng(n * N), n, N).items():
         for t in (0.0, 0.37, 2.4):
             got = eval_functional(sys, traj, which, w, t)
             ref = _reference_functional(sys, traj, which, w, t)
             assert abs(got - ref) <= 1e-12 * abs(ref), (which, t)
+
+
+def _cold(monkeypatch, *args):
+    """eval_functional with its memo emptied first."""
+    monkeypatch.setattr(simulator_module, "_memo", (None, None))
+    return eval_functional(*args)
+
+
+def test_functional_memo_matches_cold_evaluation(monkeypatch):
+    # 0.1035 snaps to 10 steps at h = 0.01 and to 21 steps at h = 0.005, so
+    # the first two trajectories differ in h and in their snapped delays, the
+    # last two only in their delays, and the first and last only in h
+    sys = _random_2x2(0.3, 0.1035)
+    other = validate_system(IdsSystem(A=sys.A, tau=(0.3, 0.1)))
+    runs = [
+        (s, simulate(s, HistorySpec.random_smooth(3), h=h, T=3.0))
+        for s, h in ((sys, 0.01), (sys, 0.005), (other, 0.005))
+    ]
+    assert [[round(ti / traj.h) for ti in traj.tau_snapped] for _, traj in runs] == [
+        [30, 10],
+        [60, 21],
+        [60, 20],
+    ]
+    rng = np.random.default_rng(13)
+    pair = [_witnesses(rng, 2, 2) for _ in range(2)]
+    for which in ("amc", "th1", "th2"):
+        # each (system, trajectory, witness) is built, reused at the later
+        # times, evicted by the next, and built again
+        calls = [
+            (s, traj, w[which], t)
+            for _ in range(2)
+            for w in pair
+            for s, traj in runs + runs[:1]
+            for t in (0.0, 0.37, 2.4)
+        ]
+        warm = [eval_functional(s, traj, which, w, t) for s, traj, w, t in calls]
+        for (s, traj, w, t), got in zip(calls, warm):
+            assert got == _cold(monkeypatch, s, traj, which, w, t), (which, traj.h, t)
+            ref = _reference_functional(s, traj, which, w, t)
+            assert abs(got - ref) <= 1e-12 * abs(ref), (which, traj.h, t)
+
+
+def test_functional_follows_values_changed_in_place():
+    sys = _random_system(2, 2)
+    traj = simulate(sys, HistorySpec.random_smooth(4), h=0.01, T=3.0)
+    w = _witnesses(np.random.default_rng(2), 2, 2)
+    for which, M in (("amc", w["amc"]["P"]), ("th1", w["th1"]["S"][1]), ("th2", w["th2"]["Q"][0])):
+        before = eval_functional(sys, traj, which, w[which], 0.37)
+        M[0, 0] += 1.0
+        after = eval_functional(sys, traj, which, w[which], 0.37)
+        ref = _reference_functional(sys, traj, which, w[which], 0.37)
+        assert after != before
+        assert abs(after - ref) <= 1e-12 * abs(ref), which
+    # each of these has the same matrices as the call before it
+    halved = validate_system(IdsSystem(A=tuple(0.5 * Ai for Ai in sys.A), tau=sys.tau))
+    amc = w["amc"]
+    for s, which, witness in (
+        (halved, "th2", w["th2"]),
+        (halved, "th2", {**w["th2"], "eps": 0.2}),
+        (halved, "th2", {**w["th2"], "delta": 0.1}),
+        (sys, "amc", amc),
+        (sys, "th1", {"P": amc["P"], "S": amc["Q"]}),
+    ):
+        V = eval_functional(s, traj, which, witness, 0.37)
+        ref = _reference_functional(s, traj, which, witness, 0.37)
+        assert abs(V - ref) <= 1e-12 * abs(ref), which
+
+
+def test_functional_guards_hold_after_a_memo_hit():
+    sys = benchmark_system(0.3, 0.1)
+    traj = _constant_trajectory(sys, [1.0, 0.0], 0.01, 2.0)
+    w = {"P": np.eye(2), "Q": [np.eye(2), np.eye(2)]}
+    V = eval_functional(sys, traj, "amc", w, 0.5)
+    assert eval_functional(sys, traj, "amc", w, 0.5) == V
+    # the same bytes as a valid P, in another shape
+    flat = {"P": np.eye(2).reshape(1, 4), "Q": w["Q"]}
+    with pytest.raises(ValueError, match="shape"):
+        eval_functional(sys, traj, "amc", flat, 0.5)
+    with pytest.raises(ValueError, match="expected 3 matrices"):
+        eval_functional(sys, traj, "amc", {"P": w["P"], "Q": w["Q"][:1]}, 0.5)
+    with pytest.raises(ValueError, match="unknown functional"):
+        eval_functional(sys, traj, "nope", w, 0.5)
+    with pytest.raises(ValueError, match="not on the simulation grid"):
+        eval_functional(sys, traj, "amc", w, 0.503)
+    with pytest.raises(ValueError, match="outside"):
+        eval_functional(sys, traj, "amc", w, 1.9)
+    assert eval_functional(sys, traj, "amc", w, 0.5) == V
+
+
+def test_functional_rejects_non_finite_witness():
+    sys = benchmark_system(0.3, 0.1)
+    traj = _constant_trajectory(sys, [1.0, 0.0], 0.01, 2.0)
+    good = {"P": np.eye(2), "Q": [np.eye(2), np.eye(2)]}
+    V = eval_functional(sys, traj, "amc", good, 0.5)
+    memo = simulator_module._memo
+    P = np.eye(2)
+    P[0, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        eval_functional(sys, traj, "amc", {**good, "P": P}, 0.5)
+    th2 = {"R": [np.eye(2)] * 2, "Q": [np.eye(2)] * 2, "delta": 0.1, "eps": 0.5}
+    with pytest.raises(ValueError, match="non-finite"):
+        eval_functional(sys, traj, "th2", {**th2, "Q": [np.eye(2), np.full((2, 2), np.inf)]}, 0.5)
+    for field in ("delta", "eps"):
+        with pytest.raises(ValueError, match="must be finite"):
+            eval_functional(sys, traj, "th2", {**th2, field: np.nan}, 0.5)
+    # a rejected witness is never stored
+    assert simulator_module._memo is memo
+    assert eval_functional(sys, traj, "amc", good, 0.5) == V
+
+
+def test_functional_memo_is_safe_across_two_threads():
+    system = _random_system(2, 2)
+    traj = simulate(system, HistorySpec.random_smooth(4), h=0.01, T=3.0)
+    rng = np.random.default_rng(5)
+    pair = [_witnesses(rng, 2, 2)["th2"] for _ in range(2)]
+    ts = np.round(np.arange(0.0, 2.7, 0.01), 10)
+    serial = [[eval_functional(system, traj, "th2", w, t) for t in ts] for w in pair]
+    rounds = 3
+    results = [None, None]
+
+    def work(j):
+        results[j] = [
+            eval_functional(system, traj, "th2", pair[j], t) for _ in range(rounds) for t in ts
+        ]
+
+    threads = [threading.Thread(target=work, args=(j,)) for j in range(2)]
+    interval = getswitchinterval()
+    setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert results == [vals * rounds for vals in serial]
+
+
+def test_functional_takes_one_inverse_per_trajectory(monkeypatch):
+    # rebuilding th2's W_i on every call would invert the Q_i 294 times here
+    calls = []
+
+    class CountingLinalg:
+        def __getattr__(self, name):
+            return getattr(np.linalg, name)
+
+        def inv(self, *args, **kwargs):
+            calls.append(1)
+            return np.linalg.inv(*args, **kwargs)
+
+    class CountingNumpy:
+        linalg = CountingLinalg()
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    sys = benchmark_system(0.3, 0.3)
+    traj = simulate(sys, HistorySpec.random_smooth(1), h=0.005, T=15.0)
+    w = _witnesses(np.random.default_rng(1), 2, 2)["th2"]
+    monkeypatch.setattr(simulator_module, "_memo", (None, None))
+    monkeypatch.setattr(simulator_module, "np", CountingNumpy())
+    ts = np.round(np.arange(0.0, traj.T - max(traj.tau_snapped), 0.05), 10)
+    assert len(ts) == 294
+    for t in ts:
+        eval_functional(sys, traj, "th2", w, t)
+    assert len(calls) == 1
 
 
 def test_residual_checks_the_equation_not_the_solve():
