@@ -3,7 +3,8 @@
 The central quantity is rho(sum_i tau_i^2 A_i (x) A_i); the system is
 exponentially stable when it is below 1/N.  Weighted variants replace the
 uniform 1/N split by the point of the open simplex that minimizes the weighted
-radius, which is convex in the weights: one Nelder-Mead descent finds it.
+radius, which is convex in the weights: a Perron fixed point of the KKT
+condition finds it.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .model import DiscreteIds, IdsSystem
 
@@ -149,23 +149,68 @@ def _golden_section(fun, lo: float, hi: float, tol: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
+def _perron_pair(M: np.ndarray) -> tuple[float, np.ndarray]:
+    """(rho, v): the spectral radius of M and a real eigenvector of its
+    dominant eigenvalue, the one of largest real part among those within
+    1e-9 of the radius (rotation terms tie at -rho, cyclic shifts at
+    rho e^(+-2 pi i/3))."""
+    w, V = np.linalg.eig(M)
+    r = np.abs(w).max()
+    i = max(np.flatnonzero(np.abs(w) >= r * (1 - 1e-9)), key=lambda j: w[j].real)
+    return float(r), V[:, i].real
+
+
+# (key, result) of the last weights _minimize_weights computed.  One tuple,
+# read and replaced in one statement each, so concurrent callers can at worst
+# compute the same weights twice.
+_memo: tuple = (None, None)
+
+
 def optimize_weights(sys: IdsSystem) -> tuple[tuple[float, ...], float]:
     """Minimize phi(alpha) = rho(sum_i tau_i^2 A_i (x) A_i / alpha_i) over the
-    open simplex: for N=2 by a coarse scan plus golden-section refinement, for
-    N>=3 by one Nelder-Mead descent from the uniform point over N-1 softmax
-    logits (the last pinned at 0: softmax ignores a common shift).  The
-    result never loses to the uniform point.
+    open simplex; returns (alpha, phi(alpha)), never worse than the uniform
+    point.  N=2 uses a coarse scan plus golden-section refinement.
 
-    One descent suffices: phi is convex, so every local minimum is global
-    (Kingman 1961; Nussbaum 1986).  The Kronecker sum at weights e^{x_i} is
-    the vec matrix of the positive map Phi_x(T) = sum_i e^{x_i} tau_i^2
-    A_i.T T A_i.  By Russo-Dye ||Phi^k|| = ||Phi^k(I)||, within a factor n
-    of tr Phi^k(I), so rho(Phi_x) = lim_k (tr Phi_x^k(I))^(1/k).  Over words
-    w in {1..N}^k, tr Phi_x^k(I) = sum_w tr(M_w) exp(x_w1 + ... + x_wk) with
-    every M_w PSD: a log-sum-exp of affine functions of x with nonnegative
-    weights.  So log rho(Phi_x) is convex and nondecreasing in x; with the
-    convex x_i = -log alpha_i, log phi and hence phi are convex in alpha.
+    For N>=3 a Perron fixed point solves the KKT condition.  With u, v the
+    left and right Perron vectors of M = sum_i K_i/alpha_i (K_i = tau_i^2
+    A_i (x) A_i), the derivative of a simple Perron root (Deutsch & Neumann
+    1984) is d phi/d alpha_i = -u.K_i v / (alpha_i^2 u.v), so an interior
+    minimum has alpha_i proportional to sqrt(u.K_i v).  Each step takes
+    that point ahat at the current vectors, clips it at delta = 1e-3 and
+    moves halfway in log space: alpha <- normalise(sqrt(alpha * ahat)).  The
+    undamped step can cycle; clipping ahat rather than the step leaves a
+    clipped weight at delta / (1 + delta), where the other weights sum to 1.
+    The dominant eigenvalue is the one of largest real part within 1e-9 of
+    the radius.  The iteration stops once no weight moves by 1e-13 or after
+    200 steps and returns the best point it saw.
+
+    A point that meets the KKT condition is the global minimum: phi is
+    convex (Kingman 1961; Nussbaum 1986).  The Kronecker sum at weights
+    e^{x_i} is the vec matrix of the positive map Phi_x(T) = sum_i e^{x_i}
+    tau_i^2 A_i.T T A_i.  By Russo-Dye ||Phi^k|| = ||Phi^k(I)||, within a
+    factor n of tr Phi^k(I), so rho(Phi_x) = lim_k (tr Phi_x^k(I))^(1/k).
+    Over words w in {1..N}^k, tr Phi_x^k(I) = sum_w tr(M_w) exp(x_w1 + ...
+    + x_wk) with every M_w PSD: a log-sum-exp of affine functions of x with
+    nonnegative weights.  So log rho(Phi_x) is convex and nondecreasing in
+    x; with the convex x_i = -log alpha_i, log phi and hence phi are convex
+    in alpha.
+
+    The last result is reused while tau and the shape and values of every
+    A_i match, so an A_i changed in place gets a fresh result; a call that
+    raises stores nothing.
     """
+    global _memo
+    As = [np.asarray(A, dtype=float) for A in sys.A]
+    key = (tuple(sys.tau), tuple((A.shape, A.tobytes()) for A in As))
+    memo = _memo
+    if memo[0] == key:
+        return memo[1]
+    result = _minimize_weights(sys)
+    _memo = (key, result)
+    return result
+
+
+def _minimize_weights(sys: IdsSystem) -> tuple[tuple[float, ...], float]:
     N = sys.N
     Ks = [kron_operator((A,), (t * t,)) for A, t in zip(sys.A, sys.tau)]
 
@@ -189,19 +234,23 @@ def optimize_weights(sys: IdsSystem) -> tuple[tuple[float, ...], float]:
         a1 = min(max(a1, delta), 1.0 - delta)
         cand = (a1, 1.0 - a1)
     else:
-        def softmax(z: np.ndarray) -> np.ndarray:
-            z = np.append(z, 0.0)
-            e = np.exp(z - z.max())
-            p = np.clip(e / e.sum(), delta, None)
-            return p / p.sum()
-
-        res = minimize(
-            lambda z: rho_at(softmax(z)),
-            np.zeros(N - 1),
-            method="Nelder-Mead",
-            options={"maxiter": 400, "xatol": 1e-10, "fatol": 1e-12},
-        )
-        cand = tuple(float(a) for a in softmax(res.x))
+        alpha = np.array(uniform)
+        best = (np.inf, alpha)
+        for _ in range(200):
+            M = sum(K / a for K, a in zip(Ks, alpha))
+            r, v = _perron_pair(M)
+            _, u = _perron_pair(M.T)
+            if r < best[0]:
+                best = (r, alpha)
+            g = np.sqrt(np.abs([u @ K @ v for K in Ks]))
+            if not g.sum() > 0.0:  # no descent direction, e.g. nilpotent terms
+                break
+            step = np.sqrt(alpha * np.clip(g / g.sum(), delta, None))
+            step /= step.sum()
+            if np.abs(step - alpha).max() < 1e-13:
+                break
+            alpha = step
+        cand = tuple(float(a) for a in best[1])
     r = rho_at(cand)
     return (cand, r) if r < rho_uniform else (uniform, rho_uniform)
 

@@ -1,4 +1,6 @@
 import math
+import threading
+from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from ids_stability import criteria_spectral
 from ids_stability.criteria_spectral import (
     NonFiniteError,
     _golden_section,
@@ -18,6 +21,7 @@ from ids_stability.criteria_spectral import (
     single_delay_checks,
     spectral_radius,
 )
+from ids_stability.margin import criterion_feasible
 from ids_stability.model import DiscreteIds, IdsSystem, benchmark_system, validate_system
 from ids_stability.suites import random_corpus
 
@@ -242,6 +246,164 @@ def _twenty_restart_rho(s, seed=7):
 def test_optimize_weights_three_terms_matches_twenty_restarts(three_term_optima):
     for s, (_alpha, rho) in three_term_optima[::12]:
         assert rho <= (1 + 1e-12) * _twenty_restart_rho(s)
+
+
+def _perron_vectors(M):
+    """Right and left eigenvectors of the real dominant eigenvalue of M,
+    signed so that u.v > 0."""
+    def dominant(X):
+        w, V = np.linalg.eig(X)
+        r = np.abs(w).max()
+        i = int(np.argmax(np.where(np.abs(w) >= r * (1 - 1e-9), w.real, -np.inf)))
+        return V[:, i].real
+
+    v, u = dominant(M), dominant(M.T)
+    return v, u if u @ v > 0 else -u
+
+
+def test_optimize_weights_three_terms_meets_kkt(three_term_optima):
+    # phi is convex, so equal ratios sqrt(u.K_i v)/alpha_i at an interior
+    # point certify the global minimum
+    checked = 0
+    for s, (alpha, _rho) in three_term_optima:
+        if min(alpha) <= 1e-3:
+            continue
+        Ks = [t * t * kron(A, A) for A, t in zip(s.A, s.tau)]
+        v, u = _perron_vectors(sum(K / a for K, a in zip(Ks, alpha)))
+        ratios = [math.sqrt(u @ K @ v) / a for K, a in zip(Ks, alpha)]
+        assert max(ratios) - min(ratios) <= 1e-6 * max(ratios)
+        checked += 1
+    assert checked >= 50
+
+
+R = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def _cyclic(a, b, c):
+    return np.array([[0.0, a, 0.0], [0.0, 0.0, b], [c, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "A, alpha, rho",
+    [
+        # the +-rho eigenvalues of R (x) R tie in modulus
+        ((R, R, R), (1 / 2, 1 / 3, 1 / 6), 0.36),
+        ((R, 0.5 * R.T, np.eye(2)), (0.6, 0.2, 0.2), 0.25),
+        # weighted cyclic shifts: the radius ties with a complex pair rho e^(+-2 pi i/3)
+        (
+            (_cyclic(1.0, 2.0, 0.5), _cyclic(0.3, 1.0, 2.0), _cyclic(2.0, 0.2, 1.0)),
+            (0.471668611, 0.331271413, 0.197059977),
+            0.5929442728914397,
+        ),
+        # a zero term and a near-overflow one end at the clip delta / (1 + delta)
+        ((np.eye(2), R, np.zeros((2, 2))), (0.6 / 1.001, 0.4 / 1.001, 1e-3 / 1.001), 0.25025),
+        ((np.diag([1e154, 1.0]), np.eye(2), R), (1 / 1.002, 1e-3 / 1.002, 1e-3 / 1.002), 9.018e306),
+    ],
+    ids=["rotations", "mixed", "cyclic", "zero-term", "near-overflow"],
+)
+def test_optimize_weights_three_term_edge_cases(A, alpha, rho):
+    s = validate_system(IdsSystem(A=A, tau=(0.3, 0.2, 0.1)))
+    got_alpha, got_rho = optimize_weights(s)
+    np.testing.assert_allclose(got_alpha, alpha, rtol=1e-7)
+    assert abs(got_rho - rho) <= 1e-12 * rho
+
+
+def test_optimize_weights_nilpotent_terms_keep_the_uniform_point():
+    N1 = np.array([[0.0, 1.0], [0.0, 0.0]])
+    s = validate_system(IdsSystem(A=(N1, 2.0 * N1, np.zeros((2, 2))), tau=(0.3, 0.2, 0.1)))
+    assert optimize_weights(s) == ((1 / 3, 1 / 3, 1 / 3), 0.0)
+
+
+def _spy_compute(monkeypatch):
+    calls = []
+    real = criteria_spectral._minimize_weights
+
+    def spy(sys):
+        calls.append(sys)
+        return real(sys)
+
+    monkeypatch.setattr(criteria_spectral, "_minimize_weights", spy)
+    monkeypatch.setattr(criteria_spectral, "_memo", (None, None))
+    return calls
+
+
+THREE_TERMS = IdsSystem(A=(A1, A2, 0.5 * np.eye(2)), tau=(0.1, 0.3, 0.2))
+
+
+@pytest.mark.parametrize(
+    "s",
+    [IdsSystem(A=(A1,), tau=(0.2,)), benchmark_system(0.4, 0.02), THREE_TERMS],
+    ids=["N1", "N2", "N3"],
+)
+def test_optimize_weights_warm_result_equals_cold(monkeypatch, s):
+    s = validate_system(s)
+    calls = _spy_compute(monkeypatch)
+    cold = optimize_weights(s)
+    warm = optimize_weights(s)
+    assert len(calls) == 1 and warm == cold
+    monkeypatch.setattr(criteria_spectral, "_memo", (None, None))
+    assert optimize_weights(s) == cold and len(calls) == 2
+
+
+def test_optimize_weights_follows_changed_tau_and_a_mutated_in_place(monkeypatch):
+    cold = criteria_spectral._minimize_weights
+    calls = _spy_compute(monkeypatch)
+    A = [A1.copy(), A2.copy(), 0.5 * np.eye(2)]
+    s = IdsSystem(A=tuple(A), tau=(0.1, 0.3, 0.2))
+    first = optimize_weights(s)
+    moved = IdsSystem(A=s.A, tau=(0.1, 0.3, 0.25))
+    assert optimize_weights(moved) == cold(moved) != first
+    assert optimize_weights(s) == first
+    A[0][0, 0] += 1.0
+    assert optimize_weights(s) == cold(s) != first
+    assert len(calls) == 4
+
+
+def test_optimize_weights_stores_nothing_when_it_raises(monkeypatch):
+    calls = _spy_compute(monkeypatch)
+    optimize_weights(THREE_TERMS)
+    memo = criteria_spectral._memo
+    # tau^2 A (x) A overflows in its first entry
+    bad = validate_system(
+        IdsSystem(A=(np.diag([1e200, 1.0]), np.eye(2), np.eye(2)), tau=(0.3, 0.2, 0.1))
+    )
+    with pytest.raises(NonFiniteError):
+        optimize_weights(bad)
+    assert criteria_spectral._memo is memo
+    optimize_weights(THREE_TERMS)
+    assert len(calls) == 2
+
+
+def test_optimize_weights_memo_is_safe_across_two_threads():
+    pair = [validate_system(THREE_TERMS), benchmark_system(0.4, 0.02)]
+    serial = [criteria_spectral._minimize_weights(s) for s in pair]
+    rounds = 20
+    results = [None, None]
+
+    def work(j):
+        results[j] = [optimize_weights(pair[j]) for _ in range(rounds)]
+
+    threads = [threading.Thread(target=work, args=(j,)) for j in range(2)]
+    interval = getswitchinterval()
+    setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert results == [[r] * rounds for r in serial]
+
+
+def test_corpus_order_computes_the_weights_once(monkeypatch):
+    # spectral-weighted, th1 and th2-lmi all optimize the weights of one system
+    s = next(s for s in random_corpus(7, 100) if s.N == 3)
+    calls = _spy_compute(monkeypatch)
+    for criterion in ("spectral-weighted", "amc", "th2-coupled", "single", "th1", "th2-lmi"):
+        criterion_feasible(s, criterion)
+    assert len(calls) == 1
 
 
 def test_operator_block_single_term_is_the_kron_block():

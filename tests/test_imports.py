@@ -1,4 +1,5 @@
-"""Every module-level import of the package is used.
+"""Every module-level import of the package is used, and only ``lmi_core``
+imports scipy.
 
 A name a module imports must be referenced in it or listed in its
 ``__all__``; a leftover import (a helper the code stopped calling, a type
@@ -43,3 +44,23 @@ def test_module_level_imports_are_used(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
     unused = [name for name in _imported_names(tree) if name not in used]
     assert not unused, f"{path.name} imports but never uses {unused}"
+
+
+def test_only_lmi_core_imports_scipy():
+    # lmi_core's linprog is the package's last run-time use of scipy
+    importers = set()
+    for path in Path(ids_stability.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.Import):
+                    modules = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    continue
+                if any(m.partition(".")[0] == "scipy" for m in modules):
+                    importers.add(path.name)
+    assert importers <= {"lmi_core.py"}
