@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .criteria_spectral import kron_operator, optimize_weights
+from .criteria_spectral import dominant_index, kron_operator, optimize_weights
 from .lmi_core import (
     AffineBlock,
     BlockTerm,
@@ -89,11 +89,9 @@ def _perron_matrix(op: np.ndarray, n: int) -> np.ndarray | None:
     None when the dominant eigenvalue is not real.
     """
     w, V = np.linalg.eig(op)
-    r = np.max(np.abs(w))
-    idx = [i for i in range(w.size) if abs(w[i]) >= r * (1 - 1e-9) and abs(w[i].imag) <= 1e-9 * (1 + r)]
-    if not idx:
+    i = dominant_index(w)
+    if i is None:
         return None
-    i = max(idx, key=lambda j: w[j].real)
     T = V[:, i].real.reshape(n, n)
     T = sym(T)
     if np.trace(T) < 0:

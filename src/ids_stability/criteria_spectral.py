@@ -4,7 +4,7 @@ The central quantity is rho(sum_i tau_i^2 A_i (x) A_i); the system is
 exponentially stable when it is below 1/N.  Weighted variants replace the
 uniform 1/N split by the point of the open simplex that minimizes the weighted
 radius, which is convex in the weights: a Perron fixed point of the KKT
-condition finds it.
+condition finds it where the Perron root is smooth, Nelder-Mead where not.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize
 
 from .model import DiscreteIds, IdsSystem
 
@@ -149,15 +150,40 @@ def _golden_section(fun, lo: float, hi: float, tol: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
-def _perron_pair(M: np.ndarray) -> tuple[float, np.ndarray]:
-    """(rho, v): the spectral radius of M and a real eigenvector of its
-    dominant eigenvalue, the one of largest real part among those within
-    1e-9 of the radius (rotation terms tie at -rho, cyclic shifts at
-    rho e^(+-2 pi i/3))."""
-    w, V = np.linalg.eig(M)
+def dominant_index(w: np.ndarray) -> int | None:
+    """Index of the dominant eigenvalue among the eigenvalues w: of those
+    within 1e-9 of the largest modulus and real to 1e-9 (1 + radius), the one
+    of largest real part (rotation terms tie at -rho, cyclic shifts at
+    rho e^(+-2 pi i/3)); None when none of them is real."""
     r = np.abs(w).max()
-    i = max(np.flatnonzero(np.abs(w) >= r * (1 - 1e-9)), key=lambda j: w[j].real)
-    return float(r), V[:, i].real
+    idx = [i for i in range(w.size) if abs(w[i]) >= r * (1 - 1e-9) and abs(w[i].imag) <= 1e-9 * (1 + r)]
+    return max(idx, key=lambda j: w[j].real) if idx else None
+
+
+def _perron_fixed_point(Ks, delta: float) -> tuple[float, ...] | None:
+    """The weights where the damped KKT fixed point of optimize_weights
+    settles, or None when it does not settle within 200 steps or meets a
+    matrix with no real dominant eigenvalue or no direction."""
+    alpha = np.full(len(Ks), 1.0 / len(Ks))
+    for _ in range(200):
+        M = sum(K / a for K, a in zip(Ks, alpha))
+        uv = []
+        for X in (M, M.T):
+            w, V = np.linalg.eig(X)
+            i = dominant_index(w)
+            if i is None:
+                return None
+            uv.append(V[:, i].real)
+        v, u = uv
+        g = np.sqrt(np.abs([u @ K @ v for K in Ks]))
+        if not g.sum() > 0.0:  # no direction, e.g. nilpotent terms
+            return None
+        step = np.sqrt(alpha * np.clip(g / g.sum(), delta, None))
+        step /= step.sum()
+        if np.abs(step - alpha).max() < 1e-13:
+            return tuple(float(a) for a in alpha)
+        alpha = step
+    return None
 
 
 # (key, result) of the last weights _minimize_weights computed.  One tuple,
@@ -180,9 +206,16 @@ def optimize_weights(sys: IdsSystem) -> tuple[tuple[float, ...], float]:
     moves halfway in log space: alpha <- normalise(sqrt(alpha * ahat)).  The
     undamped step can cycle; clipping ahat rather than the step leaves a
     clipped weight at delta / (1 + delta), where the other weights sum to 1.
-    The dominant eigenvalue is the one of largest real part within 1e-9 of
-    the radius.  The iteration stops once no weight moves by 1e-13 or after
-    200 steps and returns the best point it saw.
+    The dominant eigenvalue is the one ``dominant_index`` picks.  The
+    iteration has settled once no weight moves by 1e-13.  There it meets
+    the KKT condition of the root it followed; that root is convex (below),
+    never above phi and equal to phi there, so the point minimizes phi.
+    Where the radius is the Perron root of two or more decoupled blocks
+    (diagonal or triangular A_i), phi has kinks, the followed block flips
+    from step to step and the iteration cycles.  When it has not settled
+    after 200 steps, or finds no real dominant eigenvalue or no direction,
+    one Nelder-Mead descent from the uniform point over N-1 softmax logits
+    (the last pinned at 0) takes its place.
 
     A point that meets the KKT condition is the global minimum: phi is
     convex (Kingman 1961; Nussbaum 1986).  The Kronecker sum at weights
@@ -234,23 +267,21 @@ def _minimize_weights(sys: IdsSystem) -> tuple[tuple[float, ...], float]:
         a1 = min(max(a1, delta), 1.0 - delta)
         cand = (a1, 1.0 - a1)
     else:
-        alpha = np.array(uniform)
-        best = (np.inf, alpha)
-        for _ in range(200):
-            M = sum(K / a for K, a in zip(Ks, alpha))
-            r, v = _perron_pair(M)
-            _, u = _perron_pair(M.T)
-            if r < best[0]:
-                best = (r, alpha)
-            g = np.sqrt(np.abs([u @ K @ v for K in Ks]))
-            if not g.sum() > 0.0:  # no descent direction, e.g. nilpotent terms
-                break
-            step = np.sqrt(alpha * np.clip(g / g.sum(), delta, None))
-            step /= step.sum()
-            if np.abs(step - alpha).max() < 1e-13:
-                break
-            alpha = step
-        cand = tuple(float(a) for a in best[1])
+        cand = _perron_fixed_point(Ks, delta)
+        if cand is None:
+            def softmax(z: np.ndarray) -> np.ndarray:
+                z = np.append(z, 0.0)
+                e = np.exp(z - z.max())
+                p = np.clip(e / e.sum(), delta, None)
+                return p / p.sum()
+
+            res = minimize(
+                lambda z: rho_at(softmax(z)),
+                np.zeros(N - 1),
+                method="Nelder-Mead",
+                options={"maxiter": 400, "xatol": 1e-10, "fatol": 1e-12},
+            )
+            cand = tuple(float(a) for a in softmax(res.x))
     r = rho_at(cand)
     return (cand, r) if r < rho_uniform else (uniform, rho_uniform)
 

@@ -203,13 +203,39 @@ def three_term_optima():
     return [(s, optimize_weights(s)) for s in systems]
 
 
-def test_optimize_weights_three_terms_reaches_grid_minimum(three_term_optima):
+# Decoupled blocks: the radius is the larger of two Perron roots, phi has a
+# kink at the minimum and the fixed point cycles, so Nelder-Mead finishes.
+REDUCIBLE = [
+    IdsSystem(A=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.zeros((2, 2))), tau=(0.65,) * 3),
+    IdsSystem(
+        A=(np.array([[0.5, 1.0], [0.0, 0.2]]), np.array([[0.1, 0.3], [0.0, 0.6]]), 0.3 * np.eye(2)),
+        tau=(0.8,) * 3,
+    ),
+]
+
+
+@pytest.fixture(scope="module")
+def reducible_optima():
+    systems = [validate_system(s) for s in REDUCIBLE]
+    return [(s, optimize_weights(s)) for s in systems]
+
+
+def test_fixed_point_settles_on_the_corpus_and_cycles_at_kinks(three_term_optima):
+    def settles(s):
+        Ks = [t * t * kron(A, A) for A, t in zip(s.A, s.tau)]
+        return criteria_spectral._perron_fixed_point(Ks, 1e-3) is not None
+
+    assert all(settles(s) for s, _ in three_term_optima)
+    assert not any(settles(validate_system(s)) for s in REDUCIBLE)
+
+
+def test_optimize_weights_three_terms_reaches_grid_minimum(three_term_optima, reducible_optima):
     # the simplex grid with step 1/64 and every entry >= delta = 1e-3
     grid = np.array(
         [(i, j, 64 - i - j) for i in range(1, 64) for j in range(1, 64 - i)], dtype=float
     ) / 64
     assert len(three_term_optima) >= 50
-    for s, (alpha, rho) in three_term_optima:
+    for s, (alpha, rho) in three_term_optima + reducible_optima:
         Ks = np.stack([t * t * kron(A, A) for A, t in zip(s.A, s.tau)])
         grid_min = spectral_radius(np.einsum("gi,ijk->gjk", 1.0 / grid, Ks)).min()
         assert rho <= (1 + 1e-12) * grid_min
@@ -243,8 +269,8 @@ def _twenty_restart_rho(s, seed=7):
     return best
 
 
-def test_optimize_weights_three_terms_matches_twenty_restarts(three_term_optima):
-    for s, (_alpha, rho) in three_term_optima[::12]:
+def test_optimize_weights_three_terms_matches_twenty_restarts(three_term_optima, reducible_optima):
+    for s, (_alpha, rho) in three_term_optima[::12] + reducible_optima:
         assert rho <= (1 + 1e-12) * _twenty_restart_rho(s)
 
 

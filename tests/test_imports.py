@@ -46,8 +46,9 @@ def test_module_level_imports_are_used(path):
     assert not unused, f"{path.name} imports but never uses {unused}"
 
 
-def test_only_lmi_core_imports_scipy():
-    # lmi_core's linprog is the package's last run-time use of scipy
+def test_only_lmi_core_and_criteria_spectral_import_scipy():
+    # lmi_core's linprog and the Nelder-Mead fallback of optimize_weights
+    # at kinks are the package's run-time uses of scipy
     importers = set()
     for path in Path(ids_stability.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -63,4 +64,4 @@ def test_only_lmi_core_imports_scipy():
                     continue
                 if any(m.partition(".")[0] == "scipy" for m in modules):
                     importers.add(path.name)
-    assert importers <= {"lmi_core.py"}
+    assert importers <= {"lmi_core.py", "criteria_spectral.py"}
