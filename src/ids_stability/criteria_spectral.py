@@ -162,9 +162,12 @@ def dominant_index(w: np.ndarray) -> int | None:
 
 def _perron_fixed_point(Ks, delta: float) -> tuple[float, ...] | None:
     """The weights where the damped KKT fixed point of optimize_weights
-    settles, or None when it does not settle within 200 steps or meets a
-    matrix with no real dominant eigenvalue or no direction."""
+    settles, or None when it does not settle within 200 steps, stalls (its
+    largest weight move sets no new minimum for 10 steps in a row, as when it
+    cycles at a kink) or meets a matrix with no real dominant eigenvalue or no
+    direction."""
     alpha = np.full(len(Ks), 1.0 / len(Ks))
+    best, stalled = np.inf, 0
     for _ in range(200):
         M = sum(K / a for K, a in zip(Ks, alpha))
         uv = []
@@ -180,8 +183,12 @@ def _perron_fixed_point(Ks, delta: float) -> tuple[float, ...] | None:
             return None
         step = np.sqrt(alpha * np.clip(g / g.sum(), delta, None))
         step /= step.sum()
-        if np.abs(step - alpha).max() < 1e-13:
+        move = np.abs(step - alpha).max()
+        if move < 1e-13:
             return tuple(float(a) for a in alpha)
+        best, stalled = (move, 0) if move < best else (best, stalled + 1)
+        if stalled == 10:
+            return None
         alpha = step
     return None
 
@@ -213,7 +220,8 @@ def optimize_weights(sys: IdsSystem) -> tuple[tuple[float, ...], float]:
     Where the radius is the Perron root of two or more decoupled blocks
     (diagonal or triangular A_i), phi has kinks, the followed block flips
     from step to step and the iteration cycles.  When it has not settled
-    after 200 steps, or finds no real dominant eigenvalue or no direction,
+    after 200 steps, stalls (no new smallest weight move for 10 steps in a
+    row), or finds no real dominant eigenvalue or no direction,
     one Nelder-Mead descent from the uniform point over N-1 softmax logits
     (the last pinned at 0) takes its place.
 

@@ -83,17 +83,10 @@ class HistorySpec:
         the other kinds extend their formula.
         """
         if self.kind == "constant":
-            c = np.asarray(self.const, dtype=float)
-            if c.shape != (n,):
-                raise ValueError(f"constant history has dimension {c.shape}, expected ({n},)")
+            c = self._const(n)
             base = lambda s: np.tile(c, np.shape(s) + (1,))
         elif self.kind == "random-smooth":
-            rng = np.random.default_rng(self.seed)
-            c0 = rng.standard_normal(n)
-            coeffs = [
-                (rng.standard_normal(n) * 2.0**-j, rng.standard_normal(n) * 2.0**-j)
-                for j in range(1, 4)
-            ]
+            c0, coeffs = self._smooth_coeffs(n)
 
             def base(s, c0=c0, coeffs=coeffs, tau=tau):
                 s = np.asarray(s, dtype=float)[..., None]
@@ -104,9 +97,7 @@ class HistorySpec:
                 return out
 
         elif self.kind == "custom-sampled":
-            v = self.samples
-            if v.shape[1] != n:
-                raise ValueError(f"sampled history has dimension {v.shape[1]}, expected {n}")
+            v = self._samples(n)
             grid = np.linspace(-tau, 0.0, v.shape[0])
 
             def base(s, grid=grid, v=v):
@@ -119,6 +110,58 @@ class HistorySpec:
             return base
         off = np.asarray(self.offset, dtype=float)
         return lambda s: base(s) + off
+
+    def integral(self, n: int, tau: float, lo: float) -> np.ndarray:
+        """Exact integral over [lo, 0] of the function ``as_callable(n, tau)``.
+
+        "constant" gives c |lo|; "random-smooth" integrates each term in closed
+        form, a_j sin(w_j |lo|) / w_j + b_j (cos(w_j |lo|) - 1) / w_j with
+        w_j = j pi / tau; "custom-sampled" takes the trapezoid over the sample
+        breakpoints inside the window and its two ends, which is exact for the
+        linear interpolant (and for its clamped extension below -tau).  A set
+        ``offset`` adds offset |lo|.
+        """
+        w = -float(lo)
+        if self.kind == "constant":
+            total = self._const(n) * w
+        elif self.kind == "random-smooth":
+            c0, coeffs = self._smooth_coeffs(n)
+            total = c0 * w
+            for j, (a, b) in enumerate(coeffs, start=1):
+                om = j * math.pi / tau
+                total = total + (a * math.sin(om * w) + b * (math.cos(om * w) - 1.0)) / om
+        elif self.kind == "custom-sampled":
+            v = self._samples(n)
+            grid = np.linspace(-tau, 0.0, v.shape[0])
+            s = np.concatenate(([lo], grid[grid > lo]))
+            total = np.trapezoid([np.interp(s, grid, col) for col in v.T], s, axis=1)
+        else:
+            raise ValueError(f"unknown history kind {self.kind!r}")
+        if self.offset is not None:
+            total = total + np.asarray(self.offset, dtype=float) * w
+        return total
+
+    def _const(self, n: int) -> np.ndarray:
+        c = np.asarray(self.const, dtype=float)
+        if c.shape != (n,):
+            raise ValueError(f"constant history has dimension {c.shape}, expected ({n},)")
+        return c
+
+    def _samples(self, n: int) -> np.ndarray:
+        if self.samples.shape[1] != n:
+            raise ValueError(f"sampled history has dimension {self.samples.shape[1]}, expected {n}")
+        return self.samples
+
+    def _smooth_coeffs(self, n: int):
+        """The seeded draw of "random-smooth": c0 and the pairs (a_j, b_j),
+        j = 1..3, of c0 + sum_j a_j cos(j pi s / tau) + b_j sin(j pi s / tau)."""
+        rng = np.random.default_rng(self.seed)
+        c0 = rng.standard_normal(n)
+        coeffs = [
+            (rng.standard_normal(n) * 2.0**-j, rng.standard_normal(n) * 2.0**-j)
+            for j in range(1, 4)
+        ]
+        return c0, coeffs
 
 
 @dataclass
@@ -280,29 +323,24 @@ def _max_residual(A, m, h: float, X: np.ndarray, first: int) -> float:
     return float(res.max(initial=0.0))
 
 
-# trapezoid panels per window in make_compatible's history integrals
-_COMPAT_PANELS = 8192
-
-
 def make_compatible(sys: IdsSystem, history: HistorySpec) -> HistorySpec:
     """Shift a history by a constant so it satisfies the defining equation at
     t = 0.
 
     A generic history leaves a value jump between phi(0) and the state the
     dynamics enforce at t = 0+, which costs one order of quadrature accuracy
-    during startup.  The shifted history removes the jump; smoothness is
-    preserved.
+    during startup.  The shift c solves (I - sum_i tau_i A_i) c =
+    sum_i A_i int_{-tau_i}^0 phi - phi(0), with each window integral taken
+    exactly by :meth:`HistorySpec.integral`, so the shifted history meets the
+    equation up to rounding.  Smoothness is preserved.
     """
     n = sys.n
-    base = history.as_callable(n, sys.tau_max)
     rhs = np.zeros(n)
     for Ai, ti in zip(sys.A, sys.tau):
-        vals = base(np.linspace(-ti, 0.0, _COMPAT_PANELS + 1))
-        integ = np.trapezoid(vals, dx=ti / _COMPAT_PANELS, axis=0)
-        rhs += Ai @ integ
+        rhs += Ai @ history.integral(n, sys.tau_max, -ti)
     lhs_mat = np.eye(n) - sum(ti * Ai for Ai, ti in zip(sys.A, sys.tau))
     try:
-        c = np.linalg.solve(lhs_mat, rhs - base(0.0))
+        c = np.linalg.solve(lhs_mat, rhs - history.as_callable(n, sys.tau_max)(0.0))
     except np.linalg.LinAlgError as e:
         raise SimulationError(f"compatibility shift is singular: {e}") from e
     old = history.offset if history.offset is not None else np.zeros(n)

@@ -73,8 +73,8 @@ def test_each_builder_call_is_one_traced_build(layers):
 
 
 def test_one_trajectory_is_one_simulate_span_and_one_span_per_functional_time(layers):
-    # a helper that called the wrapped names would count its steps or
-    # functional evaluations twice
+    # a helper that called the wrapped names would count its steps,
+    # functional evaluations or history shifts twice
     import workloads
 
     sys = validate_system(model.benchmark_system(0.3, 0.05))
@@ -87,6 +87,7 @@ def test_one_trajectory_is_one_simulate_span_and_one_span_per_functional_time(la
     finally:
         tr.restore()
     assert failure is None
+    assert [s.name for s in tr.spans].count(layers.COMPAT) == 1
     sims = [s for s in tr.spans if s.name == layers.SIMULATE]
     assert len(sims) == 1
     assert sims[0].attrs["steps"] == math.ceil(workloads.SIM_T / workloads.SIM_H)

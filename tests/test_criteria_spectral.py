@@ -229,6 +229,43 @@ def test_fixed_point_settles_on_the_corpus_and_cycles_at_kinks(three_term_optima
     assert not any(settles(validate_system(s)) for s in REDUCIBLE)
 
 
+def test_fixed_point_gives_up_early_at_kinks(monkeypatch):
+    # two eig calls per step: 11 and 65 steps, not the 200-step cap
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda X: calls.append(1) or eig(X))
+    counts = []
+    for s in map(validate_system, REDUCIBLE):
+        del calls[:]
+        Ks = [t * t * kron(A, A) for A, t in zip(s.A, s.tau)]
+        assert criteria_spectral._perron_fixed_point(Ks, 1e-3) is None
+        counts.append(len(calls))
+    assert counts == [22, 130]
+
+
+def _fixed_point_without_stall_exit(Ks, delta=1e-3):
+    """_perron_fixed_point as it was before the stall exit: it stops only
+    when settled or after 200 steps."""
+    alpha = np.full(len(Ks), 1.0 / len(Ks))
+    for _ in range(200):
+        M = sum(K / a for K, a in zip(Ks, alpha))
+        v, u = (V[:, criteria_spectral.dominant_index(w)].real for w, V in map(np.linalg.eig, (M, M.T)))
+        g = np.sqrt(np.abs([u @ K @ v for K in Ks]))
+        step = np.sqrt(alpha * np.clip(g / g.sum(), delta, None))
+        step /= step.sum()
+        if np.abs(step - alpha).max() < 1e-13:
+            return tuple(float(a) for a in alpha)
+        alpha = step
+    return None
+
+
+def test_stall_exit_leaves_the_corpus_weights_bitwise_equal(three_term_optima):
+    assert len(three_term_optima) == 68
+    for s, _ in three_term_optima:
+        Ks = [t * t * kron(A, A) for A, t in zip(s.A, s.tau)]
+        assert criteria_spectral._perron_fixed_point(Ks, 1e-3) == _fixed_point_without_stall_exit(Ks)
+
+
 def test_optimize_weights_three_terms_reaches_grid_minimum(three_term_optima, reducible_optima):
     # the simplex grid with step 1/64 and every entry >= delta = 1e-3
     grid = np.array(

@@ -2,10 +2,12 @@ import io
 import itertools
 import math
 import threading
+from dataclasses import replace
 from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from ids_stability.criteria_lmi import th2_functional_params
@@ -139,17 +141,75 @@ def test_step_halving_consistency_order():
     assert math.log2(d1 / d2) >= 1.8
 
 
+def _quad_integral(spec, n, tau, lo):
+    """int_lo^0 of spec's history by scipy's adaptive quadrature, split at
+    the sample breakpoints of a "custom-sampled" history and at -tau."""
+    phi = spec.as_callable(n, tau)
+    breaks = [-tau]
+    if spec.samples is not None:
+        breaks = np.linspace(-tau, 0.0, spec.samples.shape[0])
+    inside = [b for b in breaks if lo < b < 0.0]
+    return np.array([
+        quad(lambda s: phi(s)[k], lo, 0.0, points=inside or None, epsabs=1e-14, epsrel=1e-12)[0]
+        for k in range(n)
+    ])
+
+
+def _compatibility_residual(sys, spec):
+    """|| sum_i A_i int_{-tau_i}^0 phi - phi(0) || with quadrature integrals."""
+    acc = -spec.as_callable(sys.n, sys.tau_max)(0.0)
+    for Ai, ti in zip(sys.A, sys.tau):
+        acc += Ai @ _quad_integral(spec, sys.n, sys.tau_max, -ti)
+    return float(np.linalg.norm(acc))
+
+
 def test_make_compatible_removes_startup_jump():
     sys = benchmark_system(0.3, 0.1)
     hist = make_compatible(sys, HistorySpec.random_smooth(4))
-    phi = hist.as_callable(sys.n, sys.tau_max)
-    acc = np.zeros(sys.n)
-    for Ai, ti in zip(sys.A, sys.tau):
-        s = np.linspace(-ti, 0, 20001)
-        vals = np.array([phi(x) for x in s])
-        acc += Ai @ np.trapezoid(vals, dx=ti / 20000, axis=0)
-    # residual is bounded by the internal quadrature resolution
-    assert np.linalg.norm(acc - phi(0.0)) < 1e-6
+    # every window integral is exact, so only rounding is left
+    assert _compatibility_residual(sys, hist) <= 1e-12
+
+
+# 8 samples on [-0.3, 0]: breakpoints 3/70 apart, none at -0.11
+_COMPAT_SPECS = {
+    "constant": HistorySpec.constant([1.0, -2.0]),
+    "random-smooth": HistorySpec.random_smooth(4),
+    "custom-sampled": HistorySpec.sampled(np.random.default_rng(3).standard_normal((8, 2))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_COMPAT_SPECS))
+@pytest.mark.parametrize("offset", [None, (0.5, -0.25)])
+def test_make_compatible_is_exact_for_every_kind(kind, offset):
+    sys = benchmark_system(0.3, 0.11)
+    spec = _COMPAT_SPECS[kind]
+    if offset is not None:
+        spec = replace(spec, offset=np.array(offset))
+    hist = make_compatible(sys, spec)
+    assert _compatibility_residual(sys, hist) <= 1e-12
+    again = make_compatible(sys, hist)
+    assert np.abs(again.offset - hist.offset).max() <= 1e-13
+
+
+@pytest.mark.parametrize("kind", sorted(_COMPAT_SPECS))
+def test_history_integral_matches_quadrature_past_the_window(kind):
+    # a window longer than tau: the formulas extend and the samples clamp
+    spec = replace(_COMPAT_SPECS[kind], offset=np.array([0.5, -0.25]))
+    for lo in (-0.07, -0.3, -0.45):
+        np.testing.assert_allclose(
+            spec.integral(2, 0.3, lo), _quad_integral(spec, 2, 0.3, lo), rtol=0, atol=1e-13
+        )
+
+
+# beta of random_smooth(1) at h 0.005, T 15, recorded before the history
+# integrals in make_compatible became exact
+@pytest.mark.parametrize(
+    "tau, beta", [((0.3, 0.05), 4.710285), ((0.3, 0.11), 5.173249), ((0.3, 0.3), 3.158141)]
+)
+def test_decay_rate_of_the_paper_system_is_pinned(tau, beta):
+    sys = benchmark_system(*tau)
+    traj = simulate(sys, make_compatible(sys, HistorySpec.random_smooth(1)), h=0.005, T=15.0)
+    assert estimate_decay(traj)[1] == pytest.approx(beta, rel=1e-6, abs=0)
 
 
 def test_history_kinds_and_validation():
