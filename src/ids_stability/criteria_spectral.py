@@ -3,8 +3,9 @@
 The central quantity is rho(sum_i tau_i^2 A_i (x) A_i); the system is
 exponentially stable when it is below 1/N.  Weighted variants replace the
 uniform 1/N split by the point of the open simplex that minimizes the weighted
-radius, which is convex in the weights: a Perron fixed point of the KKT
-condition finds it where the Perron root is smooth, Nelder-Mead where not.
+radius, which is convex in the weights: bisection on the sign of its Perron
+gradient for two delays; for more, a Perron fixed point of the KKT condition
+where the Perron root is smooth, Nelder-Mead where not.
 """
 
 from __future__ import annotations
@@ -133,23 +134,6 @@ def check_spectral_weighted(sys: IdsSystem, alpha) -> SpectralVerdict:
     return _verdict(spectral_radius(M), 1.0, alpha)
 
 
-def _golden_section(fun, lo: float, hi: float, tol: float = 1e-12) -> float:
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = fun(c), fun(d)
-    while hi - lo > tol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = fun(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = fun(d)
-    return 0.5 * (lo + hi)
-
-
 def dominant_index(w: np.ndarray) -> int | None:
     """Index of the dominant eigenvalue among the eigenvalues w: of those
     within 1e-9 of the largest modulus and real to 1e-9 (1 + radius), the one
@@ -158,6 +142,62 @@ def dominant_index(w: np.ndarray) -> int | None:
     r = np.abs(w).max()
     idx = [i for i in range(w.size) if abs(w[i]) >= r * (1 - 1e-9) and abs(w[i].imag) <= 1e-9 * (1 + r)]
     return max(idx, key=lambda j: w[j].real) if idx else None
+
+
+def _perron_gradient(Ks: np.ndarray, alpha: np.ndarray) -> tuple[float, np.ndarray | None]:
+    """(phi, d phi/d alpha) for the stacked K_i from one eigendecomposition
+    V diag(w) V^-1 of M = sum_i K_i / alpha_i: -u.K_i v / alpha_i^2 with v
+    the column of V and u the row of V^-1 (u.v = 1) of the real dominant
+    eigenvalue.  The gradient is None where there is none or it is not
+    finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = sum(K / a for K, a in zip(Ks, alpha))
+        if not np.isfinite(M).all():
+            raise NonFiniteError("weighted Kronecker sum has inf or nan entries")
+        w, V = np.linalg.eig(M)
+        rho, i = float(np.abs(w).max()), dominant_index(w)
+        if i is None:
+            return rho, None
+        try:
+            u = np.linalg.inv(V)[i].real
+        except np.linalg.LinAlgError:  # dependent eigenvectors
+            return rho, None
+        g = -(Ks @ V[:, i].real) @ u / (alpha * alpha)
+    return rho, g if np.isfinite(g).all() else None
+
+
+def _bisect_weights(Ks, delta: float) -> tuple[float, float]:
+    """Weights (a, 1 - a), a in [delta, 1 - delta], of least phi by bisection
+    on the sign of d phi/d a.  phi is convex, so on the bracket it lies
+    between the meet of the end tangents and the larger end value; once
+    these are within 1e-12 (or the bracket within 1e-13) the slope's secant
+    zero is returned.  A slope of one sign, or unknown at an end, gives the
+    better end."""
+
+    def slope(a):
+        rho, g = _perron_gradient(Ks, np.array([a, 1.0 - a]))
+        return rho, None if g is None else g[0] - g[1]
+
+    lo, hi = delta, 1.0 - delta
+    (f_lo, g_lo), (f_hi, g_hi) = slope(lo), slope(hi)
+    if g_lo is None or g_hi is None or g_lo >= 0.0 or g_hi <= 0.0:
+        a = lo if f_lo <= f_hi else hi
+        return a, 1.0 - a
+    while hi - lo >= 1e-13:
+        x = (f_hi - f_lo + g_lo * lo - g_hi * hi) / (g_lo - g_hi)
+        top = max(f_lo, f_hi)
+        if top - (f_lo + g_lo * (x - lo)) <= 1e-12 * top:
+            break
+        mid = 0.5 * (lo + hi)
+        f, g = slope(mid)
+        if g is None:
+            break
+        if g < 0.0:
+            lo, f_lo, g_lo = mid, f, g
+        else:
+            hi, f_hi, g_hi = mid, f, g
+    a = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+    return a, 1.0 - a
 
 
 def _perron_fixed_point(Ks, delta: float) -> tuple[float, ...] | None:
@@ -202,12 +242,13 @@ _memo: tuple = (None, None)
 def optimize_weights(sys: IdsSystem) -> tuple[tuple[float, ...], float]:
     """Minimize phi(alpha) = rho(sum_i tau_i^2 A_i (x) A_i / alpha_i) over the
     open simplex; returns (alpha, phi(alpha)), never worse than the uniform
-    point.  N=2 uses a coarse scan plus golden-section refinement.
+    point.  With u, v the left and right Perron vectors of M = sum_i
+    K_i/alpha_i (K_i = tau_i^2 A_i (x) A_i), the derivative of a simple
+    Perron root (Deutsch & Neumann 1984) is d phi/d alpha_i = -u.K_i v /
+    (alpha_i^2 u.v).  N=2 bisects on its sign to a certified 1e-12 gap (phi
+    is convex, below), in about 23 eigendecompositions on the paper system.
 
-    For N>=3 a Perron fixed point solves the KKT condition.  With u, v the
-    left and right Perron vectors of M = sum_i K_i/alpha_i (K_i = tau_i^2
-    A_i (x) A_i), the derivative of a simple Perron root (Deutsch & Neumann
-    1984) is d phi/d alpha_i = -u.K_i v / (alpha_i^2 u.v), so an interior
+    For N>=3 a Perron fixed point solves the KKT condition: an interior
     minimum has alpha_i proportional to sqrt(u.K_i v).  Each step takes
     that point ahat at the current vectors, clips it at delta = 1e-3 and
     moves halfway in log space: alpha <- normalise(sqrt(alpha * ahat)).  The
@@ -253,7 +294,7 @@ def optimize_weights(sys: IdsSystem) -> tuple[tuple[float, ...], float]:
 
 def _minimize_weights(sys: IdsSystem) -> tuple[tuple[float, ...], float]:
     N = sys.N
-    Ks = [kron_operator((A,), (t * t,)) for A, t in zip(sys.A, sys.tau)]
+    Ks = np.stack([kron_operator((A,), (t * t,)) for A, t in zip(sys.A, sys.tau)])
 
     def rho_at(alpha) -> float:
         return spectral_radius(sum(K / a for K, a in zip(Ks, alpha)))
@@ -266,14 +307,7 @@ def _minimize_weights(sys: IdsSystem) -> tuple[tuple[float, ...], float]:
     rho_uniform = rho_at(uniform)
 
     if N == 2:
-        grid = np.linspace(delta, 1.0 - delta, 512)
-        vals = spectral_radius(Ks[0] / grid[:, None, None] + Ks[1] / (1.0 - grid)[:, None, None])
-        i = int(np.argmin(vals))
-        lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, len(grid) - 1)]
-        a1 = _golden_section(lambda a: rho_at((a, 1.0 - a)), lo, hi)
-        a1 = min(max(a1, delta), 1.0 - delta)
-        cand = (a1, 1.0 - a1)
+        cand = _bisect_weights(Ks, delta)
     else:
         cand = _perron_fixed_point(Ks, delta)
         if cand is None:

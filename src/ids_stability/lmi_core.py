@@ -436,9 +436,12 @@ class _Barrier:
             g -= np.einsum("kipi->p", T)
             T = T.transpose(0, 1, 3, 2).reshape(-1, nw)
             H += T.T @ T
-        # least squares: a variable that no block uses leaves H singular
-        # (or, under the ball, singular to working precision)
-        return g, np.linalg.lstsq(H, -g, rcond=None)[0]
+        # least squares only where H is exactly singular, as late on the
+        # path of th1 with a singular A under the ball
+        try:
+            return g, np.linalg.solve(H, -g)
+        except np.linalg.LinAlgError:
+            return g, np.linalg.lstsq(H, -g, rcond=None)[0]
 
     def value(self, w: np.ndarray, spectra: list, s: float) -> float:
         """The barrier at weight s, or inf outside its domain."""

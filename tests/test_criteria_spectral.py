@@ -1,5 +1,6 @@
 import math
 import threading
+import warnings
 from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
@@ -11,7 +12,6 @@ from scipy.optimize import minimize
 from ids_stability import criteria_spectral
 from ids_stability.criteria_spectral import (
     NonFiniteError,
-    _golden_section,
     check_spectral,
     check_spectral_weighted,
     kron,
@@ -129,32 +129,119 @@ def test_optimize_weights_single_term():
     assert abs(rho - check_spectral(s).rho) < 1e-12
 
 
-def test_optimize_weights_two_terms_matches_pointwise_scan():
-    rng = np.random.default_rng(4)
-    systems = [
-        benchmark_system(0.4, 0.02),
-        benchmark_system(0.1, 0.3),
-        validate_system(IdsSystem(A=tuple(rng.standard_normal((2, 3, 3))), tau=(0.2, 0.05))),
-    ]
-    for s in systems:
-        # the scan and refinement one weight at a time
-        Ks = [t * t * kron(A, A) for A, t in zip(s.A, s.tau)]
+def _scan_and_golden_section(s, delta=1e-3):
+    """phi at the N = 2 weights optimize_weights found before bisection: a
+    512-point scan, golden-section refinement between the neighbours of its
+    best point, and the better of that point and the uniform one."""
+    Ks = [t * t * kron(A, A) for A, t in zip(s.A, s.tau)]
 
-        def rho_at(alpha):
-            return spectral_radius(sum(K / a for K, a in zip(Ks, alpha)))
+    def rho_at(a):
+        return spectral_radius(Ks[0] / a + Ks[1] / (1.0 - a))
 
-        delta = 1e-3
-        grid = np.linspace(delta, 1.0 - delta, 512)
-        vals = [rho_at((a, 1.0 - a)) for a in grid]
-        i = int(np.argmin(vals))
-        a1 = _golden_section(lambda a: rho_at((a, 1.0 - a)), grid[max(i - 1, 0)], grid[min(i + 1, 511)])
-        a1 = min(max(a1, delta), 1.0 - delta)
-        expected = ((0.5, 0.5), rho_at((0.5, 0.5)))
-        if rho_at((a1, 1.0 - a1)) < expected[1]:
-            expected = ((a1, 1.0 - a1), rho_at((a1, 1.0 - a1)))
-        assert optimize_weights(s) == expected
-        stack = np.stack([Ks[0] / a + Ks[1] / (1.0 - a) for a in grid])
-        np.testing.assert_array_equal(spectral_radius(stack), vals)
+    grid = np.linspace(delta, 1.0 - delta, 512)
+    vals = [rho_at(a) for a in grid]
+    stack = np.stack([Ks[0] / a + Ks[1] / (1.0 - a) for a in grid])
+    np.testing.assert_array_equal(spectral_radius(stack), vals)
+    i = int(np.argmin(vals))
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, 511)]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+    fc, fd = rho_at(c), rho_at(d)
+    while hi - lo > 1e-12:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - invphi * (hi - lo)
+            fc = rho_at(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + invphi * (hi - lo)
+            fd = rho_at(d)
+    return min(rho_at(min(max(0.5 * (lo + hi), delta), 1.0 - delta)), rho_at(0.5))
+
+
+def _assert_two_term_optimum(s):
+    (a1, a2), rho = optimize_weights(s)
+    assert rho <= (1 + 1e-12) * _scan_and_golden_section(s)
+    assert rho <= check_spectral_weighted(s, (0.5, 0.5)).rho
+    assert 1e-3 <= a1 <= 1 - 1e-3 and 1e-3 <= a2 <= 1 - 1e-3
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(0, 10_000), st.floats(0.01, 1.0), st.floats(0.01, 1.0))
+def test_optimize_weights_two_terms_matches_scan_and_golden_section(n, seed, t1, t2):
+    rng = np.random.default_rng(seed)
+    _assert_two_term_optimum(validate_system(IdsSystem(A=tuple(rng.standard_normal((2, n, n))), tau=(t1, t2))))
+
+
+@pytest.mark.parametrize("row", [0.4, 0.3, 0.2, 0.1])
+def test_optimize_weights_on_the_paper_rows_is_optimal_in_few_evaluations(monkeypatch, row):
+    # one np.linalg.eig per bisection step; the scan alone took 512 radii
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda X: calls.append(1) or eig(X))
+    for tau2 in (0.02, 0.05, 0.1, 0.3):
+        monkeypatch.setattr(criteria_spectral, "_memo", (None, None))
+        del calls[:]
+        _assert_two_term_optimum(benchmark_system(row, tau2))
+        assert 0 < len(calls) <= 30
+
+
+J = np.array([[0.5, 1.0], [0.0, 0.5]])
+N1 = np.array([[0.0, 1.0], [0.0, 0.0]])
+S3 = np.eye(3, k=1)
+R = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "A, alpha, rho",
+    [
+        # phi = max(0.09 / a, 0.04 / (1 - a)): a kink at the minimum
+        ((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), (9 / 13, 4 / 13), 0.13),
+        # J (x) J is defective, so its eigenvectors are (nearly) dependent
+        ((J, J), (0.6, 0.4), 0.0625),
+        # the eigenvectors of the nilpotent S (x) S are exactly dependent
+        ((S3, 2.0 * S3), (0.5, 0.5), 0.0),
+        # a zero term ends at the clip delta
+        ((np.eye(2), np.zeros((2, 2))), (0.999, 0.001), 0.09 / 0.999),
+        # the +-1 eigenvalues of R (x) R tie in modulus
+        ((R, R), (0.6, 0.4), 0.25),
+        # tau^2 A (x) A / delta overflows
+        ((np.diag([1e154, 1.0]), np.eye(2)), None, None),
+    ],
+    ids=["decoupled-diagonal", "defective", "nilpotent", "zero-term", "rotations", "near-overflow"],
+)
+def test_optimize_weights_two_term_edge_cases(A, alpha, rho):
+    s = validate_system(IdsSystem(A=A, tau=(0.3, 0.2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if alpha is None:
+            with pytest.raises(NonFiniteError):
+                optimize_weights(s)
+            return
+        got_alpha, got_rho = optimize_weights(s)
+    np.testing.assert_allclose(got_alpha, alpha, rtol=0, atol=1e-6)
+    assert abs(got_rho - rho) <= 1e-12 * rho
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_perron_gradient_matches_central_differences(seed):
+    rng = np.random.default_rng(seed)
+    Ks = np.stack([kron(A, A) for A in rng.standard_normal((3, 2, 2))])
+    alpha = np.array([0.5, 0.3, 0.2])
+
+    def phi(alpha):
+        return spectral_radius(sum(K / a for K, a in zip(Ks, alpha)))
+
+    rho, g = criteria_spectral._perron_gradient(Ks, alpha)
+    assert abs(rho - phi(alpha)) <= 1e-12 * rho
+    for e in 1e-6 * np.eye(3):
+        fd = (phi(alpha + e) - phi(alpha - e)) / 2e-6
+        assert abs(g @ e / 1e-6 - fd) <= 1e-6 * abs(fd)
+
+
+def test_perron_gradient_is_none_without_a_real_dominant_eigenvalue():
+    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+    assert criteria_spectral._perron_gradient(np.stack([rot, rot]), (0.5, 0.5)) == (4.0, None)
 
 
 def test_spectral_radius_rejects_non_finite_stacks():
@@ -339,9 +426,6 @@ def test_optimize_weights_three_terms_meets_kkt(three_term_optima):
     assert checked >= 50
 
 
-R = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
 def _cyclic(a, b, c):
     return np.array([[0.0, a, 0.0], [0.0, 0.0, b], [c, 0.0, 0.0]])
 
@@ -372,7 +456,6 @@ def test_optimize_weights_three_term_edge_cases(A, alpha, rho):
 
 
 def test_optimize_weights_nilpotent_terms_keep_the_uniform_point():
-    N1 = np.array([[0.0, 1.0], [0.0, 0.0]])
     s = validate_system(IdsSystem(A=(N1, 2.0 * N1, np.zeros((2, 2))), tau=(0.3, 0.2, 0.1)))
     assert optimize_weights(s) == ((1 / 3, 1 / 3, 1 / 3), 0.0)
 
