@@ -19,12 +19,15 @@ centre, theta / s (theta the barrier parameter) bounds the distance of t
 to its optimum, so the run stops once f <= -10 * eps_feas (a depth that
 settles the verdict), once no witness can reach -eps_feas, or once the gap
 has closed.  A negative certificate is "feasible", anything else is
-"not_found".  Because every block is linear, each
-eigenvector row h = (u kron u)^T M_k satisfies h.x <= f(x) everywhere, and
-Kelley's cutting-plane LP over the rows of the last centres bounds f from
-below on the slice: when a run ends without a value below 10 * eps_feas
-and the bound is at least that, no witness exists and the report carries
-it as ``lower_bound``.
+"not_found".  When a run ends without a value below 10 * eps_feas, its
+last Newton step defines a dual point Z; when Z is positive semidefinite,
+weak duality bounds f from below on the whole slice, and a bound of at
+least 10 * eps_feas proves that no witness exists (the report carries it
+as ``lower_bound``).  Where that proof falls short (a ball run, or a
+weaker bound), Kelley's cutting-plane LP tries instead: every block is
+linear, so each eigenvector row h = (u kron u)^T M_k satisfies
+h.x <= f(x) everywhere, and the LP over the rows of the last centres
+bounds f from below on the slice.
 """
 
 from __future__ import annotations
@@ -174,7 +177,8 @@ class FeasReport:
     witness: dict
     iterations: int  # start evaluations plus Newton steps
     restarts: int  # 0 when a start certified, else 1 (the run)
-    # a proven lower bound on f over the normalization slice (not_found only)
+    # a proven lower bound >= 10 * eps_feas on f over the normalization slice
+    # (not_found only), from the last Newton step's dual point or the cut LP
     lower_bound: float | None = None
 
     @property
@@ -254,7 +258,8 @@ class _Compiled:
                 )
             if term.transpose:  # vec(V^T) permutes the rows of vec(V)
                 B = B.reshape(v.dim, v.dim, -1).transpose(1, 0, 2).reshape(B.shape)
-            M[:, off : off + v.n_params] += np.kron(L, R.T) @ B
+            LR = (L[:, None, :, None] * R.T[None, :, None, :]).reshape(m * m, -1)  # np.kron(L, R.T)
+            M[:, off : off + v.n_params] += LR @ B
         M = M.reshape(m, m, -1)
         return (0.5 * (M + M.transpose(1, 0, 2))).reshape(m * m, -1)
 
@@ -451,6 +456,35 @@ class _Barrier:
         return -s * w[-1] - float(np.log(lam).sum() + np.log(room)) if ok else np.inf
 
 
+def _dual_bound(bar: _Barrier, spectra: list, s: float, dw: np.ndarray) -> float | None:
+    """-<Z, C>, a lower bound on f over the slice, from the dual point
+    Z_k = (S_k^-1 - S_k^-1 dS_k S_k^-1) / s (dS = G dw) of a Newton step dw at
+    weight s from the point of the spectra.  The Newton equations give
+    G^T vec Z = -e_t (zero z-part, sum tr Z_k = 1), restored after rounding
+    by one least-norm correction; if every Z_k is then PSD, weak duality
+    gives 0 <= <Z, C + G w> = <Z, C> - t for every feasible (z, t).  None
+    when some Z_k is not, and under the ball, whose term breaks the identity.
+    """
+    if bar.ball:
+        return None
+    Z = []
+    for (m, K, _, G), (lam, U) in zip(bar.groups, spectra):
+        Si = (U / lam[:, None, :]) @ U.transpose(0, 2, 1)
+        Zk = (Si - Si @ (G @ dw).reshape(K, m, m) @ Si) / s
+        Z.append((0.5 * (Zk + Zk.transpose(0, 2, 1))).ravel())
+    z = np.concatenate(Z)
+    Gt = np.vstack([G for *_, G in bar.groups]).T
+    r = Gt @ z
+    r[-1] += 1.0
+    z -= np.linalg.lstsq(Gt, r, rcond=None)[0]
+    off = 0
+    for m, K, _, _ in bar.groups:
+        if np.linalg.eigvalsh(z[off : off + K * m * m].reshape(K, m, m)).min() < 0.0:
+            return None
+        off += K * m * m
+    return -float(z @ np.concatenate([C for _, _, C, _ in bar.groups]))
+
+
 def _worst(w: np.ndarray, spectra: list) -> float:
     """f at the point of w: lambda_min(S_k) = -lambda_max(B_k) - t."""
     return -w[-1] - min(float(l[:, 0].min()) for l, _ in spectra)
@@ -461,8 +495,8 @@ def _barrier_run(comp: _Compiled, x0: np.ndarray, f0: float, cfg: SolverConfig):
     Armijo backtracking centre the barrier, and s grows by _GROWTH after
     each centring.  At a centre, t* <= t + theta / s (theta the sum of the
     block dimensions, plus 1 for the ball, whose points alone count in t*).
-    Returns the least f seen, its point, the Newton steps taken and the
-    centres."""
+    Returns the least f seen, its point, the Newton steps taken, the
+    centres and the arguments of ``_dual_bound`` for the last Newton step."""
     bar = _Barrier(comp, x0)
     settled = -10.0 * cfg.eps_feas
     w = np.zeros(bar.nw)
@@ -473,8 +507,10 @@ def _barrier_run(comp: _Compiled, x0: np.ndarray, f0: float, cfg: SolverConfig):
     best_f, best_x = f0, x0
     steps = 0
     centres: list[np.ndarray] = []
+    last = None
     while best_f > settled and steps < cfg.max_iters:
         g, dw = bar.newton(w, spectra, s)
+        last = (bar, spectra, s, dw)
         lam2 = float(-g @ dw)
         if lam2 < _CENTRED:
             centres.append(bar.x(w))
@@ -499,7 +535,7 @@ def _barrier_run(comp: _Compiled, x0: np.ndarray, f0: float, cfg: SolverConfig):
         f = _worst(w, spectra)
         if f < best_f:
             best_f, best_x = f, bar.x(w)
-    return best_f, best_x, steps, centres or [bar.x(w)]
+    return best_f, best_x, steps, centres or [bar.x(w)], last
 
 
 def solve_feasibility(problem: LmiProblem, cfg: SolverConfig | None = None) -> FeasReport:
@@ -509,8 +545,9 @@ def solve_feasibility(problem: LmiProblem, cfg: SolverConfig | None = None) -> F
     start that already certifies feasibility at ``eps_feas`` short-circuits
     the search.  Otherwise one barrier run from the best start (or from the
     normalized identities) follows the central path until the verdict is
-    settled, and a run that ends without a value below ``10 * eps_feas``
-    tries the proof LP on the eigenvector rows of its last centres.
+    settled.  A run that ends without a value below ``10 * eps_feas`` tries
+    the dual bound of its last Newton step, and where that proves nothing,
+    the proof LP on the eigenvector rows of its last centres.
     """
     cfg = cfg or SolverConfig()
     if not any(v.require_pd for v in problem.variables):
@@ -537,13 +574,15 @@ def solve_feasibility(problem: LmiProblem, cfg: SolverConfig | None = None) -> F
     if best_x is None:
         best_x = a / (a @ a)  # scaled identities
         best_f = comp.f_only(best_x)
-    best_f, best_x, steps, centres = _barrier_run(comp, best_x, best_f, cfg)
+    best_f, best_x, steps, centres, last = _barrier_run(comp, best_x, best_f, cfg)
     iterations += steps
 
     lower_bound = None
     if best_f >= 10.0 * cfg.eps_feas:
-        rows = np.vstack([comp.eig_rows(x) for x in centres[-_PROOF_CENTRES:]])
-        lower_bound = _prove_no_witness(comp, rows, cfg)
+        lower_bound = _dual_bound(*last)
+        if lower_bound is None or lower_bound < 10.0 * cfg.eps_feas:
+            rows = np.vstack([comp.eig_rows(x) for x in centres[-_PROOF_CENTRES:]])
+            lower_bound = _prove_no_witness(comp, rows, cfg)
 
     witness = comp.to_witness(best_x)
     lambda_star = comp.f_only(best_x)

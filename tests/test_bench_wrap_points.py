@@ -94,3 +94,18 @@ def test_one_trajectory_is_one_simulate_span_and_one_span_per_functional_time(la
     # functional times 0, 0.05, ... below T - max(tau) = 14.7
     times = np.round(np.arange(0.0, workloads.SIM_T - 0.3, workloads.FUNC_DT), 10)
     assert [s.name for s in tr.spans].count(layers.FUNCTIONAL) == times.size
+
+
+def test_a_margin_table_probe_still_reaches_the_proof_lp(layers):
+    # MUST_FIRE requires lmi_core.lp_calls on margin-table until the
+    # benchmark reports a counter that no longer fires as absent.  Most
+    # not-found probes are proven by the Newton step's dual point; amc's
+    # probe at the lower end of row 0.4 is not (its bound is 4.7e-8, below
+    # 10 * eps_feas), so it still runs the cut LP
+    sys = validate_system(model.benchmark_system(0.4, 1e-4))
+    tr = layers.install()
+    try:
+        assert margin.criterion_feasible(sys, "amc") == (False, None)
+    finally:
+        tr.restore()
+    assert [s.name for s in tr.spans].count(layers.LP) == 1

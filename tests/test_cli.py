@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ids_stability import criteria_lmi, margin
+from ids_stability import criteria_lmi, lmi_core, margin
 from ids_stability.cli import main
 from ids_stability.criteria_lmi import IllConditionedError, build_th2_lmi
 from ids_stability.lmi_core import SolverConfig, check_witness
@@ -141,6 +141,19 @@ def test_check_prints_proven_lower_bound(bench_file, capsys):
     assert lines[-1] == "verdict: not_found"
     lam, bound = (float(line.split(" = ")[1]) for line in lines[:2])
     assert 1e-6 <= bound <= lam
+
+
+def test_check_th1_prints_lower_bound_from_the_proof_lp(bench_file, capsys, monkeypatch):
+    # th1's runs keep to a ball, where the Newton step's dual point proves
+    # nothing, so its bound still comes from the cut LP
+    calls = []
+    real = lmi_core.linprog
+    monkeypatch.setattr(lmi_core, "linprog", lambda *a, **k: calls.append(1) or real(*a, **k))
+    assert main(["check", "--system", bench_file(0.3, 3.0), "--method", "th1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" ")[0] for line in lines] == ["lambda_star", "lower_bound", "verdict:"]
+    lam, bound = (float(line.split(" = ")[1]) for line in lines[:2])
+    assert 1e-6 <= bound <= lam and calls == [1]
 
 
 def test_check_feasible_prints_no_lower_bound(bench_file, capsys):

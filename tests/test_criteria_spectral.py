@@ -15,6 +15,7 @@ from ids_stability.criteria_spectral import (
     check_spectral,
     check_spectral_weighted,
     kron,
+    kron_operator,
     laa_spectral,
     operator_block,
     optimize_weights,
@@ -50,6 +51,19 @@ def test_kron_square_law_on_random_matrices():
 def test_kron_rejects_nonsquare():
     with pytest.raises(ValueError):
         kron(np.zeros((2, 3)), np.eye(2))
+
+
+def _three_term_corpus_system():
+    return next(s for s in random_corpus(2024, 100) if s.N == 3)
+
+
+@pytest.mark.parametrize(
+    "s", [benchmark_system(0.3, 0.1), _three_term_corpus_system()], ids=["paper", "corpus-N3"]
+)
+def test_kron_operator_is_bitwise_the_np_kron_sum(s):
+    weights = [t * t for t in s.tau]
+    reference = sum(w * np.kron(A, A) for A, w in zip(s.A, weights))
+    np.testing.assert_array_equal(kron_operator(s.A, weights), reference)
 
 
 def test_spectral_radius_known_values():
@@ -221,6 +235,32 @@ def test_optimize_weights_two_term_edge_cases(A, alpha, rho):
         got_alpha, got_rho = optimize_weights(s)
     np.testing.assert_allclose(got_alpha, alpha, rtol=0, atol=1e-6)
     assert abs(got_rho - rho) <= 1e-12 * rho
+
+
+def _dominant_index_by_scan(w):
+    """dominant_index as a Python scan over the eigenvalues: the reference."""
+    r = np.abs(w).max()
+    idx = [i for i in range(w.size) if abs(w[i]) >= r * (1 - 1e-9) and abs(w[i].imag) <= 1e-9 * (1 + r)]
+    return max(idx, key=lambda j: w[j].real) if idx else None
+
+
+def test_dominant_index_matches_the_scan():
+    shift = np.roll(np.eye(3), 1, axis=0)  # eigenvalues rho e^(2 pi i k / 3)
+    spectra = [
+        np.linalg.eigvals(kron(R, R)),  # +-1, tied in modulus
+        np.linalg.eigvals(R),  # +-i: none real
+        np.linalg.eigvals(shift),
+        np.linalg.eigvals(kron(shift, shift)),
+        np.linalg.eigvals(kron(J, J)),  # defective
+        np.linalg.eigvals(kron(S3, S3)),  # nilpotent: all zero
+        np.array([2.0, -2.0, 2.0]),  # equal real parts: the first one
+        np.array([-2.0 + 0j, 2.0 + 1e-12j, 2.0 - 1e-12j]),
+    ]
+    for s in random_corpus(2024, 40):
+        M = kron_operator(s.A, [t * t for t in s.tau])
+        spectra += [np.linalg.eigvals(M), np.linalg.eigvals(M.T)]
+    for w in spectra:
+        assert criteria_spectral.dominant_index(w) == _dominant_index_by_scan(w), w
 
 
 @pytest.mark.parametrize("seed", range(4))

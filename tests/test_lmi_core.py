@@ -269,6 +269,32 @@ def test_kernel_matches_block_evaluation(kernel_cases):
                 assert (rows @ y).max() <= comp.f_only(y) + 1e-10 * scale, name
 
 
+def _np_kron_map(comp, blk):
+    """_Compiled._compile_block with np.kron: the reference."""
+    m = blk.dim
+    M = np.zeros((m * m, comp.nx))
+    for term in blk.terms:
+        v, off, B = comp.vars[term.var]
+        if term.transpose:
+            B = B.reshape(v.dim, v.dim, -1).transpose(1, 0, 2).reshape(B.shape)
+        M[:, off : off + v.n_params] += np.kron(term.left, term.right.T) @ B
+    M = M.reshape(m, m, -1)
+    return (0.5 * (M + M.transpose(1, 0, 2))).reshape(m * m, -1)
+
+
+@pytest.mark.parametrize(
+    "sys",
+    [benchmark_system(0.3, 0.1), next(s for s in random_corpus(2024, 100) if s.N == 3)],
+    ids=["paper", "corpus-N3"],
+)
+def test_compiled_maps_are_bitwise_the_np_kron_maps(sys):
+    for name in ("amc", "th2-coupled", "single", "th1", "th2-lmi"):
+        problem = LMI_CRITERIA[name](sys)
+        comp = _Compiled(problem)
+        for blk in problem.blocks:
+            np.testing.assert_array_equal(comp._compile_block(blk), _np_kron_map(comp, blk), name)
+
+
 # -- early exits: the settling depth, the duality gap and the proof LP --------
 
 
@@ -287,14 +313,15 @@ def _count_lps(monkeypatch):
     return calls
 
 
-def test_cut_bound_settles_infeasible_probe_in_one_restart(monkeypatch):
-    # the gap excludes a witness after a few centrings, and one LP proves it
+def test_dual_bound_settles_infeasible_probe_without_lp(monkeypatch):
+    # the gap excludes a witness after a few centrings, and the dual point of
+    # the last Newton step proves it: no eigenvector rows and no LP
     calls = _count_lps(monkeypatch)
     cfg = SolverConfig()
     problem = LMI_CRITERIA["th2-lmi"](benchmark_system(0.3, 3.0))
     rep = solve_feasibility(problem, cfg)
     assert rep.status == "not_found"
-    assert rep.restarts == 1 and calls == ["proof"]
+    assert rep.restarts == 1 and calls == []
     assert rep.iterations <= 64 + len(problem.starts)
     assert 10 * cfg.eps_feas <= rep.lower_bound <= rep.lambda_star
 
@@ -354,12 +381,28 @@ def test_restarts_field_tells_start_hits_from_runs():
     assert cold.feasible and cold.restarts == 1
 
 
+def _record_dual_bounds(monkeypatch):
+    """Route lmi_core._dual_bound through a recorder; returns its values."""
+    seen = []
+    real = lmi_core._dual_bound
+
+    def dual_bound(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(lmi_core, "_dual_bound", dual_bound)
+    return seen
+
+
 def test_proof_lp_reaches_the_module_binding(monkeypatch):
     # the proof LP must call lmi_core.linprog by its module name, so that
-    # patching it (as tracing does) sees every LP
+    # patching it (as tracing does) sees every LP; th1's R is not required
+    # PD, so its run keeps to the ball, gets no dual bound and uses the LP
     calls = _count_lps(monkeypatch)
-    solve_feasibility(LMI_CRITERIA["th2-lmi"](benchmark_system(0.3, 3.0)))
-    assert calls == ["proof"]
+    bounds = _record_dual_bounds(monkeypatch)
+    rep = solve_feasibility(LMI_CRITERIA["th1"](benchmark_system(0.3, 3.0)))
+    assert bounds == [None] and calls == ["proof"]
+    assert 10 * SolverConfig().eps_feas <= rep.lower_bound <= rep.lambda_star
 
 
 def test_cold_amc_near_the_margin_is_feasible():
@@ -419,6 +462,74 @@ def stable_problems():
                 cases.append((f"{name}-{label}", replace(problem, starts=()), x))
     assert len(cases) >= 18
     return cases
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_dual_bound_never_proves_a_feasible_problem(stable_problems, data):
+    # short runs end far from the central path, so the dual point comes from
+    # a poorly centred Newton step; any bound it gives lies below f at the
+    # known witness, so below 10 * eps_feas
+    name, problem, witness = data.draw(st.sampled_from(stable_problems))
+    cfg = SolverConfig(max_iters=data.draw(st.sampled_from((1, 2, 5, 10, 20, 40))))
+    with pytest.MonkeyPatch.context() as mp:
+        bounds = _record_dual_bounds(mp)
+        assert solve_feasibility(problem, cfg).lower_bound is None, name
+    f = _Compiled(problem).f_only(witness)
+    assert all(b <= f + 1e-9 for b in bounds if b is not None), name
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data())
+def test_dual_bound_helper_is_sound_at_arbitrary_steps(stable_problems, data):
+    # the least-norm correction puts the dual point of any step on the dual
+    # affine set; only positive semidefiniteness makes its bound valid
+    name, problem, witness = data.draw(st.sampled_from(stable_problems))
+    rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
+    comp = _Compiled(problem)
+    x0 = comp.trace_vec / (comp.trace_vec @ comp.trace_vec)
+    bar = lmi_core._Barrier(comp, x0)
+    w = np.zeros(bar.nw)
+    w[-1] = -comp.f_only(x0) - 1.0
+    dw = data.draw(st.sampled_from((1e-2, 1.0, 1e2))) * rng.standard_normal(bar.nw)
+    s = data.draw(st.sampled_from((1.0, 1e3)))
+    bound = lmi_core._dual_bound(bar, bar.spectra(w), s, dw)
+    assert bound is None or bound <= comp.f_only(witness) + 1e-9, name
+
+
+def _probe_problems():
+    """(name, problem) for four integral LMI criteria on the paper system
+    past its margins and on off-boundary corpus systems; 26 end not_found."""
+    systems = [benchmark_system(0.3, t) for t in (0.06, 0.2, 1.0, 3.0)]
+    systems += [s for s in random_corpus(2024, 20) if isinstance(s, IdsSystem)]
+    return [
+        (f"{name}-{i}", LMI_CRITERIA[name](s))
+        for i, s in enumerate(systems)
+        for name in ("amc", "th2-coupled", "single", "th2-lmi")
+    ]
+
+
+def test_dual_bound_lies_below_f_across_the_slice(monkeypatch):
+    # weak duality: the bound holds at every point of the slice, not only
+    # near the run's best point
+    rng = np.random.default_rng(3)
+    bounds = _record_dual_bounds(monkeypatch)
+    proven = 0
+    for name, problem in _probe_problems():
+        del bounds[:]
+        rep = solve_feasibility(problem)
+        if rep.feasible or not bounds or bounds[-1] is None:
+            continue
+        comp = _Compiled(problem)
+        best = comp.to_vector(normalize_witness(problem, rep.witness))
+        points = [best] + [
+            _on_slice(comp, best + c * rng.standard_normal(comp.nx))
+            for c in (1e-3, 1e-1, 1.0, 10.0)
+            for _ in range(10)
+        ]
+        assert all(bounds[-1] <= comp.f_only(x) + 1e-9 for x in points), name
+        proven += bounds[-1] >= 10 * SolverConfig().eps_feas
+    assert proven >= 20
 
 
 def test_cut_bound_never_fires_on_feasible_problems(stable_problems, monkeypatch):
