@@ -5,7 +5,8 @@ exponentially stable when it is below 1/N.  Weighted variants replace the
 uniform 1/N split by the point of the open simplex that minimizes the weighted
 radius, which is convex in the weights: bisection on the sign of its Perron
 gradient for two delays; for more, a Perron fixed point of the KKT condition
-where the Perron root is smooth, Nelder-Mead where not.
+where the Perron root is smooth, and ellipsoid cuts on the same gradient where
+not.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .model import DiscreteIds, IdsSystem
 
@@ -94,19 +94,14 @@ def kron_operator(As, weights) -> np.ndarray:
         return sum(term(A, w) for A, w in zip(As, weights))
 
 
-def spectral_radius(M: np.ndarray):
-    """Largest eigenvalue modulus (Hessenberg reduction + shifted QR).
-
-    A stack of k square matrices, shape (k, n, n), gives the array of their
-    k radii from one batched eigenvalue call.
-    """
+def spectral_radius(M: np.ndarray) -> float:
+    """Largest eigenvalue modulus (Hessenberg reduction + shifted QR)."""
     M = np.asarray(M, dtype=float)
-    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
-        raise ValueError("spectral_radius expects a square matrix or a stack of them")
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError("spectral_radius expects a square matrix")
     if not np.all(np.isfinite(M)):
         raise NonFiniteError("spectral_radius: inf or nan entries (did a Kronecker sum overflow?)")
-    rho = np.abs(np.linalg.eigvals(M)).max(axis=-1, initial=0.0)
-    return float(rho) if M.ndim == 2 else rho
+    return float(np.abs(np.linalg.eigvals(M)).max(initial=0.0))
 
 
 def check_spectral(sys: IdsSystem) -> SpectralVerdict:
@@ -119,6 +114,8 @@ def _check_weights(alpha, N: int) -> tuple[float, ...]:
     alpha = tuple(float(a) for a in alpha)
     if len(alpha) != N:
         raise ValueError(f"expected {N} weights, got {len(alpha)}")
+    if not np.isfinite(alpha).all():
+        raise ValueError(f"weights must be finite (got {alpha!r})")
     if any(a <= 0.0 or a >= 1.0 for a in alpha) and N > 1:
         raise ValueError("weights must lie in the open interval (0, 1)")
     if N == 1 and alpha[0] != 1.0:
@@ -207,24 +204,19 @@ def _perron_fixed_point(Ks, delta: float) -> tuple[float, ...] | None:
     """The weights where the damped KKT fixed point of optimize_weights
     settles, or None when it does not settle within 200 steps, stalls (its
     largest weight move sets no new minimum for 10 steps in a row, as when it
-    cycles at a kink) or meets a matrix with no real dominant eigenvalue or no
+    cycles at a kink) or meets a matrix with no Perron gradient or no
     direction."""
     alpha = np.full(len(Ks), 1.0 / len(Ks))
     best, stalled = np.inf, 0
     for _ in range(200):
-        M = sum(K / a for K, a in zip(Ks, alpha))
-        uv = []
-        for X in (M, M.T):
-            w, V = np.linalg.eig(X)
-            i = dominant_index(w)
-            if i is None:
-                return None
-            uv.append(V[:, i].real)
-        v, u = uv
-        g = np.sqrt(np.abs([u @ K @ v for K in Ks]))
-        if not g.sum() > 0.0:  # no direction, e.g. nilpotent terms
+        _, g = _perron_gradient(Ks, alpha)
+        if g is None:
             return None
-        step = np.sqrt(alpha * np.clip(g / g.sum(), delta, None))
+        ahat = alpha * np.sqrt(np.abs(g))  # sqrt(|u.K_i v|)
+        if not ahat.sum() > 0.0:  # no direction, e.g. nilpotent terms
+            return None
+        free = ahat >= delta * ahat.sum()  # the others are clipped at delta
+        step = np.sqrt(alpha * np.where(free, ahat / ahat[free].sum(), delta))
         step /= step.sum()
         move = np.abs(step - alpha).max()
         if move < 1e-13:
@@ -234,6 +226,44 @@ def _perron_fixed_point(Ks, delta: float) -> tuple[float, ...] | None:
             return None
         alpha = step
     return None
+
+
+def _ellipsoid_weights(Ks, delta: float) -> tuple[tuple[float, ...], float]:
+    """(alpha, lower bound) for the least phi with every alpha_i >= delta /
+    (1 + delta), by central cuts (Shor 1977; Nemirovski & Yudin 1979) in the
+    first N - 1 weights x from the ball of radius sqrt(N - 1) about the
+    uniform point.  A centre c with a weight below the clip is cut by that
+    constraint, any other by g = d phi/d alpha_<N - d phi/d alpha_N, which
+    need only be a subgradient; by convexity the minimum, which lies in the
+    ellipsoid {x : (x - c).P^-1 (x - c) <= 1}, is at least phi(c) -
+    sqrt(g.P g).  The search stops once the best phi is within 1e-13
+    relative of the best such bound, or at a cut that is missing or not
+    finite."""
+    n, floor = len(Ks) - 1, delta / (1.0 + delta)
+    c, P = np.full(n, 1.0 / (n + 1)), n * np.eye(n)
+    phi, alpha, bound = np.inf, None, -np.inf
+    while True:
+        a = np.append(c, 1.0 - c.sum())
+        i = int(a.argmin())
+        if a[i] < floor:
+            rho, g = None, (np.ones(n) if i == n else -np.eye(n)[i])
+        else:
+            rho, grad = _perron_gradient(Ks, a)
+            if rho < phi:
+                phi, alpha = rho, a
+            if grad is None:
+                break
+            g = grad[:-1] - grad[-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            gPg = g @ P @ g
+        if rho is not None and 0.0 <= gPg < np.inf:
+            bound = max(bound, rho - np.sqrt(gPg))
+        if phi - bound <= 1e-13 * phi or not 0.0 < gPg < np.inf:
+            break
+        b = P @ g / np.sqrt(gPg)
+        c = c - b / (n + 1)
+        P = n * n / (n * n - 1.0) * (P - 2.0 / (n + 1) * np.outer(b, b))
+    return tuple(float(x) for x in alpha), float(bound)
 
 
 # (key, result) of the last weights _minimize_weights computed.  One tuple,
@@ -252,22 +282,21 @@ def optimize_weights(sys: IdsSystem) -> tuple[tuple[float, ...], float]:
     is convex, below), in about 23 eigendecompositions on the paper system.
 
     For N>=3 a Perron fixed point solves the KKT condition: an interior
-    minimum has alpha_i proportional to sqrt(u.K_i v).  Each step takes
-    that point ahat at the current vectors, clips it at delta = 1e-3 and
-    moves halfway in log space: alpha <- normalise(sqrt(alpha * ahat)).  The
-    undamped step can cycle; clipping ahat rather than the step leaves a
-    clipped weight at delta / (1 + delta), where the other weights sum to 1.
-    The dominant eigenvalue is the one ``dominant_index`` picks.  The
-    iteration has settled once no weight moves by 1e-13.  There it meets
-    the KKT condition of the root it followed; that root is convex (below),
-    never above phi and equal to phi there, so the point minimizes phi.
-    Where the radius is the Perron root of two or more decoupled blocks
-    (diagonal or triangular A_i), phi has kinks, the followed block flips
-    from step to step and the iteration cycles.  When it has not settled
-    after 200 steps, stalls (no new smallest weight move for 10 steps in a
-    row), or finds no real dominant eigenvalue or no direction,
-    one Nelder-Mead descent from the uniform point over N-1 softmax logits
-    (the last pinned at 0) takes its place.
+    minimum has alpha_i proportional to sqrt(u.K_i v) = alpha_i sqrt(|d
+    phi/d alpha_i|).  Each step takes that point ahat from the gradient,
+    sets a share below delta = 1e-3 to delta and rescales the others to sum
+    to 1 (so k clipped weights settle at delta / (1 + k delta)), and moves
+    halfway in log space, as the undamped step can cycle: alpha <-
+    normalise(sqrt(alpha * ahat)).  The iteration has settled once no weight
+    moves by 1e-13.  There it meets the KKT condition of the root it
+    followed; that root is convex (below), never above phi and equal to phi
+    there, so the point minimizes phi.  Where the radius is the Perron root
+    of two or more decoupled blocks (diagonal or triangular A_i), phi has
+    kinks, the followed block flips from step to step and the iteration
+    cycles.  When it has not settled after 200 steps, stalls (no new
+    smallest weight move for 10 steps in a row), or finds no gradient or no
+    direction, ``_ellipsoid_weights`` cuts on the same gradient, a
+    subgradient at a kink, to within 1e-13 of a proved lower bound.
 
     A point that meets the KKT condition is the global minimum: phi is
     convex (Kingman 1961; Nussbaum 1986).  The Kronecker sum at weights
@@ -312,21 +341,7 @@ def _minimize_weights(sys: IdsSystem) -> tuple[tuple[float, ...], float]:
     if N == 2:
         cand = _bisect_weights(Ks, delta)
     else:
-        cand = _perron_fixed_point(Ks, delta)
-        if cand is None:
-            def softmax(z: np.ndarray) -> np.ndarray:
-                z = np.append(z, 0.0)
-                e = np.exp(z - z.max())
-                p = np.clip(e / e.sum(), delta, None)
-                return p / p.sum()
-
-            res = minimize(
-                lambda z: rho_at(softmax(z)),
-                np.zeros(N - 1),
-                method="Nelder-Mead",
-                options={"maxiter": 400, "xatol": 1e-10, "fatol": 1e-12},
-            )
-            cand = tuple(float(a) for a in softmax(res.x))
+        cand = _perron_fixed_point(Ks, delta) or _ellipsoid_weights(Ks, delta)[0]
     r = rho_at(cand)
     return (cand, r) if r < rho_uniform else (uniform, rho_uniform)
 

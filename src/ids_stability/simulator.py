@@ -62,7 +62,10 @@ class HistorySpec:
 
     @classmethod
     def constant(cls, vec) -> "HistorySpec":
-        return cls(kind="constant", const=np.atleast_1d(np.asarray(vec, dtype=float)))
+        c = np.atleast_1d(np.asarray(vec, dtype=float))
+        if not np.isfinite(c).all():
+            raise ValueError(f"constant history values must be finite (got {c.tolist()})")
+        return cls(kind="constant", const=c)
 
     @classmethod
     def random_smooth(cls, seed: int) -> "HistorySpec":
@@ -73,6 +76,8 @@ class HistorySpec:
         v = np.atleast_2d(np.asarray(values, dtype=float))
         if v.shape[0] < 2:
             raise ValueError("need at least two samples")
+        if not np.isfinite(v).all():
+            raise ValueError("sampled history values must be finite")
         return cls(kind="custom-sampled", samples=v)
 
     def as_callable(self, n: int, tau: float):
@@ -210,6 +215,8 @@ def simulate(sys: IdsSystem, history: HistorySpec, h: float, T: float) -> Trajec
     the solution, or the norm of one of its states, overflows to
     non-finite values before T.
     """
+    if not all(math.isfinite(v) for v in (h, T)):
+        raise ValueError(f"h and T must be finite (got {h}, {T})")
     if h <= 0:
         raise ValueError("h must be positive")
     if h > min(sys.tau) / 8 + 1e-12:

@@ -75,6 +75,14 @@ def test_check_weighted_with_explicit_alpha(bench_file, capsys):
     assert "rho = 0.97834" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("alpha", ["nan,nan", "0.5,nan"])
+def test_check_weighted_non_finite_alpha_is_usage_error(bench_file, capsys, alpha):
+    argv = ["check", "--system", bench_file(0.4, 0.02), "--method", "spectral-weighted"]
+    assert main([*argv, "--alpha", alpha]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "weights must be finite" in captured.err
+
+
 def _write(tmp_path, system):
     p = tmp_path / "sys.json"
     p.write_text(save_system(validate_system(system)))
@@ -260,6 +268,26 @@ def test_simulate_bad_history_is_usage_error(bench_file, capsys):
     )
     assert code == 2
     assert "unknown history" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("h, T", [("0.01", "inf"), ("0.01", "nan"), ("nan", "1.0")])
+def test_simulate_non_finite_step_or_horizon_is_usage_error(bench_file, capsys, h, T):
+    argv = ["simulate", "--system", bench_file(0.3, 0.1), "--h", h, "--T", T]
+    assert main([*argv, "--history", "constant:1,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "h and T must be finite" in captured.err
+
+
+@pytest.mark.parametrize("history", ["constant:nan,0", "constant:inf,0", "sampled"])
+def test_simulate_non_finite_history_is_usage_error(bench_file, tmp_path, capsys, history):
+    if history == "sampled":
+        path = tmp_path / "history.json"
+        path.write_text("[[0.0, 1.0], [NaN, 0.0]]")
+        history = f"sampled:{path}"
+    argv = ["simulate", "--system", bench_file(0.3, 0.1), "--h", "0.01", "--T", "1.0"]
+    assert main([*argv, "--history", history]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "history values must be finite" in captured.err
 
 
 def test_table1_cli_quick(tmp_path, capsys):

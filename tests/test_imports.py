@@ -46,22 +46,18 @@ def test_module_level_imports_are_used(path):
     assert not unused, f"{path.name} imports but never uses {unused}"
 
 
-def test_only_lmi_core_and_criteria_spectral_import_scipy():
-    # lmi_core's linprog and the Nelder-Mead fallback of optimize_weights
-    # at kinks are the package's run-time uses of scipy
+def test_only_lmi_core_imports_scipy():
+    # lmi_core's linprog is the package's one run-time use of scipy; the
+    # walk enters function bodies, so a local import is caught too
     importers = set()
     for path in Path(ids_stability.__file__).parent.glob("*.py"):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for top in tree.body:
-            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
                 continue
-            for node in ast.walk(top):
-                if isinstance(node, ast.Import):
-                    modules = [a.name for a in node.names]
-                elif isinstance(node, ast.ImportFrom):
-                    modules = [node.module or ""]
-                else:
-                    continue
-                if any(m.partition(".")[0] == "scipy" for m in modules):
-                    importers.add(path.name)
-    assert importers <= {"lmi_core.py", "criteria_spectral.py"}
+            if any(m.partition(".")[0] == "scipy" for m in modules):
+                importers.add(path.name)
+    assert importers <= {"lmi_core.py"}

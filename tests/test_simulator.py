@@ -47,6 +47,9 @@ def test_step_size_and_horizon_guards():
         simulate(sys, HistorySpec.constant([1.0, 0.0]), h=0.05, T=2.0)
     with pytest.raises(ValueError, match="shorter"):
         simulate(sys, HistorySpec.constant([1.0, 0.0]), h=0.01, T=0.2)
+    for h, T in [(0.01, math.inf), (0.01, math.nan), (math.nan, 1.0)]:
+        with pytest.raises(ValueError, match="h and T must be finite"):
+            simulate(sys, HistorySpec.constant([1.0, 0.0]), h=h, T=T)
 
 
 def test_singular_step_matrix_reports():
