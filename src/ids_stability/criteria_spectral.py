@@ -254,10 +254,16 @@ def _ellipsoid_weights(Ks, delta: float) -> tuple[tuple[float, ...], float]:
             if grad is None:
                 break
             g = grad[:-1] - grad[-1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            gPg = g @ P @ g
-        if rho is not None and 0.0 <= gPg < np.inf:
-            bound = max(bound, rho - np.sqrt(gPg))
+        # the update is scale-free and g.P g overflows for entries near
+        # 1e154, so the cut is g / max |g_i| and the bound scales back (in
+        # Python floats, which overflow to inf without a warning)
+        scale = float(np.abs(g).max()) or 1.0
+        if not scale < np.inf:
+            break
+        g = g / scale
+        gPg = g @ P @ g
+        if rho is not None and gPg >= 0.0:
+            bound = max(bound, rho - scale * float(np.sqrt(gPg)))
         if phi - bound <= 1e-13 * phi or not 0.0 < gPg < np.inf:
             break
         b = P @ g / np.sqrt(gPg)

@@ -12,22 +12,27 @@ times the variable's basis matrix).  Feasibility is decided by minimizing
 over the affine slice trace(sum of PD variables) = 1 (homogeneity makes the
 normalization lossless), that is by max t s.t. B_k(x) + t I < 0 for every
 block.  One path-following barrier run solves it (Vandenberghe & Boyd,
-SIAM Review 1996): damped Newton steps on -s t - sum log det(-B_k - t I)
-over a null-space basis of the slice (within a ball around the start when
-a variable is not required PD), with s growing tenfold per centring.  At a
-centre, theta / s (theta the barrier parameter) bounds the distance of t
-to its optimum, so the run stops once f <= -10 * eps_feas (a depth that
-settles the verdict), once no witness can reach -eps_feas, or once the gap
-has closed.  A negative certificate is "feasible", anything else is
-"not_found".  When a run ends without a value below 10 * eps_feas, its
-last Newton step defines a dual point Z; when Z is positive semidefinite,
-weak duality bounds f from below on the whole slice, and a bound of at
-least 10 * eps_feas proves that no witness exists (the report carries it
-as ``lower_bound``).  Where that proof falls short (a ball run, or a
-weaker bound), Kelley's cutting-plane LP tries instead: every block is
+SIAM Review 1996): Newton steps on -s t - sum log det(-B_k - t I) over a
+null-space basis of the slice (within a ball around the start when a
+variable is not required PD), each as long as minimises the barrier along
+it, with s growing tenfold once the Newton decrement is at most 1/2.
+Every Newton step dw bounds the optimum t* from above.  With mu the
+eigenvalues of every D_k = S_k^-1/2 (G dw)_k S_k^-1/2, max mu <= 1 makes
+the step's dual point Z = (S^-1 - S^-1 (G dw) S^-1) / s positive
+semidefinite, and then t* <= t + (theta - sum mu) / s, with theta the
+barrier parameter (a self-concordant bound replaces it under the ball).
+So the run stops at the first Newton step after which f <= -10 * eps_feas
+(a depth that settles the verdict), whose bound shows that no witness can
+reach -eps_feas, or whose gap has closed.  A negative certificate is
+"feasible", anything else is "not_found".  When a run ends without a
+value below 10 * eps_feas, weak duality turns the last step's Z into a
+lower bound on f over the whole slice, and a bound of at least
+10 * eps_feas proves that no witness exists (the report carries it as
+``lower_bound``).  Where that proof falls short (Z is not PSD, or the
+bound is weaker), Kelley's cutting-plane LP tries instead: every block is
 linear, so each eigenvector row h = (u kron u)^T M_k satisfies
-h.x <= f(x) everywhere, and the LP over the rows of the last centres
-bounds f from below on the slice.
+h.x <= f(x) everywhere, and the LP over the rows of the run's centres and
+last point bounds f from below on the slice.
 """
 
 from __future__ import annotations
@@ -53,14 +58,10 @@ __all__ = [
     "is_pd",
 ]
 
-# the barrier weight s grows by _GROWTH after each centring; a centring ends
-# once the squared Newton decrement is below _CENTRED; the proof LP uses the
-# eigenvector rows of the last _PROOF_CENTRES centres; a problem with a
-# variable that is not required PD keeps the run within distance _RADIUS of
-# its start on the slice
+# the barrier weight s grows by _GROWTH after each centring; a problem with
+# a variable that is not required PD keeps the run within distance _RADIUS
+# of its start on the slice
 _GROWTH = 10.0
-_CENTRED = 1e-6
-_PROOF_CENTRES = 3
 _RADIUS = 1e3
 
 
@@ -420,53 +421,112 @@ class _Barrier:
         """eigh of every slack, one batched call per block size."""
         return [np.linalg.eigh((C + G @ w).reshape(K, m, m)) for m, K, C, G in self.groups]
 
-    def newton(self, w: np.ndarray, spectra: list, s: float) -> tuple[np.ndarray, np.ndarray]:
-        """(gradient, Newton step) of the barrier at w and weight s.  The
-        slacks' Hessian is sum T^T T with T = (S^-1/2 kron S^-1/2) G, whose
-        columns W^T G_p W (W = U diag(lam)^-1/2) also give the gradient
-        -tr(S^-1 G_p) on their diagonals."""
+    def inside(self, w: np.ndarray, spectra: list) -> bool:
+        """Whether the point of w and its spectra lies in the barrier's domain."""
+        room = _RADIUS**2 - w[:-1] @ w[:-1] if self.ball else 1.0
+        return room > 0.0 and min(float(l.min()) for l, _ in spectra) > 0.0
+
+    def local(self, w: np.ndarray, spectra: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(gradient at weight s = 0, Hessian, T) of the barrier at w; the
+        Hessian does not depend on s.  The slacks' Hessian is T^T T with
+        T = (S^-1/2 kron S^-1/2) G stacked over the blocks, whose columns
+        W^T G_p W (W = U diag(lam)^-1/2) also give the gradient -tr(S^-1 G_p)
+        on their diagonals."""
         nw = self.nw
         g = np.zeros(nw)
-        g[-1] = -s
         H = np.zeros((nw, nw))
         if self.ball:
             z = w[:-1]
             room = _RADIUS**2 - z @ z
             g[:-1] = 2.0 * z / room
             H[:-1, :-1] = (2.0 / room) * np.eye(nw - 1) + (4.0 / room**2) * np.outer(z, z)
+        Ts = []
         for (m, K, _, G), (lam, U) in zip(self.groups, spectra):
             W = U / np.sqrt(lam)[:, None, :]
             T = (W.transpose(0, 2, 1) @ G.reshape(K, m, m * nw)).reshape(K, m, m, nw)
             T = (T.transpose(0, 1, 3, 2).reshape(K, m * nw, m) @ W).reshape(K, m, nw, m)
             g -= np.einsum("kipi->p", T)
-            T = T.transpose(0, 1, 3, 2).reshape(-1, nw)
-            H += T.T @ T
+            Ts.append(T.transpose(0, 1, 3, 2).reshape(-1, nw))
+        T = np.vstack(Ts)
+        H += T.T @ T
+        return g, H, T
+
+    def newton(self, local: tuple, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(gradient, Newton step dw, eigenvalues mu) of the barrier at weight
+        s, from the ``local`` terms of a point.  mu are the eigenvalues of
+        every D_k = S_k^-1/2 (G dw)_k S_k^-1/2, rows of T dw: along dw the
+        slacks are S^1/2 (I + alpha D) S^1/2."""
+        g, H, T = local
+        g = g.copy()
+        g[-1] -= s
         # least squares only where H is exactly singular, as late on the
         # path of th1 with a singular A under the ball
         try:
-            return g, np.linalg.solve(H, -g)
+            dw = np.linalg.solve(H, -g)
         except np.linalg.LinAlgError:
-            return g, np.linalg.lstsq(H, -g, rcond=None)[0]
+            dw = np.linalg.lstsq(H, -g, rcond=None)[0]
+        D, off, mu = T @ dw, 0, []
+        for m, K, _, _ in self.groups:
+            mu.append(np.linalg.eigvalsh(D[off : off + K * m * m].reshape(K, m, m)).ravel())
+            off += K * m * m
+        return g, dw, np.concatenate(mu)
 
-    def value(self, w: np.ndarray, spectra: list, s: float) -> float:
-        """The barrier at weight s, or inf outside its domain."""
-        lam = np.concatenate([l.ravel() for l, _ in spectra])
-        room = _RADIUS**2 - w[:-1] @ w[:-1] if self.ball else 1.0
-        ok = lam.min() > 0.0 and room > 0.0
-        return -s * w[-1] - float(np.log(lam).sum() + np.log(room)) if ok else np.inf
+    def step_length(
+        self, w: np.ndarray, dw: np.ndarray, s: float, lam2: float, mu: np.ndarray
+    ) -> float:
+        """The minimiser over alpha of the barrier along w + alpha dw.  Its
+        derivative is
+
+            -s dt - sum mu / (1 + alpha mu) + 2 (b + alpha c) / room(alpha)
+
+        (the last term with the ball only: room = r0 - 2 alpha b - alpha^2 c),
+        increasing on the domain alpha < p, p = min(1 / max(-mu), the root of
+        room); at 0 it is -lam2, and its slope lam2.  Each step takes the
+        root of the model A + B / (p - alpha) that matches the derivative and
+        its slope at alpha (a Newton step when p is infinite or the model has
+        no root), and bisects where that leaves the bracket of the root.  The
+        first step is p / (1 + p), or 1; close to p, where the barrier's
+        minimiser often lies, the model is nearly exact."""
+        neg = float(mu.min())
+        p = -1.0 / neg if neg < 0.0 else np.inf
+        if self.ball:
+            z, dz = w[:-1], dw[:-1]
+            r0, b, c = _RADIUS**2 - z @ z, z @ dz, dz @ dz
+            if c > 0.0:  # the positive root of room(alpha), without cancellation
+                root = np.sqrt(b * b + c * r0)
+                p = min(p, r0 / (b + root) if b > 0.0 else (root - b) / c)
+        lo, hi, a, d1, d2 = 0.0, p, 0.0, -lam2, lam2
+        for _ in range(30):
+            e = d1 - d2 * (p - a) if p < np.inf else 0.0
+            nxt = p + d2 * (p - a) ** 2 / e if e < 0.0 else a - d1 / d2
+            if not lo < nxt < hi:
+                nxt = 0.5 * (lo + hi) if hi < np.inf else 2.0 * a
+            if abs(nxt - a) <= 1e-4 * nxt:
+                return nxt
+            a = nxt
+            q = mu / (1.0 + a * mu)
+            d1, d2 = -s * dw[-1] - q.sum(), q @ q
+            if self.ball:
+                room = r0 - a * (2.0 * b + a * c)
+                u = 2.0 * (b + a * c) / room
+                d1, d2 = d1 + u, d2 + 2.0 * c / room + u * u
+            if d1 < 0.0:
+                lo = a
+            else:
+                hi = a
+        return lo
 
 
 def _dual_bound(bar: _Barrier, spectra: list, s: float, dw: np.ndarray) -> float | None:
     """-<Z, C>, a lower bound on f over the slice, from the dual point
     Z_k = (S_k^-1 - S_k^-1 dS_k S_k^-1) / s (dS = G dw) of a Newton step dw at
     weight s from the point of the spectra.  The Newton equations give
-    G^T vec Z = -e_t (zero z-part, sum tr Z_k = 1), restored after rounding
-    by one least-norm correction; if every Z_k is then PSD, weak duality
-    gives 0 <= <Z, C + G w> = <Z, C> - t for every feasible (z, t).  None
-    when some Z_k is not, and under the ball, whose term breaks the identity.
+    G^T vec Z = -e_t (zero z-part, sum tr Z_k = 1), up to rounding and, under
+    the ball, its gradient's part; one least-norm correction restores it.
+    If every Z_k is then PSD, weak duality gives 0 <= <Z, C + G w> =
+    <Z, C> - t for every feasible (z, t), in the ball or not.  None when some
+    Z_k is not.
     """
-    if bar.ball:
-        return None
     Z = []
     for (m, K, _, G), (lam, U) in zip(bar.groups, spectra):
         Si = (U / lam[:, None, :]) @ U.transpose(0, 2, 1)
@@ -490,52 +550,70 @@ def _worst(w: np.ndarray, spectra: list) -> float:
     return -w[-1] - min(float(l[:, 0].min()) for l, _ in spectra)
 
 
+def _t_bound(bar: _Barrier, t: float, s: float, lam2: float, mu: np.ndarray) -> float:
+    """An upper bound on t* from the Newton step at weight s from a point
+    (z, t) (inf when the step gives none).  With no ball, the step's
+    dual point Z = S^-1/2 (I - D) S^-1/2 / s (that of ``_dual_bound``) is PSD
+    iff max mu <= 1, and then t* <= <Z, C> = t + (theta - sum mu) / s.
+    Under the ball, the self-concordant bound for a Newton decrement
+    lambda < 1 (Nesterov 2004, section 4.2) is t* - t <=
+    (theta + (lambda + sqrt(theta)) lambda / (1 - lambda)) / s."""
+    if not bar.ball:
+        return t + (bar.theta - float(mu.sum())) / s if mu.max() <= 1.0 else np.inf
+    lam = np.sqrt(max(lam2, 0.0))
+    if lam >= 1.0:
+        return np.inf
+    return t + (bar.theta + (lam + np.sqrt(bar.theta)) * lam / (1.0 - lam)) / s
+
+
 def _barrier_run(comp: _Compiled, x0: np.ndarray, f0: float, cfg: SolverConfig):
-    """Path following from (x0, t0 = -f(x0) - 1): damped Newton steps with
-    Armijo backtracking centre the barrier, and s grows by _GROWTH after
-    each centring.  At a centre, t* <= t + theta / s (theta the sum of the
-    block dimensions, plus 1 for the ball, whose points alone count in t*).
-    Returns the least f seen, its point, the Newton steps taken, the
-    centres and the arguments of ``_dual_bound`` for the last Newton step."""
+    """Path following from (x0, t0 = -f(x0) - 1): Newton steps of the length
+    that minimises the barrier along them centre it, a centring ends once
+    the squared Newton decrement is at most 1/4, and s then grows by
+    _GROWTH.  Every Newton step bounds t* from above (``_t_bound``), so the
+    run stops at the first step whose bound shows that no witness reaches
+    -eps_feas, or whose gap to t is below 0.1 * eps_feas.  Returns the least
+    f seen, its point, the Newton steps taken, the centres followed by the
+    last point, and the arguments of ``_dual_bound`` for the last Newton
+    step."""
     bar = _Barrier(comp, x0)
     settled = -10.0 * cfg.eps_feas
     w = np.zeros(bar.nw)
     w[-1] = -f0 - 1.0
     s = 1.0
-    spectra = bar.spectra(w)
-    phi = bar.value(w, spectra, s)
+    spectra, local = bar.spectra(w), None
     best_f, best_x = f0, x0
     steps = 0
     centres: list[np.ndarray] = []
     last = None
     while best_f > settled and steps < cfg.max_iters:
-        g, dw = bar.newton(w, spectra, s)
+        if local is None:
+            local = bar.local(w, spectra)
+        g, dw, mu = bar.newton(local, s)
         last = (bar, spectra, s, dw)
         lam2 = float(-g @ dw)
-        if lam2 < _CENTRED:
+        bound = _t_bound(bar, w[-1], s, lam2, mu)
+        if bound < cfg.eps_feas or bound - w[-1] < 0.1 * cfg.eps_feas:
+            break  # no witness reaches the threshold / the gap has closed
+        if lam2 <= 0.25:
             centres.append(bar.x(w))
-            gap = bar.theta / s
-            if w[-1] + gap < cfg.eps_feas or gap < 0.1 * cfg.eps_feas:
-                break  # no witness reaches the threshold / the gap has closed
             s *= _GROWTH
-            phi = bar.value(w, spectra, s)
             continue
-        step = 1.0
-        while step > 1e-12:
-            trial = w + step * dw
+        a = bar.step_length(w, dw, s, lam2, mu)
+        while True:  # rounding can put the minimiser just outside the domain
+            trial = w + a * dw
             trial_spectra = bar.spectra(trial)
-            trial_phi = bar.value(trial, trial_spectra, s)
-            if trial_phi <= phi - 0.25 * step * lam2:
+            if bar.inside(trial, trial_spectra) or a < 1e-12:
                 break
-            step *= 0.5
-        else:
+            a *= 0.5
+        if a < 1e-12:
             break  # rounding stalls the centring
-        w, spectra, phi = trial, trial_spectra, trial_phi
+        w, spectra, local = trial, trial_spectra, None
         steps += 1
         f = _worst(w, spectra)
         if f < best_f:
             best_f, best_x = f, bar.x(w)
-    return best_f, best_x, steps, centres or [bar.x(w)], last
+    return best_f, best_x, steps, centres + [bar.x(w)], last
 
 
 def solve_feasibility(problem: LmiProblem, cfg: SolverConfig | None = None) -> FeasReport:
@@ -547,7 +625,7 @@ def solve_feasibility(problem: LmiProblem, cfg: SolverConfig | None = None) -> F
     normalized identities) follows the central path until the verdict is
     settled.  A run that ends without a value below ``10 * eps_feas`` tries
     the dual bound of its last Newton step, and where that proves nothing,
-    the proof LP on the eigenvector rows of its last centres.
+    the proof LP on the eigenvector rows of its centres and last point.
     """
     cfg = cfg or SolverConfig()
     if not any(v.require_pd for v in problem.variables):
@@ -574,14 +652,14 @@ def solve_feasibility(problem: LmiProblem, cfg: SolverConfig | None = None) -> F
     if best_x is None:
         best_x = a / (a @ a)  # scaled identities
         best_f = comp.f_only(best_x)
-    best_f, best_x, steps, centres, last = _barrier_run(comp, best_x, best_f, cfg)
+    best_f, best_x, steps, points, last = _barrier_run(comp, best_x, best_f, cfg)
     iterations += steps
 
     lower_bound = None
     if best_f >= 10.0 * cfg.eps_feas:
         lower_bound = _dual_bound(*last)
         if lower_bound is None or lower_bound < 10.0 * cfg.eps_feas:
-            rows = np.vstack([comp.eig_rows(x) for x in centres[-_PROOF_CENTRES:]])
+            rows = np.vstack([comp.eig_rows(x) for x in points])
             lower_bound = _prove_no_witness(comp, rows, cfg)
 
     witness = comp.to_witness(best_x)

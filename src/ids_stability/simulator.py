@@ -60,12 +60,15 @@ class HistorySpec:
     samples: np.ndarray | None = None
     offset: np.ndarray | None = None
 
+    def __post_init__(self):
+        for field in ("const", "samples", "offset"):
+            v = getattr(self, field)
+            if v is not None and not np.isfinite(np.asarray(v, dtype=float)).all():
+                raise ValueError(f"{self.kind} history values must be finite (in {field})")
+
     @classmethod
     def constant(cls, vec) -> "HistorySpec":
-        c = np.atleast_1d(np.asarray(vec, dtype=float))
-        if not np.isfinite(c).all():
-            raise ValueError(f"constant history values must be finite (got {c.tolist()})")
-        return cls(kind="constant", const=c)
+        return cls(kind="constant", const=np.atleast_1d(np.asarray(vec, dtype=float)))
 
     @classmethod
     def random_smooth(cls, seed: int) -> "HistorySpec":
@@ -76,8 +79,6 @@ class HistorySpec:
         v = np.atleast_2d(np.asarray(values, dtype=float))
         if v.shape[0] < 2:
             raise ValueError("need at least two samples")
-        if not np.isfinite(v).all():
-            raise ValueError("sampled history values must be finite")
         return cls(kind="custom-sampled", samples=v)
 
     def as_callable(self, n: int, tau: float):
@@ -351,7 +352,10 @@ def make_compatible(sys: IdsSystem, history: HistorySpec) -> HistorySpec:
     except np.linalg.LinAlgError as e:
         raise SimulationError(f"compatibility shift is singular: {e}") from e
     old = history.offset if history.offset is not None else np.zeros(n)
-    return replace(history, offset=np.asarray(old) + c)
+    offset = np.asarray(old) + c
+    if not np.isfinite(offset).all():
+        raise SimulationError(f"compatibility shift overflows (got {c.tolist()})")
+    return replace(history, offset=offset)
 
 
 def estimate_decay(traj: Trajectory) -> tuple[float, float] | None:

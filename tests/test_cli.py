@@ -151,9 +151,9 @@ def test_check_prints_proven_lower_bound(bench_file, capsys):
     assert 1e-6 <= bound <= lam
 
 
-def test_check_th1_prints_lower_bound_from_the_proof_lp(bench_file, capsys, monkeypatch):
-    # th1's runs keep to a ball, where the Newton step's dual point proves
-    # nothing, so its bound still comes from the cut LP
+def test_check_th1_prints_lower_bound_from_the_dual_point(bench_file, capsys, monkeypatch):
+    # th1's runs keep to a ball; the least-norm correction absorbs the ball
+    # term, so the Newton step's dual point proves the bound with no cut LP
     calls = []
     real = lmi_core.linprog
     monkeypatch.setattr(lmi_core, "linprog", lambda *a, **k: calls.append(1) or real(*a, **k))
@@ -161,7 +161,7 @@ def test_check_th1_prints_lower_bound_from_the_proof_lp(bench_file, capsys, monk
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(" ")[0] for line in lines] == ["lambda_star", "lower_bound", "verdict:"]
     lam, bound = (float(line.split(" = ")[1]) for line in lines[:2])
-    assert 1e-6 <= bound <= lam and calls == [1]
+    assert 1e-6 <= bound <= lam and calls == []
 
 
 def test_check_feasible_prints_no_lower_bound(bench_file, capsys):

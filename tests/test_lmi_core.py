@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ids_stability import lmi_core
+from ids_stability import margin as margin_module
 from ids_stability.criteria_lmi import LMI_CRITERIA, build_single
 from ids_stability.criteria_spectral import check_spectral
 from ids_stability.lmi_core import (
@@ -314,8 +315,8 @@ def _count_lps(monkeypatch):
 
 
 def test_dual_bound_settles_infeasible_probe_without_lp(monkeypatch):
-    # the gap excludes a witness after a few centrings, and the dual point of
-    # the last Newton step proves it: no eigenvector rows and no LP
+    # a Newton step's gap excludes a witness after a few steps, and the
+    # dual point of that last step proves it: no eigenvector rows and no LP
     calls = _count_lps(monkeypatch)
     cfg = SolverConfig()
     problem = LMI_CRITERIA["th2-lmi"](benchmark_system(0.3, 3.0))
@@ -396,13 +397,27 @@ def _record_dual_bounds(monkeypatch):
 
 def test_proof_lp_reaches_the_module_binding(monkeypatch):
     # the proof LP must call lmi_core.linprog by its module name, so that
-    # patching it (as tracing does) sees every LP; th1's R is not required
-    # PD, so its run keeps to the ball, gets no dual bound and uses the LP
+    # patching it (as tracing does) sees every LP; amc's probe at the lower
+    # end of row 0.4 ends with a dual bound below 10 * eps_feas, so the LP
+    # runs, and it proves what the dual point does not
+    eps = SolverConfig().eps_feas
     calls = _count_lps(monkeypatch)
     bounds = _record_dual_bounds(monkeypatch)
-    rep = solve_feasibility(LMI_CRITERIA["th1"](benchmark_system(0.3, 3.0)))
-    assert bounds == [None] and calls == ["proof"]
-    assert 10 * SolverConfig().eps_feas <= rep.lower_bound <= rep.lambda_star
+    rep = solve_feasibility(LMI_CRITERIA["amc"](benchmark_system(0.4, 1e-4)))
+    assert len(bounds) == 1 and bounds[0] < 10 * eps and calls == ["proof"]
+    assert 10 * eps <= rep.lower_bound <= rep.lambda_star
+
+
+def test_dual_bound_proves_ball_runs_without_lp(monkeypatch):
+    # th1's R is not required PD, so its run keeps to the ball; the
+    # least-norm correction absorbs the ball term, and the dual point of
+    # the last Newton step proves every not-found paper probe
+    calls = _count_lps(monkeypatch)
+    for name, problem in _th1_ball_problems():
+        rep = solve_feasibility(problem)
+        if name.startswith("paper"):
+            assert 10 * SolverConfig().eps_feas <= rep.lower_bound <= rep.lambda_star, name
+    assert calls == []
 
 
 def test_cold_amc_near_the_margin_is_feasible():
@@ -515,7 +530,7 @@ def test_dual_bound_lies_below_f_across_the_slice(monkeypatch):
     rng = np.random.default_rng(3)
     bounds = _record_dual_bounds(monkeypatch)
     proven = 0
-    for name, problem in _probe_problems():
+    for name, problem in _probe_problems() + _th1_ball_problems():
         del bounds[:]
         rep = solve_feasibility(problem)
         if rep.feasible or not bounds or bounds[-1] is None:
@@ -558,3 +573,118 @@ def test_cut_bound_helper_is_sound_at_arbitrary_points(stable_problems, data):
     t = lmi_core._cut_lp(comp, rows)
     if t is not None:
         assert t <= comp.f_only(witness) + 1e-9, name
+
+
+# -- the per-step duality gap --------------------------------------------------
+
+
+def _record_steps(monkeypatch):
+    """Route _Barrier.local and _Barrier.newton through recorders; returns
+    one (barrier, w, spectra, s, dw, lam2, mu) per Newton step computed."""
+    points, steps = [], []
+    local, newton = lmi_core._Barrier.local, lmi_core._Barrier.newton
+
+    def record_local(bar, w, spectra):
+        out = local(bar, w, spectra)
+        points.append((out, w, spectra))
+        return out
+
+    def record_newton(bar, terms, s):
+        g, dw, mu = newton(bar, terms, s)
+        w, spectra = next((w, sp) for out, w, sp in reversed(points) if out is terms)
+        steps.append((bar, w, spectra, s, dw, float(-g @ dw), mu))
+        return g, dw, mu
+
+    monkeypatch.setattr(lmi_core._Barrier, "local", record_local)
+    monkeypatch.setattr(lmi_core._Barrier, "newton", record_newton)
+    return steps
+
+
+def test_step_gap_is_the_dual_bound_of_the_same_step(monkeypatch):
+    # with no ball, t + (theta - sum mu) / s is <Z, C> for the step's dual
+    # point Z, whose negative _dual_bound returns after its least-norm
+    # correction; both exist exactly when max mu <= 1
+    steps = _record_steps(monkeypatch)
+    compared = 0
+    for name, problem in _probe_problems():
+        del steps[:]
+        solve_feasibility(problem)
+        for bar, w, spectra, s, dw, lam2, mu in steps:
+            assert not bar.ball, name
+            bound = lmi_core._t_bound(bar, w[-1], s, lam2, mu)
+            if mu.max() > 1.0 - 1e-6:
+                continue
+            dual = lmi_core._dual_bound(bar, spectra, s, dw)
+            assert dual is not None, name
+            assert abs(bound + dual) <= 1e-9 * abs(dual), name
+            compared += 1
+    assert compared >= 200
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_gap_rules_never_exclude_a_known_witness(stable_problems, data):
+    # every per-step bound on t* lies above the known witness's t = -f,
+    # however short the run, so neither stop rule fires below it
+    name, problem, witness = data.draw(st.sampled_from(stable_problems))
+    cfg = SolverConfig(max_iters=data.draw(st.integers(1, 40)))
+    t_witness = -_Compiled(problem).f_only(witness)
+    with pytest.MonkeyPatch.context() as mp:
+        steps = _record_steps(mp)
+        solve_feasibility(problem, cfg)
+    bounds = [lmi_core._t_bound(bar, w[-1], s, lam2, mu) for bar, w, _, s, _, lam2, mu in steps]
+    assert all(b >= t_witness - 1e-9 for b in bounds), name
+
+
+def _th1_ball_problems():
+    """(name, problem) for th1 past the paper system's margin and on a
+    singular A past its margin 0.5, where the run keeps to the ball."""
+    cases = [(f"paper-{t}", LMI_CRITERIA["th1"](benchmark_system(0.3, t))) for t in (0.2, 1.0, 3.0)]
+    for A in ([[2.0, 0.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]]):
+        sys = validate_system(IdsSystem(A=(np.array(A),), tau=(1.0,)))
+        cases.append((f"singular-{A}", LMI_CRITERIA["th1"](sys)))
+    return [(name, replace(p, starts=())) for name, p in cases]
+
+
+def test_ball_bound_is_at_least_a_long_runs_t_star_minus_t():
+    # the self-concordant bound under the ball is not exact, but it must
+    # hold: each step's t + bound lies above the best t a long run reaches
+    # when no gap rule stops it (no witness exists, so it never settles)
+    checked = 0
+    for name, problem in _th1_ball_problems():
+        comp = _Compiled(problem)
+        x0 = comp.trace_vec / (comp.trace_vec @ comp.trace_vec)
+        with pytest.MonkeyPatch.context() as mp:
+            steps = _record_steps(mp)
+            rep = solve_feasibility(problem)
+        assert rep.status == "not_found", name
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lmi_core, "_t_bound", lambda *args: np.inf)
+            long_f, _, long_steps, _, _ = lmi_core._barrier_run(
+                comp, x0, comp.f_only(x0), SolverConfig(max_iters=300)
+            )
+        assert long_steps > rep.iterations, name
+        for bar, w, _, s, _, lam2, mu in steps:
+            assert bar.ball, name
+            bound = lmi_core._t_bound(bar, w[-1], s, lam2, mu)
+            assert bound >= -long_f - 1e-9, name
+            checked += np.isfinite(bound)
+    assert checked >= 20
+
+
+def test_th2_lmi_margin_cell_newton_steps(monkeypatch):
+    # one table cell, row 0.3: the bisection's 17 cold solves, pinned so a
+    # change of the barrier's step count shows
+    iterations = []
+    real = margin_module.solve_feasibility
+
+    def solve(problem, cfg=None):
+        rep = real(problem, cfg)
+        iterations.append(rep.iterations)
+        return rep
+
+    monkeypatch.setattr(margin_module, "solve_feasibility", solve)
+    m = margin_module.bisect_margin(benchmark_system(0.3, 0.1), 1, "th2-lmi", lo=1e-4, tol=1e-4)
+    assert f"{m:.6g}" == "0.114629"
+    assert len(iterations) == 17
+    assert sum(iterations) == 172

@@ -52,6 +52,30 @@ def test_step_size_and_horizon_guards():
             simulate(sys, HistorySpec.constant([1.0, 0.0]), h=h, T=T)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"kind": "constant", "const": np.array([math.nan, 0.0])},
+        {"kind": "custom-sampled", "samples": np.array([[0.0, 1.0], [math.inf, 0.0]])},
+        {"kind": "random-smooth", "seed": 3, "offset": np.array([0.0, -math.inf])},
+    ],
+    ids=["const", "samples", "offset"],
+)
+def test_history_constructor_rejects_non_finite_values(fields):
+    # the dataclass constructor itself, not only HistorySpec.constant and
+    # .sampled: a NaN used to surface later as a misleading overflow error
+    with pytest.raises(ValueError, match="history values must be finite"):
+        HistorySpec(**fields)
+
+
+def test_compatibility_shift_that_overflows_is_a_simulation_error():
+    # finite values whose shift overflows are a numerical failure, not a
+    # history with non-finite values
+    with np.errstate(over="ignore"):
+        with pytest.raises(SimulationError, match="compatibility shift overflows"):
+            make_compatible(benchmark_system(0.3, 0.1), HistorySpec.constant([1.7e308, 1.7e308]))
+
+
 def test_singular_step_matrix_reports():
     # (h/2) * a = 1 makes the implicit solve singular
     sys = _scalar(20.0, 0.8)
