@@ -32,7 +32,10 @@ lower bound on f over the whole slice, and a bound of at least
 bound is weaker), Kelley's cutting-plane LP tries instead: every block is
 linear, so each eigenvector row h = (u kron u)^T M_k satisfies
 h.x <= f(x) everywhere, and the LP over the rows of the run's centres and
-last point bounds f from below on the slice.
+last point bounds f from below on the slice.  The LP is solved by its dual
+(``linprog``, numpy only), and its value counts only for a dual point
+y >= 0 that is checked against the dual equations, so a bound it returns
+never exceeds f on the slice.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 __all__ = [
     "MatrixVariable",
@@ -63,6 +65,8 @@ __all__ = [
 # of its start on the slice
 _GROWTH = 10.0
 _RADIUS = 1e3
+# the most predictor-corrector steps of the proof LP
+_LP_STEPS = 100
 
 
 class ProblemError(ValueError):
@@ -301,6 +305,11 @@ class _Compiled:
         )
 
 
+def _null_basis(a: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of the null space of the row a."""
+    return np.linalg.qr(a[:, None], mode="complete")[0][:, 1:]
+
+
 # -- public operations -------------------------------------------------------
 
 
@@ -365,22 +374,87 @@ def check_witness(problem: LmiProblem, witness: dict, tol: float) -> bool:
     return True
 
 
+def linprog(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> float | None:
+    """A certified lower bound on max c.y s.t. A y = b, y >= 0: the value
+    c.y of a point y that is checked to satisfy the constraints.
+
+    An SVD gives A orthonormal rows that span the same affine set, and
+    Mehrotra's predictor-corrector steps (SIAM J. Optim. 1992) on the
+    normal equations solve the LP and its dual min b.l s.t. A^T l >= c,
+    with slack s = A^T l - c.  Entries of y at most a thousandth of their
+    slack tend to 0 and are dropped; the rest are scaled by 1 - u, with u
+    the least-norm solution of A (y u) = A y - b, which puts y back on the
+    affine set and moves each small entry by as little as a large one,
+    relative to its size.  The value is returned only if that y is
+    nonnegative and on the set to rounding; otherwise (no feasible y, or
+    the steps did not converge) None.
+    """
+    U, sv, Vt = np.linalg.svd(A, full_matrices=False)
+    r = sv > 1e-12 * sv[0]
+    Ar, br = Vt[r], (U[:, r].T @ b) / sv[r]
+    scale = 1.0 + np.abs(c).max()
+    # Mehrotra's start for min -c.y, each shift at least a tenth of the
+    # scale: s is 0 when c lies in the row space of A
+    y, l = Ar.T @ br, -(Ar @ c)
+    s = -c - Ar.T @ l
+    y = y + max(-1.5 * y.min(), 0.1 * (1.0 + np.abs(y).max()))
+    s = s + max(-1.5 * s.min(), 0.1 * scale)
+    gap = 0.5 * (y @ s)
+    y, s = y + gap / s.sum(), s + gap / y.sum()
+    for _ in range(_LP_STEPS):
+        rb, rc, gap = Ar @ y - br, Ar.T @ l + s + c, y @ s
+        if np.abs(rc).max() <= 1e-9 * scale and gap <= 1e-13 * (1.0 + abs(c @ y)):
+            break
+        d = y / s
+        M = (Ar * d) @ Ar.T
+
+        def step(rys):
+            # A dy = -rb, A^T dl + ds = -rc, S dy + Y ds = -rys
+            rhs = -rb - Ar @ (d * rc - rys / s)
+            try:
+                dl = np.linalg.solve(M, rhs)
+            except np.linalg.LinAlgError:
+                dl = np.linalg.lstsq(M, rhs, rcond=None)[0]
+            ds = -rc - Ar.T @ dl
+            return (-rys - y * ds) / s, dl, ds
+
+        dy, dl, ds = step(y * s)
+        ap, ad = _to_boundary(y, dy), _to_boundary(s, ds)
+        sigma = ((y + ap * dy) @ (s + ad * ds) / gap) ** 3
+        dy, dl, ds = step(y * s + dy * ds - sigma * gap / len(y))
+        ap, ad = 0.99 * _to_boundary(y, dy), 0.99 * _to_boundary(s, ds)
+        y, l, s = y + ap * dy, l + ad * dl, s + ad * ds
+    keep = y > 1e-3 * s
+    if not (np.isfinite(y).all() and keep.any()):
+        return None
+    As, y = A[:, keep], y[keep]
+    y = y * (1.0 - np.linalg.lstsq(As * y, As @ y - b, rcond=None)[0])
+    if y.min() < 0.0 or np.abs(As @ y - b).max() > 1e-12 * (1.0 + np.abs(A).max()):
+        return None
+    return float(c[keep] @ y)
+
+
+def _to_boundary(v: np.ndarray, dv: np.ndarray) -> float:
+    """The longest step alpha <= 1 that keeps v + alpha dv >= 0."""
+    neg = dv < 0.0
+    return min(1.0, float((-v[neg] / dv[neg]).min())) if neg.any() else 1.0
+
+
 def _cut_lp(comp: _Compiled, rows: np.ndarray) -> float | None:
     """t* of Kelley's cutting-plane LP: min t s.t. h.x <= t for every row h
-    and a.x = 1, with x free.
+    and a.x = 1, with x free, solved by its dual.
 
-    Every row is a global minorant of f through the origin, so t* bounds f
-    below on the slice.  Returns None when the LP has no solution,
-    including when the rows leave it unbounded.
+    With x = x0 + Z z (x0 = a / |a|^2, Z a basis of a's null space), the
+    dual is max (H x0).y s.t. y >= 0, 1.y = 1 and Z^T H^T y = 0, and every
+    such y gives f(x) >= max_i h_i.x >= y.(H x) = (H x0).y on the slice,
+    as each row is a global minorant of f.  Returns None when ``linprog``
+    certifies no y, including when the rows leave the LP unbounded.
     """
-    c = np.zeros(comp.nx + 1)
-    c[-1] = 1.0
-    res = linprog(
-        c, A_ub=np.hstack((rows, -np.ones((len(rows), 1)))), b_ub=np.zeros(len(rows)),
-        A_eq=np.append(comp.trace_vec, 0.0)[None, :], b_eq=[1.0], bounds=(None, None),
-        method="highs",
-    )
-    return float(res.x[-1]) if res.status == 0 else None
+    a = comp.trace_vec
+    A = np.vstack((np.ones(len(rows)), (rows @ _null_basis(a)).T))
+    b = np.zeros(len(A))
+    b[0] = 1.0
+    return linprog(rows @ (a / (a @ a)), A, b)
 
 
 def _prove_no_witness(comp: _Compiled, rows: np.ndarray, cfg: SolverConfig) -> float | None:
@@ -405,7 +479,7 @@ class _Barrier:
 
     def __init__(self, comp: _Compiled, x0: np.ndarray):
         self.x0 = x0
-        self.Z = np.linalg.qr(comp.trace_vec[:, None], mode="complete")[0][:, 1:]
+        self.Z = _null_basis(comp.trace_vec)
         self.nw = self.Z.shape[1] + 1
         self.groups = [
             (m, K, -(M @ x0), -np.hstack((M @ self.Z, np.tile(np.eye(m).ravel(), K)[:, None])))

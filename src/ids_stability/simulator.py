@@ -88,34 +88,7 @@ class HistorySpec:
         [-tau, 0] a "custom-sampled" history is clamped to its end samples;
         the other kinds extend their formula.
         """
-        if self.kind == "constant":
-            c = self._const(n)
-            base = lambda s: np.tile(c, np.shape(s) + (1,))
-        elif self.kind == "random-smooth":
-            c0, coeffs = self._smooth_coeffs(n)
-
-            def base(s, c0=c0, coeffs=coeffs, tau=tau):
-                s = np.asarray(s, dtype=float)[..., None]
-                out = np.tile(c0, s.shape)
-                for j, (a, b) in enumerate(coeffs, start=1):
-                    th = j * math.pi * s / tau
-                    out += a * np.cos(th) + b * np.sin(th)
-                return out
-
-        elif self.kind == "custom-sampled":
-            v = self._samples(n)
-            grid = np.linspace(-tau, 0.0, v.shape[0])
-
-            def base(s, grid=grid, v=v):
-                return np.stack([np.interp(s, grid, v[:, i]) for i in range(v.shape[1])], axis=-1)
-
-        else:
-            raise ValueError(f"unknown history kind {self.kind!r}")
-
-        if self.offset is None:
-            return base
-        off = np.asarray(self.offset, dtype=float)
-        return lambda s: base(s) + off
+        return self._callable(self._draw(n), tau)
 
     def integral(self, n: int, tau: float, lo: float) -> np.ndarray:
         """Exact integral over [lo, 0] of the function ``as_callable(n, tau)``.
@@ -127,47 +100,77 @@ class HistorySpec:
         linear interpolant (and for its clamped extension below -tau).  A set
         ``offset`` adds offset |lo|.
         """
+        return self._integral(self._draw(n), tau, lo)
+
+    def _draw(self, n: int):
+        """What the kind's formula reads at dimension n: the constant, the
+        samples, or random-smooth's seeded c0 and pairs (a_j, b_j), j = 1..3,
+        of c0 + sum_j a_j cos(j pi s / tau) + b_j sin(j pi s / tau)."""
+        if self.kind == "constant":
+            c = np.asarray(self.const, dtype=float)
+            if c.shape != (n,):
+                raise ValueError(f"constant history has dimension {c.shape}, expected ({n},)")
+            return c
+        if self.kind == "random-smooth":
+            rng = np.random.default_rng(self.seed)
+            c0 = rng.standard_normal(n)
+            coeffs = [
+                (rng.standard_normal(n) * 2.0**-j, rng.standard_normal(n) * 2.0**-j)
+                for j in range(1, 4)
+            ]
+            return c0, coeffs
+        if self.kind == "custom-sampled":
+            if self.samples.shape[1] != n:
+                raise ValueError(
+                    f"sampled history has dimension {self.samples.shape[1]}, expected {n}"
+                )
+            return self.samples
+        raise ValueError(f"unknown history kind {self.kind!r}")
+
+    def _callable(self, draw, tau: float):
+        """``as_callable`` from the kind's ``_draw``."""
+        if self.kind == "constant":
+            base = lambda s: np.tile(draw, np.shape(s) + (1,))
+        elif self.kind == "random-smooth":
+            c0, coeffs = draw
+
+            def base(s, c0=c0, coeffs=coeffs, tau=tau):
+                s = np.asarray(s, dtype=float)[..., None]
+                out = np.tile(c0, s.shape)
+                for j, (a, b) in enumerate(coeffs, start=1):
+                    th = j * math.pi * s / tau
+                    out += a * np.cos(th) + b * np.sin(th)
+                return out
+
+        else:
+            grid = np.linspace(-tau, 0.0, draw.shape[0])
+
+            def base(s, grid=grid, v=draw):
+                return np.stack([np.interp(s, grid, v[:, i]) for i in range(v.shape[1])], axis=-1)
+
+        if self.offset is None:
+            return base
+        off = np.asarray(self.offset, dtype=float)
+        return lambda s: base(s) + off
+
+    def _integral(self, draw, tau: float, lo: float) -> np.ndarray:
+        """``integral`` from the kind's ``_draw``."""
         w = -float(lo)
         if self.kind == "constant":
-            total = self._const(n) * w
+            total = draw * w
         elif self.kind == "random-smooth":
-            c0, coeffs = self._smooth_coeffs(n)
+            c0, coeffs = draw
             total = c0 * w
             for j, (a, b) in enumerate(coeffs, start=1):
                 om = j * math.pi / tau
                 total = total + (a * math.sin(om * w) + b * (math.cos(om * w) - 1.0)) / om
-        elif self.kind == "custom-sampled":
-            v = self._samples(n)
-            grid = np.linspace(-tau, 0.0, v.shape[0])
-            s = np.concatenate(([lo], grid[grid > lo]))
-            total = np.trapezoid([np.interp(s, grid, col) for col in v.T], s, axis=1)
         else:
-            raise ValueError(f"unknown history kind {self.kind!r}")
+            grid = np.linspace(-tau, 0.0, draw.shape[0])
+            s = np.concatenate(([lo], grid[grid > lo]))
+            total = np.trapezoid([np.interp(s, grid, col) for col in draw.T], s, axis=1)
         if self.offset is not None:
             total = total + np.asarray(self.offset, dtype=float) * w
         return total
-
-    def _const(self, n: int) -> np.ndarray:
-        c = np.asarray(self.const, dtype=float)
-        if c.shape != (n,):
-            raise ValueError(f"constant history has dimension {c.shape}, expected ({n},)")
-        return c
-
-    def _samples(self, n: int) -> np.ndarray:
-        if self.samples.shape[1] != n:
-            raise ValueError(f"sampled history has dimension {self.samples.shape[1]}, expected {n}")
-        return self.samples
-
-    def _smooth_coeffs(self, n: int):
-        """The seeded draw of "random-smooth": c0 and the pairs (a_j, b_j),
-        j = 1..3, of c0 + sum_j a_j cos(j pi s / tau) + b_j sin(j pi s / tau)."""
-        rng = np.random.default_rng(self.seed)
-        c0 = rng.standard_normal(n)
-        coeffs = [
-            (rng.standard_normal(n) * 2.0**-j, rng.standard_normal(n) * 2.0**-j)
-            for j in range(1, 4)
-        ]
-        return c0, coeffs
 
 
 @dataclass
@@ -343,12 +346,13 @@ def make_compatible(sys: IdsSystem, history: HistorySpec) -> HistorySpec:
     equation up to rounding.  Smoothness is preserved.
     """
     n = sys.n
+    draw = history._draw(n)  # one seeded draw serves every window and phi(0)
     rhs = np.zeros(n)
     for Ai, ti in zip(sys.A, sys.tau):
-        rhs += Ai @ history.integral(n, sys.tau_max, -ti)
+        rhs += Ai @ history._integral(draw, sys.tau_max, -ti)
     lhs_mat = np.eye(n) - sum(ti * Ai for Ai, ti in zip(sys.A, sys.tau))
     try:
-        c = np.linalg.solve(lhs_mat, rhs - history.as_callable(n, sys.tau_max)(0.0))
+        c = np.linalg.solve(lhs_mat, rhs - history._callable(draw, sys.tau_max)(0.0))
     except np.linalg.LinAlgError as e:
         raise SimulationError(f"compatibility shift is singular: {e}") from e
     old = history.offset if history.offset is not None else np.zeros(n)

@@ -1,5 +1,5 @@
-"""Every module-level import of the package is used, and only ``lmi_core``
-imports scipy.
+"""Every module-level import of the package is used, and no module of the
+package imports scipy: numpy is its only run-time dependency.
 
 A name a module imports must be referenced in it or listed in its
 ``__all__``; a leftover import (a helper the code stopped calling, a type
@@ -8,12 +8,16 @@ by importing and is exempt, as are ``__future__`` imports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import ids_stability
 
+SRC = str(Path(ids_stability.__file__).parent.parent)
 MODULES = sorted(
     p for p in Path(ids_stability.__file__).parent.glob("*.py") if p.name != "__init__.py"
 )
@@ -46,9 +50,8 @@ def test_module_level_imports_are_used(path):
     assert not unused, f"{path.name} imports but never uses {unused}"
 
 
-def test_only_lmi_core_imports_scipy():
-    # lmi_core's linprog is the package's one run-time use of scipy; the
-    # walk enters function bodies, so a local import is caught too
+def test_no_package_module_imports_scipy():
+    # the walk enters function bodies, so a local import is caught too
     importers = set()
     for path in Path(ids_stability.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -60,4 +63,11 @@ def test_only_lmi_core_imports_scipy():
                 continue
             if any(m.partition(".")[0] == "scipy" for m in modules):
                 importers.add(path.name)
-    assert importers <= {"lmi_core.py"}
+    assert not importers
+
+
+def test_importing_the_package_and_cli_loads_no_scipy():
+    code = "import sys, ids_stability, ids_stability.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -300,13 +301,12 @@ def test_compiled_maps_are_bitwise_the_np_kron_maps(sys):
 
 
 def _count_lps(monkeypatch):
-    """Route lmi_core's LP binding through a recorder that checks each call
-    is the proof LP (free variables); returns the list of calls."""
+    """Route lmi_core's LP binding through a recorder; returns the list of
+    calls, one "proof" per LP."""
     calls = []
     real = lmi_core.linprog
 
     def spy(*args, **kwargs):
-        assert kwargs["bounds"] == (None, None)
         calls.append("proof")
         return real(*args, **kwargs)
 
@@ -573,6 +573,69 @@ def test_cut_bound_helper_is_sound_at_arbitrary_points(stable_problems, data):
     t = lmi_core._cut_lp(comp, rows)
     if t is not None:
         assert t <= comp.f_only(witness) + 1e-9, name
+
+
+def _cut_lp_by_highs(comp, rows):
+    """t* of the cut LP in its primal form by scipy's HiGHS, the reference
+    for the certified dual in lmi_core; None when HiGHS finds no optimum."""
+    c = np.zeros(comp.nx + 1)
+    c[-1] = 1.0
+    res = scipy.optimize.linprog(
+        c, A_ub=np.hstack((rows, -np.ones((len(rows), 1)))), b_ub=np.zeros(len(rows)),
+        A_eq=np.append(comp.trace_vec, 0.0)[None, :], b_eq=[1.0], bounds=(None, None),
+        method="highs",
+    )
+    return float(res.x[-1]) if res.status == 0 else None
+
+
+def test_cut_lp_matches_highs_and_lies_below_f_on_the_slice(stable_problems):
+    # rows from the known witnesses and from random slice points, on the
+    # stable problems and on seeded corpus systems; the certified value
+    # agrees with HiGHS and, as a dual point's value, lies below f at the
+    # rows' points and at random points of the slice
+    rng = np.random.default_rng(17)
+    cases = [(name, _Compiled(problem), [witness]) for name, problem, witness in stable_problems]
+    cases += [
+        (f"{name}-corpus-{i}", _Compiled(LMI_CRITERIA[name](sys)), [])
+        for i, sys in enumerate(random_corpus(7, 12))
+        if isinstance(sys, IdsSystem)
+        for name in ("amc", "th2-coupled", "single", "th1", "th2-lmi")
+    ]
+    solved = 0
+    for name, comp, known in cases:
+        for k in (1, 3):
+            points = known + [_on_slice(comp, rng.standard_normal(comp.nx)) for _ in range(k)]
+            rows = np.vstack([comp.eig_rows(x) for x in points])
+            t, ref = lmi_core._cut_lp(comp, rows), _cut_lp_by_highs(comp, rows)
+            assert (t is None) == (ref is None), name
+            if t is None:
+                continue
+            solved += 1
+            assert abs(t - ref) <= 1e-9 * abs(ref), name
+            probes = points + [
+                _on_slice(comp, c * rng.standard_normal(comp.nx)) for c in (1e-2, 1.0, 1e2) for _ in range(5)
+            ]
+            assert all(t <= comp.f_only(x) + 1e-12 for x in probes), name
+    assert solved == 2 * len(cases)
+
+
+@pytest.mark.parametrize("steps", [0, 3, lmi_core._LP_STEPS])
+def test_cut_lp_without_a_bound_returns_none(monkeypatch, steps):
+    # one row h not parallel to a leaves h.x, and so t, unbounded below on
+    # the slice; so do the rows u + d and u + 2 d (u parallel to a, d.a = 0),
+    # whose dual equations have the one solution y = (2, -1); a row c * a
+    # alone gives t* = c.  The check on y decides, however few
+    # predictor-corrector steps ran: with none, the correction moves the
+    # start to y = (2, -1)
+    monkeypatch.setattr(lmi_core, "_LP_STEPS", steps)
+    comp = _Compiled(LMI_CRITERIA["amc"](benchmark_system(0.3, 0.1)))
+    a = comp.trace_vec
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        assert lmi_core._cut_lp(comp, rng.standard_normal((1, comp.nx))) is None
+        d = _on_slice(comp, rng.standard_normal(comp.nx)) - a / (a @ a)
+        assert lmi_core._cut_lp(comp, np.vstack((0.3 * a + d, 0.3 * a + 2.0 * d))) is None
+    assert lmi_core._cut_lp(comp, 2.5 * a[None, :]) == pytest.approx(2.5, rel=1e-12)
 
 
 # -- the per-step duality gap --------------------------------------------------
