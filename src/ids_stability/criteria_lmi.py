@@ -1,12 +1,18 @@
 """LMI stability conditions, nonlinear-matrix-inequality checks, and the
 constructive witness conversions between them.
 
-Builders return :class:`~ids_stability.lmi_core.LmiProblem` instances.  Where
-the condition is equivalent to a positive-operator spectral test, the builder
-also attaches closed-form solver starts derived from the dominant eigenmatrix
-of the operator.  A start that already certifies skips the barrier run and
-the best one starts it.  The run alone reaches the same verdicts: cold amc
-is feasible at tau = (0.3, 0.0474), 5e-6 inside the exact margin.
+Builders return :class:`~ids_stability.lmi_core.LmiProblem` instances.  The
+coupled conditions (amc, th2-coupled, single) each hold exactly when
+rho(Phi) < 1 for the positive operator Phi(X) = N sum_i tau_i^2 A_i.T X A_i,
+and their builders attach its closed forms (``_closed_forms``): the witness
+built from X = (I - Phi)^-1 (I) when that X is PD, else Farkas multipliers
+built from the Perron eigenmatrix of Phi*.  The solver checks either one
+against the compiled blocks and decides the problem with no barrier run;
+one that does not certify falls through to the run.  th1 and th2-lmi
+attach closed-form starts from the inverse-weighted construction instead;
+a start that already certifies skips the run and the best one starts it.
+The run alone reaches the same verdicts: cold amc is feasible at
+tau = (0.3, 0.0474), 5e-6 inside the exact margin.
 
 :data:`LMI_CRITERIA` only maps the LMI criterion ids to their builders;
 ``margin.CRITERIA`` looks them up there at call time and does the dispatch.
@@ -104,7 +110,7 @@ def _perron_matrix(op: np.ndarray, n: int) -> np.ndarray | None:
     return T / tr
 
 
-def _blend_candidates(base: dict, pd_names: list[str], thetas=(0.0, 1e-6, 1e-3, 1e-1)) -> list[dict]:
+def _blend_candidates(base: dict, pd_names: list[str], thetas=(0.0, 1e-6)) -> list[dict]:
     """Identity blends of the PD variables; cures singular Perron factors."""
     out = []
     for th in thetas:
@@ -118,17 +124,48 @@ def _blend_candidates(base: dict, pd_names: list[str], thetas=(0.0, 1e-6, 1e-3, 
 
 
 def _coupled_operator(sys: IdsSystem) -> np.ndarray:
-    """Row-major vec matrix of T -> N * sum_i tau_i^2 A_i.T T A_i."""
+    """Row-major vec matrix of Phi: T -> N * sum_i tau_i^2 A_i.T T A_i; its
+    transpose is the matrix of the adjoint Phi*: T -> N sum_i tau_i^2 A_i T A_i.T."""
     return sys.N * kron_operator(sys.A, [t * t for t in sys.tau]).T
 
 
-def _coupled_perron_starts(sys: IdsSystem) -> tuple[np.ndarray | None, list[np.ndarray] | None]:
-    """Fixed-point pair (T*, [Qhat_i]) of the coupled positive operator."""
-    T = _perron_matrix(_coupled_operator(sys), sys.n)
-    if T is None:
-        return None, None
-    Qhat = [sys.N * t * t * (A.T @ T @ A) for A, t in zip(sys.A, sys.tau)]
-    return T, Qhat
+def _closed_forms(sys: IdsSystem, witness, block_weights, adjoint) -> tuple[tuple, tuple]:
+    """(starts, dual) of a coupled condition (amc, th2-coupled, single), each
+    equivalent to rho(Phi) < 1 for Phi = ``_coupled_operator``.
+
+    X = (I - Phi)^-1 (I) = sum_k Phi^k (I) is PD exactly when rho(Phi) < 1
+    (the Neumann series of a PSD-cone-preserving map; Schneider, Numer.
+    Math. 1965), and then ``witness(X)`` is the one start: X = I + Phi(X)
+    makes every declared block a negative multiple of I.  Otherwise the
+    Perron eigenmatrix Y of Phi* (Phi*(Y) = rho Y, PSD by Krein-Rutman;
+    Berman & Plemmons), plus 1e-12 I, gives one multiplier per compiled
+    block: w_k Y on the k-th declared block, and R_v - c I on the positivity
+    block of the v-th PD variable, where R_v = a_v Phi*(Y) - b_v Y, with
+    (a_v, b_v) = ``adjoint[v]``, is the declared blocks' part of the adjoint
+    on that variable.  The adjoint is then c I on every variable, which
+    weak duality turns into a bound on f that grows with c; R_v is about
+    (a_v rho - b_v) Y, and c stays a tenth and a rounding margin below
+    min_v lambda_min(R_v), so every multiplier is PD, also where Y is
+    singular.  Neither is trusted: the solver checks both against the
+    compiled blocks.
+    """
+    op, n = _coupled_operator(sys), sys.n
+    try:
+        X = sym(np.linalg.solve(np.eye(n * n) - op, np.eye(n).ravel()).reshape(n, n))
+    except np.linalg.LinAlgError:
+        X = None
+    if X is not None and is_pd(X):
+        return (witness(X),), ()
+    Y = _perron_matrix(op.T, n)
+    if Y is None:
+        return (), ()
+    I = np.eye(n)
+    Y = Y + 1e-12 * I
+    PY = (op.T @ Y.ravel()).reshape(n, n)
+    R = [a * PY - b * Y for a, b in adjoint]
+    m = min(eig_min(Rv) for Rv in R)
+    c = m - 0.1 * abs(m) - 1e-12 * max(np.abs(Rv).max() for Rv in R)
+    return (), tuple(w * Y for w in block_weights) + tuple(Rv - c * I for Rv in R)
 
 
 def _eq44_candidates(sys: IdsSystem) -> list[list[np.ndarray]]:
@@ -156,9 +193,9 @@ def _eq44_candidates(sys: IdsSystem) -> list[list[np.ndarray]]:
                     continue
                 cands.append([a * Minv for a in alpha])
 
-    T, Qhat = _coupled_perron_starts(sys)
-    if Qhat is not None:
-        Qsum = sum(Qhat)
+    T = _perron_matrix(_coupled_operator(sys), n)
+    if T is not None:
+        Qsum = sum(N * t * t * (A.T @ T @ A) for A, t in zip(sys.A, sys.tau))
         if is_pd(Qsum):
             try:
                 P = np.linalg.inv(N * Qsum)
@@ -201,24 +238,15 @@ def build_amc(sys: IdsSystem) -> LmiProblem:
         terms.append(BlockTerm(f"Q{i+1}", -I, I))
         blocks.append(AffineBlock(dim=n, terms=tuple(terms)))
 
-    starts: list[dict] = []
-    _, Qhat = _coupled_perron_starts(sys)
-    if Qhat is not None:
-        base = {f"Q{i+1}": Qhat[i] / sys.tau[i] for i in range(N)}
-        slack0 = -max(
-            eig_max(
-                N * ti * sys.A[i].T @ sum(tj * base[f"Q{j+1}"] for j, tj in enumerate(sys.tau)) @ sys.A[i]
-                - base[f"Q{i+1}"]
-            )
-            for i, ti in enumerate(sys.tau)
-        )
-        gain = 1.0 + max(
-            N * ti * np.linalg.norm(Ai, 2) ** 2 for Ai, ti in zip(sys.A, sys.tau)
-        )
-        eps = max(slack0, 0.0) / (2.0 * gain) + 1e-12
-        base["P"] = eps * I
-        starts.extend(_blend_candidates(base, [f"Q{i+1}" for i in range(N)]))
-    return LmiProblem(tuple(variables), tuple(blocks), tuple(starts))
+    def witness(X):
+        # X' = (1 + sum_j tau_j) X = (I - Phi)^-1 ((1 + sum_j tau_j) I) and
+        # P = I give P + sum_j tau_j Q_j = X', so block i is exactly -I
+        Xp = (1.0 + sum(sys.tau)) * X
+        Q = {f"Q{i+1}": N * ti * Ai.T @ Xp @ Ai + I for i, (Ai, ti) in enumerate(zip(sys.A, sys.tau))}
+        return {"P": I, **Q}
+
+    starts, dual = _closed_forms(sys, witness, sys.tau, [(1.0, 0.0)] + [(t, t) for t in sys.tau])
+    return LmiProblem(tuple(variables), tuple(blocks), starts, dual)
 
 
 def build_th2_coupled(sys: IdsSystem) -> LmiProblem:
@@ -234,12 +262,12 @@ def build_th2_coupled(sys: IdsSystem) -> LmiProblem:
         terms.append(BlockTerm(f"Q{i+1}", -I, I))
         blocks.append(AffineBlock(dim=n, terms=tuple(terms)))
 
-    starts: list[dict] = []
-    _, Qhat = _coupled_perron_starts(sys)
-    if Qhat is not None:
-        base = {f"Q{i+1}": Qhat[i] for i in range(N)}
-        starts.extend(_blend_candidates(base, list(base)))
-    return LmiProblem(tuple(variables), tuple(blocks), tuple(starts))
+    def witness(X):
+        # sum_j Q_j = Phi(X) + I = X, so block i is exactly -I / N
+        return {f"Q{i+1}": N * ti * ti * Ai.T @ X @ Ai + I / N for i, (Ai, ti) in enumerate(zip(sys.A, sys.tau))}
+
+    starts, dual = _closed_forms(sys, witness, [1.0] * N, [(1.0, 1.0)] * N)
+    return LmiProblem(tuple(variables), tuple(blocks), starts, dual)
 
 
 def build_single(sys: IdsSystem) -> LmiProblem:
@@ -251,11 +279,9 @@ def build_single(sys: IdsSystem) -> LmiProblem:
     terms.append(BlockTerm("Q", -I, I))
     blocks = [AffineBlock(dim=n, terms=tuple(terms))]
 
-    starts: list[dict] = []
-    T = _perron_matrix(_coupled_operator(sys), sys.n)
-    if T is not None:
-        starts.extend(_blend_candidates({"Q": T}, ["Q"]))
-    return LmiProblem(tuple(variables), tuple(blocks), tuple(starts))
+    # Q = X makes the block exactly -I
+    starts, dual = _closed_forms(sys, lambda X: {"Q": X}, [1.0], [(1.0, 1.0)])
+    return LmiProblem(tuple(variables), tuple(blocks), starts, dual)
 
 
 def build_th1(sys: IdsSystem) -> LmiProblem:
@@ -293,7 +319,7 @@ def build_th1(sys: IdsSystem) -> LmiProblem:
             base = th1_start_from_th2(sys, Q)
         except ValueError:  # the conversion's and the inverse guard's errors
             continue
-        starts.extend(_blend_candidates(base, [k for k in base if k != "R"], thetas=(0.0, 1e-6)))
+        starts.extend(_blend_candidates(base, [k for k in base if k != "R"]))
     return LmiProblem(tuple(variables), tuple(blocks), tuple(starts))
 
 
@@ -316,7 +342,7 @@ def _stacked_lmi(sys: IdsSystem) -> LmiProblem:
     starts: list[dict] = []
     for Q in _eq44_candidates(sys):
         base = {f"Q{i+1}": Q[i] for i in range(N)}
-        starts.extend(_blend_candidates(base, list(base), thetas=(0.0, 1e-6)))
+        starts.extend(_blend_candidates(base, list(base)))
     block = AffineBlock(dim=n * N, terms=tuple(terms))
     return LmiProblem(tuple(variables), (block,), tuple(starts))
 

@@ -11,7 +11,10 @@ times the variable's basis matrix).  Feasibility is decided by minimizing
 
 over the affine slice trace(sum of PD variables) = 1 (homogeneity makes the
 normalization lossless), that is by max t s.t. B_k(x) + t I < 0 for every
-block.  One path-following barrier run solves it (Vandenberghe & Boyd,
+block.  A start attached to the problem that certifies, or an attached dual
+candidate (one multiplier per compiled block) whose checked weak-duality
+bound on f exceeds -eps_feas, decides the problem with no barrier run.
+Otherwise one path-following barrier run solves it (Vandenberghe & Boyd,
 SIAM Review 1996): Newton steps on -s t - sum log det(-B_k - t I) over a
 null-space basis of the slice (within a ball around the start when a
 variable is not required PD), each as long as minimises the barrier along
@@ -40,6 +43,7 @@ never exceeds f on the slice.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,13 +150,19 @@ class LmiProblem:
 
     ``starts`` are optional deterministic start assignments (builders
     attach closed-form candidates when the problem structure provides them);
-    the best of them starts the barrier run, and they never change the
-    verdict semantics.
+    one that certifies decides the problem, the best of them starts the
+    barrier run, and they never change the verdict semantics.  ``dual`` is
+    an optional Farkas candidate: one PSD multiplier per compiled block
+    (the declared blocks, then the positivity block of each PD variable in
+    variable order).  The solver checks it against the blocks, and a bound
+    it proves decides the problem with no barrier run; one that fails its
+    check is ignored.
     """
 
     variables: tuple[MatrixVariable, ...]
     blocks: tuple[AffineBlock, ...]
     starts: tuple[dict, ...] = ()
+    dual: tuple[np.ndarray, ...] = ()
 
     def variable(self, name: str) -> MatrixVariable:
         for v in self.variables:
@@ -181,9 +191,10 @@ class FeasReport:
     lambda_star: float
     witness: dict
     iterations: int  # start evaluations plus Newton steps
-    restarts: int  # 0 when a start certified, else 1 (the run)
+    restarts: int  # 0 when a start or the dual candidate decided, else 1 (the run)
     # a proven lower bound >= 10 * eps_feas on f over the normalization slice
-    # (not_found only), from the last Newton step's dual point or the cut LP
+    # (not_found only), from the problem's checked dual candidate, the last
+    # Newton step's dual point or the cut LP
     lower_bound: float | None = None
 
     @property
@@ -198,16 +209,23 @@ def _basis(v: MatrixVariable) -> np.ndarray:
     """The d^2 x n_params matrix taking a variable's parameters to vec(V),
     row-major: for symmetric variables the Frobenius-orthonormal basis (the
     diagonal units, then (E_ij + E_ji) / sqrt(2) for i < j in row order)."""
-    d = v.dim
-    if v.kind == "general":
-        return np.eye(d * d)
-    B = np.zeros((d, d, v.n_params))
+    return np.eye(v.dim**2) if v.kind == "general" else _sym_basis(v.dim)
+
+
+@functools.cache
+def _sym_basis(d: int) -> np.ndarray:
+    """``_basis`` of a symmetric d x d variable, built once per size and
+    read-only, as every problem shares it."""
+    p = d * (d + 1) // 2
+    B = np.zeros((d, d, p))
     k = np.arange(d)
     B[k, k, k] = 1.0
     i, j = np.triu_indices(d, 1)
-    c = np.arange(d, v.n_params)
+    c = np.arange(d, p)
     B[i, j, c] = B[j, i, c] = 1.0 / np.sqrt(2.0)
-    return B.reshape(d * d, -1)
+    B = B.reshape(d * d, -1)
+    B.flags.writeable = False
+    return B
 
 
 class _Compiled:
@@ -235,6 +253,8 @@ class _Compiled:
         by_dim: dict[int, list[int]] = {}
         for k, blk in enumerate(blocks):
             by_dim.setdefault(blk.dim, []).append(k)
+        self.dims = [blk.dim for blk in blocks]
+        self.order = [k for ks in by_dim.values() for k in ks]  # blocks in group order
         # groups: (block size m, number of blocks K, stacked K m^2 x nx map)
         self.groups: list[tuple[int, int, np.ndarray]] = [
             (m, len(ks), np.vstack([self._compile_block(blocks[k]) for k in ks]))
@@ -592,31 +612,50 @@ class _Barrier:
 
 
 def _dual_bound(bar: _Barrier, spectra: list, s: float, dw: np.ndarray) -> float | None:
-    """-<Z, C>, a lower bound on f over the slice, from the dual point
-    Z_k = (S_k^-1 - S_k^-1 dS_k S_k^-1) / s (dS = G dw) of a Newton step dw at
-    weight s from the point of the spectra.  The Newton equations give
-    G^T vec Z = -e_t (zero z-part, sum tr Z_k = 1), up to rounding and, under
-    the ball, its gradient's part; one least-norm correction restores it.
-    If every Z_k is then PSD, weak duality gives 0 <= <Z, C + G w> =
-    <Z, C> - t for every feasible (z, t), in the ball or not.  None when some
-    Z_k is not.
-    """
+    """The ``_weak_duality_bound`` of the dual point Z_k = (S_k^-1 - S_k^-1
+    dS_k S_k^-1) / s (dS = G dw) of a Newton step dw at weight s from the
+    point of the spectra.  The Newton equations give G^T vec Z = -e_t, up to
+    rounding and, under the ball, its gradient's part."""
     Z = []
     for (m, K, _, G), (lam, U) in zip(bar.groups, spectra):
         Si = (U / lam[:, None, :]) @ U.transpose(0, 2, 1)
         Zk = (Si - Si @ (G @ dw).reshape(K, m, m) @ Si) / s
         Z.append((0.5 * (Zk + Zk.transpose(0, 2, 1))).ravel())
-    z = np.concatenate(Z)
+    return _weak_duality_bound(bar, np.concatenate(Z))
+
+
+def _weak_duality_bound(bar: _Barrier, z: np.ndarray) -> float | None:
+    """-<Z, C>, a lower bound on f over the slice, from multipliers Z_k (the
+    symmetric vec z, stacked as the groups) that nearly satisfy the dual
+    equations G^T vec Z = -e_t (zero z-part: the adjoint sum_k M_k^T vec Z_k
+    lies along the trace vector; sum tr Z_k = 1).  One least-norm correction
+    restores them.  If every Z_k is then PSD, weak duality gives 0 <=
+    <Z, C + G w> = <Z, C> - t for every feasible (z, t), in the ball or not.
+    None when some Z_k is not.
+    """
     Gt = np.vstack([G for *_, G in bar.groups]).T
     r = Gt @ z
     r[-1] += 1.0
-    z -= np.linalg.lstsq(Gt, r, rcond=None)[0]
+    z = z - np.linalg.lstsq(Gt, r, rcond=None)[0]
     off = 0
     for m, K, _, _ in bar.groups:
         if np.linalg.eigvalsh(z[off : off + K * m * m].reshape(K, m, m)).min() < 0.0:
             return None
         off += K * m * m
     return -float(z @ np.concatenate([C for _, _, C, _ in bar.groups]))
+
+
+def _candidate_bound(comp: _Compiled, dual: tuple) -> float | None:
+    """The ``_weak_duality_bound`` of a problem's dual candidate, scaled to
+    unit trace sum; None when it fails the check."""
+    if len(dual) != len(comp.dims) or any(np.shape(Z) != (m, m) for Z, m in zip(dual, comp.dims)):
+        raise ProblemError(f"the dual candidate needs one square matrix per compiled block, of sizes {comp.dims}")
+    Zs = [sym(np.asarray(dual[k], dtype=float)) for k in comp.order]
+    total = sum(np.trace(Z) for Z in Zs)
+    if not (np.isfinite(total) and total > 0.0):
+        return None
+    a = comp.trace_vec
+    return _weak_duality_bound(_Barrier(comp, a / (a @ a)), np.concatenate([Z.ravel() for Z in Zs]) / total)
 
 
 def _worst(w: np.ndarray, spectra: list) -> float:
@@ -695,11 +734,14 @@ def solve_feasibility(problem: LmiProblem, cfg: SolverConfig | None = None) -> F
 
     Deterministic: starts attached to the problem are tried first; a
     start that already certifies feasibility at ``eps_feas`` short-circuits
-    the search.  Otherwise one barrier run from the best start (or from the
-    normalized identities) follows the central path until the verdict is
-    settled.  A run that ends without a value below ``10 * eps_feas`` tries
-    the dual bound of its last Newton step, and where that proves nothing,
-    the proof LP on the eigenvector rows of its centres and last point.
+    the search.  Then the problem's dual candidate, if any: a checked bound
+    above ``-eps_feas`` ends the search as "not_found", the same rule a
+    barrier run stops on.  Otherwise one barrier run from the best start (or
+    from the normalized identities) follows the central path until the
+    verdict is settled.  A run that ends without a value below
+    ``10 * eps_feas`` tries the dual bound of its last Newton step, and where
+    that proves nothing, the proof LP on the eigenvector rows of its centres
+    and last point.
     """
     cfg = cfg or SolverConfig()
     if not any(v.require_pd for v in problem.variables):
@@ -726,6 +768,11 @@ def solve_feasibility(problem: LmiProblem, cfg: SolverConfig | None = None) -> F
     if best_x is None:
         best_x = a / (a @ a)  # scaled identities
         best_f = comp.f_only(best_x)
+    if problem.dual:
+        bound = _candidate_bound(comp, problem.dual)
+        if bound is not None and bound > -cfg.eps_feas:
+            proof = bound if bound >= 10.0 * cfg.eps_feas else None
+            return FeasReport("not_found", best_f, comp.to_witness(best_x), iterations, 0, proof)
     best_f, best_x, steps, points, last = _barrier_run(comp, best_x, best_f, cfg)
     iterations += steps
 

@@ -97,14 +97,15 @@ def test_one_trajectory_is_one_simulate_span_and_one_span_per_functional_time(la
 
 def test_a_margin_table_probe_still_reaches_the_proof_lp(layers):
     # MUST_FIRE requires lmi_core.lp_calls on margin-table until the
-    # benchmark reports a counter that no longer fires as absent.  Most
-    # not-found probes are proven by the Newton step's dual point; amc's
-    # probe at the lower end of row 0.4 is not (its bound is 4.7e-8, below
-    # 10 * eps_feas), so it still runs the cut LP
-    sys = validate_system(model.benchmark_system(0.4, 1e-4))
+    # benchmark reports a counter that no longer fires as absent.  amc and
+    # single are decided by their closed forms, with no barrier run, and
+    # most not-found th2-lmi probes are proven by the Newton step's dual
+    # point; the row-0.2 th2-lmi probe at this bisection midpoint is not
+    # (f is 1.4e-6 and its bound 1.7e-7), so it still runs the cut LP
+    sys = validate_system(model.benchmark_system(0.2, 0.2418481658935547))
     tr = layers.install()
     try:
-        assert margin.criterion_feasible(sys, "amc") == (False, None)
+        assert margin.criterion_feasible(sys, "th2-lmi") == (False, None)
     finally:
         tr.restore()
     assert [s.name for s in tr.spans].count(layers.LP) == 1

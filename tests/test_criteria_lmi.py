@@ -1,8 +1,12 @@
-"""Structure and semantics of the LMI builders, the nonlinear checks, and the
-witness conversions."""
+"""Structure and semantics of the LMI builders, the nonlinear checks, the
+witness conversions, and the closed forms of the coupled conditions."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
+
+from ids_stability import lmi_core, margin
 
 from ids_stability.criteria_lmi import (
     ConversionError,
@@ -23,7 +27,8 @@ from ids_stability.criteria_lmi import (
     witness_th1_from_th2coupled,
 )
 from ids_stability.criteria_spectral import check_spectral, spectral_radius
-from ids_stability.lmi_core import SolverConfig, evaluate, solve_feasibility
+from ids_stability.criteria_lmi import LMI_CRITERIA, _coupled_operator, _perron_matrix
+from ids_stability.lmi_core import SolverConfig, _Compiled, check_witness, evaluate, solve_feasibility
 from ids_stability.model import DiscreteIds, IdsSystem, benchmark_system, validate_system
 from ids_stability.suites import random_corpus
 
@@ -409,3 +414,157 @@ def test_equivalence_spot_check_small_corpus():
         assert solve_feasibility(build_amc(sys), cfg).feasible == expected
         assert solve_feasibility(build_th2_coupled(sys), cfg).feasible == expected
         assert solve_feasibility(build_single(sys), cfg).feasible == expected
+
+
+# -- closed forms of the coupled conditions ------------------------------------
+
+COUPLED = ("amc", "th2-coupled", "single")
+
+
+def _barrier_only(problem):
+    return replace(problem, starts=(), dual=())
+
+
+def _on_slice(comp, y):
+    a = comp.trace_vec
+    return y - a * ((a @ y - 1.0) / (a @ a))
+
+
+def _record_candidate_bounds(monkeypatch):
+    """Route lmi_core._candidate_bound through a recorder; returns its values."""
+    seen = []
+    real = lmi_core._candidate_bound
+
+    def bound(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(lmi_core, "_candidate_bound", bound)
+    return seen
+
+
+@pytest.fixture(scope="module")
+def closed_form_solves():
+    """(name, problem, report) for the coupled conditions on two seeded
+    off-boundary corpora and on the paper rows over a grid of second delays
+    that straddles every margin of the table."""
+    systems = [s for seed in (2024, 7) for s in random_corpus(seed, 100) if isinstance(s, IdsSystem)]
+    grid = (1e-4, 0.03, 0.0473, 0.0474, 0.1, 0.1527, 0.1528, 0.3, 0.3414, 0.3415, 1.0)
+    systems += [benchmark_system(r, t) for r in (0.4, 0.3, 0.2, 0.1) for t in grid]
+    return [
+        (f"{name}-{i}", problem, solve_feasibility(problem))
+        for i, sys in enumerate(systems)
+        for name in COUPLED
+        for problem in (LMI_CRITERIA[name](sys),)
+    ]
+
+
+def test_closed_forms_give_the_barrier_verdict(closed_form_solves):
+    assert len(closed_form_solves) >= 3 * 200
+    for name, problem, rep in closed_form_solves:
+        assert rep.status == solve_feasibility(_barrier_only(problem)).status, name
+
+
+def test_closed_form_verdicts_carry_checked_certificates(closed_form_solves):
+    # no barrier run: a feasible verdict comes with a witness that passes
+    # check_witness, and a not-found one with the dual candidate's checked
+    # bound, which lies below f at random points of the slice
+    eps = SolverConfig().eps_feas
+    rng = np.random.default_rng(11)
+    proven = 0
+    for name, problem, rep in closed_form_solves:
+        assert rep.restarts == 0 and rep.iterations == len(problem.starts), name
+        if rep.feasible:
+            assert problem.starts and not problem.dual, name
+            assert check_witness(problem, rep.witness, tol=eps / 2), name
+            continue
+        comp = _Compiled(problem)
+        bound = lmi_core._candidate_bound(comp, problem.dual)
+        assert bound > -eps, name
+        points = [_on_slice(comp, c * rng.standard_normal(comp.nx)) for c in (1e-2, 1.0, 1e2, 1e4) for _ in range(10)]
+        assert all(bound <= comp.f_only(x) + 1e-9 for x in points), name
+        assert (rep.lower_bound is not None) == (bound >= 10 * eps), name
+        proven += rep.lower_bound is not None
+    assert proven >= 100
+
+
+def test_coupled_margin_cells_run_no_newton_step(monkeypatch):
+    # every amc and single probe of the margin table is decided by a closed
+    # form: none of them starts the barrier
+    built, solved = [], []
+    for name in ("amc", "single"):
+        build = LMI_CRITERIA[name]
+        monkeypatch.setitem(LMI_CRITERIA, name, lambda sys, build=build: built.append(build(sys)) or built[-1])
+    real = margin.solve_feasibility
+
+    def solve(problem, cfg=None):
+        rep = real(problem, cfg)
+        if any(problem is p for p in built):
+            solved.append(rep)
+        return rep
+
+    monkeypatch.setattr(margin, "solve_feasibility", solve)
+    margin.table1(benchmark_system(0.3, 0.1))
+    assert len(solved) >= 100
+    assert all(rep.restarts == 0 and rep.iterations <= 1 for rep in solved)
+
+
+def _single_candidate(sys, rho):
+    """single's dual candidate built with the given value of rho."""
+    Y = _perron_matrix(_coupled_operator(sys).T, sys.n)
+    c = 0.9 * (rho - 1.0) * np.linalg.eigvalsh(Y)[0]
+    return (Y, (rho - 1.0) * Y - c * np.eye(sys.n))
+
+
+@pytest.mark.parametrize("tau2", [0.06, 3.0])
+def test_tampered_candidate_is_rejected_and_the_barrier_runs(monkeypatch, tau2):
+    # -Y is not PSD, and at tau2 = 0.06 a rho off by half or by double
+    # leaves the corrected multipliers indefinite: the check rejects each,
+    # and the barrier run decides.  A wrong rho that still passes proves
+    # only what weak duality does: its bound lies below f on the slice
+    sys = benchmark_system(0.3, tau2)
+    problem = LMI_CRITERIA["single"](sys)
+    rho = spectral_radius(_coupled_operator(sys))
+    comp = _Compiled(problem)
+    barrier = solve_feasibility(_barrier_only(problem))
+    rng = np.random.default_rng(2)
+    points = [_on_slice(comp, c * rng.standard_normal(comp.nx)) for c in (1e-2, 1.0, 1e2) for _ in range(20)]
+    tampered = [tuple(-Z for Z in problem.dual)]
+    tampered += [_single_candidate(sys, k * rho) for k in (0.5, 0.9, 1.1, 2.0)]
+    bounds = _record_candidate_bounds(monkeypatch)
+    for dual in tampered:
+        del bounds[:]
+        rep = solve_feasibility(replace(problem, dual=dual))
+        assert rep.status == barrier.status == "not_found"
+        if bounds[0] is None:
+            assert rep.restarts == 1 and rep.iterations == barrier.iterations
+        else:
+            assert all(bounds[0] <= comp.f_only(x) + 1e-9 for x in points)
+    rejected = [lmi_core._candidate_bound(comp, dual) is None for dual in tampered]
+    assert rejected[0] and (tau2 == 3.0 or all(rejected))
+
+
+@pytest.mark.parametrize("name", COUPLED)
+def test_slack_band_falls_through_to_the_barrier(scalar_system, name):
+    # N tau^2 a^2 = 1 - 1e-9: X = (I - Phi)^-1 (I) is PD, but its witness's
+    # normalized slack is below eps_feas, so it does not certify; there is
+    # no dual candidate, and the barrier run from it gives the verdict
+    sys = scalar_system(1.0, np.sqrt(1.0 - 1e-9))
+    problem = LMI_CRITERIA[name](sys)
+    assert len(problem.starts) == 1 and not problem.dual
+    rep = solve_feasibility(problem)
+    assert rep.restarts == 1
+    assert rep.status == solve_feasibility(_barrier_only(problem)).status
+
+
+def test_amc_probe_next_to_the_margin_is_proven_by_its_certificate(monkeypatch):
+    # the table's amc probe at (0.2, 0.152802), 6e-5 past the cell 0.152741:
+    # rho(Phi) - 1 is 4.4e-5, and the Perron certificate proves f > 0 with
+    # no barrier run (the barrier ended there without a proof)
+    sys = benchmark_system(0.2, 0.152802)
+    rho = spectral_radius(_coupled_operator(sys))
+    assert 4e-5 <= rho - 1.0 <= 5e-5
+    bounds = _record_candidate_bounds(monkeypatch)
+    rep = solve_feasibility(LMI_CRITERIA["amc"](sys))
+    assert rep.status == "not_found" and rep.restarts == 0 and rep.iterations == 0
+    assert len(bounds) == 1 and bounds[0] > 0.0

@@ -45,6 +45,12 @@ def scalar_problem(a: float, tau: float) -> LmiProblem:
     )
 
 
+def _barrier_only(problem: LmiProblem) -> LmiProblem:
+    """The problem without its closed forms (starts and dual candidate), so
+    that the solver decides it by a barrier run."""
+    return replace(problem, starts=(), dual=())
+
+
 def test_scalar_evaluate_value():
     p = scalar_problem(1.0, 0.5)
     values, worst = evaluate(p, {"q": np.array([[1.0]])})
@@ -122,7 +128,7 @@ def test_solver_requires_pd_variable():
 def test_two_solves_give_bitwise_equal_reports():
     # a cold feasible solve and a not-found one; the solver draws nothing
     for tau2, status in ((0.04, "feasible"), (0.06, "not_found")):
-        p = replace(build_single(benchmark_system(0.3, tau2)), starts=())
+        p = _barrier_only(build_single(benchmark_system(0.3, tau2)))
         r1, r2 = solve_feasibility(p), solve_feasibility(p)
         assert r1.status == status
         assert (r1.status, r1.lambda_star, r1.iterations, r1.restarts, r1.lower_bound) == (
@@ -348,7 +354,7 @@ def test_cold_solve_stops_at_settling_depth(monkeypatch, criterion):
     # reaches the settling depth
     seen = _record_values(monkeypatch)
     cfg = SolverConfig()
-    problem = replace(LMI_CRITERIA[criterion](benchmark_system(0.3, 0.04)), starts=())
+    problem = _barrier_only(LMI_CRITERIA[criterion](benchmark_system(0.3, 0.04)))
     rep = solve_feasibility(problem, cfg)
     clear_feas = -10 * cfg.eps_feas
     assert rep.feasible and rep.restarts == 1
@@ -378,7 +384,7 @@ def test_restarts_field_tells_start_hits_from_runs():
     assert problem.starts
     hit = solve_feasibility(problem)
     assert hit.feasible and hit.restarts == 0 and hit.iterations <= len(problem.starts)
-    cold = solve_feasibility(replace(problem, starts=()))
+    cold = solve_feasibility(_barrier_only(problem))
     assert cold.feasible and cold.restarts == 1
 
 
@@ -397,13 +403,13 @@ def _record_dual_bounds(monkeypatch):
 
 def test_proof_lp_reaches_the_module_binding(monkeypatch):
     # the proof LP must call lmi_core.linprog by its module name, so that
-    # patching it (as tracing does) sees every LP; amc's probe at the lower
-    # end of row 0.4 ends with a dual bound below 10 * eps_feas, so the LP
-    # runs, and it proves what the dual point does not
+    # patching it (as tracing does) sees every LP; a barrier run on amc at
+    # the lower end of row 0.4 ends with a dual bound below 10 * eps_feas,
+    # so the LP runs, and it proves what the dual point does not
     eps = SolverConfig().eps_feas
     calls = _count_lps(monkeypatch)
     bounds = _record_dual_bounds(monkeypatch)
-    rep = solve_feasibility(LMI_CRITERIA["amc"](benchmark_system(0.4, 1e-4)))
+    rep = solve_feasibility(_barrier_only(LMI_CRITERIA["amc"](benchmark_system(0.4, 1e-4))))
     assert len(bounds) == 1 and bounds[0] < 10 * eps and calls == ["proof"]
     assert 10 * eps <= rep.lower_bound <= rep.lambda_star
 
@@ -422,7 +428,7 @@ def test_dual_bound_proves_ball_runs_without_lp(monkeypatch):
 
 def test_cold_amc_near_the_margin_is_feasible():
     # 5e-6 inside the exact margin 0.0474051, with no warm start
-    problem = replace(LMI_CRITERIA["amc"](benchmark_system(0.3, 0.0474)), starts=())
+    problem = _barrier_only(LMI_CRITERIA["amc"](benchmark_system(0.3, 0.0474)))
     assert solve_feasibility(problem).feasible
 
 
@@ -438,7 +444,7 @@ def test_variable_no_block_uses_still_gets_a_verdict():
 def test_cold_integral_solves_take_few_newton_steps():
     for sys in random_corpus(2024, 100):
         for name in ("amc", "th2-coupled", "single", "th1", "th2-lmi"):
-            rep = solve_feasibility(replace(LMI_CRITERIA[name](sys), starts=()))
+            rep = solve_feasibility(_barrier_only(LMI_CRITERIA[name](sys)))
             assert rep.iterations <= 100, name
 
 
@@ -449,7 +455,7 @@ def test_cold_th1_with_singular_a_stays_in_the_ball(A, tau, status):
     # widens the first block's slack and leaves the other unchanged: the
     # barrier needs the ball to have a centre, and R stays in it
     sys = validate_system(IdsSystem(A=(np.array(A),), tau=(tau,)))
-    rep = solve_feasibility(replace(LMI_CRITERIA["th1"](sys), starts=()))
+    rep = solve_feasibility(_barrier_only(LMI_CRITERIA["th1"](sys)))
     assert rep.status == status
     assert rep.iterations <= 100
     assert np.abs(rep.witness["R"]).max() <= lmi_core._RADIUS
@@ -474,7 +480,7 @@ def stable_problems():
                 rep = solve_feasibility(problem)
                 assert rep.feasible, f"{name}-{label}"
                 x = _Compiled(problem).to_vector(normalize_witness(problem, rep.witness))
-                cases.append((f"{name}-{label}", replace(problem, starts=()), x))
+                cases.append((f"{name}-{label}", _barrier_only(problem), x))
     assert len(cases) >= 18
     return cases
 
@@ -513,12 +519,13 @@ def test_dual_bound_helper_is_sound_at_arbitrary_steps(stable_problems, data):
 
 
 def _probe_problems():
-    """(name, problem) for four integral LMI criteria on the paper system
-    past its margins and on off-boundary corpus systems; 26 end not_found."""
+    """(name, problem) for four integral LMI criteria, without their closed
+    forms, on the paper system past its margins and on off-boundary corpus
+    systems; 26 end not_found."""
     systems = [benchmark_system(0.3, t) for t in (0.06, 0.2, 1.0, 3.0)]
     systems += [s for s in random_corpus(2024, 20) if isinstance(s, IdsSystem)]
     return [
-        (f"{name}-{i}", LMI_CRITERIA[name](s))
+        (f"{name}-{i}", _barrier_only(LMI_CRITERIA[name](s)))
         for i, s in enumerate(systems)
         for name in ("amc", "th2-coupled", "single", "th2-lmi")
     ]
@@ -706,7 +713,7 @@ def _th1_ball_problems():
     for A in ([[2.0, 0.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]]):
         sys = validate_system(IdsSystem(A=(np.array(A),), tau=(1.0,)))
         cases.append((f"singular-{A}", LMI_CRITERIA["th1"](sys)))
-    return [(name, replace(p, starts=())) for name, p in cases]
+    return [(name, _barrier_only(p)) for name, p in cases]
 
 
 def test_ball_bound_is_at_least_a_long_runs_t_star_minus_t():
