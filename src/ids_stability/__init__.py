@@ -3,7 +3,8 @@
 Builds and solves the LMI and spectral stability conditions for systems
 x(t) = sum_i A_i * integral over [-tau_i, 0] of x(t+s) ds, converts
 witnesses between equivalent conditions, searches delay margins by
-bisection, and cross-validates verdicts with a time-domain simulator.
+bisection (from a closed-form boundary where the criterion is equivalent to
+the spectral test), and cross-validates verdicts with a time-domain simulator.
 """
 
 from .model import (
@@ -53,6 +54,7 @@ from .criteria_spectral import (
     operator_block,
     optimize_weights,
     single_delay_checks,
+    spectral_margin,
     spectral_radius,
 )
 from .jensen import (

@@ -63,7 +63,10 @@ def cmd_check(args) -> int:
     result = margin.evaluate_criterion(system, args.method, _cfg_from(args), alpha=alpha)
     witness = None
     if isinstance(result, FeasReport):
-        print(f"lambda_star = {_fmt(result.lambda_star)}")
+        # a not_found decided by the dual candidate ran no search, so it has
+        # no least value to report
+        if result.feasible or result.restarts:
+            print(f"lambda_star = {_fmt(result.lambda_star)}")
         if result.lower_bound is not None:
             print(f"lower_bound = {_fmt(result.lower_bound)}")
         print(f"verdict: {result.status}")

