@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -375,7 +376,7 @@ def estimate_decay(traj: Trajectory) -> tuple[float, float] | None:
         raise ValueError(f"trajectory too short: T={traj.T} < 5*tau={5*tau}")
     w = int(round(tau / traj.h))
     norms = np.linalg.norm(traj.samples[traj.hist_len :], axis=1)
-    env = np.lib.stride_tricks.sliding_window_view(norms, w + 1).max(axis=1)
+    env = _running_max(norms, w + 1)
     t = np.arange(env.size) * traj.h
     # exact zeros (a solution that died out) have no logarithm
     pos = env > 0.0
@@ -386,6 +387,25 @@ def estimate_decay(traj: Trajectory) -> tuple[float, float] | None:
         return None
     alpha = math.exp(intercept) / traj.sup_history if traj.sup_history > 0 else math.exp(intercept)
     return (float(alpha), float(-slope))
+
+
+def _running_max(x: np.ndarray, width: int) -> np.ndarray:
+    """Maxima of every window of ``width`` consecutive entries of x, in O(len(x)).
+
+    The van Herk / Gil-Werman scheme: cut x into blocks of ``width`` (the last
+    padded with -inf) and take running maxima forwards and backwards inside
+    each block.  A window starting at i covers the tail of i's block and the
+    head of the next, so its maximum is the larger of the backward maximum at
+    i and the forward maximum at i + width - 1.  Maxima are exact, so this
+    equals ``sliding_window_view(x, width).max(axis=1)`` bit for bit.
+    """
+    size = x.size
+    blocks = np.full(-(-size // width) * width, -np.inf)
+    blocks[:size] = x
+    blocks = blocks.reshape(-1, width)
+    fwd = np.maximum.accumulate(blocks, axis=1).reshape(-1)
+    bwd = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].reshape(-1)
+    return np.maximum(bwd[: size - width + 1], fwd[width - 1 : size])
 
 
 def eval_functional(
@@ -402,75 +422,81 @@ def eval_functional(
             + sum_i int (s+tau_i) x.T (tau_i A_i.T Q_i^-1 A_i + delta I) x.
 
     Every term is a trapezoid integral of weight(s) * x(t+s).T M x(t+s) over
-    its window; all terms are one stacked quadratic form on the longest
-    window, dotted with trapezoid-times-weight coefficients that vanish
-    outside each term's own window.  The matrices and coefficients do not
-    depend on t: they are built once per distinct (system, grid, witness),
-    compared by value, and reused across times.  Snapped delays are used
-    throughout so V is consistent with the discretized dynamics; t must lie
-    on the grid in [0, T - max(tau)].  A witness with a non-finite entry
-    raises ValueError.
+    its window.  The term matrices, times their trapezoid-times-weight
+    coefficients (zero outside each term's own window), fold into one
+    matrix C_k per lag k of the longest window, so V = sum_k x_k.T C_k x_k is
+    one dot product with the outer products of the window's states.  The
+    folded matrices do not depend on t: they are built once per distinct
+    (system, grid, witness), compared by value, and reused across times.
+    Snapped delays are used throughout so V is consistent with the
+    discretized dynamics; t must be a scalar grid time in [0, T - max(tau)].
+    A witness with a non-finite entry raises ValueError.
     """
+    try:
+        t = float(t)
+    except TypeError:
+        raise ValueError(
+            f"t must be a scalar grid time (got {type(t).__name__} of shape {np.shape(t)})"
+        ) from None
     tau = max(traj.tau_snapped)
     if t < -1e-12 or t > traj.T - tau + 1e-12:
         raise ValueError(f"t={t} outside [0, T - tau] = [0, {traj.T - tau:.6g}]")
     k = traj.index_of(t)
-    mats, coef = _functional_terms(sys, traj, which, witness)
-    mmax, n = coef.shape[1] - 1, traj.n
-    # sum_k coef[j, k] x_k.T M_j x_k as <M_j, sum_k coef[j, k] x_k x_k.T>
-    vals = traj.samples[k - mmax : k + 1]
-    gram = coef @ (vals[:, :, None] * vals[:, None, :]).reshape(mmax + 1, n * n)
-    return float(np.vdot(mats, gram))
+    C = _functional_terms(sys, traj, which, witness)
+    vals = traj.samples[k + 1 - C.shape[0] : k + 1]
+    return float(np.vdot(C, vals[:, :, None] * vals[:, None, :]))
 
 
-# (key, (mats, coef)) of the last terms _functional_terms built.  One tuple,
+# (key, C) of the last folded matrices _functional_terms built.  One tuple,
 # read and replaced in one statement each, so concurrent callers can at worst
-# build the same terms twice.
+# build the same matrices twice.
 _memo: tuple = (None, None)
 
 
-def _functional_terms(sys: IdsSystem, traj: Trajectory, which: str, witness: dict):
-    """The t-independent part of :func:`eval_functional`: the stacked term
-    matrices and their trapezoid-times-weight coefficients on the longest
-    window, (mats, coef).
+def _functional_terms(sys: IdsSystem, traj: Trajectory, which: str, witness: dict) -> np.ndarray:
+    """The t-independent part of :func:`eval_functional`: C with row k the
+    flattened n x n matrix sum_j coef[j, k] M_j, for the term matrices M_j
+    and their trapezoid-times-weight coefficients at lag k of the longest
+    window.
 
-    The last terms are reused while their key matches: the functional, the
-    grid, the values and shapes of every witness matrix, delta/eps and the
-    values of A.  A witness changed in place therefore gets new terms, and a
-    rejected witness is never stored.
+    The last C is reused while its key matches: the functional, the grid,
+    delta/eps, the group sizes, the shape of every witness matrix and A_i,
+    and the bytes of all their values.  A witness changed in place therefore
+    gets a new C, and a rejected witness is never stored.
     """
     global _memo
     taus = traj.tau_snapped
     n, N = traj.n, len(taus)
     if which == "amc":
-        groups = [("P, Q_i", [witness["P"], *witness["Q"]], N + 1)]
-        scalars = ()
+        names, groups, scalars = ("P, Q_i",), ([witness["P"], *witness["Q"]],), ()
     elif which == "th1":
-        groups = [("P, S_i", [witness["P"], *witness["S"]], N + 1)]
-        scalars = ()
+        names, groups, scalars = ("P, S_i",), ([witness["P"], *witness["S"]],), ()
     elif which == "th2":
-        groups = [("R_i", witness["R"], N), ("Q_i", witness["Q"], N)]
+        names, groups = ("R_i", "Q_i"), (witness["R"], witness["Q"])
         scalars = (float(witness["delta"]), float(witness["eps"]))
     else:
         raise ValueError(f"unknown functional {which!r}; expected amc, th1, or th2")
-    groups = [(what, [np.asarray(M, dtype=float) for M in Ms], count) for what, Ms, count in groups]
-    As = np.asarray(sys.A)
+    sizes = tuple(map(len, groups))
+    arrays = [np.asarray(M, dtype=float) for M in (*chain.from_iterable(groups), *sys.A)]
     key = (
         which,
         n,
         traj.h,
         taus,
         scalars,
-        tuple(tuple((M.shape, M.tobytes()) for M in Ms) for _, Ms, _ in groups),
-        As.shape,
-        As.tobytes(),
+        sizes,
+        tuple([M.shape for M in arrays]),
+        b"".join([M.tobytes() for M in arrays]),
     )
     memo = _memo
     if memo[0] == key:
         return memo[1]
 
-    stacks = []
-    for what, Ms, count in groups:
+    stacks, lo = [], 0
+    count = N if which == "th2" else N + 1
+    for what, size in zip(names, sizes):
+        Ms = arrays[lo : lo + size]
+        lo += size
         for M in Ms:
             if M.shape != (n, n):
                 raise ValueError(f"{what} has shape {M.shape}, expected ({n}, {n})")
@@ -496,6 +522,7 @@ def _functional_terms(sys: IdsSystem, traj: Trajectory, which: str, witness: dic
     else:
         Rs, Qs = stacks
         delta, eps = scalars
+        As = np.asarray(sys.A, dtype=float)
         W = np.asarray(taus)[:, None, None] * np.swapaxes(As, 1, 2) @ np.linalg.inv(Qs) @ As
         W.reshape(N, n * n)[:, :: n + 1] += delta  # W_i + delta I
         mats = np.concatenate([Rs, W])
@@ -503,9 +530,9 @@ def _functional_terms(sys: IdsSystem, traj: Trajectory, which: str, witness: dic
 
     a, b = np.array([a, b])[:, :, None]
     coef = _trapezoid_weights(win, h, mmax) * (a + b * ((np.arange(mmax + 1) - mmax) * h))
-    terms = (mats, coef)
-    _memo = (key, terms)
-    return terms
+    C = coef.T @ mats.reshape(len(win), n * n)
+    _memo = (key, C)
+    return C
 
 
 def export_csv(traj: Trajectory, fh, decay: tuple[float, float] | None = None) -> None:

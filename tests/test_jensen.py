@@ -169,3 +169,22 @@ def test_grid_refinement_order():
     d1, d2 = abs(gaps[0] - gaps[1]), abs(gaps[1] - gaps[2])
     assert d1 > 0 and d2 > 0
     assert math.log2(d1 / d2) >= 1.9
+
+
+@pytest.mark.parametrize("m", [2, 3, 200])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_closed_trapezoid_matches_the_weight_vector(m, n):
+    # integral, quad_form_integral and max_norm skip the weights array and
+    # the row norms; they may round differently, by a few ulps of scale
+    rng = np.random.default_rng(100 * m + n)
+    ulp = np.finfo(float).eps
+    for _ in range(20):
+        om = SampledFunction(tau=rng.uniform(0.1, 3.0), values=rng.standard_normal((m + 1, n)))
+        M = rng.standard_normal((n, n))
+        w, v = om.weights, om.values
+        np.testing.assert_allclose(om.integral(), w @ v, rtol=0, atol=8 * ulp * (w @ np.abs(v)).max())
+        q = np.einsum("ki,ij,kj->k", v, M, v)
+        scale = w @ np.einsum("ki,ij,kj->k", np.abs(v), np.abs(M), np.abs(v))
+        assert abs(om.quad_form_integral(M) - w @ q) <= 8 * ulp * scale
+        norm = np.max(np.linalg.norm(v, axis=1))
+        assert abs(om.max_norm() - norm) <= 2 * ulp * norm

@@ -7,6 +7,7 @@ from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -233,10 +234,34 @@ def test_history_integral_matches_quadrature_past_the_window(kind):
 @pytest.mark.parametrize(
     "tau, beta", [((0.3, 0.05), 4.710285), ((0.3, 0.11), 5.173249), ((0.3, 0.3), 3.158141)]
 )
-def test_decay_rate_of_the_paper_system_is_pinned(tau, beta):
+def test_decay_rate_of_the_paper_system_is_pinned(tau, beta, monkeypatch):
     sys = benchmark_system(*tau)
     traj = simulate(sys, make_compatible(sys, HistorySpec.random_smooth(1)), h=0.005, T=15.0)
-    assert estimate_decay(traj)[1] == pytest.approx(beta, rel=1e-6, abs=0)
+    fit = estimate_decay(traj)
+    assert fit[1] == pytest.approx(beta, rel=1e-6, abs=0)
+    # the O(K) envelope gives the sliding-window maxima's fit bit for bit
+    monkeypatch.setattr(simulator_module, "_running_max", _sliding_max)
+    assert estimate_decay(traj) == fit
+
+
+def _sliding_max(x, width):
+    return sliding_window_view(x, width).max(axis=1)
+
+
+# (length, window): one window; a whole number of blocks; windows of two;
+# the benchmark's norms (3,001 at h 0.005, T 15) at delays 0.3 to 0.9
+@pytest.mark.parametrize(
+    "size, width",
+    [(61, 61), (183, 61), (20, 2), (21, 2), (3001, 61), (3001, 121), (3001, 181), (500, 97)],
+)
+def test_running_max_matches_the_sliding_window(size, width):
+    rng = np.random.default_rng(size + width)
+    decaying = rng.exponential(size=size) * np.exp(-np.linspace(0.0, 30.0, size))
+    died_out = decaying.copy()
+    died_out[size // 3 :] = 0.0
+    for x in (decaying, died_out, np.zeros(size)):
+        got = simulator_module._running_max(x, width)
+        assert got.tobytes() == _sliding_max(x, width).tobytes()
 
 
 def test_history_kinds_and_validation():
@@ -319,6 +344,9 @@ def test_functional_guards():
         eval_functional(sys, traj, "nope", w, 0.5)
     with pytest.raises(ValueError, match="shape"):
         eval_functional(sys, traj, "amc", {"P": np.eye(3), "Q": [np.eye(2)] * 2}, 0.5)
+    for t in (np.array([0.5, 0.6]), np.array([0.5]), [0.5]):
+        with pytest.raises(ValueError, match="must be a scalar grid time"):
+            eval_functional(sys, traj, "amc", w, t)
 
 
 def test_lyapunov_nonincreasing_along_benchmark():
@@ -576,6 +604,7 @@ def test_functional_matches_per_term_quadrature(n, N):
             got = eval_functional(sys, traj, which, w, t)
             ref = _reference_functional(sys, traj, which, w, t)
             assert abs(got - ref) <= 1e-12 * abs(ref), (which, t)
+            assert eval_functional(sys, traj, which, w, np.float64(t)) == got
 
 
 def _cold(monkeypatch, *args):
@@ -716,8 +745,10 @@ def test_functional_memo_is_safe_across_two_threads():
 
 
 def test_functional_takes_one_inverse_per_trajectory(monkeypatch):
-    # rebuilding th2's W_i on every call would invert the Q_i 294 times here
+    # rebuilding th2's W_i, or its folded matrices, on every call would invert
+    # the Q_i and build the trapezoid weights 294 times here
     calls = []
+    weight_builds = []
 
     class CountingLinalg:
         def __getattr__(self, name):
@@ -738,11 +769,19 @@ def test_functional_takes_one_inverse_per_trajectory(monkeypatch):
     w = _witnesses(np.random.default_rng(1), 2, 2)["th2"]
     monkeypatch.setattr(simulator_module, "_memo", (None, None))
     monkeypatch.setattr(simulator_module, "np", CountingNumpy())
+    trapezoid_weights = simulator_module._trapezoid_weights
+
+    def counting_weights(*args):
+        weight_builds.append(1)
+        return trapezoid_weights(*args)
+
+    monkeypatch.setattr(simulator_module, "_trapezoid_weights", counting_weights)
     ts = np.round(np.arange(0.0, traj.T - max(traj.tau_snapped), 0.05), 10)
     assert len(ts) == 294
     for t in ts:
         eval_functional(sys, traj, "th2", w, t)
     assert len(calls) == 1
+    assert len(weight_builds) == 1
 
 
 def test_residual_checks_the_equation_not_the_solve():
