@@ -8,11 +8,13 @@ and their builders attach its closed forms (``_closed_forms``): the witness
 built from X = (I - Phi)^-1 (I) when that X is PD, else Farkas multipliers
 built from the Perron eigenmatrix of Phi*.  The solver checks either one
 against the compiled blocks and decides the problem with no barrier run;
-one that does not certify falls through to the run.  th1 and th2-lmi
-attach closed-form starts from the inverse-weighted construction instead;
-a start that already certifies skips the run and the best one starts it.
-The run alone reaches the same verdicts: cold amc is feasible at
-tau = (0.3, 0.0474), 5e-6 inside the exact margin.
+one that does not certify falls through to the run.  th1, th2-lmi and laa
+attach at most one start (``_weighted_start``): the exact witness built
+from X = (I - Psi)^-1 (I) for the optimally weighted operator Psi, which
+exists exactly where the weighted spectral test passes.  A start that
+certifies skips the run, and one that does not starts it.  The run alone
+reaches the same verdicts: cold amc is feasible at tau = (0.3, 0.0474),
+5e-6 inside the exact margin.
 
 :data:`LMI_CRITERIA` only maps the LMI criterion ids to their builders;
 ``margin.CRITERIA`` looks them up there at call time and does the dispatch.
@@ -48,7 +50,6 @@ __all__ = [
     "recover_nmi_th1",
     "witness_th1_from_th2coupled",
     "witness_th1_from_th2",
-    "th1_start_from_th2",
     "th2_functional_params",
     "ConversionError",
     "IllConditionedError",
@@ -110,51 +111,45 @@ def _perron_matrix(op: np.ndarray, n: int) -> np.ndarray | None:
     return T / tr
 
 
-def _blend_candidates(base: dict, pd_names: list[str], thetas=(0.0, 1e-6)) -> list[dict]:
-    """Identity blends of the PD variables; cures singular Perron factors."""
-    out = []
-    for th in thetas:
-        cand = dict(base)
-        for name in pd_names:
-            M = np.asarray(base[name], dtype=float)
-            scale = max(np.trace(M) / M.shape[0], 1e-30)
-            cand[name] = M + th * scale * np.eye(M.shape[0])
-        out.append(cand)
-    return out
-
-
 def _coupled_operator(sys: IdsSystem) -> np.ndarray:
     """Row-major vec matrix of Phi: T -> N * sum_i tau_i^2 A_i.T T A_i; its
     transpose is the matrix of the adjoint Phi*: T -> N sum_i tau_i^2 A_i T A_i.T."""
     return sys.N * kron_operator(sys.A, [t * t for t in sys.tau]).T
 
 
+def _neumann(op: np.ndarray, n: int) -> np.ndarray | None:
+    """X = (I - Psi)^-1 (I) = sum_k Psi^k (I) for the map Psi whose row-major
+    vec matrix is ``op``, or None when that X is not PD.  For a
+    PSD-cone-preserving Psi, X is PD exactly when rho(Psi) < 1 (the Neumann
+    series; Schneider, Numer. Math. 1965), and then X = I + Psi(X) >= I."""
+    try:
+        X = sym(np.linalg.solve(np.eye(n * n) - op, np.eye(n).ravel()).reshape(n, n))
+    except np.linalg.LinAlgError:
+        return None
+    return X if is_pd(X) else None
+
+
 def _closed_forms(sys: IdsSystem, witness, block_weights, adjoint) -> tuple[tuple, tuple]:
     """(starts, dual) of a coupled condition (amc, th2-coupled, single), each
     equivalent to rho(Phi) < 1 for Phi = ``_coupled_operator``.
 
-    X = (I - Phi)^-1 (I) = sum_k Phi^k (I) is PD exactly when rho(Phi) < 1
-    (the Neumann series of a PSD-cone-preserving map; Schneider, Numer.
-    Math. 1965), and then ``witness(X)`` is the one start: X = I + Phi(X)
-    makes every declared block a negative multiple of I.  Otherwise the
-    Perron eigenmatrix Y of Phi* (Phi*(Y) = rho Y, PSD by Krein-Rutman;
-    Berman & Plemmons), plus 1e-12 I, gives one multiplier per compiled
-    block: w_k Y on the k-th declared block, and R_v - c I on the positivity
-    block of the v-th PD variable, where R_v = a_v Phi*(Y) - b_v Y, with
-    (a_v, b_v) = ``adjoint[v]``, is the declared blocks' part of the adjoint
-    on that variable.  The adjoint is then c I on every variable, which
-    weak duality turns into a bound on f that grows with c; R_v is about
-    (a_v rho - b_v) Y, and c stays a tenth and a rounding margin below
+    Where ``_neumann`` gives X = (I - Phi)^-1 (I), ``witness(X)`` is the one
+    start: X = I + Phi(X) makes every declared block a negative multiple of
+    I.  Otherwise the Perron eigenmatrix Y of Phi* (Phi*(Y) = rho Y, PSD by
+    Krein-Rutman; Berman & Plemmons), plus 1e-12 I, gives one multiplier per
+    compiled block: w_k Y on the k-th declared block, and R_v - c I on the
+    positivity block of the v-th PD variable, where R_v = a_v Phi*(Y) - b_v
+    Y, with (a_v, b_v) = ``adjoint[v]``, is the declared blocks' part of the
+    adjoint on that variable.  The adjoint is then c I on every variable,
+    which weak duality turns into a bound on f that grows with c; R_v is
+    about (a_v rho - b_v) Y, and c stays a tenth and a rounding margin below
     min_v lambda_min(R_v), so every multiplier is PD, also where Y is
     singular.  Neither is trusted: the solver checks both against the
     compiled blocks.
     """
     op, n = _coupled_operator(sys), sys.n
-    try:
-        X = sym(np.linalg.solve(np.eye(n * n) - op, np.eye(n).ravel()).reshape(n, n))
-    except np.linalg.LinAlgError:
-        X = None
-    if X is not None and is_pd(X):
+    X = _neumann(op, n)
+    if X is not None:
         return (witness(X),), ()
     Y = _perron_matrix(op.T, n)
     if Y is None:
@@ -168,51 +163,17 @@ def _closed_forms(sys: IdsSystem, witness, block_weights, adjoint) -> tuple[tupl
     return (), tuple(w * Y for w in block_weights) + tuple(Rv - c * I for Rv in R)
 
 
-def _eq44_candidates(sys: IdsSystem) -> list[list[np.ndarray]]:
-    """Closed-form candidate lists Q_1..Q_N for the inverse-weighted condition
-
-        sum_i tau_i^2 A_i.T Q_i^-1 A_i < (sum_i Q_i)^-1.
-
-    Drawn from the optimally weighted spectral construction (Q_i proportional
-    to a common inverse Perron matrix) and from the coupled-operator fixed
-    point.  Only candidates that verify are returned.
+def _weighted_start(sys: IdsSystem, witness) -> tuple:
+    """The one start of th1, th2-lmi and laa: ``witness(alpha, X)`` where
+    ``_neumann`` gives X = (I - Psi)^-1 (I) for Psi(T) = sum_i tau_i^2 /
+    alpha_i A_i.T T A_i at ``optimize_weights``' alpha, that is, where the
+    weighted spectral test passes; none elsewhere.  Q_i = alpha_i X^-1 then
+    meets the inverse-weighted condition with residual exactly -I:
+    sum_i tau_i^2 A_i.T Q_i^-1 A_i = Psi(X) = X - I and (sum_i Q_i)^-1 = X.
     """
-    n, N = sys.n, sys.N
-    cands: list[list[np.ndarray]] = []
-
-    alpha, rho_w = optimize_weights(sys)
-    if rho_w < 1.0:
-        op = kron_operator(sys.A, [t * t / a for t, a in zip(sys.tau, alpha)]).T
-        Qw = _perron_matrix(op, n)
-        if Qw is not None:
-            for th in (1e-9, 1e-6, 1e-3):
-                M = Qw + th * np.eye(n) * (np.trace(Qw) / n)
-                try:
-                    Minv = np.linalg.inv(M)
-                except np.linalg.LinAlgError:
-                    continue
-                cands.append([a * Minv for a in alpha])
-
-    T = _perron_matrix(_coupled_operator(sys), n)
-    if T is not None:
-        Qsum = sum(N * t * t * (A.T @ T @ A) for A, t in zip(sys.A, sys.tau))
-        if is_pd(Qsum):
-            try:
-                P = np.linalg.inv(N * Qsum)
-                cands.append([P.copy() for _ in range(N)])
-            except np.linalg.LinAlgError:
-                pass
-
-    good = []
-    for Q in cands:
-        if all(is_pd(Qi, tol=1e-300) for Qi in Q):
-            try:
-                M = sum(t * t * A.T @ np.linalg.inv(Qi) @ A for A, t, Qi in zip(sys.A, sys.tau, Q))
-                if eig_max(M - np.linalg.inv(sum(Q))) < 0:
-                    good.append(Q)
-            except np.linalg.LinAlgError:
-                continue
-    return good
+    alpha, _rho = optimize_weights(sys)
+    X = _neumann(kron_operator(sys.A, [t * t / a for t, a in zip(sys.tau, alpha)]).T, sys.n)
+    return () if X is None else (witness(alpha, X),)
 
 
 # -- builders -----------------------------------------------------------------
@@ -313,14 +274,17 @@ def build_th1(sys: IdsSystem) -> LmiProblem:
         ]
         blocks.append(AffineBlock(dim=2 * n, terms=tuple(terms)))
 
-    starts: list[dict] = []
-    for Q in _eq44_candidates(sys):
-        try:
-            base = th1_start_from_th2(sys, Q)
-        except ValueError:  # the conversion's and the inverse guard's errors
-            continue
-        starts.extend(_blend_candidates(base, [k for k in base if k != "R"]))
-    return LmiProblem(tuple(variables), tuple(blocks), tuple(starts))
+    def witness(alpha, X):
+        # sum_i S_i = Psi(X) + I/2 = R, so block 0 is X^-1/4 - I/2 <= -I/4;
+        # R Q_i^-1 R = X / alpha_i, so block i has Schur complement -I/(2N)
+        R = X - I / 2
+        RXR = sym(R @ np.linalg.solve(X, R))
+        start = {f"Q{i+1}": a * RXR for i, a in enumerate(alpha)}
+        for i, (Ai, ti, a) in enumerate(zip(sys.A, sys.tau, alpha)):
+            start[f"S{i+1}"] = ti * ti / a * Ai.T @ X @ Ai + I / (2 * N)
+        return {**start, "R": R}
+
+    return LmiProblem(tuple(variables), tuple(blocks), _weighted_start(sys, witness))
 
 
 def _stacked_lmi(sys: IdsSystem) -> LmiProblem:
@@ -328,7 +292,7 @@ def _stacked_lmi(sys: IdsSystem) -> LmiProblem:
 
         sum_i [tau_1 A_1; ...; tau_N A_N] Q_i [.]^T - blockdiag(Q_1..Q_N) < 0
 
-    with the inverse-weighted candidates as starts.
+    with the start Q_i = alpha_i X^-1 of ``_weighted_start``.
     """
     n, N = sys.n, sys.N
     T = np.vstack([t * A for A, t in zip(sys.A, sys.tau)])
@@ -339,12 +303,13 @@ def _stacked_lmi(sys: IdsSystem) -> LmiProblem:
         E[i * n : (i + 1) * n, :] = np.eye(n)
         terms.append(BlockTerm(f"Q{i+1}", T, T.T))
         terms.append(BlockTerm(f"Q{i+1}", -E, E.T))
-    starts: list[dict] = []
-    for Q in _eq44_candidates(sys):
-        base = {f"Q{i+1}": Q[i] for i in range(N)}
-        starts.extend(_blend_candidates(base, list(base)))
+
+    def witness(alpha, X):
+        Xinv = sym(np.linalg.inv(X))
+        return {f"Q{i+1}": a * Xinv for i, a in enumerate(alpha)}
+
     block = AffineBlock(dim=n * N, terms=tuple(terms))
-    return LmiProblem(tuple(variables), (block,), tuple(starts))
+    return LmiProblem(tuple(variables), (block,), _weighted_start(sys, witness))
 
 
 def build_th2_lmi(sys: IdsSystem) -> LmiProblem:
@@ -414,11 +379,7 @@ def recover_nmi_th1(lmi_witness: dict) -> dict:
     Given the LMI witness {Q: [Qhat_i], S: [S_i], R}, returns the nonlinear
     witness with Q_i = R^-T Qhat_i R^-1 (S passes through unchanged).
     """
-    R = np.asarray(lmi_witness["R"], dtype=float)
-    c = np.linalg.cond(R)
-    if not np.isfinite(c) or c > _COND_LIMIT:
-        raise IllConditionedError(f"R has condition number {c:.3e} > 1e12")
-    Rinv = np.linalg.inv(R)
+    Rinv = _inv_guarded(np.asarray(lmi_witness["R"], dtype=float), "R")
     Q = [sym(Rinv.T @ np.asarray(Qh, dtype=float) @ Rinv) for Qh in lmi_witness["Q"]]
     return {"Q": Q, "S": [np.asarray(Si, dtype=float) for Si in lmi_witness["S"]]}
 
@@ -469,17 +430,6 @@ def witness_th1_from_th2(sys: IdsSystem, Q) -> list[np.ndarray]:
     ]
     Omega = (_inv_guarded(sum(Q), "sum(Q)") - sum(terms)) / (2.0 * N)
     return [sym(T + Omega) for T in terms]
-
-
-def th1_start_from_th2(sys: IdsSystem, Q) -> dict:
-    """Linearized two-family assignment {S_i, Q_i: R Q_i R, R = sum_i S_i}
-    from an inverse-weighted witness Q, with S from witness_th1_from_th2."""
-    S = witness_th1_from_th2(sys, Q)
-    R = sum(S)
-    start = {f"S{i+1}": S[i] for i in range(sys.N)}
-    start.update({f"Q{i+1}": R @ Q[i] @ R for i in range(sys.N)})
-    start["R"] = R
-    return start
 
 
 def th2_functional_params(sys: IdsSystem, Q) -> dict:

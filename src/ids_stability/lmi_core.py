@@ -148,15 +148,15 @@ class AffineBlock:
 class LmiProblem:
     """Blocks required strictly negative definite, in the given variables.
 
-    ``starts`` are optional deterministic start assignments (builders
-    attach closed-form candidates when the problem structure provides them);
-    one that certifies decides the problem, the best of them starts the
-    barrier run, and they never change the verdict semantics.  ``dual`` is
-    an optional Farkas candidate: one PSD multiplier per compiled block
-    (the declared blocks, then the positivity block of each PD variable in
-    variable order).  The solver checks it against the blocks, and a bound
-    it proves decides the problem with no barrier run; one that fails its
-    check is ignored.
+    ``starts`` are optional deterministic start assignments (the builders
+    attach at most one, a closed-form witness where the problem structure
+    provides one); a start that certifies decides the problem, one that
+    does not starts the barrier run, and they never change the verdict
+    semantics.  ``dual`` is an optional Farkas candidate: one PSD
+    multiplier per compiled block (the declared blocks, then the positivity
+    block of each PD variable in variable order).  The solver checks it
+    against the blocks, and a bound it proves decides the problem with no
+    barrier run; one that fails its check is ignored.
     """
 
     variables: tuple[MatrixVariable, ...]
@@ -736,12 +736,13 @@ def solve_feasibility(problem: LmiProblem, cfg: SolverConfig | None = None) -> F
     start that already certifies feasibility at ``eps_feas`` short-circuits
     the search.  Then the problem's dual candidate, if any: a checked bound
     above ``-eps_feas`` ends the search as "not_found", the same rule a
-    barrier run stops on.  Otherwise one barrier run from the best start (or
-    from the normalized identities) follows the central path until the
-    verdict is settled.  A run that ends without a value below
-    ``10 * eps_feas`` tries the dual bound of its last Newton step, and where
-    that proves nothing, the proof LP on the eigenvector rows of its centres
-    and last point.
+    barrier run stops on.  Otherwise one barrier run follows the central
+    path until the verdict is settled, from the attached start of least
+    objective (the builders attach at most one), or from the normalized
+    identities when no start normalizes.  A run that ends without a value
+    below ``10 * eps_feas`` tries the dual bound of its last Newton step,
+    and where that proves nothing, the proof LP on the eigenvector rows of
+    its centres and last point.
     """
     cfg = cfg or SolverConfig()
     if not any(v.require_pd for v in problem.variables):

@@ -97,9 +97,11 @@ def evaluate_criterion(sys, criterion: str, cfg: SolverConfig | None = None, alp
     ``FeasReport`` (LMI criteria), ``SpectralVerdict`` or ``SingleDelayChecks``.
 
     ``alpha`` selects the weights of "spectral-weighted", which are
-    optimized when absent.
+    optimized when absent; given for any other criterion, it is an error.
     """
     _check_criterion(criterion, sys)
+    if alpha is not None and criterion != "spectral-weighted":
+        raise ValueError(f"weights apply only to 'spectral-weighted', not to {criterion!r}")
     return CRITERIA[criterion][1](sys, cfg or SolverConfig(), alpha)
 
 

@@ -2,8 +2,11 @@
 (bench/layers.py).  A renamed or deleted wrap target would crash every
 traced benchmark run; these tests fail first."""
 
+import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -109,3 +112,16 @@ def test_a_margin_table_probe_still_reaches_the_proof_lp(layers):
     finally:
         tr.restore()
     assert [s.name for s in tr.spans].count(layers.LP) == 1
+
+
+@pytest.mark.parametrize("workload", ["margin-table", "corpus-check", "trajectories"])
+def test_traced_benchmark_run_is_correct_and_complete(workload):
+    # one short traced run: every per-output check passes and no MUST_FIRE
+    # counter reads zero (the spans go to the ignored .bench_out/)
+    root = os.path.dirname(BENCH)
+    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "1"]
+    run = subprocess.run(argv, cwd=root, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert json.loads(lines[-1])["correct"] is True
+    assert not any(line.startswith("trace incomplete") for line in lines)

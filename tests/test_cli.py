@@ -83,6 +83,14 @@ def test_check_weighted_non_finite_alpha_is_usage_error(bench_file, capsys, alph
     assert captured.out == "" and "weights must be finite" in captured.err
 
 
+@pytest.mark.parametrize("method", ["th1", "spectral"])
+def test_check_alpha_for_another_method_is_usage_error(bench_file, capsys, method):
+    argv = ["check", "--system", bench_file(0.4, 0.02), "--method", method]
+    assert main([*argv, "--alpha", "0.5,0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "only to 'spectral-weighted'" in captured.err
+
+
 def _write(tmp_path, system):
     p = tmp_path / "sys.json"
     p.write_text(save_system(validate_system(system)))

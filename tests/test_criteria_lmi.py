@@ -19,14 +19,13 @@ from ids_stability.criteria_lmi import (
     build_th2_lmi,
     laa_convert_X_to_Q,
     recover_nmi_th1,
-    th1_start_from_th2,
     th2_functional_params,
     verify_nmi_th1,
     verify_nmi_th2,
     witness_th1_from_th2,
     witness_th1_from_th2coupled,
 )
-from ids_stability.criteria_spectral import check_spectral, spectral_radius
+from ids_stability.criteria_spectral import check_spectral, kron_operator, optimize_weights, spectral_radius
 from ids_stability.criteria_lmi import LMI_CRITERIA, _coupled_operator, _perron_matrix
 from ids_stability.lmi_core import SolverConfig, _Compiled, check_witness, evaluate, solve_feasibility
 from ids_stability.model import DiscreteIds, IdsSystem, benchmark_system, validate_system
@@ -377,13 +376,19 @@ def test_construction_from_summed_benchmark():
     assert verify_nmi_th1(sys, S=S, Q=Q)
 
 
-def test_th1_start_from_th2_is_strictly_feasible_for_th1():
-    # the congruence R = sum S turns the nonlinear pair into an LMI witness
-    sys = benchmark_system(0.4, 0.03)
-    rep = solve_feasibility(build_th2_lmi(sys))
-    start = th1_start_from_th2(sys, [rep.witness["Q1"], rep.witness["Q2"]])
+def test_th1_attached_start_is_strictly_feasible_for_th1():
+    # with X = (I - Psi)^-1 (I) at the optimized weights, block 0 of the
+    # attached start is X^-1/4 - I/2, and the normalized start certifies
+    sys = benchmark_system(0.3, 0.05)
+    problem = build_th1(sys)
+    (start,) = problem.starts
     assert sorted(start) == ["Q1", "Q2", "R", "S1", "S2"]
-    assert evaluate(build_th1(sys), start)[1] < 0
+    alpha, _rho = optimize_weights(sys)
+    Psi = kron_operator(sys.A, [t * t / a for t, a in zip(sys.tau, alpha)]).T
+    X = np.linalg.solve(np.eye(4) - Psi, np.eye(2).ravel()).reshape(2, 2)
+    block0 = evaluate(problem, start)[0][0]
+    np.testing.assert_allclose(block0, np.linalg.inv(X) / 4 - np.eye(2) / 2, atol=1e-12 * np.abs(X).max())
+    assert check_witness(problem, start, tol=SolverConfig().eps_feas / 2)
 
 
 def test_construction_from_summed_requires_precondition(scalar_system):
@@ -444,25 +449,65 @@ def _record_candidate_bounds(monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def closed_form_solves():
-    """(name, problem, report) for the coupled conditions on two seeded
-    off-boundary corpora and on the paper rows over a grid of second delays
-    that straddles every margin of the table."""
+def corpus_and_grid():
+    """Two seeded off-boundary corpora and the paper rows over a grid of
+    second delays that straddles every margin of the table."""
     systems = [s for seed in (2024, 7) for s in random_corpus(seed, 100) if isinstance(s, IdsSystem)]
     grid = (1e-4, 0.03, 0.0473, 0.0474, 0.1, 0.1527, 0.1528, 0.3, 0.3414, 0.3415, 1.0)
-    systems += [benchmark_system(r, t) for r in (0.4, 0.3, 0.2, 0.1) for t in grid]
+    return systems + [benchmark_system(r, t) for r in (0.4, 0.3, 0.2, 0.1) for t in grid]
+
+
+def _solves(systems, names):
     return [
         (f"{name}-{i}", problem, solve_feasibility(problem))
         for i, sys in enumerate(systems)
-        for name in COUPLED
+        for name in names
         for problem in (LMI_CRITERIA[name](sys),)
     ]
+
+
+@pytest.fixture(scope="module")
+def closed_form_solves(corpus_and_grid):
+    """(name, problem, report) for the coupled conditions on ``corpus_and_grid``."""
+    return _solves(corpus_and_grid, COUPLED)
+
+
+@pytest.fixture(scope="module")
+def weighted_start_solves(corpus_and_grid):
+    """(name, problem, report) for th1 and th2-lmi on ``corpus_and_grid``."""
+    return _solves(corpus_and_grid, ("th1", "th2-lmi"))
 
 
 def test_closed_forms_give_the_barrier_verdict(closed_form_solves):
     assert len(closed_form_solves) >= 3 * 200
     for name, problem, rep in closed_form_solves:
         assert rep.status == solve_feasibility(_barrier_only(problem)).status, name
+
+
+def test_weighted_starts_give_the_barrier_verdict(weighted_start_solves):
+    assert len(weighted_start_solves) >= 2 * 200
+    for name, problem, rep in weighted_start_solves:
+        assert rep.status == solve_feasibility(_barrier_only(problem)).status, name
+
+
+def test_weighted_start_is_exact_where_the_weighted_test_passes(corpus_and_grid):
+    # th2-lmi carries a start exactly where spectral-weighted passes at the
+    # optimized weights, and its inverse-weighted residual is -I; no builder
+    # attaches more than one start (laa on discrete copies)
+    attached = 0
+    for i, sys in enumerate(corpus_and_grid):
+        (start,) = build_th2_lmi(sys).starts or (None,)
+        assert (start is not None) == margin.evaluate_criterion(sys, "spectral-weighted").passed, i
+        if start is not None:
+            attached += 1
+            Q = [start[f"Q{k+1}"] for k in range(sys.N)]
+            X = np.linalg.inv(sum(Q))
+            M = sum(t * t * A.T @ np.linalg.inv(Qk) @ A for A, t, Qk in zip(sys.A, sys.tau, Q))
+            assert np.abs(M - X + np.eye(sys.n)).max() <= 1e-12 * np.abs(X).max(), i
+        problems = [LMI_CRITERIA[name](sys) for name in LMI_CRITERIA if name != "laa"]
+        problems.append(build_laa(DiscreteIds(A=sys.A, tau=tuple(range(1, sys.N + 1)))))
+        assert all(len(p.starts) <= 1 for p in problems), i
+    assert attached >= 100
 
 
 def test_closed_form_verdicts_carry_checked_certificates(closed_form_solves):
