@@ -177,7 +177,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="evaluate one stability criterion")
+    p = sub.add_parser(
+        "check",
+        help="evaluate one stability criterion",
+        description="Evaluate one stability criterion.  A feasible lambda_star is the "
+        "slack of whichever witness certified first, so it depends on how the search "
+        "started: it is not a robustness margin (margin measures that).",
+    )
     p.add_argument("--system", required=True)
     p.add_argument("--method", required=True, choices=sorted(margin.CRITERIA))
     p.add_argument("--witness-out", default=None)

@@ -12,10 +12,13 @@ whose right-hand side is a fixed linear map of the last max(m_i) states.
 the solve into it once, x_k = K [x_{k-khist}; ...; x_{k-1}], and composes K
 with itself into a kernel that maps those khist states to the next 32, so
 one matrix-vector product advances 32 steps.  The residual of every step is
-then recomputed against the equation with directly summed windows.
+then recomputed against the equation, its window sums taken by blocked
+prefix and suffix sums that each add only entries of their own window.
 
 The module also fits exponential decay envelopes and evaluates the
-certificate functionals of the LMI criteria along trajectories.
+certificate functionals of the LMI criteria along trajectories.  A
+trajectory's samples are a read-only copy, so the functional can cache the
+outer products of its rows and read each evaluation's window from them.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import IdsSystem
 
@@ -174,15 +176,17 @@ class HistorySpec:
         return total
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
     """Discrete solution with its history segment.
 
     ``samples[k]`` is the state at t = (k - hist_len) * h; rows up to
-    ``hist_len`` hold the initial condition.  ``max_residual`` is the largest
-    residual of a later row in the discretized equation, its windows summed
-    directly rather than taken from the step kernel, relative to
-    max(1, |x_k|).
+    ``hist_len`` hold the initial condition.  ``samples`` is stored as a
+    read-only float64 copy of the array passed in, which stays the caller's
+    to change, and the fields cannot be reassigned: :func:`eval_functional`
+    caches the outer products of the rows by the identity of that copy.  ``max_residual`` is the largest residual
+    of a later row in the discretized equation, recomputed from the samples
+    rather than taken from the step kernel, relative to max(1, |x_k|).
     """
 
     h: float
@@ -193,6 +197,11 @@ class Trajectory:
     snap_error: float
     sup_history: float
     max_residual: float
+
+    def __post_init__(self):
+        samples = np.array(self.samples, dtype=float)
+        samples.flags.writeable = False
+        object.__setattr__(self, "samples", samples)
 
     @property
     def n(self) -> int:
@@ -320,16 +329,17 @@ def _max_residual(A, m, h: float, X: np.ndarray, first: int) -> float:
     """Largest relative residual of the rows ``X[first:]`` in the discretized
     equation x_k = sum_i A_i h (x_{k-m_i}/2 + sum_{0<j<m_i} x_{k-j} + x_k/2).
 
-    Each window is summed directly: a running-sum difference would keep a
-    rounding error of eps * |running sum| that never decays with x.  The sums
-    run over the rows of a contiguous copy of X.T, one state component per
-    row, so every window is read at unit stride.
+    The inner sums come from :func:`_window_reduce`, which adds only entries
+    of each window, so their rounding error is eps times that window's sum of
+    |x|, and it decays with x.  A running-sum difference would keep an error
+    of eps * |running sum| that never decays.  The sums run over the rows of
+    a contiguous copy of X.T, one state component per row.
     """
     XT = np.ascontiguousarray(X.T)
     x = XT[:, first:]
     acc = np.zeros_like(x)
     for Ai, mi in zip(A, m):
-        inner = sliding_window_view(XT[:, first - mi + 1 : -1], mi - 1, axis=1).sum(axis=-1)
+        inner = _window_reduce(XT[:, first - mi + 1 : -1], mi - 1, np.add)
         acc += Ai @ (h * (0.5 * (XT[:, first - mi : XT.shape[1] - mi] + x) + inner))
     res = np.linalg.norm(x - acc, axis=0) / np.maximum(1.0, np.linalg.norm(x, axis=0))
     return float(res.max(initial=0.0))
@@ -364,8 +374,8 @@ def make_compatible(sys: IdsSystem, history: HistorySpec) -> HistorySpec:
 
 
 def estimate_decay(traj: Trajectory) -> tuple[float, float] | None:
-    """Log-linear fit of the running-max envelope of ||x|| over windows of
-    width max(tau).
+    """Log-linear least-squares fit of the running-max envelope of ||x|| over
+    windows of width max(tau).
 
     Returns (alpha, beta) with the envelope below alpha * sup||phi|| *
     exp(-beta t); None when the fitted slope is nonnegative.  A trajectory
@@ -375,14 +385,19 @@ def estimate_decay(traj: Trajectory) -> tuple[float, float] | None:
     if traj.T < 5 * tau:
         raise ValueError(f"trajectory too short: T={traj.T} < 5*tau={5*tau}")
     w = int(round(tau / traj.h))
-    norms = np.linalg.norm(traj.samples[traj.hist_len :], axis=1)
+    X = traj.samples[traj.hist_len :]
+    norms = np.sqrt(np.einsum("ij,ij->i", X, X))
     env = _running_max(norms, w + 1)
     t = np.arange(env.size) * traj.h
     # exact zeros (a solution that died out) have no logarithm
     pos = env > 0.0
     if pos.sum() < 2:
         return (1.0, math.inf)
-    slope, intercept = np.polyfit(t[pos], np.log(env[pos]), 1)
+    t, y = t[pos], np.log(env[pos])
+    # least-squares line through the centred points
+    dt = t - t.mean()
+    slope = float(dt @ (y - y.mean()) / (dt @ dt))
+    intercept = y.mean() - slope * t.mean()
     if slope >= 0:
         return None
     alpha = math.exp(intercept) / traj.sup_history if traj.sup_history > 0 else math.exp(intercept)
@@ -390,22 +405,34 @@ def estimate_decay(traj: Trajectory) -> tuple[float, float] | None:
 
 
 def _running_max(x: np.ndarray, width: int) -> np.ndarray:
-    """Maxima of every window of ``width`` consecutive entries of x, in O(len(x)).
+    """Maxima of every window of ``width`` consecutive entries of x, in
+    O(len(x)).  Maxima are exact, so this equals
+    ``sliding_window_view(x, width).max(axis=1)`` bit for bit."""
+    return _window_reduce(x, width, np.maximum)
 
-    The van Herk / Gil-Werman scheme: cut x into blocks of ``width`` (the last
-    padded with -inf) and take running maxima forwards and backwards inside
-    each block.  A window starting at i covers the tail of i's block and the
-    head of the next, so its maximum is the larger of the backward maximum at
-    i and the forward maximum at i + width - 1.  Maxima are exact, so this
-    equals ``sliding_window_view(x, width).max(axis=1)`` bit for bit.
+
+def _window_reduce(x: np.ndarray, width: int, ufunc) -> np.ndarray:
+    """``ufunc`` reduced over every window of ``width`` consecutive entries
+    along the last axis of x, in O(x.size).
+
+    The van Herk / Gil-Werman scheme: cut the axis into blocks of ``width``
+    (the last padded with zeros, which no result reads) and accumulate
+    forwards and backwards inside each block.  A window starting at i covers
+    the tail of i's block and the head of the next, so it reduces to the
+    backward value at i combined with the forward value at i + width - 1.
+    A window that starts on a block boundary is that whole block: its result
+    is the backward value alone, so a sum does not count the block twice.
+    Each result thus combines entries of its own window only.
     """
-    size = x.size
-    blocks = np.full(-(-size // width) * width, -np.inf)
-    blocks[:size] = x
-    blocks = blocks.reshape(-1, width)
-    fwd = np.maximum.accumulate(blocks, axis=1).reshape(-1)
-    bwd = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].reshape(-1)
-    return np.maximum(bwd[: size - width + 1], fwd[width - 1 : size])
+    lead, size = x.shape[:-1], x.shape[-1]
+    blocks = np.zeros((*lead, -(-size // width), width))
+    blocks.reshape(*lead, -1)[..., :size] = x
+    fwd = ufunc.accumulate(blocks, axis=-1).reshape(*lead, -1)
+    bwd = ufunc.accumulate(blocks[..., ::-1], axis=-1)[..., ::-1].reshape(*lead, -1)
+    count = size - width + 1
+    out = ufunc(bwd[..., :count], fwd[..., width - 1 : size])
+    out[..., ::width] = bwd[..., :count:width]
+    return out
 
 
 def eval_functional(
@@ -425,11 +452,13 @@ def eval_functional(
     its window.  The term matrices, times their trapezoid-times-weight
     coefficients (zero outside each term's own window), fold into one
     matrix C_k per lag k of the longest window, so V = sum_k x_k.T C_k x_k is
-    one dot product with the outer products of the window's states.  The
-    folded matrices do not depend on t: they are built once per distinct
-    (system, grid, witness), compared by value, and reused across times.
-    Snapped delays are used throughout so V is consistent with the
-    discretized dynamics; t must be a scalar grid time in [0, T - max(tau)].
+    one dot product with the outer products of the window's states.  Neither
+    factor depends on t: the folded matrices are built once per distinct
+    (system, grid, witness), compared by value, and the outer products of
+    all rows once per trajectory, keyed by its read-only samples; a call
+    then slices the window's rows and takes one ``vdot``.  Snapped delays
+    are used throughout so V is consistent with the discretized dynamics;
+    t must be a scalar grid time in [0, T - max(tau)].
     A witness with a non-finite entry raises ValueError.
     """
     try:
@@ -443,14 +472,33 @@ def eval_functional(
         raise ValueError(f"t={t} outside [0, T - tau] = [0, {traj.T - tau:.6g}]")
     k = traj.index_of(t)
     C = _functional_terms(sys, traj, which, witness)
-    vals = traj.samples[k + 1 - C.shape[0] : k + 1]
-    return float(np.vdot(C, vals[:, :, None] * vals[:, None, :]))
+    return float(np.vdot(C, _gram_rows(traj.samples)[k + 1 - C.shape[0] : k + 1]))
 
 
 # (key, C) of the last folded matrices _functional_terms built.  One tuple,
 # read and replaced in one statement each, so concurrent callers can at worst
 # build the same matrices twice.
 _memo: tuple = (None, None)
+
+# (samples, G) of the last trajectory _gram_rows read, in the same one-tuple
+# way.  The tuple holds the samples, so no other array can take their id
+# while they are the key.  G holds n times as many floats as the samples.
+_gram: tuple = (None, None)
+
+
+def _gram_rows(X: np.ndarray) -> np.ndarray:
+    """G with row k the flattened outer product x_k x_k.T of row k of X.
+
+    X is a trajectory's read-only samples, so G is reused while the same
+    array comes back.
+    """
+    global _gram
+    gram = _gram
+    if gram[0] is X:
+        return gram[1]
+    G = (X[:, :, None] * X[:, None, :]).reshape(X.shape[0], -1)
+    _gram = (X, G)
+    return G
 
 
 def _functional_terms(sys: IdsSystem, traj: Trajectory, which: str, witness: dict) -> np.ndarray:

@@ -2,7 +2,7 @@ import io
 import itertools
 import math
 import threading
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
@@ -248,20 +248,62 @@ def _sliding_max(x, width):
     return sliding_window_view(x, width).max(axis=1)
 
 
+def _decay_fit_by_polyfit(traj):
+    """estimate_decay's fit as np.polyfit over the sliding-window envelope."""
+    w = int(round(max(traj.tau_snapped) / traj.h))
+    env = _sliding_max(np.linalg.norm(traj.samples[traj.hist_len :], axis=1), w + 1)
+    t = np.arange(env.size) * traj.h
+    pos = env > 0.0
+    slope, intercept = np.polyfit(t[pos], np.log(env[pos]), 1)
+    return math.exp(intercept) / traj.sup_history, -slope
+
+
+@pytest.mark.parametrize("n, N", [(2, 2), (3, 3), (1, 2)])
+def test_decay_fit_matches_polyfit(n, N):
+    sys = benchmark_system(0.3, 0.05) if (n, N) == (2, 2) else _random_system(n, N)
+    for seed in (1, 2):
+        traj = simulate(sys, make_compatible(sys, HistorySpec.random_smooth(seed)), 0.005, 10.0)
+        fit = estimate_decay(traj)
+        alpha, beta = _decay_fit_by_polyfit(traj)
+        assert abs(fit[0] - alpha) <= 1e-12 * alpha
+        assert abs(fit[1] - beta) <= 1e-12 * abs(beta)
+
+
 # (length, window): one window; a whole number of blocks; windows of two;
 # the benchmark's norms (3,001 at h 0.005, T 15) at delays 0.3 to 0.9
-@pytest.mark.parametrize(
-    "size, width",
-    [(61, 61), (183, 61), (20, 2), (21, 2), (3001, 61), (3001, 121), (3001, 181), (500, 97)],
-)
-def test_running_max_matches_the_sliding_window(size, width):
+_WINDOW_GRID = [
+    (61, 61), (183, 61), (20, 2), (21, 2), (3001, 61), (3001, 121), (3001, 181), (500, 97)
+]
+
+
+def _decaying_and_died_out(size, width):
     rng = np.random.default_rng(size + width)
     decaying = rng.exponential(size=size) * np.exp(-np.linspace(0.0, 30.0, size))
     died_out = decaying.copy()
     died_out[size // 3 :] = 0.0
-    for x in (decaying, died_out, np.zeros(size)):
+    return decaying, died_out, np.zeros(size)
+
+
+@pytest.mark.parametrize("size, width", _WINDOW_GRID)
+def test_running_max_matches_the_sliding_window(size, width):
+    for x in _decaying_and_died_out(size, width):
         got = simulator_module._running_max(x, width)
         assert got.tobytes() == _sliding_max(x, width).tobytes()
+
+
+@pytest.mark.parametrize("size, width", _WINDOW_GRID)
+def test_window_sums_match_the_sliding_window(size, width):
+    # signed rows, one call for all of them as _max_residual makes it; every
+    # sum is held to its own window's sum of |x|, which a running-sum
+    # difference misses by far on the decaying tails, and a window on a
+    # block boundary (i a multiple of width) counted twice misses outright
+    rows = np.stack(_decaying_and_died_out(size, width))
+    rows[:, 1::2] *= -1.0
+    got = simulator_module._window_reduce(rows, width, np.add)
+    ref = sliding_window_view(rows, width, axis=1).sum(axis=-1)
+    scale = sliding_window_view(np.abs(rows), width, axis=1).sum(axis=-1)
+    assert got.shape == ref.shape == (3, size - width + 1)
+    assert np.all(np.abs(got - ref) <= width * np.finfo(float).eps * scale)
 
 
 def test_history_kinds_and_validation():
@@ -295,6 +337,24 @@ def _constant_trajectory(sys, c, h, T):
         sup_history=float(np.linalg.norm(c)),
         max_residual=0.0,
     )
+
+
+def test_trajectory_samples_are_a_read_only_copy():
+    sys = benchmark_system(0.3, 0.1)
+    traj = simulate(sys, HistorySpec.random_smooth(1), h=0.01, T=1.0)
+    caller = np.ones((traj.samples.shape[0], 2))
+    built = _constant_trajectory(sys, [1.0, 0.0], 0.01, 1.0)
+    by_hand = replace(built, samples=caller)
+    for t in (traj, built, by_hand):
+        assert not t.samples.flags.writeable
+        assert t.samples.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            t.samples[0, 0] = 2.0
+    assert by_hand.samples is not caller and caller.flags.writeable
+    caller[0, 0] = 2.0
+    assert by_hand.samples[0, 0] == 1.0
+    with pytest.raises(FrozenInstanceError):
+        by_hand.samples = caller
 
 
 def test_functional_zero_trajectory():
@@ -782,6 +842,37 @@ def test_functional_takes_one_inverse_per_trajectory(monkeypatch):
         eval_functional(sys, traj, "th2", w, t)
     assert len(calls) == 1
     assert len(weight_builds) == 1
+
+
+def test_functional_builds_gram_rows_once_per_trajectory(monkeypatch):
+    # forming the window's outer products on every call would build them
+    # 294 times here; the rows of a new trajectory are built once more
+    builds = []
+    gram_rows = simulator_module._gram_rows
+
+    def counting_gram_rows(X):
+        before = simulator_module._gram
+        G = gram_rows(X)
+        if simulator_module._gram is not before:
+            builds.append(X)
+        return G
+
+    sys = benchmark_system(0.3, 0.3)
+    first, second = (
+        simulate(sys, HistorySpec.random_smooth(seed), h=0.005, T=15.0) for seed in (1, 2)
+    )
+    w = _witnesses(np.random.default_rng(1), 2, 2)["th2"]
+    monkeypatch.setattr(simulator_module, "_gram", (None, None))
+    monkeypatch.setattr(simulator_module, "_gram_rows", counting_gram_rows)
+    ts = np.round(np.arange(0.0, first.T - max(first.tau_snapped), 0.05), 10)
+    assert len(ts) == 294
+    for traj in (first, second):
+        for t in ts:
+            V = eval_functional(sys, traj, "th2", w, t)
+        ref = _reference_functional(sys, traj, "th2", w, ts[-1])
+        assert abs(V - ref) <= 1e-12 * abs(ref)
+    assert [X is traj.samples for X, traj in zip(builds, (first, second))] == [True, True]
+    assert len(builds) == 2
 
 
 def test_residual_checks_the_equation_not_the_solve():
