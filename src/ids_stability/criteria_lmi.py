@@ -8,13 +8,24 @@ and their builders attach its closed forms (``_closed_forms``): the witness
 built from X = (I - Phi)^-1 (I) when that X is PD, else Farkas multipliers
 built from the Perron eigenmatrix of Phi*.  The solver checks either one
 against the compiled blocks and decides the problem with no barrier run;
-one that does not certify falls through to the run.  th1, th2-lmi and laa
+one that does not certify falls through to the run.  th2-lmi and laa
 attach at most one start (``_weighted_start``): the exact witness built
 from X = (I - Psi)^-1 (I) for the optimally weighted operator Psi, which
 exists exactly where the weighted spectral test passes.  A start that
 certifies skips the run, and one that does not starts it.  The run alone
 reaches the same verdicts: cold amc is feasible at tau = (0.3, 0.0474),
 5e-6 inside the exact margin.
+
+th1 accepts exactly the systems th2-lmi does, in three steps:
+(1) LMI th1 <=> NMI th1: Q_i = R^-T Qhat_i R^-1 makes block i's Schur
+complement the first family (``recover_nmi_th1``), and with P = sum Q_i
+block 0 is sum S_i < R + R.T - R.T P R = P^-1 - (R - P^-1).T P (R - P^-1),
+best at R = P^-1 (complete the square); (2) NMI th1 <=> NMI th2: sum the
+first family, or split th2's slack back over the S_i
+(``witness_th1_from_th2``); (3) NMI th2 <=> th2-lmi by a Schur complement
+(Boyd, El Ghaoui, Feron & Balakrishnan, 1994).  So ``margin`` decides th1
+by solving th2-lmi and maps a feasible Q to th1's witness
+(``witness_th1_lmi_from_th2``), checked against ``build_th1``'s blocks.
 
 :data:`LMI_CRITERIA` only maps the LMI criterion ids to their builders;
 ``margin.CRITERIA`` looks them up there at call time and does the dispatch.
@@ -50,6 +61,7 @@ __all__ = [
     "recover_nmi_th1",
     "witness_th1_from_th2coupled",
     "witness_th1_from_th2",
+    "witness_th1_lmi_from_th2",
     "th2_functional_params",
     "ConversionError",
     "IllConditionedError",
@@ -163,17 +175,20 @@ def _closed_forms(sys: IdsSystem, witness, block_weights, adjoint) -> tuple[tupl
     return (), tuple(w * Y for w in block_weights) + tuple(Rv - c * I for Rv in R)
 
 
-def _weighted_start(sys: IdsSystem, witness) -> tuple:
-    """The one start of th1, th2-lmi and laa: ``witness(alpha, X)`` where
+def _weighted_start(sys: IdsSystem) -> tuple:
+    """The one start of th2-lmi and laa: Q_i = alpha_i X^-1, where
     ``_neumann`` gives X = (I - Psi)^-1 (I) for Psi(T) = sum_i tau_i^2 /
     alpha_i A_i.T T A_i at ``optimize_weights``' alpha, that is, where the
-    weighted spectral test passes; none elsewhere.  Q_i = alpha_i X^-1 then
-    meets the inverse-weighted condition with residual exactly -I:
-    sum_i tau_i^2 A_i.T Q_i^-1 A_i = Psi(X) = X - I and (sum_i Q_i)^-1 = X.
+    weighted spectral test passes; none elsewhere.  These Q_i meet the
+    inverse-weighted condition with residual exactly -I: sum_i tau_i^2 A_i.T
+    Q_i^-1 A_i = Psi(X) = X - I and (sum_i Q_i)^-1 = X.
     """
     alpha, _rho = optimize_weights(sys)
     X = _neumann(kron_operator(sys.A, [t * t / a for t, a in zip(sys.tau, alpha)]).T, sys.n)
-    return () if X is None else (witness(alpha, X),)
+    if X is None:
+        return ()
+    Xinv = sym(np.linalg.inv(X))
+    return ({f"Q{i+1}": a * Xinv for i, a in enumerate(alpha)},)
 
 
 # -- builders -----------------------------------------------------------------
@@ -250,6 +265,9 @@ def build_th1(sys: IdsSystem) -> LmiProblem:
 
         sum_i Q_i + sum_i S_i - (R.T + R) < 0
         [[-S_i, tau_i A_i.T R], [tau_i R.T A_i, -Q_i]] < 0,  i = 1..N
+
+    The solver does not take it (R is not PD); ``margin`` decides th1
+    through th2-lmi and checks the mapped witness against these blocks.
     """
     n, N = sys.n, sys.N
     I = np.eye(n)
@@ -274,17 +292,7 @@ def build_th1(sys: IdsSystem) -> LmiProblem:
         ]
         blocks.append(AffineBlock(dim=2 * n, terms=tuple(terms)))
 
-    def witness(alpha, X):
-        # sum_i S_i = Psi(X) + I/2 = R, so block 0 is X^-1/4 - I/2 <= -I/4;
-        # R Q_i^-1 R = X / alpha_i, so block i has Schur complement -I/(2N)
-        R = X - I / 2
-        RXR = sym(R @ np.linalg.solve(X, R))
-        start = {f"Q{i+1}": a * RXR for i, a in enumerate(alpha)}
-        for i, (Ai, ti, a) in enumerate(zip(sys.A, sys.tau, alpha)):
-            start[f"S{i+1}"] = ti * ti / a * Ai.T @ X @ Ai + I / (2 * N)
-        return {**start, "R": R}
-
-    return LmiProblem(tuple(variables), tuple(blocks), _weighted_start(sys, witness))
+    return LmiProblem(tuple(variables), tuple(blocks))
 
 
 def _stacked_lmi(sys: IdsSystem) -> LmiProblem:
@@ -292,7 +300,7 @@ def _stacked_lmi(sys: IdsSystem) -> LmiProblem:
 
         sum_i [tau_1 A_1; ...; tau_N A_N] Q_i [.]^T - blockdiag(Q_1..Q_N) < 0
 
-    with the start Q_i = alpha_i X^-1 of ``_weighted_start``.
+    with the start of ``_weighted_start``.
     """
     n, N = sys.n, sys.N
     T = np.vstack([t * A for A, t in zip(sys.A, sys.tau)])
@@ -304,12 +312,8 @@ def _stacked_lmi(sys: IdsSystem) -> LmiProblem:
         terms.append(BlockTerm(f"Q{i+1}", T, T.T))
         terms.append(BlockTerm(f"Q{i+1}", -E, E.T))
 
-    def witness(alpha, X):
-        Xinv = sym(np.linalg.inv(X))
-        return {f"Q{i+1}": a * Xinv for i, a in enumerate(alpha)}
-
     block = AffineBlock(dim=n * N, terms=tuple(terms))
-    return LmiProblem(tuple(variables), (block,), _weighted_start(sys, witness))
+    return LmiProblem(tuple(variables), (block,), _weighted_start(sys))
 
 
 def build_th2_lmi(sys: IdsSystem) -> LmiProblem:
@@ -430,6 +434,17 @@ def witness_th1_from_th2(sys: IdsSystem, Q) -> list[np.ndarray]:
     ]
     Omega = (_inv_guarded(sum(Q), "sum(Q)") - sum(terms)) / (2.0 * N)
     return [sym(T + Omega) for T in terms]
+
+
+def witness_th1_lmi_from_th2(sys: IdsSystem, Q) -> dict:
+    """th1's LMI witness from a strict th2 one: with P = sum Q_i, R = P^-1,
+    Qhat_i = P^-1 Q_i P^-1 and the S_i of ``witness_th1_from_th2``.  Block
+    i's Schur complement is then -Omega, and block 0 is (sum_i tau_i^2
+    A_i.T Q_i^-1 A_i - P^-1) / 2."""
+    S = witness_th1_from_th2(sys, Q)
+    R = sym(_inv_guarded(sum(Q), "sum(Q)"))
+    w = {f"Q{i+1}": sym(R @ Qi @ R) for i, Qi in enumerate(Q)}
+    return {**w, **{f"S{i+1}": Si for i, Si in enumerate(S)}, "R": R}
 
 
 def th2_functional_params(sys: IdsSystem, Q) -> dict:

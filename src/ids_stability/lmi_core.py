@@ -16,17 +16,17 @@ candidate (one multiplier per compiled block) whose checked weak-duality
 bound on f exceeds -eps_feas, decides the problem with no barrier run.
 Otherwise one path-following barrier run solves it (Vandenberghe & Boyd,
 SIAM Review 1996): Newton steps on -s t - sum log det(-B_k - t I) over a
-null-space basis of the slice (within a ball around the start when a
-variable is not required PD), each as long as minimises the barrier along
+null-space basis of the slice, each as long as minimises the barrier along
 it, with s growing tenfold once the Newton decrement is at most 1/2.
-Every Newton step dw bounds the optimum t* from above.  With mu the
-eigenvalues of every D_k = S_k^-1/2 (G dw)_k S_k^-1/2, max mu <= 1 makes
-the step's dual point Z = (S^-1 - S^-1 (G dw) S^-1) / s positive
-semidefinite, and then t* <= t + (theta - sum mu) / s, with theta the
-barrier parameter (a self-concordant bound replaces it under the ball).
-So the run stops at the first Newton step after which f <= -10 * eps_feas
-(a depth that settles the verdict), whose bound shows that no witness can
-reach -eps_feas, or whose gap has closed.  A negative certificate is
+Every variable must be required PD, so the trace bounds the slice's
+feasible part and the barrier has a centre.  Every Newton step dw bounds
+the optimum t* from above.  With mu the eigenvalues of every D_k =
+S_k^-1/2 (G dw)_k S_k^-1/2, max mu <= 1 makes the step's dual point Z =
+(S^-1 - S^-1 (G dw) S^-1) / s positive semidefinite, and then t* <= t +
+(theta - sum mu) / s, with theta the barrier parameter.  So the run stops
+at the first Newton step after which f <= -10 * eps_feas (a depth that
+settles the verdict), whose bound shows that no witness can reach
+-eps_feas, or whose gap has closed.  A negative certificate is
 "feasible", anything else is "not_found".  When a run ends without a
 value below 10 * eps_feas, weak duality turns the last step's Z into a
 lower bound on f over the whole slice, and a bound of at least
@@ -64,11 +64,8 @@ __all__ = [
     "is_pd",
 ]
 
-# the barrier weight s grows by _GROWTH after each centring; a problem with
-# a variable that is not required PD keeps the run within distance _RADIUS
-# of its start on the slice
+# the barrier weight s grows by _GROWTH after each centring
 _GROWTH = 10.0
-_RADIUS = 1e3
 # the most predictor-corrector steps of the proof LP
 _LP_STEPS = 100
 
@@ -104,7 +101,8 @@ class MatrixVariable:
     """A named decision matrix.
 
     ``symmetric`` variables carry dim*(dim+1)/2 scalar unknowns, ``general``
-    ones dim**2.  ``require_pd`` appends the implicit block ``-V < 0``.
+    ones dim**2.  ``require_pd`` appends the implicit block ``-V < 0``;
+    ``solve_feasibility`` takes only variables that require it.
     """
 
     name: str
@@ -205,17 +203,12 @@ class FeasReport:
 # -- parametrization ---------------------------------------------------------
 
 
-def _basis(v: MatrixVariable) -> np.ndarray:
-    """The d^2 x n_params matrix taking a variable's parameters to vec(V),
-    row-major: for symmetric variables the Frobenius-orthonormal basis (the
-    diagonal units, then (E_ij + E_ji) / sqrt(2) for i < j in row order)."""
-    return np.eye(v.dim**2) if v.kind == "general" else _sym_basis(v.dim)
-
-
 @functools.cache
 def _sym_basis(d: int) -> np.ndarray:
-    """``_basis`` of a symmetric d x d variable, built once per size and
-    read-only, as every problem shares it."""
+    """The d^2 x d(d+1)/2 matrix taking a symmetric d x d variable's
+    parameters to vec(V), row-major: the Frobenius-orthonormal basis (the
+    diagonal units, then (E_ij + E_ji) / sqrt(2) for i < j in row order).
+    Built once per size and read-only, as every problem shares it."""
     p = d * (d + 1) // 2
     B = np.zeros((d, d, p))
     k = np.arange(d)
@@ -233,12 +226,14 @@ class _Compiled:
     each M_k x is exactly symmetric."""
 
     def __init__(self, problem: LmiProblem):
+        if not problem.variables or not all(v.require_pd for v in problem.variables):
+            raise ProblemError("every variable must be required positive-definite: the trace normalizes them")
         self.problem = problem
         # name -> (variable, offset of its parameters in x, its basis matrix)
         self.vars: dict[str, tuple[MatrixVariable, int, np.ndarray]] = {}
         off = 0
         for v in problem.variables:
-            self.vars[v.name] = (v, off, _basis(v))
+            self.vars[v.name] = (v, off, _sym_basis(v.dim))
             off += v.n_params
         self.nx = off
 
@@ -246,7 +241,6 @@ class _Compiled:
         blocks = list(problem.blocks) + [
             AffineBlock(dim=v.dim, terms=(BlockTerm(v.name, -np.eye(v.dim), np.eye(v.dim)),))
             for v in problem.variables
-            if v.require_pd
         ]
         # blocks of one dimension share one stacked map, so an evaluation
         # costs one matvec and one batched eigensolve per distinct dimension
@@ -261,15 +255,15 @@ class _Compiled:
             for m, ks in by_dim.items()
         ]
 
-        # trace functional over PD variables (the normalization slice a.x = 1)
+        # trace functional (the normalization slice a.x = 1)
         a = np.zeros(self.nx)
         for v, off, _ in self.vars.values():
-            if v.require_pd:
-                a[off : off + v.dim] = 1.0
+            a[off : off + v.dim] = 1.0
         self.trace_vec = a
 
     def _compile_block(self, blk: AffineBlock) -> np.ndarray:
-        """vec(sym(sum of L V R)) = M x, from vec(L V R) = (L kron R^T) vec(V)."""
+        """vec(sym(sum of L V R)) = M x, from vec(L V R) = (L kron R^T) vec(V);
+        every variable is symmetric, so a transposed term compiles as it is."""
         m = blk.dim
         M = np.zeros((m * m, self.nx))
         for term in blk.terms:
@@ -281,8 +275,6 @@ class _Compiled:
                     f"term for {term.var!r} has factors {L.shape} and {R.shape}; "
                     f"block is {m}x{m}, variable {v.dim}x{v.dim}"
                 )
-            if term.transpose:  # vec(V^T) permutes the rows of vec(V)
-                B = B.reshape(v.dim, v.dim, -1).transpose(1, 0, 2).reshape(B.shape)
             LR = (L[:, None, :, None] * R.T[None, :, None, :]).reshape(m * m, -1)  # np.kron(L, R.T)
             M[:, off : off + v.n_params] += LR @ B
         M = M.reshape(m, m, -1)
@@ -490,11 +482,9 @@ class _Barrier:
     space), in the variables w = (z, t).
 
     The slack S_k(w) = -B_k(x) - t I of each group is affine, C + G w; the
-    barrier is -s t - sum log det S_k.  A direction that widens every slack
-    sends it to -inf, and then no centre exists (th1's R = v v^T when every
-    A_i has the left null vector v).  Such a direction moves only variables
-    without require_pd, as the trace pins the PD ones, so problems with such
-    a variable add -log(_RADIUS^2 - |z|^2): the run stays in a ball.
+    barrier is -s t - sum log det S_k.  Every variable is required PD and
+    the trace fixes their sum, so each level of t bounds z, -s t grows as t
+    falls, and the barrier has a centre.
     """
 
     def __init__(self, comp: _Compiled, x0: np.ndarray):
@@ -505,8 +495,7 @@ class _Barrier:
             (m, K, -(M @ x0), -np.hstack((M @ self.Z, np.tile(np.eye(m).ravel(), K)[:, None])))
             for m, K, M in comp.groups
         ]
-        self.ball = not all(v.require_pd for v in comp.problem.variables)
-        self.theta = sum(m * K for m, K, _, _ in self.groups) + self.ball  # the ball adds 1
+        self.theta = sum(m * K for m, K, _, _ in self.groups)
 
     def x(self, w: np.ndarray) -> np.ndarray:
         return self.x0 + self.Z @ w[:-1]
@@ -515,25 +504,14 @@ class _Barrier:
         """eigh of every slack, one batched call per block size."""
         return [np.linalg.eigh((C + G @ w).reshape(K, m, m)) for m, K, C, G in self.groups]
 
-    def inside(self, w: np.ndarray, spectra: list) -> bool:
-        """Whether the point of w and its spectra lies in the barrier's domain."""
-        room = _RADIUS**2 - w[:-1] @ w[:-1] if self.ball else 1.0
-        return room > 0.0 and min(float(l.min()) for l, _ in spectra) > 0.0
-
-    def local(self, w: np.ndarray, spectra: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(gradient at weight s = 0, Hessian, T) of the barrier at w; the
-        Hessian does not depend on s.  The slacks' Hessian is T^T T with
+    def local(self, spectra: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(gradient at weight s = 0, Hessian, T) of the barrier at the point
+        of the spectra; the Hessian does not depend on s.  It is T^T T with
         T = (S^-1/2 kron S^-1/2) G stacked over the blocks, whose columns
         W^T G_p W (W = U diag(lam)^-1/2) also give the gradient -tr(S^-1 G_p)
         on their diagonals."""
         nw = self.nw
         g = np.zeros(nw)
-        H = np.zeros((nw, nw))
-        if self.ball:
-            z = w[:-1]
-            room = _RADIUS**2 - z @ z
-            g[:-1] = 2.0 * z / room
-            H[:-1, :-1] = (2.0 / room) * np.eye(nw - 1) + (4.0 / room**2) * np.outer(z, z)
         Ts = []
         for (m, K, _, G), (lam, U) in zip(self.groups, spectra):
             W = U / np.sqrt(lam)[:, None, :]
@@ -542,8 +520,7 @@ class _Barrier:
             g -= np.einsum("kipi->p", T)
             Ts.append(T.transpose(0, 1, 3, 2).reshape(-1, nw))
         T = np.vstack(Ts)
-        H += T.T @ T
-        return g, H, T
+        return g, T.T @ T, T
 
     def newton(self, local: tuple, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(gradient, Newton step dw, eigenvalues mu) of the barrier at weight
@@ -553,8 +530,8 @@ class _Barrier:
         g, H, T = local
         g = g.copy()
         g[-1] -= s
-        # least squares only where H is exactly singular, as late on the
-        # path of th1 with a singular A under the ball
+        # least squares only where solve raises LinAlgError on an H that
+        # rounding has made exactly singular
         try:
             dw = np.linalg.solve(H, -g)
         except np.linalg.LinAlgError:
@@ -565,17 +542,15 @@ class _Barrier:
             off += K * m * m
         return g, dw, np.concatenate(mu)
 
-    def step_length(
-        self, w: np.ndarray, dw: np.ndarray, s: float, lam2: float, mu: np.ndarray
-    ) -> float:
+    @staticmethod
+    def step_length(dw: np.ndarray, s: float, lam2: float, mu: np.ndarray) -> float:
         """The minimiser over alpha of the barrier along w + alpha dw.  Its
         derivative is
 
-            -s dt - sum mu / (1 + alpha mu) + 2 (b + alpha c) / room(alpha)
+            -s dt - sum mu / (1 + alpha mu),
 
-        (the last term with the ball only: room = r0 - 2 alpha b - alpha^2 c),
-        increasing on the domain alpha < p, p = min(1 / max(-mu), the root of
-        room); at 0 it is -lam2, and its slope lam2.  Each step takes the
+        increasing on the domain alpha < p = 1 / max(-mu); at 0 it is -lam2,
+        and its slope lam2.  Each step takes the
         root of the model A + B / (p - alpha) that matches the derivative and
         its slope at alpha (a Newton step when p is infinite or the model has
         no root), and bisects where that leaves the bracket of the root.  The
@@ -583,12 +558,6 @@ class _Barrier:
         minimiser often lies, the model is nearly exact."""
         neg = float(mu.min())
         p = -1.0 / neg if neg < 0.0 else np.inf
-        if self.ball:
-            z, dz = w[:-1], dw[:-1]
-            r0, b, c = _RADIUS**2 - z @ z, z @ dz, dz @ dz
-            if c > 0.0:  # the positive root of room(alpha), without cancellation
-                root = np.sqrt(b * b + c * r0)
-                p = min(p, r0 / (b + root) if b > 0.0 else (root - b) / c)
         lo, hi, a, d1, d2 = 0.0, p, 0.0, -lam2, lam2
         for _ in range(30):
             e = d1 - d2 * (p - a) if p < np.inf else 0.0
@@ -600,10 +569,6 @@ class _Barrier:
             a = nxt
             q = mu / (1.0 + a * mu)
             d1, d2 = -s * dw[-1] - q.sum(), q @ q
-            if self.ball:
-                room = r0 - a * (2.0 * b + a * c)
-                u = 2.0 * (b + a * c) / room
-                d1, d2 = d1 + u, d2 + 2.0 * c / room + u * u
             if d1 < 0.0:
                 lo = a
             else:
@@ -615,7 +580,7 @@ def _dual_bound(bar: _Barrier, spectra: list, s: float, dw: np.ndarray) -> float
     """The ``_weak_duality_bound`` of the dual point Z_k = (S_k^-1 - S_k^-1
     dS_k S_k^-1) / s (dS = G dw) of a Newton step dw at weight s from the
     point of the spectra.  The Newton equations give G^T vec Z = -e_t, up to
-    rounding and, under the ball, its gradient's part."""
+    rounding."""
     Z = []
     for (m, K, _, G), (lam, U) in zip(bar.groups, spectra):
         Si = (U / lam[:, None, :]) @ U.transpose(0, 2, 1)
@@ -630,8 +595,8 @@ def _weak_duality_bound(bar: _Barrier, z: np.ndarray) -> float | None:
     equations G^T vec Z = -e_t (zero z-part: the adjoint sum_k M_k^T vec Z_k
     lies along the trace vector; sum tr Z_k = 1).  One least-norm correction
     restores them.  If every Z_k is then PSD, weak duality gives 0 <=
-    <Z, C + G w> = <Z, C> - t for every feasible (z, t), in the ball or not.
-    None when some Z_k is not.
+    <Z, C + G w> = <Z, C> - t for every feasible (z, t).  None when some
+    Z_k is not.
     """
     Gt = np.vstack([G for *_, G in bar.groups]).T
     r = Gt @ z
@@ -663,20 +628,12 @@ def _worst(w: np.ndarray, spectra: list) -> float:
     return -w[-1] - min(float(l[:, 0].min()) for l, _ in spectra)
 
 
-def _t_bound(bar: _Barrier, t: float, s: float, lam2: float, mu: np.ndarray) -> float:
+def _t_bound(bar: _Barrier, t: float, s: float, mu: np.ndarray) -> float:
     """An upper bound on t* from the Newton step at weight s from a point
-    (z, t) (inf when the step gives none).  With no ball, the step's
-    dual point Z = S^-1/2 (I - D) S^-1/2 / s (that of ``_dual_bound``) is PSD
-    iff max mu <= 1, and then t* <= <Z, C> = t + (theta - sum mu) / s.
-    Under the ball, the self-concordant bound for a Newton decrement
-    lambda < 1 (Nesterov 2004, section 4.2) is t* - t <=
-    (theta + (lambda + sqrt(theta)) lambda / (1 - lambda)) / s."""
-    if not bar.ball:
-        return t + (bar.theta - float(mu.sum())) / s if mu.max() <= 1.0 else np.inf
-    lam = np.sqrt(max(lam2, 0.0))
-    if lam >= 1.0:
-        return np.inf
-    return t + (bar.theta + (lam + np.sqrt(bar.theta)) * lam / (1.0 - lam)) / s
+    (z, t) (inf when the step gives none).  The step's dual point
+    Z = S^-1/2 (I - D) S^-1/2 / s (that of ``_dual_bound``) is PSD iff
+    max mu <= 1, and then t* <= <Z, C> = t + (theta - sum mu) / s."""
+    return t + (bar.theta - float(mu.sum())) / s if mu.max() <= 1.0 else np.inf
 
 
 def _barrier_run(comp: _Compiled, x0: np.ndarray, f0: float, cfg: SolverConfig):
@@ -701,22 +658,22 @@ def _barrier_run(comp: _Compiled, x0: np.ndarray, f0: float, cfg: SolverConfig):
     last = None
     while best_f > settled and steps < cfg.max_iters:
         if local is None:
-            local = bar.local(w, spectra)
+            local = bar.local(spectra)
         g, dw, mu = bar.newton(local, s)
         last = (bar, spectra, s, dw)
         lam2 = float(-g @ dw)
-        bound = _t_bound(bar, w[-1], s, lam2, mu)
+        bound = _t_bound(bar, w[-1], s, mu)
         if bound < cfg.eps_feas or bound - w[-1] < 0.1 * cfg.eps_feas:
             break  # no witness reaches the threshold / the gap has closed
         if lam2 <= 0.25:
             centres.append(bar.x(w))
             s *= _GROWTH
             continue
-        a = bar.step_length(w, dw, s, lam2, mu)
+        a = bar.step_length(dw, s, lam2, mu)
         while True:  # rounding can put the minimiser just outside the domain
             trial = w + a * dw
             trial_spectra = bar.spectra(trial)
-            if bar.inside(trial, trial_spectra) or a < 1e-12:
+            if min(float(l.min()) for l, _ in trial_spectra) > 0.0 or a < 1e-12:
                 break
             a *= 0.5
         if a < 1e-12:
@@ -745,8 +702,6 @@ def solve_feasibility(problem: LmiProblem, cfg: SolverConfig | None = None) -> F
     its centres and last point.
     """
     cfg = cfg or SolverConfig()
-    if not any(v.require_pd for v in problem.variables):
-        raise ProblemError("no positive-definite variable to normalize against")
     comp = _Compiled(problem)
     a = comp.trace_vec
 

@@ -8,7 +8,8 @@ feasible sets nest as a delay shrinks.  rho(sum_i tau_i^2 A_i (x) A_i),
 and the weighted radius at any fixed weights, is monotone because each
 term T -> tau_i^2 A_i.T T A_i preserves the PSD cone (Krein-Rutman).
 "single-delay" compares rho(A_1) with 1/tau_1; "laa" and "laa-spectral"
-do not depend on tau.
+do not depend on tau.  "th1" is decided by th2-lmi, which accepts exactly
+the same systems (see ``criteria_lmi``).
 
 The criteria of :data:`PREDICTED` hold exactly when N rho(sum_i tau_i^2
 A_i (x) A_i) < 1, so ``criteria_spectral.spectral_margin`` gives their
@@ -21,10 +22,10 @@ reuses what the probes proved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import criteria_lmi, criteria_spectral
-from .lmi_core import FeasReport, SolverConfig, solve_feasibility
+from .lmi_core import FeasReport, SolverConfig, check_witness, solve_feasibility
 from .model import DiscreteIds, IdsSystem, ValidationError, validate_system
 
 __all__ = [
@@ -46,6 +47,22 @@ def _lmi(criterion: str):
     return evaluate
 
 
+def _th1(sys, cfg, alpha) -> FeasReport:
+    """th2-lmi's report, its feasible Q mapped to th1's witness; a map that
+    fails or does not pass th1's own blocks makes it not_found, unproved."""
+    rep = _lmi("th2-lmi")(sys, cfg, alpha)
+    if not rep.feasible:
+        return rep
+    try:
+        w = criteria_lmi.witness_th1_lmi_from_th2(sys, [rep.witness[f"Q{i+1}"] for i in range(sys.N)])
+    except (criteria_lmi.ConversionError, criteria_lmi.IllConditionedError):
+        return replace(rep, status="not_found")
+    # tol 0, not eps_feas: near the margin th2-lmi's -1.5e-6 maps to -6e-8
+    if not check_witness(criteria_lmi.LMI_CRITERIA["th1"](sys), w, 0.0):
+        return replace(rep, status="not_found")
+    return replace(rep, witness=w)
+
+
 def _spectral_weighted(sys, cfg, alpha):
     if alpha is None:
         alpha, _rho = criteria_spectral.optimize_weights(sys)
@@ -63,7 +80,7 @@ CRITERIA = {
     "amc": (False, _lmi("amc")),
     "th2-coupled": (False, _lmi("th2-coupled")),
     "single": (False, _lmi("single")),
-    "th1": (False, _lmi("th1")),
+    "th1": (False, _th1),
     "th2-lmi": (False, _lmi("th2-lmi")),
     "laa": (True, _lmi("laa")),
     "spectral": (False, lambda sys, cfg, alpha: criteria_spectral.check_spectral(sys)),

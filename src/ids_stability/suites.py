@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import criteria_lmi, criteria_spectral, jensen
+from . import criteria_lmi, criteria_spectral, jensen, lmi_core
 from .margin import evaluate_criterion
 from .model import IdsSystem, validate_system
 
@@ -235,8 +235,11 @@ def run_ordering_suite(seed: int = 7, count: int = 12) -> SuiteReport:
                 if not criteria_lmi.verify_nmi_th1(sys, S=S, Q=Qn):
                     conv_b_ok = False
 
-        # the two linearized families accept exactly the same systems
+        # the two linearized families accept exactly the same systems: th1
+        # is decided through th2-lmi, so its witness must pass th1's blocks
         if ok_1 != ok_2:
+            iff_ok = False
+        elif ok_1 and not lmi_core.check_witness(criteria_lmi.build_th1(sys), rep_1.witness, 0.0):
             iff_ok = False
 
     checks.append(

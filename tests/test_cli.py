@@ -160,16 +160,46 @@ def test_check_prints_proven_lower_bound(bench_file, capsys):
 
 
 def test_check_th1_prints_lower_bound_from_the_dual_point(bench_file, capsys, monkeypatch):
-    # th1's runs keep to a ball; the least-norm correction absorbs the ball
-    # term, so the Newton step's dual point proves the bound with no cut LP
+    # th1 is decided through th2-lmi: it prints th2-lmi's lambda_star and
+    # the lower bound of its last Newton step's dual point, with no cut LP
     calls = []
     real = lmi_core.linprog
     monkeypatch.setattr(lmi_core, "linprog", lambda *a, **k: calls.append(1) or real(*a, **k))
-    assert main(["check", "--system", bench_file(0.3, 3.0), "--method", "th1"]) == 1
+    path = bench_file(0.3, 3.0)
+    assert main(["check", "--system", path, "--method", "th1"]) == 1
     lines = capsys.readouterr().out.splitlines()
+    assert main(["check", "--system", path, "--method", "th2-lmi"]) == 1
+    assert lines == capsys.readouterr().out.splitlines()
     assert [line.split(" ")[0] for line in lines] == ["lambda_star", "lower_bound", "verdict:"]
     lam, bound = (float(line.split(" = ")[1]) for line in lines[:2])
     assert 1e-6 <= bound <= lam and calls == []
+
+
+def _no_map(sys, Q):
+    raise criteria_lmi.ConversionError("no slack")
+
+
+def _singular_map(sys, Q):
+    raise criteria_lmi.IllConditionedError("sum(Q) is singular")
+
+
+def _uncertified_map(sys, Q, real=criteria_lmi.witness_th1_lmi_from_th2):
+    # R = 0 leaves block 0 at sum Q_i + sum S_i, which is PD
+    w = real(sys, Q)
+    return {**w, "R": np.zeros_like(w["R"])}
+
+
+@pytest.mark.parametrize("mapping", [_no_map, _singular_map, _uncertified_map])
+def test_check_th1_is_not_found_when_the_map_does_not_certify(bench_file, capsys, monkeypatch, mapping):
+    # th2-lmi is feasible here; a map that fails or a witness that does not
+    # pass th1's blocks is a plain not_found: exit 1, never 3, and no bound
+    path = bench_file(0.3, 0.05)
+    assert main(["check", "--system", path, "--method", "th1"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(criteria_lmi, "witness_th1_lmi_from_th2", mapping)
+    assert main(["check", "--system", path, "--method", "th1"]) == 1
+    out = capsys.readouterr().out
+    assert "lower_bound" not in out and out.splitlines()[-1] == "verdict: not_found"
 
 
 @pytest.mark.parametrize("method", ["amc", "th2-coupled", "single"])

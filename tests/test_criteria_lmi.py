@@ -25,7 +25,7 @@ from ids_stability.criteria_lmi import (
     witness_th1_from_th2,
     witness_th1_from_th2coupled,
 )
-from ids_stability.criteria_spectral import check_spectral, kron_operator, optimize_weights, spectral_radius
+from ids_stability.criteria_spectral import check_spectral, spectral_radius
 from ids_stability.criteria_lmi import LMI_CRITERIA, _coupled_operator, _perron_matrix
 from ids_stability.lmi_core import SolverConfig, _Compiled, check_witness, evaluate, solve_feasibility
 from ids_stability.model import DiscreteIds, IdsSystem, benchmark_system, validate_system
@@ -142,8 +142,8 @@ def test_scalar_reductions(scalar_system):
     assert solve_feasibility(build_th2_coupled(scalar_system(1.0, 0.9))).feasible
     assert not solve_feasibility(build_th2_coupled(scalar_system(1.0, 1.1))).feasible
     assert solve_feasibility(build_single(scalar_system(2.0, 0.4))).feasible
-    assert solve_feasibility(build_th1(scalar_system(1.0, 0.9))).feasible
-    assert not solve_feasibility(build_th1(scalar_system(1.0, 1.1))).feasible
+    assert margin.evaluate_criterion(scalar_system(1.0, 0.9), "th1").feasible
+    assert not margin.evaluate_criterion(scalar_system(1.0, 1.1), "th1").feasible
 
 
 def test_amc_zeroed_term_still_pays_the_term_count_factor():
@@ -163,7 +163,7 @@ def test_benchmark_feasibility_flips_at_margin():
     assert not solve_feasibility(build_amc(benchmark_system(0.3, 0.06))).feasible
     assert solve_feasibility(build_th2_coupled(benchmark_system(0.3, 0.0474))).feasible
     assert not solve_feasibility(build_th2_coupled(benchmark_system(0.3, 0.06))).feasible
-    assert solve_feasibility(build_th1(benchmark_system(0.4, 0.0317))).feasible
+    assert margin.evaluate_criterion(benchmark_system(0.4, 0.0317), "th1").feasible
     assert solve_feasibility(build_th2_lmi(benchmark_system(0.4, 0.0317))).feasible
     assert not solve_feasibility(build_th2_lmi(benchmark_system(0.4, 0.04))).feasible
 
@@ -289,7 +289,7 @@ def test_recover_rejects_singular_R():
 
 def test_solver_witness_recovers_to_nmi():
     sys = benchmark_system(0.3, 0.11)
-    rep = solve_feasibility(build_th1(sys))
+    rep = margin.evaluate_criterion(sys, "th1")
     assert rep.feasible
     nmi = recover_nmi_th1(
         {
@@ -376,19 +376,17 @@ def test_construction_from_summed_benchmark():
     assert verify_nmi_th1(sys, S=S, Q=Q)
 
 
-def test_th1_attached_start_is_strictly_feasible_for_th1():
-    # with X = (I - Psi)^-1 (I) at the optimized weights, block 0 of the
-    # attached start is X^-1/4 - I/2, and the normalized start certifies
-    sys = benchmark_system(0.3, 0.05)
-    problem = build_th1(sys)
-    (start,) = problem.starts
-    assert sorted(start) == ["Q1", "Q2", "R", "S1", "S2"]
-    alpha, _rho = optimize_weights(sys)
-    Psi = kron_operator(sys.A, [t * t / a for t, a in zip(sys.tau, alpha)]).T
-    X = np.linalg.solve(np.eye(4) - Psi, np.eye(2).ravel()).reshape(2, 2)
-    block0 = evaluate(problem, start)[0][0]
-    np.testing.assert_allclose(block0, np.linalg.inv(X) / 4 - np.eye(2) / 2, atol=1e-12 * np.abs(X).max())
-    assert check_witness(problem, start, tol=SolverConfig().eps_feas / 2)
+@pytest.mark.parametrize("A", [[[2.0, 0.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]]])
+@pytest.mark.parametrize("tau, status", [(0.3, "feasible"), (1.0, "not_found")])
+def test_th1_with_singular_a_flips_at_its_margin(A, tau, status):
+    # A has a left null vector v (the margin is tau = 0.5), so R = c v v^T
+    # widens block 0's slack and leaves block 1 unchanged; th1 is decided
+    # through th2-lmi, and its mapped witness passes th1's own blocks
+    sys = validate_system(IdsSystem(A=(np.array(A),), tau=(tau,)))
+    rep = margin.evaluate_criterion(sys, "th1")
+    assert rep.status == status
+    if rep.feasible:
+        assert check_witness(build_th1(sys), rep.witness, 0.0)
 
 
 def test_construction_from_summed_requires_precondition(scalar_system):
@@ -474,8 +472,8 @@ def closed_form_solves(corpus_and_grid):
 
 @pytest.fixture(scope="module")
 def weighted_start_solves(corpus_and_grid):
-    """(name, problem, report) for th1 and th2-lmi on ``corpus_and_grid``."""
-    return _solves(corpus_and_grid, ("th1", "th2-lmi"))
+    """(name, problem, report) for th2-lmi on ``corpus_and_grid``."""
+    return _solves(corpus_and_grid, ("th2-lmi",))
 
 
 def test_closed_forms_give_the_barrier_verdict(closed_form_solves):
@@ -485,9 +483,23 @@ def test_closed_forms_give_the_barrier_verdict(closed_form_solves):
 
 
 def test_weighted_starts_give_the_barrier_verdict(weighted_start_solves):
-    assert len(weighted_start_solves) >= 2 * 200
+    assert len(weighted_start_solves) >= 200
     for name, problem, rep in weighted_start_solves:
         assert rep.status == solve_feasibility(_barrier_only(problem)).status, name
+
+
+def test_th1_verdicts_are_th2_lmi_verdicts_with_checked_witnesses(corpus_and_grid, weighted_start_solves):
+    # the two accept exactly the same systems (module docstring of
+    # criteria_lmi), and every feasible th1 witness passes th1's own blocks
+    # strictly
+    feasible = 0
+    for sys, (name, _, rep2) in zip(corpus_and_grid, weighted_start_solves):
+        rep1 = margin.evaluate_criterion(sys, "th1")
+        assert rep1.status == rep2.status, name
+        if rep1.feasible:
+            feasible += 1
+            assert check_witness(build_th1(sys), rep1.witness, 0.0), name
+    assert feasible >= 100
 
 
 def test_weighted_start_is_exact_where_the_weighted_test_passes(corpus_and_grid):

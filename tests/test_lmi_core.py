@@ -123,6 +123,11 @@ def test_solver_requires_pd_variable():
     )
     with pytest.raises(ProblemError, match="positive-definite"):
         solve_feasibility(p)
+    # one PD variable is not enough: every variable must be required PD
+    p = scalar_problem(1.0, 0.9)
+    p = replace(p, variables=p.variables + (MatrixVariable("G", 2, kind="general"),))
+    with pytest.raises(ProblemError, match="positive-definite"):
+        solve_feasibility(p)
 
 
 def test_two_solves_give_bitwise_equal_reports():
@@ -232,8 +237,8 @@ def test_linearize_reverse_direction_on_random_pairs():
 
 @pytest.fixture(scope="module")
 def kernel_cases():
-    """(name, problem) for all six builders on seeded random systems, n, N <= 3,
-    plus the zero system."""
+    """(name, problem) for the five builders the solver takes (not th1, whose
+    R is not PD) on seeded random systems, n, N <= 3, plus the zero system."""
     rng = np.random.default_rng(11)
     cases = []
     for n in (1, 2, 3):
@@ -241,6 +246,8 @@ def kernel_cases():
             for A in (list(rng.standard_normal((N, n, n))), [np.zeros((n, n))] * N):
                 tau = tuple(np.sort(rng.uniform(0.05, 0.5, N)) + 0.01 * np.arange(N))
                 for name, build in LMI_CRITERIA.items():
+                    if name == "th1":
+                        continue
                     kind = DiscreteIds if name == "laa" else IdsSystem
                     cases.append((f"{name}-n{n}-N{N}", build(validate_system(kind(A=A, tau=tau)))))
     return cases
@@ -296,7 +303,7 @@ def _np_kron_map(comp, blk):
     ids=["paper", "corpus-N3"],
 )
 def test_compiled_maps_are_bitwise_the_np_kron_maps(sys):
-    for name in ("amc", "th2-coupled", "single", "th1", "th2-lmi"):
+    for name in ("amc", "th2-coupled", "single", "th2-lmi"):
         problem = LMI_CRITERIA[name](sys)
         comp = _Compiled(problem)
         for blk in problem.blocks:
@@ -414,51 +421,17 @@ def test_proof_lp_reaches_the_module_binding(monkeypatch):
     assert 10 * eps <= rep.lower_bound <= rep.lambda_star
 
 
-def test_dual_bound_proves_ball_runs_without_lp(monkeypatch):
-    # th1's R is not required PD, so its run keeps to the ball; the
-    # least-norm correction absorbs the ball term, and the dual point of
-    # the last Newton step proves every not-found paper probe
-    calls = _count_lps(monkeypatch)
-    for name, problem in _th1_ball_problems():
-        rep = solve_feasibility(problem)
-        if name.startswith("paper"):
-            assert 10 * SolverConfig().eps_feas <= rep.lower_bound <= rep.lambda_star, name
-    assert calls == []
-
-
 def test_cold_amc_near_the_margin_is_feasible():
     # 5e-6 inside the exact margin 0.0474051, with no warm start
     problem = _barrier_only(LMI_CRITERIA["amc"](benchmark_system(0.3, 0.0474)))
     assert solve_feasibility(problem).feasible
 
 
-def test_variable_no_block_uses_still_gets_a_verdict():
-    # the unused variable leaves the Newton system singular
-    p = scalar_problem(1.0, 0.9)
-    p = replace(p, variables=p.variables + (MatrixVariable("G", 2, kind="general"),))
-    rep = solve_feasibility(p)
-    assert rep.status == "feasible"
-    assert check_witness(p, rep.witness, tol=SolverConfig().eps_feas / 2)
-
-
 def test_cold_integral_solves_take_few_newton_steps():
     for sys in random_corpus(2024, 100):
-        for name in ("amc", "th2-coupled", "single", "th1", "th2-lmi"):
+        for name in ("amc", "th2-coupled", "single", "th2-lmi"):
             rep = solve_feasibility(_barrier_only(LMI_CRITERIA[name](sys)))
             assert rep.iterations <= 100, name
-
-
-@pytest.mark.parametrize("A", [[[2.0, 0.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]]])
-@pytest.mark.parametrize("tau, status", [(0.3, "feasible"), (1.0, "not_found")])
-def test_cold_th1_with_singular_a_stays_in_the_ball(A, tau, status):
-    # A has a left null vector v (the margin is tau = 0.5), so R = c v v^T
-    # widens the first block's slack and leaves the other unchanged: the
-    # barrier needs the ball to have a centre, and R stays in it
-    sys = validate_system(IdsSystem(A=(np.array(A),), tau=(tau,)))
-    rep = solve_feasibility(_barrier_only(LMI_CRITERIA["th1"](sys)))
-    assert rep.status == status
-    assert rep.iterations <= 100
-    assert np.abs(rep.witness["R"]).max() <= lmi_core._RADIUS
 
 
 @pytest.fixture(scope="module")
@@ -537,7 +510,7 @@ def test_dual_bound_lies_below_f_across_the_slice(monkeypatch):
     rng = np.random.default_rng(3)
     bounds = _record_dual_bounds(monkeypatch)
     proven = 0
-    for name, problem in _probe_problems() + _th1_ball_problems():
+    for name, problem in _probe_problems() + _singular_problems():
         del bounds[:]
         rep = solve_feasibility(problem)
         if rep.feasible or not bounds or bounds[-1] is None:
@@ -606,7 +579,7 @@ def test_cut_lp_matches_highs_and_lies_below_f_on_the_slice(stable_problems):
         (f"{name}-corpus-{i}", _Compiled(LMI_CRITERIA[name](sys)), [])
         for i, sys in enumerate(random_corpus(7, 12))
         if isinstance(sys, IdsSystem)
-        for name in ("amc", "th2-coupled", "single", "th1", "th2-lmi")
+        for name in ("amc", "th2-coupled", "single", "th2-lmi")
     ]
     solved = 0
     for name, comp, known in cases:
@@ -649,39 +622,45 @@ def test_cut_lp_without_a_bound_returns_none(monkeypatch, steps):
 
 
 def _record_steps(monkeypatch):
-    """Route _Barrier.local and _Barrier.newton through recorders; returns
+    """Route _Barrier.spectra, local and newton through recorders; returns
     one (barrier, w, spectra, s, dw, lam2, mu) per Newton step computed."""
-    points, steps = [], []
-    local, newton = lmi_core._Barrier.local, lmi_core._Barrier.newton
+    points, locals_, steps = [], [], []
+    spectra, local, newton = lmi_core._Barrier.spectra, lmi_core._Barrier.local, lmi_core._Barrier.newton
 
-    def record_local(bar, w, spectra):
-        out = local(bar, w, spectra)
-        points.append((out, w, spectra))
+    def record_spectra(bar, w):
+        out = spectra(bar, w)
+        points.append((out, w))
+        return out
+
+    def record_local(bar, sp):
+        out = local(bar, sp)
+        locals_.append((out, sp))
         return out
 
     def record_newton(bar, terms, s):
         g, dw, mu = newton(bar, terms, s)
-        w, spectra = next((w, sp) for out, w, sp in reversed(points) if out is terms)
-        steps.append((bar, w, spectra, s, dw, float(-g @ dw), mu))
+        sp = next(sp for out, sp in reversed(locals_) if out is terms)
+        w = next(w for out, w in reversed(points) if out is sp)
+        steps.append((bar, w, sp, s, dw, float(-g @ dw), mu))
         return g, dw, mu
 
+    monkeypatch.setattr(lmi_core._Barrier, "spectra", record_spectra)
     monkeypatch.setattr(lmi_core._Barrier, "local", record_local)
     monkeypatch.setattr(lmi_core._Barrier, "newton", record_newton)
     return steps
 
 
 def test_step_gap_is_the_dual_bound_of_the_same_step(monkeypatch):
-    # with no ball, t + (theta - sum mu) / s is <Z, C> for the step's dual
-    # point Z, whose negative _dual_bound returns after its least-norm
-    # correction; both exist exactly when max mu <= 1
+    # t + (theta - sum mu) / s is <Z, C> for the step's dual point Z, whose
+    # negative _dual_bound returns after its least-norm correction; both
+    # exist exactly when max mu <= 1
     steps = _record_steps(monkeypatch)
     compared = 0
     for name, problem in _probe_problems():
         del steps[:]
         solve_feasibility(problem)
         for bar, w, spectra, s, dw, lam2, mu in steps:
-            assert not bar.ball, name
-            bound = lmi_core._t_bound(bar, w[-1], s, lam2, mu)
+            bound = lmi_core._t_bound(bar, w[-1], s, mu)
             if mu.max() > 1.0 - 1e-6:
                 continue
             dual = lmi_core._dual_bound(bar, spectra, s, dw)
@@ -702,44 +681,18 @@ def test_gap_rules_never_exclude_a_known_witness(stable_problems, data):
     with pytest.MonkeyPatch.context() as mp:
         steps = _record_steps(mp)
         solve_feasibility(problem, cfg)
-    bounds = [lmi_core._t_bound(bar, w[-1], s, lam2, mu) for bar, w, _, s, _, lam2, mu in steps]
+    bounds = [lmi_core._t_bound(bar, w[-1], s, mu) for bar, w, _, s, _, lam2, mu in steps]
     assert all(b >= t_witness - 1e-9 for b in bounds), name
 
 
-def _th1_ball_problems():
-    """(name, problem) for th1 past the paper system's margin and on a
-    singular A past its margin 0.5, where the run keeps to the ball."""
-    cases = [(f"paper-{t}", LMI_CRITERIA["th1"](benchmark_system(0.3, t))) for t in (0.2, 1.0, 3.0)]
+def _singular_problems():
+    """(name, problem) for th2-lmi on a singular A past its margin 0.5 (the
+    paper system past its margin is already among ``_probe_problems``)."""
+    cases = []
     for A in ([[2.0, 0.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]]):
         sys = validate_system(IdsSystem(A=(np.array(A),), tau=(1.0,)))
-        cases.append((f"singular-{A}", LMI_CRITERIA["th1"](sys)))
-    return [(name, _barrier_only(p)) for name, p in cases]
-
-
-def test_ball_bound_is_at_least_a_long_runs_t_star_minus_t():
-    # the self-concordant bound under the ball is not exact, but it must
-    # hold: each step's t + bound lies above the best t a long run reaches
-    # when no gap rule stops it (no witness exists, so it never settles)
-    checked = 0
-    for name, problem in _th1_ball_problems():
-        comp = _Compiled(problem)
-        x0 = comp.trace_vec / (comp.trace_vec @ comp.trace_vec)
-        with pytest.MonkeyPatch.context() as mp:
-            steps = _record_steps(mp)
-            rep = solve_feasibility(problem)
-        assert rep.status == "not_found", name
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lmi_core, "_t_bound", lambda *args: np.inf)
-            long_f, _, long_steps, _, _ = lmi_core._barrier_run(
-                comp, x0, comp.f_only(x0), SolverConfig(max_iters=300)
-            )
-        assert long_steps > rep.iterations, name
-        for bar, w, _, s, _, lam2, mu in steps:
-            assert bar.ball, name
-            bound = lmi_core._t_bound(bar, w[-1], s, lam2, mu)
-            assert bound >= -long_f - 1e-9, name
-            checked += np.isfinite(bound)
-    assert checked >= 20
+        cases.append((f"singular-{A}", _barrier_only(LMI_CRITERIA["th2-lmi"](sys))))
+    return cases
 
 
 def test_th2_lmi_margin_cell_newton_steps(monkeypatch):

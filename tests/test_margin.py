@@ -70,6 +70,15 @@ def test_margin_post_verification():
     assert ok_lo and not ok_hi
 
 
+@pytest.mark.parametrize("criterion", ["th2-lmi", "th1"])
+def test_linearized_margins_are_the_paper_rows(criterion):
+    # th1 is decided through th2-lmi, so its margins are th2-lmi's, bit for bit
+    got = [bisect_margin(benchmark_system(r, 0.1), 1, criterion) for r in (0.4, 0.3, 0.2, 0.1)]
+    assert [f"{m:.6g}" for m in got] == ["0.0317765", "0.114629", "0.241787", "0.488149"]
+    if criterion == "th1":
+        assert got == [bisect_margin(benchmark_system(r, 0.1), 1, "th2-lmi") for r in (0.4, 0.3, 0.2, 0.1)]
+
+
 def test_margin_post_verification_lmi():
     sys = benchmark_system(0.3, 0.1)
     tol = 1e-4
@@ -193,7 +202,6 @@ def _spy_weights(monkeypatch, module, result=None):
 @pytest.mark.parametrize(
     "builder, system",
     [
-        ("build_th1", benchmark_system(0.3, 0.05)),
         ("build_th2_lmi", benchmark_system(0.3, 0.05)),
         ("build_laa", DiscreteIds(A=(np.eye(2) / 4, np.eye(2) / 8), tau=(0.2, 0.5))),
     ],
