@@ -130,6 +130,18 @@ def test_solver_requires_pd_variable():
         solve_feasibility(p)
 
 
+def test_variable_no_block_uses_still_gets_a_verdict():
+    # a PD variable that no block uses: only its own barrier term curves it
+    p = scalar_problem(1.0, 0.9)
+    p = replace(p, variables=p.variables + (MatrixVariable("G", 2, require_pd=True),))
+    rep = solve_feasibility(_barrier_only(p))
+    assert rep.status == "feasible"
+    assert check_witness(p, rep.witness, tol=SolverConfig().eps_feas / 2)
+    assert np.linalg.eigvalsh(rep.witness["G"]).min() > 0
+    p = replace(scalar_problem(1.0, 1.1), variables=p.variables)
+    assert solve_feasibility(_barrier_only(p)).status == "not_found"
+
+
 def test_two_solves_give_bitwise_equal_reports():
     # a cold feasible solve and a not-found one; the solver draws nothing
     for tau2, status in ((0.04, "feasible"), (0.06, "not_found")):
