@@ -266,8 +266,11 @@ def build_th1(sys: IdsSystem) -> LmiProblem:
         sum_i Q_i + sum_i S_i - (R.T + R) < 0
         [[-S_i, tau_i A_i.T R], [tau_i R.T A_i, -Q_i]] < 0,  i = 1..N
 
-    The solver does not take it (R is not PD); ``margin`` decides th1
-    through th2-lmi and checks the mapped witness against these blocks.
+    Each block is symmetrized, so the pairs R, R.T are single terms with
+    factor 2: sym(-2R) = -(R + R.T), and sym(2X) = X + X.T for the
+    off-diagonal X = U tau_i A_i.T R W.T.  The solver does not take it (R is
+    not PD); ``margin`` decides th1 through th2-lmi and checks the mapped
+    witness against these blocks.
     """
     n, N = sys.n, sys.N
     I = np.eye(n)
@@ -276,19 +279,17 @@ def build_th1(sys: IdsSystem) -> LmiProblem:
     variables = (
         [MatrixVariable(f"Q{i+1}", n, require_pd=True) for i in range(N)]
         + [MatrixVariable(f"S{i+1}", n, require_pd=True) for i in range(N)]
-        + [MatrixVariable("R", n, kind="general")]
+        + [MatrixVariable("R", n)]
     )
     terms0 = [BlockTerm(f"Q{i+1}", I, I) for i in range(N)]
     terms0 += [BlockTerm(f"S{i+1}", I, I) for i in range(N)]
-    terms0 += [BlockTerm("R", -I, I, transpose=False), BlockTerm("R", -I, I, transpose=True)]
+    terms0.append(BlockTerm("R", -2.0 * I, I))
     blocks = [AffineBlock(dim=n, terms=tuple(terms0))]
     for i, (Ai, ti) in enumerate(zip(sys.A, sys.tau)):
         terms = [
             BlockTerm(f"S{i+1}", -U, U.T),
             BlockTerm(f"Q{i+1}", -W, W.T),
-            # the two halves of the symmetric off-diagonal pair
-            BlockTerm("R", U @ (ti * Ai.T), W.T, transpose=False),
-            BlockTerm("R", ti * W, Ai @ U.T, transpose=True),
+            BlockTerm("R", U @ (2.0 * ti * Ai.T), W.T),
         ]
         blocks.append(AffineBlock(dim=2 * n, terms=tuple(terms)))
 
@@ -325,7 +326,7 @@ def build_laa(sys: DiscreteIds) -> LmiProblem:
     """Delay-independent variant of the stacked block (all delay factors 1)."""
     if not isinstance(sys, DiscreteIds):
         raise TypeError("build_laa expects a DiscreteIds system")
-    return _stacked_lmi(IdsSystem(A=sys.A, tau=tuple(1.0 for _ in sys.A), tau_max=1.0))
+    return _stacked_lmi(IdsSystem(A=sys.A, tau=tuple(1.0 for _ in sys.A)))
 
 
 def laa_convert_X_to_Q(X) -> list[np.ndarray]:
@@ -365,16 +366,20 @@ def verify_nmi_th1(sys: IdsSystem, S, Q) -> bool:
     return eig_max(sum(S) - _inv_guarded(sum(Q), "sum(Q)")) < 0
 
 
-def verify_nmi_th2(sys: IdsSystem, Q) -> bool:
-    """Direct check of sum_i tau_i^2 A_i.T Q_i^-1 A_i - (sum_i Q_i)^-1 < 0."""
+def _th2_parts(sys: IdsSystem, Q) -> tuple[list, list, np.ndarray]:
+    """(Q_i, tau_i^2 A_i.T Q_i^-1 A_i, (sum_i Q_i)^-1) of N PD matrices Q_i,
+    each inverse guarded."""
     Q = _require_pd_list(Q, "Q")
     if len(Q) != sys.N:
         raise ValueError(f"expected {sys.N} matrices")
-    M = sum(
-        ti * ti * Ai.T @ _inv_guarded(Qi, "Q_i") @ Ai
-        for Ai, ti, Qi in zip(sys.A, sys.tau, Q)
-    )
-    return eig_max(M - _inv_guarded(sum(Q), "sum(Q)")) < 0
+    terms = [ti * ti * Ai.T @ _inv_guarded(Qi, "Q_i") @ Ai for Ai, ti, Qi in zip(sys.A, sys.tau, Q)]
+    return Q, terms, _inv_guarded(sum(Q), "sum(Q)")
+
+
+def verify_nmi_th2(sys: IdsSystem, Q) -> bool:
+    """Direct check of sum_i tau_i^2 A_i.T Q_i^-1 A_i - (sum_i Q_i)^-1 < 0."""
+    _, terms, Pinv = _th2_parts(sys, Q)
+    return eig_max(sum(terms) - Pinv) < 0
 
 
 def recover_nmi_th1(lmi_witness: dict) -> dict:
@@ -417,6 +422,15 @@ def witness_th1_from_th2coupled(sys: IdsSystem, Q) -> dict:
     }
 
 
+def _th1_split(sys: IdsSystem, Q) -> tuple[list, list, np.ndarray]:
+    """(Q, S, (sum_i Q_i)^-1) with the S_i of ``witness_th1_from_th2``."""
+    Q, terms, Pinv = _th2_parts(sys, Q)
+    if not eig_max(sum(terms) - Pinv) < 0:
+        raise ConversionError("Q does not satisfy the inverse-weighted inequality")
+    Omega = (Pinv - sum(terms)) / (2.0 * sys.N)
+    return Q, [sym(T + Omega) for T in terms], Pinv
+
+
 def witness_th1_from_th2(sys: IdsSystem, Q) -> list[np.ndarray]:
     """Split the summed inverse-weighted inequality into the two-family form.
 
@@ -424,16 +438,7 @@ def witness_th1_from_th2(sys: IdsSystem, Q) -> list[np.ndarray]:
     returns S_i = tau_i^2 A_i.T Q_i^-1 A_i + Omega, which together with the
     given Q passes verify_nmi_th1.
     """
-    Q = _require_pd_list(Q, "Q")
-    if not verify_nmi_th2(sys, Q):
-        raise ConversionError("Q does not satisfy the inverse-weighted inequality")
-    N = sys.N
-    terms = [
-        ti * ti * Ai.T @ _inv_guarded(Qi, "Q_i") @ Ai
-        for Ai, ti, Qi in zip(sys.A, sys.tau, Q)
-    ]
-    Omega = (_inv_guarded(sum(Q), "sum(Q)") - sum(terms)) / (2.0 * N)
-    return [sym(T + Omega) for T in terms]
+    return _th1_split(sys, Q)[1]
 
 
 def witness_th1_lmi_from_th2(sys: IdsSystem, Q) -> dict:
@@ -441,8 +446,8 @@ def witness_th1_lmi_from_th2(sys: IdsSystem, Q) -> dict:
     Qhat_i = P^-1 Q_i P^-1 and the S_i of ``witness_th1_from_th2``.  Block
     i's Schur complement is then -Omega, and block 0 is (sum_i tau_i^2
     A_i.T Q_i^-1 A_i - P^-1) / 2."""
-    S = witness_th1_from_th2(sys, Q)
-    R = sym(_inv_guarded(sum(Q), "sum(Q)"))
+    Q, S, Pinv = _th1_split(sys, Q)
+    R = sym(Pinv)
     w = {f"Q{i+1}": sym(R @ Qi @ R) for i, Qi in enumerate(Q)}
     return {**w, **{f"S{i+1}": Si for i, Si in enumerate(S)}, "R": R}
 
@@ -456,13 +461,8 @@ def th2_functional_params(sys: IdsSystem, Q) -> dict:
 
         sum_i (tau_i^2 A_i.T Q_i^-1 A_i + tau_i delta I) <= (1 - eps) (sum Q_j)^-1.
     """
-    Q = _require_pd_list(Q, "Q")
-    Rm = _inv_guarded(sum(Q), "sum(Q)")
-    M = sum(
-        ti * ti * Ai.T @ _inv_guarded(Qi, "Q_i") @ Ai
-        for Ai, ti, Qi in zip(sys.A, sys.tau, Q)
-    )
-    G = Rm - M
+    Q, terms, Rm = _th2_parts(sys, Q)
+    G = Rm - sum(terms)
     g = eig_min(G)
     if g <= 0:
         raise ConversionError("witness has no slack in the inverse-weighted inequality")

@@ -320,12 +320,6 @@ def _ellipsoid_weights(Ks, delta: float) -> tuple[tuple[float, ...], float]:
     return tuple(float(x) for x in alpha), float(bound)
 
 
-# (key, result) of the last weights _minimize_weights computed.  One tuple,
-# read and replaced in one statement each, so concurrent callers can at worst
-# compute the same weights twice.
-_memo: tuple = (None, None)
-
-
 def optimize_weights(sys: IdsSystem) -> tuple[tuple[float, ...], float]:
     """Minimize phi(alpha) = rho(sum_i tau_i^2 A_i (x) A_i / alpha_i) over the
     open simplex; returns (alpha, phi(alpha)), never worse than the uniform
@@ -364,19 +358,10 @@ def optimize_weights(sys: IdsSystem) -> tuple[tuple[float, ...], float]:
     x; with the convex x_i = -log alpha_i, log phi and hence phi are convex
     in alpha.
 
-    The last result is reused while tau and the shape and values of every
-    A_i match, so an A_i changed in place gets a fresh result; a call that
-    raises stores nothing.
+    The result is computed once per system and cached on it
+    (``IdsSystem.optimal_weights``).
     """
-    global _memo
-    As = [np.asarray(A, dtype=float) for A in sys.A]
-    key = (tuple(sys.tau), tuple((A.shape, A.tobytes()) for A in As))
-    memo = _memo
-    if memo[0] == key:
-        return memo[1]
-    result = _minimize_weights(sys)
-    _memo = (key, result)
-    return result
+    return sys.optimal_weights
 
 
 def _minimize_weights(sys: IdsSystem) -> tuple[tuple[float, ...], float]:

@@ -98,40 +98,35 @@ def is_pd(M: np.ndarray, tol: float = 0.0) -> bool:
 
 @dataclass(frozen=True)
 class MatrixVariable:
-    """A named decision matrix.
+    """A named dim x dim decision matrix.
 
-    ``symmetric`` variables carry dim*(dim+1)/2 scalar unknowns, ``general``
-    ones dim**2.  ``require_pd`` appends the implicit block ``-V < 0``;
-    ``solve_feasibility`` takes only variables that require it.
+    ``require_pd`` appends the implicit block ``-V < 0``; ``solve_feasibility``
+    takes only variables that require it, each symmetric with dim*(dim+1)/2
+    scalar unknowns.  ``evaluate`` and ``check_witness`` take any variable's
+    matrix as given, symmetric or not.
     """
 
     name: str
     dim: int
-    kind: str = "symmetric"  # "symmetric" | "general"
     require_pd: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("symmetric", "general"):
-            raise ProblemError(f"unknown variable kind {self.kind!r}")
-        if self.kind == "general" and self.require_pd:
-            raise ProblemError("require_pd only applies to symmetric variables")
         if self.dim < 1:
             raise ProblemError("variable dimension must be positive")
 
     @property
     def n_params(self) -> int:
-        d = self.dim
-        return d * (d + 1) // 2 if self.kind == "symmetric" else d * d
+        return self.dim * (self.dim + 1) // 2
 
 
 @dataclass(frozen=True)
 class BlockTerm:
-    """One contribution ``left @ V @ right`` (or ``left @ V.T @ right``)."""
+    """One contribution ``left @ V @ right``; a block symmetrizes its sum, so
+    a term and its transpose together are one term with twice the factor."""
 
     var: str
     left: np.ndarray
     right: np.ndarray
-    transpose: bool = False
 
 
 @dataclass(frozen=True)
@@ -262,8 +257,7 @@ class _Compiled:
         self.trace_vec = a
 
     def _compile_block(self, blk: AffineBlock) -> np.ndarray:
-        """vec(sym(sum of L V R)) = M x, from vec(L V R) = (L kron R^T) vec(V);
-        every variable is symmetric, so a transposed term compiles as it is."""
+        """vec(sym(sum of L V R)) = M x, from vec(L V R) = (L kron R^T) vec(V)."""
         m = blk.dim
         M = np.zeros((m * m, self.nx))
         for term in blk.terms:
@@ -346,7 +340,6 @@ def evaluate(problem: LmiProblem, witness: dict) -> tuple[list[np.ndarray], floa
                     f"witness for {term.var!r} has shape {V.shape}, expected "
                     f"({var.dim}, {var.dim})"
                 )
-            V = V.T if term.transpose else V
             B += np.asarray(term.left) @ V @ np.asarray(term.right)
         B = sym(B)
         values.append(B)

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, replace
 
 from . import criteria_lmi, criteria_spectral
-from .lmi_core import FeasReport, SolverConfig, check_witness, solve_feasibility
+from .lmi_core import FeasReport, SolverConfig, evaluate, normalize_witness, solve_feasibility
 from .model import DiscreteIds, IdsSystem, ValidationError, validate_system
 
 __all__ = [
@@ -48,19 +48,22 @@ def _lmi(criterion: str):
 
 
 def _th1(sys, cfg, alpha) -> FeasReport:
-    """th2-lmi's report, its feasible Q mapped to th1's witness; a map that
-    fails or does not pass th1's own blocks makes it not_found, unproved."""
+    """th2-lmi's report with th1's own evidence: a feasible Q mapped to th1's
+    witness, with th1's objective at it, normalized, as lambda_star; it is
+    feasible when that is negative (tolerance 0, not eps_feas: near the
+    margin th2-lmi's -1.5e-6 maps to -6e-8), else not_found, unproved, as is
+    a map that fails (no witness, lambda_star = inf).  A th2-lmi not_found
+    keeps its lambda_star and lower bound but has no th1 witness."""
     rep = _lmi("th2-lmi")(sys, cfg, alpha)
     if not rep.feasible:
-        return rep
+        return replace(rep, witness={})
     try:
         w = criteria_lmi.witness_th1_lmi_from_th2(sys, [rep.witness[f"Q{i+1}"] for i in range(sys.N)])
     except (criteria_lmi.ConversionError, criteria_lmi.IllConditionedError):
-        return replace(rep, status="not_found")
-    # tol 0, not eps_feas: near the margin th2-lmi's -1.5e-6 maps to -6e-8
-    if not check_witness(criteria_lmi.LMI_CRITERIA["th1"](sys), w, 0.0):
-        return replace(rep, status="not_found")
-    return replace(rep, witness=w)
+        return replace(rep, status="not_found", lambda_star=math.inf, witness={})
+    problem = criteria_lmi.LMI_CRITERIA["th1"](sys)
+    value = evaluate(problem, normalize_witness(problem, w))[1]
+    return replace(rep, status="feasible" if value < 0.0 else "not_found", lambda_star=value, witness=w)
 
 
 def _spectral_weighted(sys, cfg, alpha):

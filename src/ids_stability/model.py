@@ -8,14 +8,19 @@ tau_i describing the dynamics
 A :class:`DiscreteIds` holds the pointwise-delay counterpart
 x(t) = sum_i A_i x(t - tau_i), whose delays must be strictly increasing.
 
-Both are immutable value types once validated and safe to share across
-threads.
+Both are immutable values: construction stores read-only float64 copies of
+the A_i and a tuple of float delays, so a caller that later changes its own
+arrays changes neither the system nor what is derived from it.  Derived data
+lives on the system: ``tau_max`` is computed from ``tau``, and an integral
+system caches its optimal spectral weights on first use.  Validation checks
+the invariants; it adds nothing to the value.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,40 +50,55 @@ def _freeze(M: np.ndarray) -> np.ndarray:
     return out
 
 
+class _Value:
+    """Matrices ``A`` and delays ``tau``, stored as read-only float64 copies
+    and a tuple of floats."""
+
+    A: tuple[np.ndarray, ...]
+    tau: tuple[float, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "A", tuple(_freeze(M) for M in self.A))
+        object.__setattr__(self, "tau", tuple(float(t) for t in self.tau))
+
+    @property
+    def n(self) -> int:
+        return int(self.A[0].shape[0]) if self.A else 0
+
+    @property
+    def N(self) -> int:
+        return len(self.A)
+
+    @property
+    def tau_max(self) -> float:
+        return max(self.tau)
+
+
 @dataclass(frozen=True)
-class IdsSystem:
+class IdsSystem(_Value):
     """N-term integral delay system: matrices ``A`` and window lengths ``tau``."""
 
     A: tuple[np.ndarray, ...]
     tau: tuple[float, ...]
-    tau_max: float = field(default=0.0)
 
-    @property
-    def n(self) -> int:
-        return int(self.A[0].shape[0]) if self.A else 0
+    @cached_property
+    def optimal_weights(self) -> tuple[tuple[float, ...], float]:
+        """``criteria_spectral.optimize_weights``' result, computed on first
+        use; a computation that raises stores nothing."""
+        from .criteria_spectral import _minimize_weights
 
-    @property
-    def N(self) -> int:
-        return len(self.A)
+        return _minimize_weights(self)
 
     def with_delays(self, tau: tuple[float, ...] | list[float]) -> "IdsSystem":
-        return validate_system(IdsSystem(A=self.A, tau=tuple(float(t) for t in tau)))
+        return validate_system(IdsSystem(A=self.A, tau=tuple(tau)))
 
 
 @dataclass(frozen=True)
-class DiscreteIds:
+class DiscreteIds(_Value):
     """Pointwise-delay system x(t) = sum_i A_i x(t - tau_i), 0 < tau_1 < ... < tau_N."""
 
     A: tuple[np.ndarray, ...]
     tau: tuple[float, ...]
-
-    @property
-    def n(self) -> int:
-        return int(self.A[0].shape[0]) if self.A else 0
-
-    @property
-    def N(self) -> int:
-        return len(self.A)
 
 
 def _common_checks(A: tuple[np.ndarray, ...], tau: tuple[float, ...]) -> None:
@@ -104,23 +124,21 @@ def _common_checks(A: tuple[np.ndarray, ...], tau: tuple[float, ...]) -> None:
 
 
 def validate_system(raw: IdsSystem | DiscreteIds) -> IdsSystem | DiscreteIds:
-    """Check all invariants of a candidate system and return a canonical copy.
+    """Check all invariants of a system and return it.
 
-    Idempotent.  For :class:`IdsSystem` the aggregate delay bound ``tau_max``
-    is recomputed; for :class:`DiscreteIds` strict delay ordering is enforced.
+    Idempotent: construction already stored the canonical read-only copy.
+    For :class:`DiscreteIds` strict delay ordering is also enforced.
     """
-    A = tuple(_freeze(M) for M in raw.A)
-    tau = tuple(float(t) for t in raw.tau)
-    _common_checks(A, tau)
+    _common_checks(raw.A, raw.tau)
     if isinstance(raw, DiscreteIds):
+        tau = raw.tau
         for i in range(1, len(tau)):
             if tau[i] <= tau[i - 1]:
                 raise ValidationError(
                     f"delays must be strictly increasing: tau[{i-1}]={tau[i-1]} "
                     f">= tau[{i}]={tau[i]}"
                 )
-        return DiscreteIds(A=A, tau=tau)
-    return IdsSystem(A=A, tau=tau, tau_max=max(tau))
+    return raw
 
 
 def load_system(text: str) -> IdsSystem | DiscreteIds:

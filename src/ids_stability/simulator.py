@@ -17,14 +17,16 @@ prefix and suffix sums that each add only entries of their own window.
 
 The module also fits exponential decay envelopes and evaluates the
 certificate functionals of the LMI criteria along trajectories.  A
-trajectory's samples are a read-only copy, so the functional can cache the
-outer products of its rows and read each evaluation's window from them.
+trajectory is an immutable value with read-only samples, so it caches the
+outer products of its rows, and each functional evaluation reads its window
+from them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -183,10 +185,11 @@ class Trajectory:
     ``samples[k]`` is the state at t = (k - hist_len) * h; rows up to
     ``hist_len`` hold the initial condition.  ``samples`` is stored as a
     read-only float64 copy of the array passed in, which stays the caller's
-    to change, and the fields cannot be reassigned: :func:`eval_functional`
-    caches the outer products of the rows by the identity of that copy.  ``max_residual`` is the largest residual
-    of a later row in the discretized equation, recomputed from the samples
-    rather than taken from the step kernel, relative to max(1, |x_k|).
+    to change, and the fields cannot be reassigned, so what is derived from
+    the samples (``gram_rows``) is cached on the trajectory.
+    ``max_residual`` is the largest residual of a later row in the
+    discretized equation, recomputed from the samples rather than taken from
+    the step kernel, relative to max(1, |x_k|).
     """
 
     h: float
@@ -206,6 +209,13 @@ class Trajectory:
     @property
     def n(self) -> int:
         return self.samples.shape[1]
+
+    @cached_property
+    def gram_rows(self) -> np.ndarray:
+        """G with row k the flattened outer product x_k x_k.T of
+        ``samples[k]``; it holds n times as many floats as the samples."""
+        X = self.samples
+        return (X[:, :, None] * X[:, None, :]).reshape(X.shape[0], -1)
 
     @property
     def times(self) -> np.ndarray:
@@ -455,8 +465,8 @@ def eval_functional(
     one dot product with the outer products of the window's states.  Neither
     factor depends on t: the folded matrices are built once per distinct
     (system, grid, witness), compared by value, and the outer products of
-    all rows once per trajectory, keyed by its read-only samples; a call
-    then slices the window's rows and takes one ``vdot``.  Snapped delays
+    all rows once per trajectory (``Trajectory.gram_rows``); a call then
+    slices the window's rows and takes one ``vdot``.  Snapped delays
     are used throughout so V is consistent with the discretized dynamics;
     t must be a scalar grid time in [0, T - max(tau)].
     A witness with a non-finite entry raises ValueError.
@@ -472,33 +482,13 @@ def eval_functional(
         raise ValueError(f"t={t} outside [0, T - tau] = [0, {traj.T - tau:.6g}]")
     k = traj.index_of(t)
     C = _functional_terms(sys, traj, which, witness)
-    return float(np.vdot(C, _gram_rows(traj.samples)[k + 1 - C.shape[0] : k + 1]))
+    return float(np.vdot(C, traj.gram_rows[k + 1 - C.shape[0] : k + 1]))
 
 
 # (key, C) of the last folded matrices _functional_terms built.  One tuple,
 # read and replaced in one statement each, so concurrent callers can at worst
 # build the same matrices twice.
 _memo: tuple = (None, None)
-
-# (samples, G) of the last trajectory _gram_rows read, in the same one-tuple
-# way.  The tuple holds the samples, so no other array can take their id
-# while they are the key.  G holds n times as many floats as the samples.
-_gram: tuple = (None, None)
-
-
-def _gram_rows(X: np.ndarray) -> np.ndarray:
-    """G with row k the flattened outer product x_k x_k.T of row k of X.
-
-    X is a trajectory's read-only samples, so G is reused while the same
-    array comes back.
-    """
-    global _gram
-    gram = _gram
-    if gram[0] is X:
-        return gram[1]
-    G = (X[:, :, None] * X[:, None, :]).reshape(X.shape[0], -1)
-    _gram = (X, G)
-    return G
 
 
 def _functional_terms(sys: IdsSystem, traj: Trajectory, which: str, witness: dict) -> np.ndarray:

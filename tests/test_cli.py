@@ -191,15 +191,20 @@ def _uncertified_map(sys, Q, real=criteria_lmi.witness_th1_lmi_from_th2):
 
 @pytest.mark.parametrize("mapping", [_no_map, _singular_map, _uncertified_map])
 def test_check_th1_is_not_found_when_the_map_does_not_certify(bench_file, capsys, monkeypatch, mapping):
-    # th2-lmi is feasible here; a map that fails or a witness that does not
-    # pass th1's blocks is a plain not_found: exit 1, never 3, and no bound
-    path = bench_file(0.3, 0.05)
+    # th2-lmi is feasible here, after a barrier run, so check prints a
+    # lambda_star; a map that fails or a witness that does not pass th1's
+    # blocks is a plain not_found: exit 1, never 3, and no bound.  Its
+    # lambda_star is th1's own (inf with no mapped witness), never th2-lmi's
+    # negative one
+    path = bench_file(0.3, 0.1)
     assert main(["check", "--system", path, "--method", "th1"]) == 0
     capsys.readouterr()
     monkeypatch.setattr(criteria_lmi, "witness_th1_lmi_from_th2", mapping)
     assert main(["check", "--system", path, "--method", "th1"]) == 1
     out = capsys.readouterr().out
     assert "lower_bound" not in out and out.splitlines()[-1] == "verdict: not_found"
+    lams = [float(line.split(" = ")[1]) for line in out.splitlines() if line.startswith("lambda_star")]
+    assert len(lams) == 1 and lams[0] >= 0.0
 
 
 @pytest.mark.parametrize("method", ["amc", "th2-coupled", "single"])

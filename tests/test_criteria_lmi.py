@@ -127,7 +127,7 @@ def test_builders_are_pure():
     for b1, b2 in zip(p1.blocks, p2.blocks):
         assert b1.dim == b2.dim and len(b1.terms) == len(b2.terms)
         for t1, t2 in zip(b1.terms, b2.terms):
-            assert t1.var == t2.var and t1.transpose == t2.transpose
+            assert t1.var == t2.var
             np.testing.assert_array_equal(t1.left, t2.left)
             np.testing.assert_array_equal(t1.right, t2.right)
     assert len(p1.starts) == len(p2.starts)

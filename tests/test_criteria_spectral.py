@@ -194,7 +194,6 @@ def test_optimize_weights_on_the_paper_rows_is_optimal_in_few_evaluations(monkey
     eig = np.linalg.eig
     monkeypatch.setattr(np.linalg, "eig", lambda X: calls.append(1) or eig(X))
     for tau2 in (0.02, 0.05, 0.1, 0.3):
-        monkeypatch.setattr(criteria_spectral, "_memo", (None, None))
         del calls[:]
         _assert_two_term_optimum(benchmark_system(row, tau2))
         assert 0 < len(calls) <= 15
@@ -609,7 +608,6 @@ def _spy_compute(monkeypatch):
         return real(sys)
 
     monkeypatch.setattr(criteria_spectral, "_minimize_weights", spy)
-    monkeypatch.setattr(criteria_spectral, "_memo", (None, None))
     return calls
 
 
@@ -622,41 +620,40 @@ THREE_TERMS = IdsSystem(A=(A1, A2, 0.5 * np.eye(2)), tau=(0.1, 0.3, 0.2))
     ids=["N1", "N2", "N3"],
 )
 def test_optimize_weights_warm_result_equals_cold(monkeypatch, s):
+    # the weights are cached on the system; an equal system computes its own
     s = validate_system(s)
     calls = _spy_compute(monkeypatch)
     cold = optimize_weights(s)
     warm = optimize_weights(s)
     assert len(calls) == 1 and warm == cold
-    monkeypatch.setattr(criteria_spectral, "_memo", (None, None))
-    assert optimize_weights(s) == cold and len(calls) == 2
+    assert optimize_weights(IdsSystem(A=s.A, tau=s.tau)) == cold and len(calls) == 2
 
 
-def test_optimize_weights_follows_changed_tau_and_a_mutated_in_place(monkeypatch):
+def test_mutating_the_callers_array_leaves_system_and_weights_unchanged(monkeypatch):
     cold = criteria_spectral._minimize_weights
     calls = _spy_compute(monkeypatch)
     A = [A1.copy(), A2.copy(), 0.5 * np.eye(2)]
     s = IdsSystem(A=tuple(A), tau=(0.1, 0.3, 0.2))
     first = optimize_weights(s)
-    moved = IdsSystem(A=s.A, tau=(0.1, 0.3, 0.25))
+    moved = s.with_delays((0.1, 0.3, 0.25))
     assert optimize_weights(moved) == cold(moved) != first
-    assert optimize_weights(s) == first
     A[0][0, 0] += 1.0
-    assert optimize_weights(s) == cold(s) != first
-    assert len(calls) == 4
+    np.testing.assert_array_equal(s.A[0], A1)
+    assert optimize_weights(s) == first == cold(s)
+    assert len(calls) == 2
+    with pytest.raises(ValueError, match="read-only"):
+        s.A[0][0, 0] = 0.0
 
 
 def test_optimize_weights_stores_nothing_when_it_raises(monkeypatch):
     calls = _spy_compute(monkeypatch)
-    optimize_weights(THREE_TERMS)
-    memo = criteria_spectral._memo
     # tau^2 A (x) A overflows in its first entry
     bad = validate_system(
         IdsSystem(A=(np.diag([1e200, 1.0]), np.eye(2), np.eye(2)), tau=(0.3, 0.2, 0.1))
     )
-    with pytest.raises(NonFiniteError):
-        optimize_weights(bad)
-    assert criteria_spectral._memo is memo
-    optimize_weights(THREE_TERMS)
+    for _ in range(2):
+        with pytest.raises(NonFiniteError):
+            optimize_weights(bad)
     assert len(calls) == 2
 
 

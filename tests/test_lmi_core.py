@@ -123,9 +123,10 @@ def test_solver_requires_pd_variable():
     )
     with pytest.raises(ProblemError, match="positive-definite"):
         solve_feasibility(p)
-    # one PD variable is not enough: every variable must be required PD
+    # one PD variable is not enough: every variable must be required PD,
+    # also one that no block uses
     p = scalar_problem(1.0, 0.9)
-    p = replace(p, variables=p.variables + (MatrixVariable("G", 2, kind="general"),))
+    p = replace(p, variables=p.variables + (MatrixVariable("G", 2),))
     with pytest.raises(ProblemError, match="positive-definite"):
         solve_feasibility(p)
 
@@ -302,8 +303,6 @@ def _np_kron_map(comp, blk):
     M = np.zeros((m * m, comp.nx))
     for term in blk.terms:
         v, off, B = comp.vars[term.var]
-        if term.transpose:
-            B = B.reshape(v.dim, v.dim, -1).transpose(1, 0, 2).reshape(B.shape)
         M[:, off : off + v.n_params] += np.kron(term.left, term.right.T) @ B
     M = M.reshape(m, m, -1)
     return (0.5 * (M + M.transpose(1, 0, 2))).reshape(m * m, -1)

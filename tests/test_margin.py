@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ids_stability import criteria_lmi, criteria_spectral, margin
-from ids_stability.lmi_core import FeasReport
+from ids_stability.lmi_core import FeasReport, evaluate, normalize_witness
 from ids_stability.margin import bisect_margin, criterion_feasible, evaluate_criterion, table1
 from ids_stability.model import DiscreteIds, IdsSystem, benchmark_system, validate_system
 
@@ -77,6 +77,21 @@ def test_linearized_margins_are_the_paper_rows(criterion):
     assert [f"{m:.6g}" for m in got] == ["0.0317765", "0.114629", "0.241787", "0.488149"]
     if criterion == "th1":
         assert got == [bisect_margin(benchmark_system(r, 0.1), 1, "th2-lmi") for r in (0.4, 0.3, 0.2, 0.1)]
+
+
+def test_th1_reports_carry_th1_evidence():
+    # a feasible th1 report holds th1's own variables and its objective at
+    # them, normalized; a not_found one keeps th2-lmi's value and bound but
+    # holds no witness, since th2-lmi's Q_i are not th1's
+    sys = benchmark_system(0.3, 0.05)
+    rep = evaluate_criterion(sys, "th1")
+    problem = criteria_lmi.build_th1(sys)
+    assert rep.feasible and set(rep.witness) == {"Q1", "Q2", "S1", "S2", "R"}
+    assert rep.lambda_star == evaluate(problem, normalize_witness(problem, rep.witness))[1] < 0.0
+    far = benchmark_system(0.3, 3.0)
+    rep, rep2 = evaluate_criterion(far, "th1"), evaluate_criterion(far, "th2-lmi")
+    assert rep.status == "not_found" and rep.witness == {}
+    assert (rep.lambda_star, rep.lower_bound) == (rep2.lambda_star, rep2.lower_bound)
 
 
 def test_margin_post_verification_lmi():

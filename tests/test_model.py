@@ -97,6 +97,24 @@ def test_discrete_requires_increasing_delays():
         validate_system(DiscreteIds(A=(np.eye(1), np.eye(1)), tau=(0.4, 0.1)))
 
 
+def test_systems_store_read_only_copies_and_derive_tau_max():
+    A = np.array([[1.0, 2.0], [3.0, 4.0]])
+    for cls, tau in ((IdsSystem, (0.5, 0.2)), (DiscreteIds, (0.2, 0.5))):
+        s = cls(A=(A, [[0, 1], [1, 0]]), tau=[np.float64(tau[0]), tau[1]])
+        assert validate_system(s) is s
+        assert s.tau == tau and all(type(t) is float for t in s.tau)
+        assert s.tau_max == 0.5
+        for M in s.A:
+            assert M.dtype == np.float64 and not M.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                M[0, 0] = 9.0
+        A[0, 0] = 7.0
+        assert s.A[0][0, 0] == 1.0
+        A[0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        s.tau_max = 1.0
+
+
 def test_with_delays_revalidates():
     s = benchmark_system()
     s2 = s.with_delays((0.5, 0.2))

@@ -3,6 +3,7 @@ import itertools
 import math
 import threading
 from dataclasses import FrozenInstanceError, replace
+from functools import cached_property
 from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
@@ -355,6 +356,19 @@ def test_trajectory_samples_are_a_read_only_copy():
     assert by_hand.samples[0, 0] == 1.0
     with pytest.raises(FrozenInstanceError):
         by_hand.samples = caller
+
+
+def test_a_system_built_without_validation_simulates_as_the_validated_one():
+    # tau_max is derived from tau, not a field that only validation fills
+    A = (np.array([[-4.0, 1.0], [-13.0, 2.0]]), np.array([[0.0, -1.0], [1.0, 0.0]]))
+    raw = IdsSystem(A=A, tau=(0.3, 0.1))
+    valid = benchmark_system(0.3, 0.1)
+    assert raw.tau_max == valid.tau_max == 0.3
+    spec = HistorySpec.random_smooth(3)
+    shifted = [make_compatible(s, spec) for s in (raw, valid)]
+    np.testing.assert_array_equal(shifted[0].offset, shifted[1].offset)
+    trajs = [simulate(s, h, h=0.01, T=2.0) for s, h in zip((raw, valid), shifted)]
+    np.testing.assert_array_equal(trajs[0].samples, trajs[1].samples)
 
 
 def test_functional_zero_trajectory():
@@ -846,24 +860,22 @@ def test_functional_takes_one_inverse_per_trajectory(monkeypatch):
 
 def test_functional_builds_gram_rows_once_per_trajectory(monkeypatch):
     # forming the window's outer products on every call would build them
-    # 294 times here; the rows of a new trajectory are built once more
+    # 294 times here; each trajectory caches its own rows, built once
     builds = []
-    gram_rows = simulator_module._gram_rows
+    real = Trajectory.gram_rows.func
 
-    def counting_gram_rows(X):
-        before = simulator_module._gram
-        G = gram_rows(X)
-        if simulator_module._gram is not before:
-            builds.append(X)
-        return G
+    def counting_gram_rows(traj):
+        builds.append(traj)
+        return real(traj)
 
+    counting = cached_property(counting_gram_rows)
+    counting.__set_name__(Trajectory, "gram_rows")
+    monkeypatch.setattr(Trajectory, "gram_rows", counting)
     sys = benchmark_system(0.3, 0.3)
     first, second = (
         simulate(sys, HistorySpec.random_smooth(seed), h=0.005, T=15.0) for seed in (1, 2)
     )
     w = _witnesses(np.random.default_rng(1), 2, 2)["th2"]
-    monkeypatch.setattr(simulator_module, "_gram", (None, None))
-    monkeypatch.setattr(simulator_module, "_gram_rows", counting_gram_rows)
     ts = np.round(np.arange(0.0, first.T - max(first.tau_snapped), 0.05), 10)
     assert len(ts) == 294
     for traj in (first, second):
@@ -871,8 +883,9 @@ def test_functional_builds_gram_rows_once_per_trajectory(monkeypatch):
             V = eval_functional(sys, traj, "th2", w, t)
         ref = _reference_functional(sys, traj, "th2", w, ts[-1])
         assert abs(V - ref) <= 1e-12 * abs(ref)
-    assert [X is traj.samples for X, traj in zip(builds, (first, second))] == [True, True]
-    assert len(builds) == 2
+    assert len(builds) == 2 and builds[0] is first and builds[1] is second
+    X = first.samples
+    np.testing.assert_array_equal(first.gram_rows, np.einsum("ki,kj->kij", X, X).reshape(len(X), -1))
 
 
 def test_residual_checks_the_equation_not_the_solve():
