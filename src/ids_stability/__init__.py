@@ -66,6 +66,7 @@ from .jensen import (
     gap_multiple,
 )
 from .simulator import (
+    FunctionalWitness,
     HistorySpec,
     Trajectory,
     estimate_decay,

@@ -47,6 +47,7 @@ from .lmi_core import (
     sym,
 )
 from .model import DiscreteIds, IdsSystem
+from .simulator import FunctionalWitness
 
 __all__ = [
     "build_amc",
@@ -452,14 +453,19 @@ def witness_th1_lmi_from_th2(sys: IdsSystem, Q) -> dict:
     return {**w, **{f"S{i+1}": Si for i, Si in enumerate(S)}, "R": R}
 
 
-def th2_functional_params(sys: IdsSystem, Q) -> dict:
+def th2_functional_params(sys: IdsSystem, Q) -> FunctionalWitness:
     """Parameters of the two-part history functional certified by a Q witness.
 
-    Returns {R: [R_i], Q: [Q_i], delta, eps} with R_i = (sum Q_j)^-1 / N and
+    Returns the th2 :class:`~ids_stability.simulator.FunctionalWitness`
+    {R: (R_i), Q: (Q_i), delta, eps} with R_i = (sum Q_j)^-1 / N and
     positive constants delta, eps chosen so the combined functional
     eps*V1 + V2 is nonincreasing along solutions:
 
         sum_i (tau_i^2 A_i.T Q_i^-1 A_i + tau_i delta I) <= (1 - eps) (sum Q_j)^-1.
+
+    The value holds read-only copies, so later changes to the caller's Q_i
+    do not reach it, and it caches its folded matrices for
+    ``simulator.eval_functional``.
     """
     Q, terms, Rm = _th2_parts(sys, Q)
     G = Rm - sum(terms)
@@ -471,12 +477,9 @@ def th2_functional_params(sys: IdsSystem, Q) -> dict:
     eps = min(eig_min(G - delta * tsum * np.eye(sys.n)) / eig_max(Rm), 0.9)
     if eps <= 0:
         raise ConversionError("witness slack too small to derive functional constants")
-    return {
-        "R": [Rm / sys.N for _ in range(sys.N)],
-        "Q": list(Q),
-        "delta": float(delta),
-        "eps": float(eps),
-    }
+    return FunctionalWitness(
+        "th2", {"R": [Rm / sys.N] * sys.N, "Q": Q, "delta": float(delta), "eps": float(eps)}
+    )
 
 
 LMI_CRITERIA = {

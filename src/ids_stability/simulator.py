@@ -19,15 +19,19 @@ The module also fits exponential decay envelopes and evaluates the
 certificate functionals of the LMI criteria along trajectories.  A
 trajectory is an immutable value with read-only samples, so it caches the
 outer products of its rows, and each functional evaluation reads its window
-from them.
+from them.  A functional's witness is an immutable value too
+(:class:`FunctionalWitness`): it caches the matrices its functional folds
+into for the last system and grid, so a warm evaluation is one slice and one
+dot product.  The module keeps no state of its own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain
+from types import MappingProxyType
 
 import numpy as np
 
@@ -40,6 +44,7 @@ __all__ = [
     "simulate",
     "make_compatible",
     "estimate_decay",
+    "FunctionalWitness",
     "eval_functional",
     "export_csv",
 ]
@@ -445,8 +450,81 @@ def _window_reduce(x: np.ndarray, width: int, ufunc) -> np.ndarray:
     return out
 
 
+_FUNCTIONALS = {"amc": ("P", "Q"), "th1": ("P", "S"), "th2": ("R", "Q")}
+
+
+@dataclass(frozen=True, eq=False)
+class FunctionalWitness(Mapping):
+    """The witness of one certificate functional, as an immutable value.
+
+    ``which`` names the functional and ``witness`` maps its keys to the
+    matrices and constants (see :func:`eval_functional`).  Construction
+    checks the id, that every matrix is square with finite entries and that
+    delta and eps are finite, and stores read-only float64 copies, a tuple
+    of them for each list.  A caller that later changes its own arrays
+    therefore changes neither the witness nor its functional.  The value
+    reads like the dict it was built from, and it caches the folded matrices
+    of the last (system, h, snapped delays) it was evaluated on: the system
+    is an immutable value and compared by identity, the grid by value.
+    """
+
+    which: str
+    witness: Mapping
+    # (sys, h, tau_snapped, C), read and replaced in one statement each, so
+    # concurrent callers can at worst fold the same matrices twice
+    _folded: tuple = field(default=(None, None, None, None), init=False, repr=False)
+
+    def __post_init__(self):
+        if self.which not in _FUNCTIONALS:
+            raise ValueError(f"unknown functional {self.which!r}; expected amc, th1, or th2")
+        data = {}
+        for key in _FUNCTIONALS[self.which]:
+            M = self.witness[key]
+            data[key] = _frozen(key, M) if key == "P" else tuple(_frozen(key, Mi) for Mi in M)
+        if self.which == "th2":
+            delta, eps = float(self.witness["delta"]), float(self.witness["eps"])
+            if not (math.isfinite(delta) and math.isfinite(eps)):
+                raise ValueError(f"delta = {delta} and eps = {eps} must be finite")
+            data.update(delta=delta, eps=eps)
+        object.__setattr__(self, "witness", MappingProxyType(data))
+
+    def __getitem__(self, key):
+        return self.witness[key]
+
+    def __iter__(self):
+        return iter(self.witness)
+
+    def __len__(self) -> int:
+        return len(self.witness)
+
+    def folded(self, sys: IdsSystem, traj: Trajectory) -> np.ndarray:
+        """C with row k the flattened n x n matrix sum_j coef[j, k] M_j, for
+        the term matrices M_j and their trapezoid-times-weight coefficients
+        at lag k of the longest window; the t-independent part of
+        :func:`eval_functional`, built once per (system, h, snapped delays).
+        """
+        last = self._folded
+        if last[0] is sys and last[1] == traj.h and last[2] == traj.tau_snapped:
+            return last[3]
+        C = _fold(self, sys, traj)
+        C.flags.writeable = False
+        object.__setattr__(self, "_folded", (sys, traj.h, traj.tau_snapped, C))
+        return C
+
+
+def _frozen(key: str, M) -> np.ndarray:
+    """A read-only float64 copy of the square, finite witness matrix M."""
+    M = np.array(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"{key} has shape {M.shape}, expected a square matrix")
+    if not np.isfinite(M).all():
+        raise ValueError(f"{key} has a non-finite entry")
+    M.flags.writeable = False
+    return M
+
+
 def eval_functional(
-    sys: IdsSystem, traj: Trajectory, which: str, witness: dict, t: float
+    sys: IdsSystem, traj: Trajectory, which: str, witness: Mapping, t: float
 ) -> float:
     """Evaluate one of the certificate functionals at time t.
 
@@ -463,13 +541,16 @@ def eval_functional(
     coefficients (zero outside each term's own window), fold into one
     matrix C_k per lag k of the longest window, so V = sum_k x_k.T C_k x_k is
     one dot product with the outer products of the window's states.  Neither
-    factor depends on t: the folded matrices are built once per distinct
-    (system, grid, witness), compared by value, and the outer products of
-    all rows once per trajectory (``Trajectory.gram_rows``); a call then
-    slices the window's rows and takes one ``vdot``.  Snapped delays
+    factor depends on t.  A :class:`FunctionalWitness` caches its folded
+    matrices (``FunctionalWitness.folded``), and a trajectory the outer
+    products of all its rows (``Trajectory.gram_rows``), so a call then
+    slices the window's rows and takes one ``vdot``.  Any other mapping is
+    checked and folded anew on every call, so it follows changes made in
+    place; wrap it once, or use ``criteria_lmi.th2_functional_params``, to
+    evaluate it at many times.  A witness value for another functional than
+    ``which`` raises ValueError, as does a non-finite entry.  Snapped delays
     are used throughout so V is consistent with the discretized dynamics;
     t must be a scalar grid time in [0, T - max(tau)].
-    A witness with a non-finite entry raises ValueError.
     """
     try:
         t = float(t)
@@ -481,71 +562,34 @@ def eval_functional(
     if t < -1e-12 or t > traj.T - tau + 1e-12:
         raise ValueError(f"t={t} outside [0, T - tau] = [0, {traj.T - tau:.6g}]")
     k = traj.index_of(t)
-    C = _functional_terms(sys, traj, which, witness)
+    if not isinstance(witness, FunctionalWitness):
+        witness = FunctionalWitness(which, witness)
+    elif witness.which != which:
+        raise ValueError(f"the witness is for the {witness.which} functional, not {which!r}")
+    C = witness.folded(sys, traj)
     return float(np.vdot(C, traj.gram_rows[k + 1 - C.shape[0] : k + 1]))
 
 
-# (key, C) of the last folded matrices _functional_terms built.  One tuple,
-# read and replaced in one statement each, so concurrent callers can at worst
-# build the same matrices twice.
-_memo: tuple = (None, None)
-
-
-def _functional_terms(sys: IdsSystem, traj: Trajectory, which: str, witness: dict) -> np.ndarray:
-    """The t-independent part of :func:`eval_functional`: C with row k the
-    flattened n x n matrix sum_j coef[j, k] M_j, for the term matrices M_j
-    and their trapezoid-times-weight coefficients at lag k of the longest
-    window.
-
-    The last C is reused while its key matches: the functional, the grid,
-    delta/eps, the group sizes, the shape of every witness matrix and A_i,
-    and the bytes of all their values.  A witness changed in place therefore
-    gets a new C, and a rejected witness is never stored.
-    """
-    global _memo
+def _fold(fw: FunctionalWitness, sys: IdsSystem, traj: Trajectory) -> np.ndarray:
+    """``FunctionalWitness.folded``, built: the witness's matrices must be
+    n x n, and each list must have one per delay (amc's and th1's P
+    counting with theirs)."""
     taus = traj.tau_snapped
     n, N = traj.n, len(taus)
-    if which == "amc":
-        names, groups, scalars = ("P, Q_i",), ([witness["P"], *witness["Q"]],), ()
-    elif which == "th1":
-        names, groups, scalars = ("P, S_i",), ([witness["P"], *witness["S"]],), ()
-    elif which == "th2":
-        names, groups = ("R_i", "Q_i"), (witness["R"], witness["Q"])
-        scalars = (float(witness["delta"]), float(witness["eps"]))
+    which, w = fw.which, fw.witness
+    if which == "th2":
+        groups, count = {"R_i": w["R"], "Q_i": w["Q"]}, N
     else:
-        raise ValueError(f"unknown functional {which!r}; expected amc, th1, or th2")
-    sizes = tuple(map(len, groups))
-    arrays = [np.asarray(M, dtype=float) for M in (*chain.from_iterable(groups), *sys.A)]
-    key = (
-        which,
-        n,
-        traj.h,
-        taus,
-        scalars,
-        sizes,
-        tuple([M.shape for M in arrays]),
-        b"".join([M.tobytes() for M in arrays]),
-    )
-    memo = _memo
-    if memo[0] == key:
-        return memo[1]
-
-    stacks, lo = [], 0
-    count = N if which == "th2" else N + 1
-    for what, size in zip(names, sizes):
-        Ms = arrays[lo : lo + size]
-        lo += size
+        rest = _FUNCTIONALS[which][1]
+        groups, count = {f"P, {rest}_i": (w["P"], *w[rest])}, N + 1
+    stacks = []
+    for what, Ms in groups.items():
         for M in Ms:
             if M.shape != (n, n):
                 raise ValueError(f"{what} has shape {M.shape}, expected ({n}, {n})")
         if len(Ms) != count:
             raise ValueError(f"expected {count} matrices {what}, got {len(Ms)}")
-        stack = np.array(Ms)
-        if not np.isfinite(stack).all():
-            raise ValueError(f"{what} has a non-finite entry")
-        stacks.append(stack)
-    if not all(map(math.isfinite, scalars)):
-        raise ValueError(f"delta = {scalars[0]} and eps = {scalars[1]} must be finite")
+        stacks.append(np.array(Ms))
 
     h = traj.h
     m = [int(round(ti / h)) for ti in taus]
@@ -559,18 +603,15 @@ def _functional_terms(sys: IdsSystem, traj: Trajectory, which: str, witness: dic
         win, a, b = [mmax, *m], [1.0] * (N + 1), [0.0] + [1.0 / ti for ti in taus]
     else:
         Rs, Qs = stacks
-        delta, eps = scalars
         As = np.asarray(sys.A, dtype=float)
         W = np.asarray(taus)[:, None, None] * np.swapaxes(As, 1, 2) @ np.linalg.inv(Qs) @ As
-        W.reshape(N, n * n)[:, :: n + 1] += delta  # W_i + delta I
+        W.reshape(N, n * n)[:, :: n + 1] += w["delta"]  # W_i + delta I
         mats = np.concatenate([Rs, W])
-        win, a, b = m + m, [eps] * N + list(taus), [0.0] * N + [1.0] * N
+        win, a, b = m + m, [w["eps"]] * N + list(taus), [0.0] * N + [1.0] * N
 
     a, b = np.array([a, b])[:, :, None]
     coef = _trapezoid_weights(win, h, mmax) * (a + b * ((np.arange(mmax + 1) - mmax) * h))
-    C = coef.T @ mats.reshape(len(win), n * n)
-    _memo = (key, C)
-    return C
+    return coef.T @ mats.reshape(len(win), n * n)
 
 
 def export_csv(traj: Trajectory, fh, decay: tuple[float, float] | None = None) -> None:

@@ -1,11 +1,7 @@
 """No module of the package keeps mutable state behind a ``global``
-statement: data derived from a system or a trajectory is cached on that
-immutable value, not in a module-level memo.
-
-One ``global`` remains, the folded-matrix memo of
-``simulator._functional_terms``.  Its key compares the caller's witness
-dict by value, and the functional API that evaluates an array of times
-(ROADMAP item 5) removes it.  Any other ``global`` fails here.
+statement: data derived from a system, a trajectory or a functional's
+witness is cached on that immutable value, not in a module-level memo.
+Any ``global`` fails here.
 """
 
 import ast
@@ -13,7 +9,7 @@ from pathlib import Path
 
 import ids_stability
 
-ALLOWED = {("simulator.py", "_functional_terms")}
+ALLOWED = set()
 
 
 def _functions_with_global(tree: ast.Module):
@@ -23,7 +19,7 @@ def _functions_with_global(tree: ast.Module):
                 yield fn.name
 
 
-def test_only_the_functional_memo_uses_global():
+def test_no_module_uses_global():
     found = {
         (path.name, name)
         for path in Path(ids_stability.__file__).parent.glob("*.py")

@@ -18,6 +18,7 @@ from ids_stability.criteria_lmi import build_amc, build_th2_lmi
 from ids_stability.model import IdsSystem, benchmark_system, validate_system
 from ids_stability import simulator as simulator_module
 from ids_stability.simulator import (
+    FunctionalWitness,
     HistorySpec,
     SimulationError,
     Trajectory,
@@ -681,13 +682,7 @@ def test_functional_matches_per_term_quadrature(n, N):
             assert eval_functional(sys, traj, which, w, np.float64(t)) == got
 
 
-def _cold(monkeypatch, *args):
-    """eval_functional with its memo emptied first."""
-    monkeypatch.setattr(simulator_module, "_memo", (None, None))
-    return eval_functional(*args)
-
-
-def test_functional_memo_matches_cold_evaluation(monkeypatch):
+def test_functional_memo_matches_cold_evaluation():
     # 0.1035 snaps to 10 steps at h = 0.01 and to 21 steps at h = 0.005, so
     # the first two trajectories differ in h and in their snapped delays, the
     # last two only in their delays, and the first and last only in h
@@ -705,18 +700,21 @@ def test_functional_memo_matches_cold_evaluation(monkeypatch):
     rng = np.random.default_rng(13)
     pair = [_witnesses(rng, 2, 2) for _ in range(2)]
     for which in ("amc", "th1", "th2"):
-        # each (system, trajectory, witness) is built, reused at the later
-        # times, evicted by the next, and built again
+        # each value folds its matrices for a (system, grid), reuses them at
+        # the later times, replaces them for the next grid, and folds them
+        # again; a plain dict is folded anew on every call
+        values = [FunctionalWitness(which, w[which]) for w in pair]
         calls = [
-            (s, traj, w[which], t)
+            (s, traj, j, t)
             for _ in range(2)
-            for w in pair
+            for j in range(2)
             for s, traj in runs + runs[:1]
             for t in (0.0, 0.37, 2.4)
         ]
-        warm = [eval_functional(s, traj, which, w, t) for s, traj, w, t in calls]
-        for (s, traj, w, t), got in zip(calls, warm):
-            assert got == _cold(monkeypatch, s, traj, which, w, t), (which, traj.h, t)
+        warm = [eval_functional(s, traj, which, values[j], t) for s, traj, j, t in calls]
+        for (s, traj, j, t), got in zip(calls, warm):
+            w = pair[j][which]
+            assert got == eval_functional(s, traj, which, w, t), (which, traj.h, t)
             ref = _reference_functional(s, traj, which, w, t)
             assert abs(got - ref) <= 1e-12 * abs(ref), (which, traj.h, t)
 
@@ -751,57 +749,76 @@ def test_functional_guards_hold_after_a_memo_hit():
     sys = benchmark_system(0.3, 0.1)
     traj = _constant_trajectory(sys, [1.0, 0.0], 0.01, 2.0)
     w = {"P": np.eye(2), "Q": [np.eye(2), np.eye(2)]}
-    V = eval_functional(sys, traj, "amc", w, 0.5)
+    fw = FunctionalWitness("amc", w)
+    V = eval_functional(sys, traj, "amc", fw, 0.5)
+    assert eval_functional(sys, traj, "amc", fw, 0.5) == V
     assert eval_functional(sys, traj, "amc", w, 0.5) == V
     # the same bytes as a valid P, in another shape
     flat = {"P": np.eye(2).reshape(1, 4), "Q": w["Q"]}
     with pytest.raises(ValueError, match="shape"):
         eval_functional(sys, traj, "amc", flat, 0.5)
+    short = {"P": w["P"], "Q": w["Q"][:1]}
     with pytest.raises(ValueError, match="expected 3 matrices"):
-        eval_functional(sys, traj, "amc", {"P": w["P"], "Q": w["Q"][:1]}, 0.5)
+        eval_functional(sys, traj, "amc", short, 0.5)
+    with pytest.raises(ValueError, match="expected 3 matrices"):
+        eval_functional(sys, traj, "amc", FunctionalWitness("amc", short), 0.5)
     with pytest.raises(ValueError, match="unknown functional"):
         eval_functional(sys, traj, "nope", w, 0.5)
+    # a value answers only for the functional it was built for
+    for which in ("nope", "th1"):
+        with pytest.raises(ValueError, match="witness is for the amc functional"):
+            eval_functional(sys, traj, which, fw, 0.5)
     with pytest.raises(ValueError, match="not on the simulation grid"):
-        eval_functional(sys, traj, "amc", w, 0.503)
+        eval_functional(sys, traj, "amc", fw, 0.503)
     with pytest.raises(ValueError, match="outside"):
-        eval_functional(sys, traj, "amc", w, 1.9)
-    assert eval_functional(sys, traj, "amc", w, 0.5) == V
+        eval_functional(sys, traj, "amc", fw, 1.9)
+    assert eval_functional(sys, traj, "amc", fw, 0.5) == V
 
 
 def test_functional_rejects_non_finite_witness():
     sys = benchmark_system(0.3, 0.1)
     traj = _constant_trajectory(sys, [1.0, 0.0], 0.01, 2.0)
-    good = {"P": np.eye(2), "Q": [np.eye(2), np.eye(2)]}
+    good = FunctionalWitness("amc", {"P": np.eye(2), "Q": [np.eye(2), np.eye(2)]})
     V = eval_functional(sys, traj, "amc", good, 0.5)
-    memo = simulator_module._memo
     P = np.eye(2)
     P[0, 1] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        eval_functional(sys, traj, "amc", {**good, "P": P}, 0.5)
     th2 = {"R": [np.eye(2)] * 2, "Q": [np.eye(2)] * 2, "delta": 0.1, "eps": 0.5}
-    with pytest.raises(ValueError, match="non-finite"):
-        eval_functional(sys, traj, "th2", {**th2, "Q": [np.eye(2), np.full((2, 2), np.inf)]}, 0.5)
-    for field in ("delta", "eps"):
-        with pytest.raises(ValueError, match="must be finite"):
-            eval_functional(sys, traj, "th2", {**th2, field: np.nan}, 0.5)
-    # a rejected witness is never stored
-    assert simulator_module._memo is memo
+    bad = [
+        ("amc", {**good, "P": P}, "non-finite"),
+        ("th2", {**th2, "Q": [np.eye(2), np.full((2, 2), np.inf)]}, "non-finite"),
+        *(("th2", {**th2, field: np.nan}, "must be finite") for field in ("delta", "eps")),
+    ]
+    for which, witness, message in bad:
+        # no value holding a non-finite entry can be built
+        with pytest.raises(ValueError, match=message):
+            FunctionalWitness(which, witness)
+        with pytest.raises(ValueError, match=message):
+            eval_functional(sys, traj, which, witness, 0.5)
     assert eval_functional(sys, traj, "amc", good, 0.5) == V
 
 
 def test_functional_memo_is_safe_across_two_threads():
+    # both threads evaluate both values, each thread with its own system, so
+    # every value's cached matrices keep switching between the two systems
     system = _random_system(2, 2)
+    halved = validate_system(IdsSystem(A=tuple(0.5 * Ai for Ai in system.A), tau=system.tau))
+    systems = (system, halved)
     traj = simulate(system, HistorySpec.random_smooth(4), h=0.01, T=3.0)
     rng = np.random.default_rng(5)
-    pair = [_witnesses(rng, 2, 2)["th2"] for _ in range(2)]
+    pair = [FunctionalWitness("th2", _witnesses(rng, 2, 2)["th2"]) for _ in range(2)]
     ts = np.round(np.arange(0.0, 2.7, 0.01), 10)
-    serial = [[eval_functional(system, traj, "th2", w, t) for t in ts] for w in pair]
+    serial = [
+        [eval_functional(s, traj, "th2", dict(w), t) for t in ts for w in pair] for s in systems
+    ]
     rounds = 3
     results = [None, None]
 
     def work(j):
         results[j] = [
-            eval_functional(system, traj, "th2", pair[j], t) for _ in range(rounds) for t in ts
+            eval_functional(systems[j], traj, "th2", w, t)
+            for _ in range(rounds)
+            for t in ts
+            for w in pair
         ]
 
     threads = [threading.Thread(target=work, args=(j,)) for j in range(2)]
@@ -818,18 +835,17 @@ def test_functional_memo_is_safe_across_two_threads():
     assert results == [vals * rounds for vals in serial]
 
 
-def test_functional_takes_one_inverse_per_trajectory(monkeypatch):
-    # rebuilding th2's W_i, or its folded matrices, on every call would invert
-    # the Q_i and build the trapezoid weights 294 times here
-    calls = []
-    weight_builds = []
+def _count_folds(monkeypatch):
+    """Patch the simulator to count ``np.linalg.inv`` calls and trapezoid
+    weight builds; returns the two lists the counts are appended to."""
+    inverses, weight_builds = [], []
 
     class CountingLinalg:
         def __getattr__(self, name):
             return getattr(np.linalg, name)
 
         def inv(self, *args, **kwargs):
-            calls.append(1)
+            inverses.append(1)
             return np.linalg.inv(*args, **kwargs)
 
     class CountingNumpy:
@@ -838,24 +854,75 @@ def test_functional_takes_one_inverse_per_trajectory(monkeypatch):
         def __getattr__(self, name):
             return getattr(np, name)
 
-    sys = benchmark_system(0.3, 0.3)
-    traj = simulate(sys, HistorySpec.random_smooth(1), h=0.005, T=15.0)
-    w = _witnesses(np.random.default_rng(1), 2, 2)["th2"]
-    monkeypatch.setattr(simulator_module, "_memo", (None, None))
-    monkeypatch.setattr(simulator_module, "np", CountingNumpy())
     trapezoid_weights = simulator_module._trapezoid_weights
 
     def counting_weights(*args):
         weight_builds.append(1)
         return trapezoid_weights(*args)
 
+    monkeypatch.setattr(simulator_module, "np", CountingNumpy())
     monkeypatch.setattr(simulator_module, "_trapezoid_weights", counting_weights)
+    return inverses, weight_builds
+
+
+def test_functional_takes_one_inverse_per_trajectory(monkeypatch):
+    # rebuilding th2's W_i, or its folded matrices, on every call would invert
+    # the Q_i and build the trapezoid weights 294 times here
+    sys = benchmark_system(0.3, 0.3)
+    traj = simulate(sys, HistorySpec.random_smooth(1), h=0.005, T=15.0)
+    w = FunctionalWitness("th2", _witnesses(np.random.default_rng(1), 2, 2)["th2"])
+    inverses, weight_builds = _count_folds(monkeypatch)
     ts = np.round(np.arange(0.0, traj.T - max(traj.tau_snapped), 0.05), 10)
     assert len(ts) == 294
     for t in ts:
         eval_functional(sys, traj, "th2", w, t)
-    assert len(calls) == 1
+    assert len(inverses) == 1
     assert len(weight_builds) == 1
+
+
+def test_functional_value_folds_once_for_all_trajectories_of_a_system(monkeypatch):
+    # the benchmark's pattern: one witness per system, evaluated on several
+    # of its trajectories at 294 times each.  They share the system and the
+    # grid, so the value folds once; a cache kept per trajectory would fold
+    # twice here, and none at all 588 times
+    sys = benchmark_system(0.3, 0.3)
+    trajs = [simulate(sys, HistorySpec.random_smooth(seed), h=0.005, T=15.0) for seed in (1, 2)]
+    w = FunctionalWitness("th2", _witnesses(np.random.default_rng(1), 2, 2)["th2"])
+    inverses, weight_builds = _count_folds(monkeypatch)
+    ts = np.round(np.arange(0.0, trajs[0].T - max(trajs[0].tau_snapped), 0.05), 10)
+    assert len(ts) == 294
+    for traj in trajs:
+        for t in ts:
+            V = eval_functional(sys, traj, "th2", w, t)
+        ref = _reference_functional(sys, traj, "th2", w, ts[-1])
+        assert abs(V - ref) <= 1e-12 * abs(ref)
+    assert len(inverses) == 1
+    assert len(weight_builds) == 1
+
+
+def test_th2_functional_params_hold_read_only_copies():
+    # the certificate must not follow later edits of the solver's witness
+    sys = benchmark_system(0.3, 0.11)
+    traj = simulate(sys, make_compatible(sys, HistorySpec.random_smooth(5)), h=0.01, T=3.0)
+    rep = solve_feasibility(build_th2_lmi(sys))
+    assert rep.feasible
+    params = th2_functional_params(sys, [rep.witness["Q1"], rep.witness["Q2"]])
+    assert isinstance(params, FunctionalWitness) and params.which == "th2"
+    assert set(params) == {"R", "Q", "delta", "eps"} and len(params) == 4
+    V = eval_functional(sys, traj, "th2", params, 0.5)
+    Q1 = rep.witness["Q1"].copy()
+    rep.witness["Q1"][0, 0] += 1.0
+    assert eval_functional(sys, traj, "th2", params, 0.5) == V
+    np.testing.assert_array_equal(params["Q"][0], Q1)
+    for M in (*params["R"], *params["Q"]):
+        assert M.dtype == np.float64 and not M.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            M[0, 0] = 0.0
+    with pytest.raises(FrozenInstanceError):
+        params.which = "amc"
+    with pytest.raises(TypeError):
+        params.witness["delta"] = 0.0
+    assert eval_functional(sys, traj, "th2", params, 0.5) == V
 
 
 def test_functional_builds_gram_rows_once_per_trajectory(monkeypatch):
