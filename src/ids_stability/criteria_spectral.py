@@ -5,9 +5,9 @@ exponentially stable when it is below 1/N, and ``spectral_margin`` gives the
 delay at which it reaches 1/N in closed form.  Weighted variants replace the
 uniform 1/N split by the point of the open simplex that minimizes the weighted
 radius, which is convex in the weights: safeguarded secant steps on a
-bracket of the sign of its Perron gradient for two delays; for more, a Perron
-fixed point of the KKT condition where the Perron root is smooth, and
-ellipsoid cuts on the same gradient where not.
+bracket of the sign of its Perron gradient for two delays; for more, Newton
+steps with the Perron root's exact Hessian to a Frank-Wolfe certificate
+where the root is smooth, and ellipsoid cuts on the same gradient where not.
 """
 
 from __future__ import annotations
@@ -174,12 +174,12 @@ def dominant_index(w: np.ndarray) -> int | None:
     return int(idx[w.real[idx].argmax()]) if idx.size else None
 
 
-def _perron_gradient(Ks: np.ndarray, alpha: np.ndarray) -> tuple[float, np.ndarray | None]:
-    """(phi, d phi/d alpha) for the stacked K_i from one eigendecomposition
-    V diag(w) V^-1 of M = sum_i K_i / alpha_i: -u.K_i v / alpha_i^2 with v
-    the column of V and u the row of V^-1 (u.v = 1) of the real dominant
-    eigenvalue.  The gradient is None where there is none or it is not
-    finite."""
+def _perron_gradient(Ks: np.ndarray, alpha: np.ndarray) -> tuple[float, np.ndarray | None, tuple | None]:
+    """(phi, d phi/d alpha, (w, V, V^-1, i)) for the stacked K_i from one
+    eigendecomposition V diag(w) V^-1 of M = sum_i K_i / alpha_i: -u.K_i v /
+    alpha_i^2 with v the column of V and u the row of V^-1 (u.v = 1) of the
+    real dominant eigenvalue w_i.  The gradient and the decomposition are
+    None where there is none or it is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         M = sum(K / a for K, a in zip(Ks, alpha))
         if not np.isfinite(M).all():
@@ -187,13 +187,31 @@ def _perron_gradient(Ks: np.ndarray, alpha: np.ndarray) -> tuple[float, np.ndarr
         w, V = np.linalg.eig(M)
         rho, i = float(np.abs(w).max()), dominant_index(w)
         if i is None:
-            return rho, None
+            return rho, None, None
         try:
-            u = np.linalg.inv(V)[i].real
+            Vi = np.linalg.inv(V)
         except np.linalg.LinAlgError:  # dependent eigenvectors
-            return rho, None
-        g = -(Ks @ V[:, i].real) @ u / (alpha * alpha)
-    return rho, g if np.isfinite(g).all() else None
+            return rho, None, None
+        g = -(Ks @ V[:, i].real) @ Vi[i].real / (alpha * alpha)
+    return (rho, g, (w, V, Vi, i)) if np.isfinite(g).all() else (rho, None, None)
+
+
+def _perron_jacobian(Ks: np.ndarray, alpha: np.ndarray):
+    """(phi, g, J): _perron_gradient's phi and g, and J = -diag(1/(2 g)) H
+    diag(alpha) for optimize_weights' Hessian H, None where a tie couples."""
+    rho, g, eig = _perron_gradient(Ks, alpha)
+    if g is None:
+        return rho, None, None
+    w, V, Vi, p = eig
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        Kv, u, lam = Ks @ V[:, p].real, Vi[p].real, w[p].real
+        R, C = (u @ Ks) @ V, Kv @ Vi.T
+        R[:, p] = C[:, p] = 0.0
+        tie = np.abs(lam - w) <= 1e-9 * lam
+        if (((np.abs(R) + np.abs(C)) / alpha[:, None])[:, tie] > 1e-9 * lam).any():
+            return rho, g, None
+        S = (np.where(tie, 0.0, R / (lam - w)) @ C.T).real
+        return rho, g, np.eye(len(alpha)) + (S + S.T) / np.outer(-2.0 * g * alpha * alpha, alpha)
 
 
 def _two_weights(Ks, delta: float) -> tuple[float, float]:
@@ -210,7 +228,7 @@ def _two_weights(Ks, delta: float) -> tuple[float, float]:
     slope of one sign, or unknown at an end, gives the better end."""
 
     def slope(a):
-        rho, g = _perron_gradient(Ks, np.array([a, 1.0 - a]))
+        rho, g, _ = _perron_gradient(Ks, np.array([a, 1.0 - a]))
         if g is None:
             return rho, None, math.nan
         c1, c2 = -g[0] * a * a, -g[1] * (1.0 - a) ** 2
@@ -248,32 +266,40 @@ def _two_weights(Ks, delta: float) -> tuple[float, float]:
     return a, 1.0 - a
 
 
-def _perron_fixed_point(Ks, delta: float) -> tuple[float, ...] | None:
-    """The weights where the damped KKT fixed point of optimize_weights
-    settles, or None when it does not settle within 200 steps, stalls (its
-    largest weight move sets no new minimum for 10 steps in a row, as when it
-    cycles at a kink) or meets a matrix with no Perron gradient or no
-    direction."""
-    alpha = np.full(len(Ks), 1.0 / len(Ks))
-    best, stalled = np.inf, 0
-    for _ in range(200):
-        _, g = _perron_gradient(Ks, alpha)
-        if g is None:
-            return None
-        ahat = alpha * np.sqrt(np.abs(g))  # sqrt(|u.K_i v|)
-        if not ahat.sum() > 0.0:  # no direction, e.g. nilpotent terms
-            return None
-        free = ahat >= delta * ahat.sum()  # the others are clipped at delta
-        step = np.sqrt(alpha * np.where(free, ahat / ahat[free].sum(), delta))
-        step /= step.sum()
-        move = np.abs(step - alpha).max()
-        if move < 1e-13:
-            return tuple(float(a) for a in alpha)
-        best, stalled = (move, 0) if move < best else (best, stalled + 1)
-        if stalled == 10:
-            return None
-        alpha = step
-    return None
+def _newton_weights(Ks, delta: float):
+    """(phi at the uniform point, (alpha, phi), certified): optimize_weights'
+    Newton search, its certified point or where it hands over its best."""
+    N = len(Ks)
+    a, phi, t = np.full(N, 1.0 / N), np.inf, 1.0
+    for _ in range(100):
+        phi_a, g, J = _perron_jacobian(Ks, a)
+        phi_uniform = phi_a if phi == np.inf else phi_uniform
+        f = min(delta, a.min())
+        if g is not None and g @ a - f * g.sum() - (1.0 - N * f) * g.min() <= 1e-12 * phi_a:
+            return phi_uniform, (tuple(float(x) for x in a), phi_a), True
+        if phi_a < phi:
+            alpha, phi, t = a, phi_a, 1.0
+            if J is None:
+                break
+            share = alpha * np.sqrt(np.abs(g))
+            clip = share < delta * share.sum()
+            free = np.flatnonzero(~clip)
+            dy = np.where(clip, np.log(delta / (1.0 + delta * clip.sum()) / alpha), 0.0)
+            KKT = np.block([[J[np.ix_(free, free)], -np.ones((free.size, 1))], [alpha[free], 0.0]])
+            rhs = np.append(np.log(share[free] / alpha[free]) - J[free] @ dy, 0.0)
+            try:
+                dy[free] = np.linalg.solve(KKT, rhs)[:-1]
+            except np.linalg.LinAlgError:
+                break
+            if not np.isfinite(dy).all():
+                break
+        elif t > 0.1:
+            t *= 0.5
+        else:
+            break
+        a = alpha * np.exp(t * dy)
+        a[free] *= (1.0 - a[clip].sum()) / a[free].sum()
+    return phi_uniform, (tuple(float(x) for x in alpha), phi), False
 
 
 def _ellipsoid_weights(Ks, delta: float) -> tuple[tuple[float, ...], float]:
@@ -296,7 +322,7 @@ def _ellipsoid_weights(Ks, delta: float) -> tuple[tuple[float, ...], float]:
         if a[i] < floor:
             rho, g = None, (np.ones(n) if i == n else -np.eye(n)[i])
         else:
-            rho, grad = _perron_gradient(Ks, a)
+            rho, grad, _ = _perron_gradient(Ks, a)
             if rho < phi:
                 phi, alpha = rho, a
             if grad is None:
@@ -330,22 +356,24 @@ def optimize_weights(sys: IdsSystem) -> tuple[tuple[float, ...], float]:
     on the KKT residual to a certified 1e-12 gap (phi is convex, below), in
     8-12 eigendecompositions on the paper system.
 
-    For N>=3 a Perron fixed point solves the KKT condition: an interior
-    minimum has alpha_i proportional to sqrt(u.K_i v) = alpha_i sqrt(|d
-    phi/d alpha_i|).  Each step takes that point ahat from the gradient,
-    sets a share below delta = 1e-3 to delta and rescales the others to sum
-    to 1 (so k clipped weights settle at delta / (1 + k delta)), and moves
-    halfway in log space, as the undamped step can cycle: alpha <-
-    normalise(sqrt(alpha * ahat)).  The iteration has settled once no weight
-    moves by 1e-13.  There it meets the KKT condition of the root it
-    followed; that root is convex (below), never above phi and equal to phi
-    there, so the point minimizes phi.  Where the radius is the Perron root
-    of two or more decoupled blocks (diagonal or triangular A_i), phi has
-    kinks, the followed block flips from step to step and the iteration
-    cycles.  When it has not settled after 200 steps, stalls (no new
-    smallest weight move for 10 steps in a row), or finds no gradient or no
-    direction, ``_ellipsoid_weights`` cuts on the same gradient, a
-    subgradient at a kink, to within 1e-13 of a proved lower bound.
+    For N>=3 Newton's method, from the uniform point, solves the KKT
+    condition alpha_i proportional to the share sqrt(c_i) = alpha_i
+    sqrt(|g_i|), c_i = u.K_i v.  With P_i = V^-1 K_i V, lambda = w_p, R_ik =
+    P_i[p, k] and C_ik = P_i[k, p] from the same eigendecomposition, the
+    Hessian of a simple root is H_ij = [i = j] 2 c_i / alpha_i^3 + Re
+    sum_{k != p} (R_ik C_jk + R_jk C_ik) / ((lambda - w_k) alpha_i^2
+    alpha_j^2), without the w_k within 1e-9 lambda of lambda whose couplings
+    R_ik/alpha_i, C_ik/alpha_i are below 1e-9 lambda (commuting terms).  The
+    k weights with shares below delta = 1e-3 of the total step to delta / (1
+    + k delta); the others take a Newton step on y_i - log(share_i) = const
+    in y = log alpha (Jacobian -H_ij alpha_j / (2 g_i), sum alpha_i dy_i =
+    0), fill the simplex and are halved until phi falls, until the
+    Frank-Wolfe gap g.alpha - min g.beta over the simplex with all beta_i >=
+    min(delta, min alpha), a bound on phi - min phi there as phi is convex,
+    is within 1e-12 phi.  A tie that couples (a kink), no real dominant
+    eigenvalue, a value that is not finite, four halvings without descent or
+    100 evaluations hand over to the cuts of ``_ellipsoid_weights`` on the
+    gradient; the better of their point and Newton's best is kept.
 
     A point that meets the KKT condition is the global minimum: phi is
     convex (Kingman 1961; Nussbaum 1986).  The Kronecker sum at weights
@@ -376,14 +404,16 @@ def _minimize_weights(sys: IdsSystem) -> tuple[tuple[float, ...], float]:
 
     delta = 1e-3
     uniform = tuple(1.0 / N for _ in range(N))
-    rho_uniform = rho_at(uniform)
-
     if N == 2:
+        rho_uniform = rho_at(uniform)
         cand = _two_weights(Ks, delta)
+        found = cand, rho_at(cand)
     else:
-        cand = _perron_fixed_point(Ks, delta) or _ellipsoid_weights(Ks, delta)[0]
-    r = rho_at(cand)
-    return (cand, r) if r < rho_uniform else (uniform, rho_uniform)
+        rho_uniform, found, certified = _newton_weights(Ks, delta)
+        if not certified:
+            cand = _ellipsoid_weights(Ks, delta)[0]
+            found = min(found, (cand, rho_at(cand)), key=lambda x: x[1])
+    return found if found[1] < rho_uniform else (uniform, rho_uniform)
 
 
 def operator_block(sys: IdsSystem) -> np.ndarray:

@@ -271,16 +271,28 @@ def test_perron_gradient_matches_central_differences(seed):
     def phi(alpha):
         return spectral_radius(sum(K / a for K, a in zip(Ks, alpha)))
 
-    rho, g = criteria_spectral._perron_gradient(Ks, alpha)
+    rho, g, _ = criteria_spectral._perron_gradient(Ks, alpha)
     assert abs(rho - phi(alpha)) <= 1e-12 * rho
     for e in 1e-6 * np.eye(3):
         fd = (phi(alpha + e) - phi(alpha - e)) / 2e-6
         assert abs(g @ e / 1e-6 - fd) <= 1e-6 * abs(fd)
+    # Newton's Jacobian -H_ij alpha_j / (2 g_i) from the same
+    # eigendecomposition, against central differences of g for the Hessian H
+    rho_j, g_j, J = criteria_spectral._perron_jacobian(Ks, alpha)
+    assert rho_j == rho
+    np.testing.assert_array_equal(g_j, g)
+    def grad(alpha):
+        return criteria_spectral._perron_gradient(Ks, alpha)[1]
+
+    H = np.column_stack([(grad(alpha + e) - grad(alpha - e)) / 2e-6 for e in 1e-6 * np.eye(3)])
+    np.testing.assert_allclose(J, -0.5 * H * alpha / g[:, None], rtol=1e-5, atol=1e-6)
 
 
 def test_perron_gradient_is_none_without_a_real_dominant_eigenvalue():
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-    assert criteria_spectral._perron_gradient(np.stack([rot, rot]), (0.5, 0.5)) == (4.0, None)
+    assert criteria_spectral._perron_gradient(np.stack([rot, rot]), (0.5, 0.5)) == (4.0, None, None)
+    # so Newton hands over at once and keeps the uniform point
+    assert criteria_spectral._newton_weights(np.stack([rot] * 3), 1e-3) == (9.0, ((1 / 3,) * 3, 9.0), False)
 
 
 def test_spectral_radius_rejects_non_finite_and_stacked_matrices():
@@ -328,7 +340,7 @@ def three_term_optima():
 
 
 # Decoupled blocks: the radius is the larger of two Perron roots, phi has a
-# kink at the minimum and the fixed point cycles, so the ellipsoid finishes.
+# kink at the minimum, Newton hands over and the ellipsoid finishes.
 REDUCIBLE = [
     IdsSystem(A=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.zeros((2, 2))), tau=(0.65,) * 3),
     IdsSystem(
@@ -344,35 +356,36 @@ def reducible_optima():
     return [(s, optimize_weights(s)) for s in systems]
 
 
-def test_fixed_point_settles_on_the_corpus_and_cycles_at_kinks(three_term_optima):
-    def settles(s):
-        Ks = [t * t * kron(A, A) for A, t in zip(s.A, s.tau)]
-        return criteria_spectral._perron_fixed_point(Ks, 1e-3) is not None
-
-    assert all(settles(s) for s, _ in three_term_optima)
-    assert not any(settles(validate_system(s)) for s in REDUCIBLE)
+def _stacked(s):
+    return np.stack([t * t * kron(A, A) for A, t in zip(s.A, s.tau)])
 
 
-def test_fixed_point_gives_up_early_at_kinks(monkeypatch):
-    # one eig call per step: 11 and 62 steps, not the 200-step cap
+def test_newton_certifies_the_corpus_and_hands_kinks_over(three_term_optima):
+    assert len(three_term_optima) == 68
+    assert all(criteria_spectral._newton_weights(_stacked(s), 1e-3)[2] for s, _ in three_term_optima)
+    assert all(not criteria_spectral._newton_weights(_stacked(validate_system(s)), 1e-3)[2] for s in REDUCIBLE)
+
+
+def test_newton_hands_over_early_at_kinks(monkeypatch):
+    # one eig call per evaluation; the fixed point it replaced gave up after 11 and 62
     calls = []
     eig = np.linalg.eig
     monkeypatch.setattr(np.linalg, "eig", lambda X: calls.append(1) or eig(X))
     counts = []
     for s in map(validate_system, REDUCIBLE):
         del calls[:]
-        Ks = [t * t * kron(A, A) for A, t in zip(s.A, s.tau)]
-        assert criteria_spectral._perron_fixed_point(Ks, 1e-3) is None
+        assert not criteria_spectral._newton_weights(_stacked(s), 1e-3)[2]
         counts.append(len(calls))
-    assert counts == [11, 62]
+    assert counts == [6, 8]
 
 
 def _fixed_point_without_stall_exit(Ks, delta=1e-3):
-    """_perron_fixed_point without its stall exit: it stops only when
-    settled or after 200 steps."""
+    """The damped KKT fixed point that optimize_weights ran at N >= 3
+    before Newton, without its stall exit: it stops only when settled or
+    after 200 steps."""
     alpha = np.full(len(Ks), 1.0 / len(Ks))
     for _ in range(200):
-        _, g = criteria_spectral._perron_gradient(Ks, alpha)
+        g = criteria_spectral._perron_gradient(Ks, alpha)[1]
         ahat = alpha * np.sqrt(np.abs(g))
         free = ahat >= delta * ahat.sum()
         step = np.sqrt(alpha * np.where(free, ahat / ahat[free].sum(), delta))
@@ -400,14 +413,83 @@ def _two_eig_fixed_point(Ks, delta=1e-3):
     return None
 
 
-def test_stall_exit_leaves_the_corpus_weights_bitwise_equal(three_term_optima):
+def test_a_handed_over_search_keeps_newtons_best_point():
+    # the fourth weight's share is 0.081 % of the total at its free optimum
+    # (8.1e-4) but 0.101 % at the clip value 1e-3 / 1.001, so the clip rule
+    # alternates and Newton hands over; the ellipsoid, whose floor is that
+    # clip value, ends 3.5e-5 above the best point Newton reached
+    A = (
+        np.array([[-0.3, -0.9], [0.4, 0.1]]),
+        np.array([[-2.0, -7.0], [-5.0, -10.0]]),
+        np.array([[0.017, 0.006], [0.02, -0.018]]),
+        np.array([[-0.16, 0.03], [-0.02, -0.05]]),
+    )
+    s = validate_system(IdsSystem(A=A, tau=(0.9, 0.5, 0.3, 0.5)))
+    Ks = _stacked(s)
+    _phi_uniform, best, certified = criteria_spectral._newton_weights(Ks, 1e-3)
+    assert not certified
+    assert best[1] < check_spectral_weighted(s, criteria_spectral._ellipsoid_weights(Ks, 1e-3)[0]).rho
+    assert optimize_weights(s) == best
+
+
+def test_newton_is_never_above_the_fixed_points(three_term_optima):
     assert len(three_term_optima) == 68
-    for s, _ in three_term_optima:
-        Ks = np.stack([t * t * kron(A, A) for A, t in zip(s.A, s.tau)])
-        alpha = criteria_spectral._perron_fixed_point(Ks, 1e-3)
-        assert alpha == _fixed_point_without_stall_exit(Ks)
-        ref = check_spectral_weighted(s, _two_eig_fixed_point(Ks)).rho
-        assert abs(check_spectral_weighted(s, alpha).rho - ref) <= 1e-14 * ref
+    for s, (alpha, _rho) in three_term_optima:
+        Ks = _stacked(s)
+        rho = check_spectral_weighted(s, alpha).rho
+        for reference in (_fixed_point_without_stall_exit, _two_eig_fixed_point):
+            ref = check_spectral_weighted(s, reference(Ks)).rho
+            assert rho - ref <= 1e-14 * ref
+
+
+def test_newton_takes_few_eigendecompositions(monkeypatch, three_term_optima):
+    # the fixed point it replaced took 32-71 on these systems
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda X: calls.append(1) or eig(X))
+    for s, found in three_term_optima:
+        del calls[:]
+        assert optimize_weights(IdsSystem(A=s.A, tau=s.tau)) == found
+        assert 0 < len(calls) <= 12
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("seed", range(8))
+def test_optimize_weights_scalar_systems_meet_the_closed_form(monkeypatch, N, seed):
+    # n = 1: phi = sum_i b_i / alpha_i with b_i = (tau_i a_i)^2, least at
+    # alpha_i proportional to tau_i |a_i| where no share is clipped; the k
+    # clipped ones sit at delta / (1 + k delta)
+    rng = np.random.default_rng(seed)
+    a, tau = rng.standard_normal(N), rng.uniform(0.05, 1.0, N)
+    w = tau * np.abs(a)
+    clip = w < 1e-3 * w.sum()
+    f = 1e-3 / (1.0 + 1e-3 * clip.sum())
+    alpha = np.where(clip, f, w / w[~clip].sum() * (1.0 - f * clip.sum()))
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda X: calls.append(1) or eig(X))
+    got_alpha, got_rho = optimize_weights(validate_system(IdsSystem(A=tuple(a.reshape(N, 1, 1)), tau=tuple(tau))))
+    np.testing.assert_allclose(got_alpha, alpha, rtol=1e-13, atol=0)
+    assert abs(got_rho - (w * w / alpha).sum()) <= 1e-13 * got_rho
+    assert N == 2 or len(calls) <= 4
+
+
+def test_weights_carry_a_frank_wolfe_certificate(three_term_optima, reducible_optima):
+    # phi is convex: phi* >= phi(alpha) - gap over the simplex whose entries
+    # are at least min(delta, min alpha), with gap from the gradient at alpha
+    for s, (alpha, rho) in three_term_optima + reducible_optima:
+        Ks, alpha = _stacked(s), np.array(alpha)
+        phi, g, _ = criteria_spectral._perron_gradient(Ks, alpha)
+        f = min(1e-3, alpha.min())
+        gap = g @ alpha - f * g.sum() - (1 - s.N * f) * g.min()
+        assert gap >= -1e-15 * phi
+        if criteria_spectral._newton_weights(Ks, 1e-3)[2]:
+            assert gap <= 1e-12 * phi
+        else:
+            # at a kink g is one block's gradient, whose bound is weak (here
+            # below 0); the ellipsoid's own bound is the certificate
+            _alpha, bound = criteria_spectral._ellipsoid_weights(Ks, 1e-3)
+            assert 0.0 <= bound <= rho <= bound + 1e-12 * rho
 
 
 def test_optimize_weights_three_terms_reaches_grid_minimum(three_term_optima, reducible_optima):
@@ -508,8 +590,8 @@ _REDUCIBLE_REFERENCE = {
 
 @pytest.mark.parametrize("seed", [11, 12])
 def test_optimize_weights_matches_restarts_on_reducible_systems(seed):
-    # the fixed point cycles at most of these kinks and the ellipsoid
-    # finishes; its lower bound holds wherever it runs
+    # Newton hands most of these kinks over and the ellipsoid finishes; its
+    # lower bound holds wherever it runs
     fallbacks = 0
     for i, (s, ref) in enumerate(zip(_reducible_battery(seed), _REDUCIBLE_REFERENCE[seed], strict=True)):
         if i % 15 == 0:
@@ -520,7 +602,7 @@ def test_optimize_weights_matches_restarts_on_reducible_systems(seed):
         Ks = np.stack([t * t * kron(A, A) for A, t in zip(s.A, s.tau)])
         alpha, bound = criteria_spectral._ellipsoid_weights(Ks, 1e-3)
         assert bound <= check_spectral_weighted(s, alpha).rho
-        fallbacks += criteria_spectral._perron_fixed_point(Ks, 1e-3) is None
+        fallbacks += not criteria_spectral._newton_weights(Ks, 1e-3)[2]
     assert fallbacks >= 10
 
 
@@ -588,7 +670,7 @@ def test_ellipsoid_scales_a_cut_whose_square_overflows():
     A = (np.diag([1e154, 1.0]), np.eye(2), R)
     Ks = np.stack([t * t * kron(a, a) for a, t in zip(A, (0.3, 0.2, 0.1))])
     alpha, bound = criteria_spectral._ellipsoid_weights(Ks, 1e-3)
-    phi, _ = criteria_spectral._perron_gradient(Ks, np.array(alpha))
+    phi = criteria_spectral._perron_gradient(Ks, np.array(alpha))[0]
     assert alpha[0] > 0.99
     assert np.isfinite(bound) and bound <= phi
     assert phi - bound <= 1e-12 * phi
