@@ -4,10 +4,9 @@ The central quantity is rho(sum_i tau_i^2 A_i (x) A_i); the system is
 exponentially stable when it is below 1/N, and ``spectral_margin`` gives the
 delay at which it reaches 1/N in closed form.  Weighted variants replace the
 uniform 1/N split by the point of the open simplex that minimizes the weighted
-radius, which is convex in the weights: safeguarded secant steps on a
-bracket of the sign of its Perron gradient for two delays; for more, Newton
-steps with the Perron root's exact Hessian to a Frank-Wolfe certificate
-where the root is smooth, and ellipsoid cuts on the same gradient where not.
+radius, which is convex in the weights: Newton steps with the Perron root's
+exact Hessian to a Frank-Wolfe certificate where the root is smooth, and
+ellipsoid cuts on the same gradient where not, for any number of delays.
 """
 
 from __future__ import annotations
@@ -196,74 +195,23 @@ def _perron_gradient(Ks: np.ndarray, alpha: np.ndarray) -> tuple[float, np.ndarr
     return (rho, g, (w, V, Vi, i)) if np.isfinite(g).all() else (rho, None, None)
 
 
-def _perron_jacobian(Ks: np.ndarray, alpha: np.ndarray):
-    """(phi, g, J): _perron_gradient's phi and g, and J = -diag(1/(2 g)) H
-    diag(alpha) for optimize_weights' Hessian H, None where a tie couples."""
-    rho, g, eig = _perron_gradient(Ks, alpha)
-    if g is None:
-        return rho, None, None
+def _perron_jacobian(Ks: np.ndarray, alpha: np.ndarray, g: np.ndarray, eig: tuple) -> np.ndarray | None:
+    """J = -diag(1/(2 g)) H diag(alpha) for optimize_weights' Hessian H, from
+    the gradient g and eigendecomposition eig that _perron_gradient gave at
+    alpha; None where a tie couples."""
     w, V, Vi, p = eig
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         Kv, u, lam = Ks @ V[:, p].real, Vi[p].real, w[p].real
         R, C = (u @ Ks) @ V, Kv @ Vi.T
         R[:, p] = C[:, p] = 0.0
         tie = np.abs(lam - w) <= 1e-9 * lam
-        if (((np.abs(R) + np.abs(C)) / alpha[:, None])[:, tie] > 1e-9 * lam).any():
-            return rho, g, None
+        # p ties with itself, and its couplings are zeroed
+        if tie.sum() > 1 and (((np.abs(R) + np.abs(C)) / alpha[:, None])[:, tie] > 1e-9 * lam).any():
+            return None
         S = (np.where(tie, 0.0, R / (lam - w)) @ C.T).real
-        return rho, g, np.eye(len(alpha)) + (S + S.T) / np.outer(-2.0 * g * alpha * alpha, alpha)
-
-
-def _two_weights(Ks, delta: float) -> tuple[float, float]:
-    """Weights (a, 1 - a), a in [delta, 1 - delta], of least phi, on a
-    bracket of the sign of d phi/d a.  With c_i = u.K_i v, read from the
-    same gradient, that slope has the sign of the KKT residual F(z) = z -
-    log(c_1/c_2)/2 at z = logit(a), whose zero a/(1 - a) = sqrt(c_1/c_2) is
-    the optimum.  Each step tries the secant zero of F in z between the
-    ends, with the Illinois safeguard (an end kept twice in a row has its F
-    halved), and the midpoint where F is undefined or the secant leaves the
-    bracket.  phi is convex, so on the bracket it lies between the meet of
-    the end tangents and the larger end value; once these are within 1e-12
-    (or the bracket within 1e-13) the slope's secant zero is returned.  A
-    slope of one sign, or unknown at an end, gives the better end."""
-
-    def slope(a):
-        rho, g, _ = _perron_gradient(Ks, np.array([a, 1.0 - a]))
-        if g is None:
-            return rho, None, math.nan
-        c1, c2 = -g[0] * a * a, -g[1] * (1.0 - a) ** 2
-        F = math.log(a / (1.0 - a)) + 0.5 * (math.log(c2) - math.log(c1)) if c1 > 0.0 and c2 > 0.0 else math.nan
-        return rho, g[0] - g[1], F
-
-    lo, hi = delta, 1.0 - delta
-    (f_lo, g_lo, F_lo), (f_hi, g_hi, F_hi) = slope(lo), slope(hi)
-    if g_lo is None or g_hi is None or g_lo >= 0.0 or g_hi <= 0.0:
-        a = lo if f_lo <= f_hi else hi
-        return a, 1.0 - a
-    kept = None  # the end the last step kept
-    while hi - lo >= 1e-13:
-        x = (f_hi - f_lo + g_lo * lo - g_hi * hi) / (g_lo - g_hi)
-        top = max(f_lo, f_hi)
-        if top - (f_lo + g_lo * (x - lo)) <= 1e-12 * top:
-            break
-        a = 0.5 * (lo + hi)
-        if F_lo < 0.0 < F_hi:  # false where either is nan (undefined)
-            z_lo, z_hi = math.log(lo / (1.0 - lo)), math.log(hi / (1.0 - hi))
-            secant = 1.0 / (1.0 + math.exp(F_lo * (z_hi - z_lo) / (F_hi - F_lo) - z_lo))
-            a = secant if lo < secant < hi else a
-        f, g, F = slope(a)
-        if g is None:
-            break
-        if g < 0.0:
-            lo, f_lo, g_lo, F_lo = a, f, g, F
-            F_hi *= 0.5 if kept == "hi" else 1.0
-            kept = "hi"
-        else:
-            hi, f_hi, g_hi, F_hi = a, f, g, F
-            F_lo *= 0.5 if kept == "lo" else 1.0
-            kept = "lo"
-    a = lo - g_lo * (hi - lo) / (g_hi - g_lo)
-    return a, 1.0 - a
+        J = (S + S.T) / ((-2.0 * g * alpha * alpha)[:, None] * alpha)
+        J.flat[:: len(alpha) + 1] += 1.0
+        return J
 
 
 def _newton_weights(Ks, delta: float):
@@ -272,23 +220,26 @@ def _newton_weights(Ks, delta: float):
     N = len(Ks)
     a, phi, t = np.full(N, 1.0 / N), np.inf, 1.0
     for _ in range(100):
-        phi_a, g, J = _perron_jacobian(Ks, a)
+        phi_a, g, eig = _perron_gradient(Ks, a)
         phi_uniform = phi_a if phi == np.inf else phi_uniform
         f = min(delta, a.min())
         if g is not None and g @ a - f * g.sum() - (1.0 - N * f) * g.min() <= 1e-12 * phi_a:
             return phi_uniform, (tuple(float(x) for x in a), phi_a), True
         if phi_a < phi:
             alpha, phi, t = a, phi_a, 1.0
+            J = None if g is None else _perron_jacobian(Ks, alpha, g, eig)
             if J is None:
                 break
             share = alpha * np.sqrt(np.abs(g))
             clip = share < delta * share.sum()
             free = np.flatnonzero(~clip)
+            m = free.size
             dy = np.where(clip, np.log(delta / (1.0 + delta * clip.sum()) / alpha), 0.0)
-            KKT = np.block([[J[np.ix_(free, free)], -np.ones((free.size, 1))], [alpha[free], 0.0]])
-            rhs = np.append(np.log(share[free] / alpha[free]) - J[free] @ dy, 0.0)
+            KKT, rhs = np.zeros((m + 1, m + 1)), np.zeros(m + 1)
+            KKT[:m, :m], KKT[:m, m], KKT[m, :m] = J[free][:, free], -1.0, alpha[free]
+            rhs[:m] = np.log(share[free] / alpha[free]) - J[free] @ dy
             try:
-                dy[free] = np.linalg.solve(KKT, rhs)[:-1]
+                dy[free] = np.linalg.solve(KKT, rhs)[:m]
             except np.linalg.LinAlgError:
                 break
             if not np.isfinite(dy).all():
@@ -306,9 +257,10 @@ def _ellipsoid_weights(Ks, delta: float) -> tuple[tuple[float, ...], float]:
     """(alpha, lower bound) for the least phi with every alpha_i >= delta /
     (1 + delta), by central cuts (Shor 1977; Nemirovski & Yudin 1979) in the
     first N - 1 weights x from the ball of radius sqrt(N - 1) about the
-    uniform point.  A centre c with a weight below the clip is cut by that
-    constraint, any other by g = d phi/d alpha_<N - d phi/d alpha_N, which
-    need only be a subgradient; by convexity the minimum, which lies in the
+    uniform point (at N = 2 an interval, which each cut halves).  A centre
+    c with a weight below the clip is cut by that constraint, any other by
+    g = d phi/d alpha_<N - d phi/d alpha_N, which need only be a
+    subgradient; by convexity the minimum, which lies in the
     ellipsoid {x : (x - c).P^-1 (x - c) <= 1}, is at least phi(c) -
     sqrt(g.P g).  The search stops once the best phi is within 1e-13
     relative of the best such bound, or at a cut that is missing or not
@@ -342,7 +294,8 @@ def _ellipsoid_weights(Ks, delta: float) -> tuple[tuple[float, ...], float]:
             break
         b = P @ g / np.sqrt(gPg)
         c = c - b / (n + 1)
-        P = n * n / (n * n - 1.0) * (P - 2.0 / (n + 1) * np.outer(b, b))
+        # at n = 1 the cut is bisection, and the general update divides by 0
+        P = P / 4.0 if n == 1 else n * n / (n * n - 1.0) * (P - 2.0 / (n + 1) * np.outer(b, b))
     return tuple(float(x) for x in alpha), float(bound)
 
 
@@ -352,28 +305,28 @@ def optimize_weights(sys: IdsSystem) -> tuple[tuple[float, ...], float]:
     point.  With u, v the left and right Perron vectors of M = sum_i
     K_i/alpha_i (K_i = tau_i^2 A_i (x) A_i), the derivative of a simple
     Perron root (Deutsch & Neumann 1984) is d phi/d alpha_i = -u.K_i v /
-    (alpha_i^2 u.v).  N=2 brackets its sign change by Illinois secant steps
-    on the KKT residual to a certified 1e-12 gap (phi is convex, below), in
-    8-12 eigendecompositions on the paper system.
+    (alpha_i^2 u.v).
 
-    For N>=3 Newton's method, from the uniform point, solves the KKT
+    Newton's method, from the uniform point and for every N, solves the KKT
     condition alpha_i proportional to the share sqrt(c_i) = alpha_i
     sqrt(|g_i|), c_i = u.K_i v.  With P_i = V^-1 K_i V, lambda = w_p, R_ik =
     P_i[p, k] and C_ik = P_i[k, p] from the same eigendecomposition, the
     Hessian of a simple root is H_ij = [i = j] 2 c_i / alpha_i^3 + Re
     sum_{k != p} (R_ik C_jk + R_jk C_ik) / ((lambda - w_k) alpha_i^2
     alpha_j^2), without the w_k within 1e-9 lambda of lambda whose couplings
-    R_ik/alpha_i, C_ik/alpha_i are below 1e-9 lambda (commuting terms).  The
-    k weights with shares below delta = 1e-3 of the total step to delta / (1
-    + k delta); the others take a Newton step on y_i - log(share_i) = const
-    in y = log alpha (Jacobian -H_ij alpha_j / (2 g_i), sum alpha_i dy_i =
-    0), fill the simplex and are halved until phi falls, until the
-    Frank-Wolfe gap g.alpha - min g.beta over the simplex with all beta_i >=
-    min(delta, min alpha), a bound on phi - min phi there as phi is convex,
-    is within 1e-12 phi.  A tie that couples (a kink), no real dominant
-    eigenvalue, a value that is not finite, four halvings without descent or
-    100 evaluations hand over to the cuts of ``_ellipsoid_weights`` on the
-    gradient; the better of their point and Newton's best is kept.
+    R_ik/alpha_i, C_ik/alpha_i are below 1e-9 lambda (commuting terms); it
+    is formed only where a step is taken.  The k weights with shares below
+    delta = 1e-3 of the total step to delta / (1 + k delta); the others
+    take a Newton step on y_i - log(share_i) = const in y = log alpha
+    (Jacobian -H_ij alpha_j / (2 g_i), sum alpha_i dy_i = 0), fill the
+    simplex and are halved until phi falls, until the Frank-Wolfe gap
+    g.alpha - min g.beta over the simplex with all beta_i >= min(delta, min
+    alpha), a bound on phi - min phi there as phi is convex, is within
+    1e-12 phi: 3-5 eigendecompositions on the paper system, one at N = 1.
+    A tie that couples (a kink), no real dominant eigenvalue, a value that
+    is not finite, four halvings without descent or 100 evaluations hand
+    over to the cuts of ``_ellipsoid_weights`` on the gradient; the better
+    of their point and Newton's best is kept.
 
     A point that meets the KKT condition is the global minimum: phi is
     convex (Kingman 1961; Nussbaum 1986).  The Kronecker sum at weights
@@ -393,27 +346,12 @@ def optimize_weights(sys: IdsSystem) -> tuple[tuple[float, ...], float]:
 
 
 def _minimize_weights(sys: IdsSystem) -> tuple[tuple[float, ...], float]:
-    N = sys.N
     Ks = np.stack([kron_operator((A,), (t * t,)) for A, t in zip(sys.A, sys.tau)])
-
-    def rho_at(alpha) -> float:
-        return spectral_radius(sum(K / a for K, a in zip(Ks, alpha)))
-
-    if N == 1:
-        return (1.0,), rho_at((1.0,))
-
-    delta = 1e-3
-    uniform = tuple(1.0 / N for _ in range(N))
-    if N == 2:
-        rho_uniform = rho_at(uniform)
-        cand = _two_weights(Ks, delta)
-        found = cand, rho_at(cand)
-    else:
-        rho_uniform, found, certified = _newton_weights(Ks, delta)
-        if not certified:
-            cand = _ellipsoid_weights(Ks, delta)[0]
-            found = min(found, (cand, rho_at(cand)), key=lambda x: x[1])
-    return found if found[1] < rho_uniform else (uniform, rho_uniform)
+    rho_uniform, found, certified = _newton_weights(Ks, 1e-3)
+    if not certified:
+        cand = _ellipsoid_weights(Ks, 1e-3)[0]
+        found = min(found, (cand, spectral_radius(sum(K / a for K, a in zip(Ks, cand)))), key=lambda x: x[1])
+    return found if found[1] < rho_uniform else (tuple(1.0 / sys.N for _ in range(sys.N)), rho_uniform)
 
 
 def operator_block(sys: IdsSystem) -> np.ndarray:

@@ -638,13 +638,18 @@ def _barrier_run(comp: _Compiled, x0: np.ndarray, f0: float, cfg: SolverConfig):
     -eps_feas, or whose gap to t is below 0.1 * eps_feas.  Returns the least
     f seen, its point, the Newton steps taken, the centres followed by the
     last point, and the arguments of ``_dual_bound`` for the last Newton
-    step."""
+    step.  Raises LinAlgError, a numerical failure, where rounding puts the
+    start outside the barrier's domain: against entries near 1e154 the 1 of
+    t0 is lost, and a start slack that is not positive definite would give
+    the barrier no value."""
     bar = _Barrier(comp, x0)
     settled = -10.0 * cfg.eps_feas
     w = np.zeros(bar.nw)
     w[-1] = -f0 - 1.0
     s = 1.0
     spectra, local = bar.spectra(w), None
+    if not min(float(l.min()) for l, _ in spectra) > 0.0:
+        raise np.linalg.LinAlgError("the barrier's start slacks are not positive definite")
     best_f, best_x = f0, x0
     steps = 0
     centres: list[np.ndarray] = []

@@ -435,6 +435,31 @@ def test_check_overflowing_kron_sum_is_numerical_failure(tmp_path, capsys):
     _assert_numerical_failure(main(["check", "--system", path, "--method", "spectral"]), capsys)
 
 
+_NEAR_OVERFLOW = {
+    "N2": ((np.diag([1e154, 1.0]), np.eye(2)), (0.3, 0.2)),
+    "N3": ((np.diag([1e154, 1.0]), np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]])), (0.3, 0.2, 0.1)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", ["th2-lmi", "th1"])
+@pytest.mark.parametrize("terms", sorted(_NEAR_OVERFLOW))
+def test_check_barrier_start_lost_to_rounding_is_numerical_failure(tmp_path, capsys, method, terms):
+    # against entries near 1e154 the start t0 = -f0 - 1 rounds away, so the
+    # start slack is not positive definite; the run must not begin there
+    path = _system_file(tmp_path, *_NEAR_OVERFLOW[terms])
+    _assert_numerical_failure(main(["check", "--system", path, "--method", method]), capsys)
+
+
+@pytest.mark.parametrize("terms", sorted(_NEAR_OVERFLOW))
+def test_check_weighted_near_overflow_gives_a_verdict(tmp_path, capsys, terms):
+    # the weights of a near-overflowing term are clipped, and the radius at them is finite
+    path = _system_file(tmp_path, *_NEAR_OVERFLOW[terms])
+    assert main(["check", "--system", path, "--method", "spectral-weighted"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == "verdict: fail" and captured.err == ""
+
+
 @pytest.mark.filterwarnings("error")
 def test_check_infinite_kron_weight_warns_nothing(tmp_path, capsys):
     # tau^2 = inf times the zero entries of A (x) A is nan
