@@ -1,20 +1,20 @@
 """LMI stability conditions, nonlinear-matrix-inequality checks, and the
 constructive witness conversions between them.
 
-Builders return :class:`~ids_stability.lmi_core.LmiProblem` instances.  The
-coupled conditions (amc, th2-coupled, single) each hold exactly when
-rho(Phi) < 1 for the positive operator Phi(X) = N sum_i tau_i^2 A_i.T X A_i,
-and their builders attach its closed forms (``_closed_forms``): the witness
-built from X = (I - Phi)^-1 (I) when that X is PD, else Farkas multipliers
-built from the Perron eigenmatrix of Phi*.  The solver checks either one
-against the compiled blocks and decides the problem with no barrier run;
-one that does not certify falls through to the run.  th2-lmi and laa
-attach at most one start (``_weighted_start``): the exact witness built
-from X = (I - Psi)^-1 (I) for the optimally weighted operator Psi, which
-exists exactly where the weighted spectral test passes.  A start that
-certifies skips the run, and one that does not starts it.  The run alone
-reaches the same verdicts: cold amc is feasible at tau = (0.3, 0.0474),
-5e-6 inside the exact margin.
+Builders return :class:`~ids_stability.lmi_core.LmiProblem` instances.  All
+five solver LMIs take their start from one closed form (``_closed_forms``):
+X = (I - Psi)^-1 (I) for the positive map Psi(T) = sum_i tau_i^2 / alpha_i
+A_i.T T A_i, PD exactly when rho(Psi) < 1 (Schneider, Numer. Math. 1965).
+The coupled conditions (amc, th2-coupled, single) take alpha_i = 1/N, where
+Psi is Phi(T) = N sum_i tau_i^2 A_i.T T A_i and each holds exactly when
+rho(Phi) < 1; where X is not PD, the Perron eigenmatrix of Phi* gives Farkas
+multipliers instead.  The solver checks either one against the compiled
+blocks and decides the problem with no barrier run; one that does not
+certify falls through to the run.  th2-lmi and laa take ``optimize_weights``'
+alpha, so their start exists exactly where the weighted spectral test
+passes; one that certifies skips the run, and one that does not starts it.
+The run alone reaches the same verdicts: cold amc is feasible at tau =
+(0.3, 0.0474), 5e-6 inside the exact margin.
 
 th1 accepts exactly the systems th2-lmi does, in three steps:
 (1) LMI th1 <=> NMI th1: Q_i = R^-T Qhat_i R^-1 makes block i's Schur
@@ -124,12 +124,6 @@ def _perron_matrix(op: np.ndarray, n: int) -> np.ndarray | None:
     return T / tr
 
 
-def _coupled_operator(sys: IdsSystem) -> np.ndarray:
-    """Row-major vec matrix of Phi: T -> N * sum_i tau_i^2 A_i.T T A_i; its
-    transpose is the matrix of the adjoint Phi*: T -> N sum_i tau_i^2 A_i T A_i.T."""
-    return sys.N * kron_operator(sys.A, [t * t for t in sys.tau]).T
-
-
 def _neumann(op: np.ndarray, n: int) -> np.ndarray | None:
     """X = (I - Psi)^-1 (I) = sum_k Psi^k (I) for the map Psi whose row-major
     vec matrix is ``op``, or None when that X is not PD.  For a
@@ -142,29 +136,34 @@ def _neumann(op: np.ndarray, n: int) -> np.ndarray | None:
     return X if is_pd(X) else None
 
 
-def _closed_forms(sys: IdsSystem, witness, block_weights, adjoint) -> tuple[tuple, tuple]:
-    """(starts, dual) of a coupled condition (amc, th2-coupled, single), each
-    equivalent to rho(Phi) < 1 for Phi = ``_coupled_operator``.
+def _closed_forms(sys: IdsSystem, alpha, witness, block_weights=(), adjoint=()) -> tuple[tuple, tuple]:
+    """(starts, dual) from X = (I - Psi)^-1 (I) for the positive map Psi(T) =
+    sum_i tau_i^2 / alpha_i A_i.T T A_i: the coupled conditions (amc,
+    th2-coupled, single) at the uniform alpha_i = 1/N, where Psi is their
+    Phi, and th2-lmi and laa at ``optimize_weights``' alpha.
 
-    Where ``_neumann`` gives X = (I - Phi)^-1 (I), ``witness(X)`` is the one
-    start: X = I + Phi(X) makes every declared block a negative multiple of
-    I.  Otherwise the Perron eigenmatrix Y of Phi* (Phi*(Y) = rho Y, PSD by
-    Krein-Rutman; Berman & Plemmons), plus 1e-12 I, gives one multiplier per
-    compiled block: w_k Y on the k-th declared block, and R_v - c I on the
-    positivity block of the v-th PD variable, where R_v = a_v Phi*(Y) - b_v
-    Y, with (a_v, b_v) = ``adjoint[v]``, is the declared blocks' part of the
-    adjoint on that variable.  The adjoint is then c I on every variable,
-    which weak duality turns into a bound on f that grows with c; R_v is
-    about (a_v rho - b_v) Y, and c stays a tenth and a rounding margin below
-    min_v lambda_min(R_v), so every multiplier is PD, also where Y is
-    singular.  Neither is trusted: the solver checks both against the
-    compiled blocks.
+    Where ``_neumann`` gives X, ``witness(X)`` is the one start: X = I +
+    Psi(X) makes every declared block of a coupled condition a negative
+    multiple of I, and th2-lmi's Q_i = alpha_i X^-1 meet the inverse-weighted
+    condition with residual exactly -I (sum_i tau_i^2 A_i.T Q_i^-1 A_i =
+    Psi(X) = X - I and (sum_i Q_i)^-1 = X).  Otherwise, given an ``adjoint``,
+    the Perron eigenmatrix Y of Psi* (Psi*(Y) = rho Y, PSD by Krein-Rutman;
+    Berman & Plemmons), plus 1e-12 I, gives one multiplier per compiled
+    block: w_k Y on the k-th declared block, w = ``block_weights``, and R_v -
+    c I on the positivity block of the v-th PD variable, where R_v = a_v
+    Psi*(Y) - b_v Y, with (a_v, b_v) = ``adjoint[v]``, is the declared
+    blocks' part of the adjoint on that variable.  The adjoint is then c I
+    on every variable, which weak duality turns into a bound on f that grows
+    with c; R_v is about (a_v rho - b_v) Y, and c stays a tenth and a
+    rounding margin below min_v lambda_min(R_v), so every multiplier is PD,
+    also where Y is singular.  Neither is trusted: the solver checks both
+    against the compiled blocks.
     """
-    op, n = _coupled_operator(sys), sys.n
+    op, n = kron_operator(sys.A, [t * t / a for t, a in zip(sys.tau, alpha)]).T, sys.n
     X = _neumann(op, n)
     if X is not None:
         return (witness(X),), ()
-    Y = _perron_matrix(op.T, n)
+    Y = _perron_matrix(op.T, n) if adjoint else None
     if Y is None:
         return (), ()
     I = np.eye(n)
@@ -174,22 +173,6 @@ def _closed_forms(sys: IdsSystem, witness, block_weights, adjoint) -> tuple[tupl
     m = min(eig_min(Rv) for Rv in R)
     c = m - 0.1 * abs(m) - 1e-12 * max(np.abs(Rv).max() for Rv in R)
     return (), tuple(w * Y for w in block_weights) + tuple(Rv - c * I for Rv in R)
-
-
-def _weighted_start(sys: IdsSystem) -> tuple:
-    """The one start of th2-lmi and laa: Q_i = alpha_i X^-1, where
-    ``_neumann`` gives X = (I - Psi)^-1 (I) for Psi(T) = sum_i tau_i^2 /
-    alpha_i A_i.T T A_i at ``optimize_weights``' alpha, that is, where the
-    weighted spectral test passes; none elsewhere.  These Q_i meet the
-    inverse-weighted condition with residual exactly -I: sum_i tau_i^2 A_i.T
-    Q_i^-1 A_i = Psi(X) = X - I and (sum_i Q_i)^-1 = X.
-    """
-    alpha, _rho = optimize_weights(sys)
-    X = _neumann(kron_operator(sys.A, [t * t / a for t, a in zip(sys.tau, alpha)]).T, sys.n)
-    if X is None:
-        return ()
-    Xinv = sym(np.linalg.inv(X))
-    return ({f"Q{i+1}": a * Xinv for i, a in enumerate(alpha)},)
 
 
 # -- builders -----------------------------------------------------------------
@@ -222,7 +205,7 @@ def build_amc(sys: IdsSystem) -> LmiProblem:
         Q = {f"Q{i+1}": N * ti * Ai.T @ Xp @ Ai + I for i, (Ai, ti) in enumerate(zip(sys.A, sys.tau))}
         return {"P": I, **Q}
 
-    starts, dual = _closed_forms(sys, witness, sys.tau, [(1.0, 0.0)] + [(t, t) for t in sys.tau])
+    starts, dual = _closed_forms(sys, [1.0 / N] * N, witness, sys.tau, [(1.0, 0.0)] + [(t, t) for t in sys.tau])
     return LmiProblem(tuple(variables), tuple(blocks), starts, dual)
 
 
@@ -243,7 +226,7 @@ def build_th2_coupled(sys: IdsSystem) -> LmiProblem:
         # sum_j Q_j = Phi(X) + I = X, so block i is exactly -I / N
         return {f"Q{i+1}": N * ti * ti * Ai.T @ X @ Ai + I / N for i, (Ai, ti) in enumerate(zip(sys.A, sys.tau))}
 
-    starts, dual = _closed_forms(sys, witness, [1.0] * N, [(1.0, 1.0)] * N)
+    starts, dual = _closed_forms(sys, [1.0 / N] * N, witness, [1.0] * N, [(1.0, 1.0)] * N)
     return LmiProblem(tuple(variables), tuple(blocks), starts, dual)
 
 
@@ -257,7 +240,7 @@ def build_single(sys: IdsSystem) -> LmiProblem:
     blocks = [AffineBlock(dim=n, terms=tuple(terms))]
 
     # Q = X makes the block exactly -I
-    starts, dual = _closed_forms(sys, lambda X: {"Q": X}, [1.0], [(1.0, 1.0)])
+    starts, dual = _closed_forms(sys, [1.0 / N] * N, lambda X: {"Q": X}, [1.0], [(1.0, 1.0)])
     return LmiProblem(tuple(variables), tuple(blocks), starts, dual)
 
 
@@ -302,7 +285,7 @@ def _stacked_lmi(sys: IdsSystem) -> LmiProblem:
 
         sum_i [tau_1 A_1; ...; tau_N A_N] Q_i [.]^T - blockdiag(Q_1..Q_N) < 0
 
-    with the start of ``_weighted_start``.
+    with the start of ``_closed_forms`` at ``optimize_weights``' alpha.
     """
     n, N = sys.n, sys.N
     T = np.vstack([t * A for A, t in zip(sys.A, sys.tau)])
@@ -314,8 +297,14 @@ def _stacked_lmi(sys: IdsSystem) -> LmiProblem:
         terms.append(BlockTerm(f"Q{i+1}", T, T.T))
         terms.append(BlockTerm(f"Q{i+1}", -E, E.T))
 
+    alpha, _rho = optimize_weights(sys)
+
+    def witness(X):
+        Xinv = sym(np.linalg.inv(X))
+        return {f"Q{i+1}": a * Xinv for i, a in enumerate(alpha)}
+
     block = AffineBlock(dim=n * N, terms=tuple(terms))
-    return LmiProblem(tuple(variables), (block,), _weighted_start(sys))
+    return LmiProblem(tuple(variables), (block,), _closed_forms(sys, alpha, witness)[0])
 
 
 def build_th2_lmi(sys: IdsSystem) -> LmiProblem:

@@ -322,7 +322,8 @@ def optimize_weights(sys: IdsSystem) -> tuple[tuple[float, ...], float]:
     simplex and are halved until phi falls, until the Frank-Wolfe gap
     g.alpha - min g.beta over the simplex with all beta_i >= min(delta, min
     alpha), a bound on phi - min phi there as phi is convex, is within
-    1e-12 phi: 3-5 eigendecompositions on the paper system, one at N = 1.
+    1e-12 phi: 3-5 eigendecompositions on the paper system.  At N = 1, a
+    one-point simplex, there is no search: phi is ``check_spectral``'s rho.
     A tie that couples (a kink), no real dominant eigenvalue, a value that
     is not finite, four halvings without descent or 100 evaluations hand
     over to the cuts of ``_ellipsoid_weights`` on the gradient; the better
@@ -347,6 +348,8 @@ def optimize_weights(sys: IdsSystem) -> tuple[tuple[float, ...], float]:
 
 def _minimize_weights(sys: IdsSystem) -> tuple[tuple[float, ...], float]:
     Ks = np.stack([kron_operator((A,), (t * t,)) for A, t in zip(sys.A, sys.tau)])
+    if sys.N == 1:  # a one-point simplex
+        return (1.0,), spectral_radius(Ks[0])
     rho_uniform, found, certified = _newton_weights(Ks, 1e-3)
     if not certified:
         cand = _ellipsoid_weights(Ks, 1e-3)[0]
@@ -396,6 +399,5 @@ def single_delay_checks(A1: np.ndarray, tau1: float) -> SingleDelayChecks:
 
 
 def laa_spectral(sys: DiscreteIds) -> SpectralVerdict:
-    """Delay-independent test rho(sum_i A_i (x) A_i) < 1/N for pointwise delays."""
-    M = kron_operator(sys.A, [1.0] * sys.N)
-    return _verdict(spectral_radius(M), 1.0 / sys.N)
+    """Delay-independent test rho(sum_i A_i (x) A_i) < 1/N: ``check_spectral`` at unit delays."""
+    return check_spectral(IdsSystem(A=sys.A, tau=tuple(1.0 for _ in sys.A)))

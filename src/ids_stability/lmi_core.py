@@ -519,7 +519,8 @@ class _Barrier:
         """(gradient, Newton step dw, eigenvalues mu) of the barrier at weight
         s, from the ``local`` terms of a point.  mu are the eigenvalues of
         every D_k = S_k^-1/2 (G dw)_k S_k^-1/2, rows of T dw: along dw the
-        slacks are S^1/2 (I + alpha D) S^1/2."""
+        slacks are S^1/2 (I + alpha D) S^1/2.  A step that is not finite
+        raises LinAlgError, a numerical failure."""
         g, H, T = local
         g = g.copy()
         g[-1] -= s
@@ -529,7 +530,10 @@ class _Barrier:
             dw = np.linalg.solve(H, -g)
         except np.linalg.LinAlgError:
             dw = np.linalg.lstsq(H, -g, rcond=None)[0]
-        D, off, mu = T @ dw, 0, []
+        with np.errstate(over="ignore", invalid="ignore"):
+            D, off, mu = T @ dw, 0, []
+        if not (np.isfinite(dw).all() and np.isfinite(D).all()):
+            raise np.linalg.LinAlgError("the barrier's Newton step is not finite")
         for m, K, _, _ in self.groups:
             mu.append(np.linalg.eigvalsh(D[off : off + K * m * m].reshape(K, m, m)).ravel())
             off += K * m * m

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -458,6 +459,27 @@ def test_check_weighted_near_overflow_gives_a_verdict(tmp_path, capsys, terms):
     assert main(["check", "--system", path, "--method", "spectral-weighted"]) == 1
     captured = capsys.readouterr()
     assert captured.out.splitlines()[-1] == "verdict: fail" and captured.err == ""
+
+
+# the first entry of the adversarial corpus: rho(tau_2 A_2) = 200, so every
+# verdict is plainly a failure, and the barrier's Newton step overflows
+_ADVERSARIAL = ((np.diag([35.0, 20.0]), np.diag([-15.0, -40.0])), (0.5, 5.0))
+
+
+@pytest.mark.parametrize("method", ["spectral", "spectral-weighted", "amc", "th2-coupled", "single", "th1", "th2-lmi"])
+def test_check_adversarial_system_gives_a_clean_verdict_or_one_error_line(tmp_path, capsys, method):
+    path = _system_file(tmp_path, *_ADVERSARIAL)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["check", "--system", path, "--method", method])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    captured = capsys.readouterr()
+    assert code in (1, 3)
+    if code == 1:
+        assert captured.err == "" and "nan" not in captured.out and "inf" not in captured.out
+    else:
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
 
 @pytest.mark.filterwarnings("error")

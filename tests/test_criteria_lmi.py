@@ -25,8 +25,8 @@ from ids_stability.criteria_lmi import (
     witness_th1_from_th2,
     witness_th1_from_th2coupled,
 )
-from ids_stability.criteria_spectral import check_spectral, spectral_radius
-from ids_stability.criteria_lmi import LMI_CRITERIA, _coupled_operator, _perron_matrix
+from ids_stability.criteria_spectral import check_spectral, kron_operator, spectral_radius
+from ids_stability.criteria_lmi import LMI_CRITERIA, _perron_matrix
 from ids_stability.lmi_core import SolverConfig, _Compiled, check_witness, evaluate, solve_feasibility
 from ids_stability.model import DiscreteIds, IdsSystem, benchmark_system, validate_system
 from ids_stability.suites import random_corpus
@@ -522,6 +522,21 @@ def test_weighted_start_is_exact_where_the_weighted_test_passes(corpus_and_grid)
     assert attached >= 100
 
 
+def test_single_term_th2_lmi_start_is_the_inverse_of_singles(corpus_and_grid):
+    # at N = 1 the uniform and the optimal weights are both (1,), so the one
+    # closed form gives single's Q = X and th2-lmi's Q1 = X^-1
+    compared = 0
+    for i, sys in enumerate(s for s in corpus_and_grid if s.N == 1):
+        (single,) = build_single(sys).starts or (None,)
+        (stacked,) = build_th2_lmi(sys).starts or (None,)
+        assert (single is None) == (stacked is None), i
+        if single is not None:
+            compared += 1
+            Xinv = np.linalg.inv(single["Q"])
+            assert np.abs(stacked["Q1"] - Xinv).max() <= 1e-14 * np.abs(Xinv).max(), i
+    assert compared >= 50
+
+
 def test_closed_form_verdicts_carry_checked_certificates(closed_form_solves):
     # no barrier run: a feasible verdict comes with a witness that passes
     # check_witness, and a not-found one with the dual candidate's checked
@@ -572,9 +587,15 @@ def test_coupled_margin_cells_run_no_newton_step(monkeypatch, plain_margin):
     assert all(rep.restarts == 0 and rep.iterations <= 1 for rep in solved)
 
 
+def _coupled_map(sys):
+    """Row-major vec matrix of Phi(T) = N sum_i tau_i^2 A_i.T T A_i: the
+    weighted map at the uniform weights alpha_i = 1/N."""
+    return kron_operator(sys.A, [t * t / (1.0 / sys.N) for t in sys.tau]).T
+
+
 def _single_candidate(sys, rho):
     """single's dual candidate built with the given value of rho."""
-    Y = _perron_matrix(_coupled_operator(sys).T, sys.n)
+    Y = _perron_matrix(_coupled_map(sys).T, sys.n)
     c = 0.9 * (rho - 1.0) * np.linalg.eigvalsh(Y)[0]
     return (Y, (rho - 1.0) * Y - c * np.eye(sys.n))
 
@@ -587,7 +608,7 @@ def test_tampered_candidate_is_rejected_and_the_barrier_runs(monkeypatch, tau2):
     # only what weak duality does: its bound lies below f on the slice
     sys = benchmark_system(0.3, tau2)
     problem = LMI_CRITERIA["single"](sys)
-    rho = spectral_radius(_coupled_operator(sys))
+    rho = spectral_radius(_coupled_map(sys))
     comp = _Compiled(problem)
     barrier = solve_feasibility(_barrier_only(problem))
     rng = np.random.default_rng(2)
@@ -625,7 +646,7 @@ def test_amc_probe_next_to_the_margin_is_proven_by_its_certificate(monkeypatch):
     # rho(Phi) - 1 is 4.4e-5, and the Perron certificate proves f > 0 with
     # no barrier run (the barrier ended there without a proof)
     sys = benchmark_system(0.2, 0.152802)
-    rho = spectral_radius(_coupled_operator(sys))
+    rho = spectral_radius(_coupled_map(sys))
     assert 4e-5 <= rho - 1.0 <= 5e-5
     bounds = _record_candidate_bounds(monkeypatch)
     rep = solve_feasibility(LMI_CRITERIA["amc"](sys))
