@@ -1,20 +1,27 @@
 """LMI stability conditions, nonlinear-matrix-inequality checks, and the
 constructive witness conversions between them.
 
-Builders return :class:`~ids_stability.lmi_core.LmiProblem` instances.  All
-five solver LMIs take their start from one closed form (``_closed_forms``):
-X = (I - Psi)^-1 (I) for the positive map Psi(T) = sum_i tau_i^2 / alpha_i
-A_i.T T A_i, PD exactly when rho(Psi) < 1 (Schneider, Numer. Math. 1965).
-The coupled conditions (amc, th2-coupled, single) take alpha_i = 1/N, where
-Psi is Phi(T) = N sum_i tau_i^2 A_i.T T A_i and each holds exactly when
-rho(Phi) < 1; where X is not PD, the Perron eigenmatrix of Phi* gives Farkas
-multipliers instead.  The solver checks either one against the compiled
+Builders return :class:`~ids_stability.lmi_core.LmiProblem` instances.
+single, th2-lmi and laa take their start from one closed form
+(``_closed_forms``): X = (I - Psi)^-1 (I) for the positive map Psi(T) =
+sum_i tau_i^2 / alpha_i A_i.T T A_i, PD exactly when rho(Psi) < 1
+(Schneider, Numer. Math. 1965).  single takes alpha_i = 1/N, where Psi is
+Phi(T) = N sum_i tau_i^2 A_i.T T A_i; where X is not PD, ``_farkas`` gives
+Farkas multipliers.  The solver checks either one against the compiled
 blocks and decides the problem with no barrier run; one that does not
-certify falls through to the run.  th2-lmi and laa take ``optimize_weights``'
-alpha, so their start exists exactly where the weighted spectral test
-passes; one that certifies skips the run, and one that does not starts it.
-The run alone reaches the same verdicts: cold amc is feasible at tau =
-(0.3, 0.0474), 5e-6 inside the exact margin.
+certify falls through to the run.  th2-lmi and laa take
+``optimize_weights``' alpha, so their start exists exactly where the
+weighted spectral test passes; one that certifies skips the run, and one
+that does not starts it.  The run alone reaches the same verdicts: cold
+amc is feasible at tau = (0.3, 0.0474), 5e-6 inside the exact margin.
+
+amc and th2-coupled hold exactly when single does, so ``margin`` decides
+them by solving single and maps a strict Q, with S = Q - Phi(Q) > 0, to a
+witness that is checked against their own blocks, where it makes block i
+-S (``witness_amc_from_single``) or -S/N
+(``witness_th2_coupled_from_single``).  Conversely, P + sum_j tau_j Q_j of
+an amc witness and sum_j Q_j of a th2-coupled one are single witnesses:
+sum the blocks, weighted by tau_i for amc.
 
 th1 accepts exactly the systems th2-lmi does, in three steps:
 (1) LMI th1 <=> NMI th1: Q_i = R^-T Qhat_i R^-1 makes block i's Schur
@@ -63,6 +70,8 @@ __all__ = [
     "witness_th1_from_th2coupled",
     "witness_th1_from_th2",
     "witness_th1_lmi_from_th2",
+    "witness_th2_coupled_from_single",
+    "witness_amc_from_single",
     "th2_functional_params",
     "ConversionError",
     "IllConditionedError",
@@ -124,55 +133,48 @@ def _perron_matrix(op: np.ndarray, n: int) -> np.ndarray | None:
     return T / tr
 
 
-def _neumann(op: np.ndarray, n: int) -> np.ndarray | None:
-    """X = (I - Psi)^-1 (I) = sum_k Psi^k (I) for the map Psi whose row-major
-    vec matrix is ``op``, or None when that X is not PD.  For a
-    PSD-cone-preserving Psi, X is PD exactly when rho(Psi) < 1 (the Neumann
-    series; Schneider, Numer. Math. 1965), and then X = I + Psi(X) >= I."""
+def _neumann(M: np.ndarray, n: int) -> np.ndarray | None:
+    """Y with M vec(Y) = vec(I), or None unless Y is PD.  For M = I - Psi, Psi
+    PSD-cone-preserving, Y = sum_k Psi^k (I) is PD exactly when rho(Psi) < 1
+    (the Neumann series; Schneider, Numer. Math. 1965), and Y = I + Psi(Y)."""
     try:
-        X = sym(np.linalg.solve(np.eye(n * n) - op, np.eye(n).ravel()).reshape(n, n))
+        Y = sym(np.linalg.solve(M, np.eye(n).ravel()).reshape(n, n))
     except np.linalg.LinAlgError:
         return None
-    return X if is_pd(X) else None
+    return Y if is_pd(Y) else None
 
 
-def _closed_forms(sys: IdsSystem, alpha, witness, block_weights=(), adjoint=()) -> tuple[tuple, tuple]:
-    """(starts, dual) from X = (I - Psi)^-1 (I) for the positive map Psi(T) =
-    sum_i tau_i^2 / alpha_i A_i.T T A_i: the coupled conditions (amc,
-    th2-coupled, single) at the uniform alpha_i = 1/N, where Psi is their
-    Phi, and th2-lmi and laa at ``optimize_weights``' alpha.
-
-    Where ``_neumann`` gives X, ``witness(X)`` is the one start: X = I +
-    Psi(X) makes every declared block of a coupled condition a negative
-    multiple of I, and th2-lmi's Q_i = alpha_i X^-1 meet the inverse-weighted
-    condition with residual exactly -I (sum_i tau_i^2 A_i.T Q_i^-1 A_i =
-    Psi(X) = X - I and (sum_i Q_i)^-1 = X).  Otherwise, given an ``adjoint``,
-    the Perron eigenmatrix Y of Psi* (Psi*(Y) = rho Y, PSD by Krein-Rutman;
-    Berman & Plemmons), plus 1e-12 I, gives one multiplier per compiled
-    block: w_k Y on the k-th declared block, w = ``block_weights``, and R_v -
-    c I on the positivity block of the v-th PD variable, where R_v = a_v
-    Psi*(Y) - b_v Y, with (a_v, b_v) = ``adjoint[v]``, is the declared
-    blocks' part of the adjoint on that variable.  The adjoint is then c I
-    on every variable, which weak duality turns into a bound on f that grows
-    with c; R_v is about (a_v rho - b_v) Y, and c stays a tenth and a
-    rounding margin below min_v lambda_min(R_v), so every multiplier is PD,
-    also where Y is singular.  Neither is trusted: the solver checks both
-    against the compiled blocks.
+def _closed_forms(sys: IdsSystem, alpha, witness) -> tuple[tuple, np.ndarray]:
+    """(starts, op) for the vec matrix op of Psi(T) = sum_i tau_i^2 / alpha_i
+    A_i.T T A_i.  Where ``_neumann`` gives X = (I - Psi)^-1 (I),
+    ``witness(X)`` is the one start: X = I + Psi(X) makes single's block -I,
+    and th2-lmi's Q_i = alpha_i X^-1 meet the inverse-weighted condition
+    with residual -I (sum_i tau_i^2 A_i.T Q_i^-1 A_i = X - I = (sum_i Q_i)^-1 - I).
     """
     op, n = kron_operator(sys.A, [t * t / a for t, a in zip(sys.tau, alpha)]).T, sys.n
-    X = _neumann(op, n)
-    if X is not None:
-        return (witness(X),), ()
-    Y = _perron_matrix(op.T, n) if adjoint else None
+    X = _neumann(np.eye(n * n) - op, n)
+    return ((witness(X),) if X is not None else ()), op
+
+
+def _farkas(op: np.ndarray, n: int) -> tuple:
+    """single's Farkas multipliers for Phi of vec matrix ``op``: Y on its
+    block and R - c I on Q's, where R = Phi*(Y) - Y.  Y is (Phi* - I)^-1 (I)
+    where that is PD, so R = I, mirroring X; else the Perron eigenmatrix of
+    Phi* (PSD by Krein-Rutman; Berman & Plemmons) plus 1e-12 I, so R is
+    about (rho - 1) Y.  The adjoint is then c I, which weak duality makes a
+    bound on f growing with c; c stays a tenth and a rounding margin below
+    lambda_min(R), so both are PD.  The solver checks them on the blocks.
+    """
+    Y = _neumann(op.T - np.eye(n * n), n)
     if Y is None:
-        return (), ()
-    I = np.eye(n)
-    Y = Y + 1e-12 * I
-    PY = (op.T @ Y.ravel()).reshape(n, n)
-    R = [a * PY - b * Y for a, b in adjoint]
-    m = min(eig_min(Rv) for Rv in R)
-    c = m - 0.1 * abs(m) - 1e-12 * max(np.abs(Rv).max() for Rv in R)
-    return (), tuple(w * Y for w in block_weights) + tuple(Rv - c * I for Rv in R)
+        Y = _perron_matrix(op.T, n)
+        if Y is None:
+            return ()
+        Y = Y + 1e-12 * np.eye(n)
+    R = (op.T @ Y.ravel()).reshape(n, n) - Y
+    m = eig_min(R)
+    c = m - 0.1 * abs(m) - 1e-12 * np.abs(R).max()
+    return (Y, R - c * np.eye(n))
 
 
 # -- builders -----------------------------------------------------------------
@@ -183,7 +185,7 @@ def build_amc(sys: IdsSystem) -> LmiProblem:
 
         N tau_i A_i.T (P + sum_j tau_j Q_j) A_i - Q_i < 0,  i = 1..N
 
-    in positive definite variables P, Q_1..Q_N.
+    in PD variables P, Q_1..Q_N: a checker, as ``margin`` decides it by single.
     """
     n, N = sys.n, sys.N
     I = np.eye(n)
@@ -197,20 +199,11 @@ def build_amc(sys: IdsSystem) -> LmiProblem:
             terms.append(BlockTerm(f"Q{j+1}", N * ti * tj * Ai.T, Ai))
         terms.append(BlockTerm(f"Q{i+1}", -I, I))
         blocks.append(AffineBlock(dim=n, terms=tuple(terms)))
-
-    def witness(X):
-        # X' = (1 + sum_j tau_j) X = (I - Phi)^-1 ((1 + sum_j tau_j) I) and
-        # P = I give P + sum_j tau_j Q_j = X', so block i is exactly -I
-        Xp = (1.0 + sum(sys.tau)) * X
-        Q = {f"Q{i+1}": N * ti * Ai.T @ Xp @ Ai + I for i, (Ai, ti) in enumerate(zip(sys.A, sys.tau))}
-        return {"P": I, **Q}
-
-    starts, dual = _closed_forms(sys, [1.0 / N] * N, witness, sys.tau, [(1.0, 0.0)] + [(t, t) for t in sys.tau])
-    return LmiProblem(tuple(variables), tuple(blocks), starts, dual)
+    return LmiProblem(tuple(variables), tuple(blocks))
 
 
 def build_th2_coupled(sys: IdsSystem) -> LmiProblem:
-    """Coupled condition N tau_i^2 A_i.T (sum_j Q_j) A_i - Q_i < 0 in PD Q_i."""
+    """Coupled condition N tau_i^2 A_i.T (sum_j Q_j) A_i - Q_i < 0 in PD Q_i (a checker)."""
     n, N = sys.n, sys.N
     I = np.eye(n)
     variables = [MatrixVariable(f"Q{i+1}", n, require_pd=True) for i in range(N)]
@@ -221,13 +214,7 @@ def build_th2_coupled(sys: IdsSystem) -> LmiProblem:
         ]
         terms.append(BlockTerm(f"Q{i+1}", -I, I))
         blocks.append(AffineBlock(dim=n, terms=tuple(terms)))
-
-    def witness(X):
-        # sum_j Q_j = Phi(X) + I = X, so block i is exactly -I / N
-        return {f"Q{i+1}": N * ti * ti * Ai.T @ X @ Ai + I / N for i, (Ai, ti) in enumerate(zip(sys.A, sys.tau))}
-
-    starts, dual = _closed_forms(sys, [1.0 / N] * N, witness, [1.0] * N, [(1.0, 1.0)] * N)
-    return LmiProblem(tuple(variables), tuple(blocks), starts, dual)
+    return LmiProblem(tuple(variables), tuple(blocks))
 
 
 def build_single(sys: IdsSystem) -> LmiProblem:
@@ -239,9 +226,8 @@ def build_single(sys: IdsSystem) -> LmiProblem:
     terms.append(BlockTerm("Q", -I, I))
     blocks = [AffineBlock(dim=n, terms=tuple(terms))]
 
-    # Q = X makes the block exactly -I
-    starts, dual = _closed_forms(sys, [1.0 / N] * N, lambda X: {"Q": X}, [1.0], [(1.0, 1.0)])
-    return LmiProblem(tuple(variables), tuple(blocks), starts, dual)
+    starts, op = _closed_forms(sys, [1.0 / N] * N, lambda X: {"Q": X})
+    return LmiProblem(tuple(variables), tuple(blocks), starts, () if starts else _farkas(op, n))
 
 
 def build_th1(sys: IdsSystem) -> LmiProblem:
@@ -440,6 +426,23 @@ def witness_th1_lmi_from_th2(sys: IdsSystem, Q) -> dict:
     R = sym(Pinv)
     w = {f"Q{i+1}": sym(R @ Qi @ R) for i, Qi in enumerate(Q)}
     return {**w, **{f"S{i+1}": Si for i, Si in enumerate(S)}, "R": R}
+
+
+def witness_th2_coupled_from_single(sys: IdsSystem, Q) -> dict:
+    """th2-coupled's witness Q_i = N tau_i^2 A_i.T Q A_i + S/N from a strict
+    single one Q, S = Q - Phi(Q) > 0: they sum to Q, so block i is -S/N."""
+    T = [sys.N * t * t * A.T @ Q @ A for A, t in zip(sys.A, sys.tau)]
+    S = Q - sum(T)
+    return {f"Q{i+1}": Ti + S / sys.N for i, Ti in enumerate(T)}
+
+
+def witness_amc_from_single(sys: IdsSystem, Q) -> dict:
+    """amc's witness P = S and Q_i = N tau_i A_i.T Q' A_i + S, with Q' = (1 +
+    sum_j tau_j) Q, from a strict single one Q: P + sum_j tau_j Q_j = Q', so
+    block i is -S."""
+    S = Q - sum(sys.N * t * t * A.T @ Q @ A for A, t in zip(sys.A, sys.tau))
+    Qp = (1.0 + sum(sys.tau)) * Q
+    return {"P": S, **{f"Q{i+1}": sys.N * t * A.T @ Qp @ A + S for i, (A, t) in enumerate(zip(sys.A, sys.tau))}}
 
 
 def th2_functional_params(sys: IdsSystem, Q) -> FunctionalWitness:

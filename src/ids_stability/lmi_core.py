@@ -185,7 +185,7 @@ class FeasReport:
     witness: dict
     iterations: int  # start evaluations plus Newton steps
     restarts: int  # 0 when a start or the dual candidate decided, else 1 (the run)
-    # a proven lower bound >= 10 * eps_feas on f over the normalization slice
+    # a proven finite lower bound >= 10 * eps_feas on f over the slice
     # (not_found only), from the problem's checked dual candidate, the last
     # Newton step's dual point or the cut LP
     lower_bound: float | None = None
@@ -463,10 +463,10 @@ def _cut_lp(comp: _Compiled, rows: np.ndarray) -> float | None:
 
 
 def _prove_no_witness(comp: _Compiled, rows: np.ndarray, cfg: SolverConfig) -> float | None:
-    """t* of the cut LP when it is at least 10 * eps_feas (no witness
-    exists), else None."""
+    """t* of the cut LP when it is finite and at least 10 * eps_feas (no
+    witness exists), else None."""
     t = _cut_lp(comp, rows)
-    return t if t is not None and t >= 10.0 * cfg.eps_feas else None
+    return t if t is not None and 10.0 * cfg.eps_feas <= t < np.inf else None
 
 
 class _Barrier:
@@ -693,15 +693,15 @@ def solve_feasibility(problem: LmiProblem, cfg: SolverConfig | None = None) -> F
 
     Deterministic: starts attached to the problem are tried first; a
     start that already certifies feasibility at ``eps_feas`` short-circuits
-    the search.  Then the problem's dual candidate, if any: a checked bound
-    above ``-eps_feas`` ends the search as "not_found", the same rule a
+    the search.  Then the problem's dual candidate, if any: a checked finite
+    bound above ``-eps_feas`` ends the search as "not_found", the rule a
     barrier run stops on.  Otherwise one barrier run follows the central
     path until the verdict is settled, from the attached start of least
     objective (the builders attach at most one), or from the normalized
     identities when no start normalizes.  A run that ends without a value
     below ``10 * eps_feas`` tries the dual bound of its last Newton step,
-    and where that proves nothing, the proof LP on the eigenvector rows of
-    its centres and last point.
+    and where that proves nothing (a bound below 10 * eps_feas, or one that
+    is not finite), the proof LP on the rows of its centres and last point.
     """
     cfg = cfg or SolverConfig()
     comp = _Compiled(problem)
@@ -728,7 +728,7 @@ def solve_feasibility(problem: LmiProblem, cfg: SolverConfig | None = None) -> F
         best_f = comp.f_only(best_x)
     if problem.dual:
         bound = _candidate_bound(comp, problem.dual)
-        if bound is not None and bound > -cfg.eps_feas:
+        if bound is not None and -cfg.eps_feas < bound < np.inf:
             proof = bound if bound >= 10.0 * cfg.eps_feas else None
             return FeasReport("not_found", best_f, comp.to_witness(best_x), iterations, 0, proof)
     best_f, best_x, steps, points, last = _barrier_run(comp, best_x, best_f, cfg)
@@ -737,7 +737,7 @@ def solve_feasibility(problem: LmiProblem, cfg: SolverConfig | None = None) -> F
     lower_bound = None
     if best_f >= 10.0 * cfg.eps_feas:
         lower_bound = _dual_bound(*last)
-        if lower_bound is None or lower_bound < 10.0 * cfg.eps_feas:
+        if lower_bound is None or not 10.0 * cfg.eps_feas <= lower_bound < np.inf:
             rows = np.vstack([comp.eig_rows(x) for x in points])
             lower_bound = _prove_no_witness(comp, rows, cfg)
 

@@ -8,8 +8,9 @@ feasible sets nest as a delay shrinks.  rho(sum_i tau_i^2 A_i (x) A_i),
 and the weighted radius at any fixed weights, is monotone because each
 term T -> tau_i^2 A_i.T T A_i preserves the PSD cone (Krein-Rutman).
 "single-delay" compares rho(A_1) with 1/tau_1; "laa" and "laa-spectral"
-do not depend on tau.  "th1" is decided by th2-lmi, which accepts exactly
-the same systems (see ``criteria_lmi``).
+do not depend on tau.  "amc" and "th2-coupled" are decided by "single",
+and "th1" by "th2-lmi", which accept exactly the same systems (see
+``criteria_lmi``); ``_through`` says what their reports carry.
 
 The criteria of :data:`PREDICTED` hold exactly when N rho(sum_i tau_i^2
 A_i (x) A_i) < 1, so ``criteria_spectral.spectral_margin`` gives their
@@ -47,23 +48,28 @@ def _lmi(criterion: str):
     return evaluate
 
 
-def _th1(sys, cfg, alpha) -> FeasReport:
-    """th2-lmi's report with th1's own evidence: a feasible Q mapped to th1's
-    witness, with th1's objective at it, normalized, as lambda_star; it is
-    feasible when that is negative (tolerance 0, not eps_feas: near the
-    margin th2-lmi's -1.5e-6 maps to -6e-8), else not_found, unproved, as is
-    a map that fails (no witness, lambda_star = inf).  A th2-lmi not_found
-    keeps its lambda_star and lower bound but has no th1 witness."""
-    rep = _lmi("th2-lmi")(sys, cfg, alpha)
-    if not rep.feasible:
-        return replace(rep, witness={})
-    try:
-        w = criteria_lmi.witness_th1_lmi_from_th2(sys, [rep.witness[f"Q{i+1}"] for i in range(sys.N)])
-    except (criteria_lmi.ConversionError, criteria_lmi.IllConditionedError):
-        return replace(rep, status="not_found", lambda_star=math.inf, witness={})
-    problem = criteria_lmi.LMI_CRITERIA["th1"](sys)
-    value = evaluate(problem, normalize_witness(problem, w))[1]
-    return replace(rep, status="feasible" if value < 0.0 else "not_found", lambda_star=value, witness=w)
+def _through(source: str, target: str, convert):
+    """Decide ``target`` by ``source``, which accepts the same systems: a
+    feasible source witness is mapped by ``convert(sys, *its matrices)``, and
+    the target's objective at it, normalized, is lambda_star; feasible when
+    that is negative (tolerance 0, not eps_feas: near the margin th2-lmi's
+    -1.5e-6 maps to th1's -6e-8), else not_found, unproved, as is a map that
+    fails (no witness, lambda_star = inf).  A source not_found keeps its
+    lambda_star and lower bound, with no witness."""
+
+    def evaluate_through(sys, cfg, alpha) -> FeasReport:
+        rep = _lmi(source)(sys, cfg, alpha)
+        if not rep.feasible:
+            return replace(rep, witness={})
+        try:
+            w = convert(sys, *rep.witness.values())
+        except (criteria_lmi.ConversionError, criteria_lmi.IllConditionedError):
+            return replace(rep, status="not_found", lambda_star=math.inf, witness={})
+        problem = criteria_lmi.LMI_CRITERIA[target](sys)
+        value = evaluate(problem, normalize_witness(problem, w))[1]
+        return replace(rep, status="feasible" if value < 0.0 else "not_found", lambda_star=value, witness=w)
+
+    return evaluate_through
 
 
 def _spectral_weighted(sys, cfg, alpha):
@@ -80,10 +86,10 @@ def _single_delay(sys, cfg, alpha):
 
 #: criterion id -> (requires-discrete-system, evaluate(sys, cfg, alpha))
 CRITERIA = {
-    "amc": (False, _lmi("amc")),
-    "th2-coupled": (False, _lmi("th2-coupled")),
+    "amc": (False, _through("single", "amc", criteria_lmi.witness_amc_from_single)),
+    "th2-coupled": (False, _through("single", "th2-coupled", criteria_lmi.witness_th2_coupled_from_single)),
     "single": (False, _lmi("single")),
-    "th1": (False, _th1),
+    "th1": (False, _through("th2-lmi", "th1", lambda sys, *Q: criteria_lmi.witness_th1_lmi_from_th2(sys, Q))),
     "th2-lmi": (False, _lmi("th2-lmi")),
     "laa": (True, _lmi("laa")),
     "spectral": (False, lambda sys, cfg, alpha: criteria_spectral.check_spectral(sys)),

@@ -101,7 +101,7 @@ def test_one_trajectory_is_one_simulate_span_and_one_span_per_functional_time(la
 def test_a_margin_table_probe_still_reaches_the_proof_lp(layers):
     # MUST_FIRE requires lmi_core.lp_calls on margin-table until the
     # benchmark reports a counter that no longer fires as absent.  amc and
-    # single are decided by their closed forms, with no barrier run, and
+    # single are decided by single's closed forms, with no barrier run, and
     # most not-found th2-lmi probes are proven by the Newton step's dual
     # point; the row-0.2 th2-lmi probe at this bisection midpoint is not
     # (f is 1.4e-6 and its bound 1.7e-7), so it still runs the cut LP

@@ -466,8 +466,13 @@ def _solves(systems, names):
 
 @pytest.fixture(scope="module")
 def closed_form_solves(corpus_and_grid):
-    """(name, problem, report) for the coupled conditions on ``corpus_and_grid``."""
-    return _solves(corpus_and_grid, COUPLED)
+    """(name, system, own problem, criterion report) for the coupled
+    criteria on ``corpus_and_grid``."""
+    return [
+        (f"{name}-{i}", sys, LMI_CRITERIA[name](sys), margin.evaluate_criterion(sys, name))
+        for i, sys in enumerate(corpus_and_grid)
+        for name in COUPLED
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -477,8 +482,9 @@ def weighted_start_solves(corpus_and_grid):
 
 
 def test_closed_forms_give_the_barrier_verdict(closed_form_solves):
+    # each criterion's verdict is that of a barrier run on its own LMI
     assert len(closed_form_solves) >= 3 * 200
-    for name, problem, rep in closed_form_solves:
+    for name, _, problem, rep in closed_form_solves:
         assert rep.status == solve_feasibility(_barrier_only(problem)).status, name
 
 
@@ -488,18 +494,33 @@ def test_weighted_starts_give_the_barrier_verdict(weighted_start_solves):
         assert rep.status == solve_feasibility(_barrier_only(problem)).status, name
 
 
-def test_th1_verdicts_are_th2_lmi_verdicts_with_checked_witnesses(corpus_and_grid, weighted_start_solves):
-    # the two accept exactly the same systems (module docstring of
-    # criteria_lmi), and every feasible th1 witness passes th1's own blocks
-    # strictly
-    feasible = 0
-    for sys, (name, _, rep2) in zip(corpus_and_grid, weighted_start_solves):
-        rep1 = margin.evaluate_criterion(sys, "th1")
-        assert rep1.status == rep2.status, name
-        if rep1.feasible:
+def _zero_column_copies():
+    """Corpus systems with A_1's first column zeroed: a coupled witness
+    mapped from single's then needs the slack term S to be PD."""
+    return [
+        validate_system(IdsSystem(A=(sys.A[0] * (np.arange(sys.n) > 0),) + sys.A[1:], tau=sys.tau))
+        for sys in random_corpus(1, 40)
+        if isinstance(sys, IdsSystem) and sys.n > 1
+    ]
+
+
+@pytest.mark.parametrize("source, target", [("single", "amc"), ("single", "th2-coupled"), ("th2-lmi", "th1")])
+def test_through_verdicts_are_source_verdicts_with_checked_witnesses(corpus_and_grid, source, target):
+    # each target accepts exactly the systems its source does (module
+    # docstring of criteria_lmi): the verdicts agree, every feasible target
+    # witness passes the target's own blocks strictly, and every not_found
+    # keeps the source's lower bound
+    feasible = proven = 0
+    for i, sys in enumerate(corpus_and_grid + _zero_column_copies()):
+        rep0, rep = (margin.evaluate_criterion(sys, c) for c in (source, target))
+        assert rep.status == rep0.status, i
+        if rep.feasible:
             feasible += 1
-            assert check_witness(build_th1(sys), rep1.witness, 0.0), name
-    assert feasible >= 100
+            assert check_witness(LMI_CRITERIA[target](sys), rep.witness, 0.0), i
+        else:
+            assert rep.lower_bound == rep0.lower_bound and rep.witness == {}, i
+            proven += rep.lower_bound is not None
+    assert feasible >= 100 and proven >= 80
 
 
 def test_weighted_start_is_exact_where_the_weighted_test_passes(corpus_and_grid):
@@ -538,31 +559,33 @@ def test_single_term_th2_lmi_start_is_the_inverse_of_singles(corpus_and_grid):
 
 
 def test_closed_form_verdicts_carry_checked_certificates(closed_form_solves):
-    # no barrier run: a feasible verdict comes with a witness that passes
-    # check_witness, and a not-found one with the dual candidate's checked
-    # bound, which lies below f at random points of the slice
+    # no barrier run: single's closed forms decide all three criteria.  A
+    # feasible verdict comes with a witness that passes the criterion's own
+    # blocks, and a not-found one with single's checked dual bound, which
+    # lies below single's f at random points of the slice
     eps = SolverConfig().eps_feas
     rng = np.random.default_rng(11)
     proven = 0
-    for name, problem, rep in closed_form_solves:
-        assert rep.restarts == 0 and rep.iterations == len(problem.starts), name
+    for name, sys, problem, rep in closed_form_solves:
+        single = build_single(sys)
+        assert rep.restarts == 0 and rep.iterations == len(single.starts), name
         if rep.feasible:
-            assert problem.starts and not problem.dual, name
+            assert single.starts and not single.dual, name
             assert check_witness(problem, rep.witness, tol=eps / 2), name
             continue
-        comp = _Compiled(problem)
-        bound = lmi_core._candidate_bound(comp, problem.dual)
+        comp = _Compiled(single)
+        bound = lmi_core._candidate_bound(comp, single.dual)
         assert bound > -eps, name
         points = [_on_slice(comp, c * rng.standard_normal(comp.nx)) for c in (1e-2, 1.0, 1e2, 1e4) for _ in range(10)]
         assert all(bound <= comp.f_only(x) + 1e-9 for x in points), name
         assert (rep.lower_bound is not None) == (bound >= 10 * eps), name
         proven += rep.lower_bound is not None
-    assert proven >= 100
+    assert proven >= 300
 
 
 def test_coupled_margin_cells_run_no_newton_step(monkeypatch, plain_margin):
-    # every amc and single probe of the margin table is decided by a closed
-    # form: none of them starts the barrier.  The table probes only the ends
+    # every amc and single probe of the margin table is decided by single's
+    # closed forms: none of them starts the barrier.  The table probes only the ends
     # of each predicted bracket, so the 102 points that plain bisection
     # visits are evaluated as well
     built, solved = [], []
@@ -630,25 +653,26 @@ def test_tampered_candidate_is_rejected_and_the_barrier_runs(monkeypatch, tau2):
 
 @pytest.mark.parametrize("name", COUPLED)
 def test_slack_band_falls_through_to_the_barrier(scalar_system, name):
-    # N tau^2 a^2 = 1 - 1e-9: X = (I - Phi)^-1 (I) is PD, but its witness's
+    # N tau^2 a^2 = 1 - 1e-9: single's X = (I - Phi)^-1 (I) is PD, but its
     # normalized slack is below eps_feas, so it does not certify; there is
-    # no dual candidate, and the barrier run from it gives the verdict
+    # no dual candidate, and single's barrier run from it gives each
+    # criterion the verdict of a barrier run on the criterion's own LMI
     sys = scalar_system(1.0, np.sqrt(1.0 - 1e-9))
-    problem = LMI_CRITERIA[name](sys)
-    assert len(problem.starts) == 1 and not problem.dual
-    rep = solve_feasibility(problem)
+    single = build_single(sys)
+    assert len(single.starts) == 1 and not single.dual
+    rep = margin.evaluate_criterion(sys, name)
     assert rep.restarts == 1
-    assert rep.status == solve_feasibility(_barrier_only(problem)).status
+    assert rep.status == solve_feasibility(_barrier_only(LMI_CRITERIA[name](sys))).status
 
 
 def test_amc_probe_next_to_the_margin_is_proven_by_its_certificate(monkeypatch):
     # the table's amc probe at (0.2, 0.152802), 6e-5 past the cell 0.152741:
-    # rho(Phi) - 1 is 4.4e-5, and the Perron certificate proves f > 0 with
-    # no barrier run (the barrier ended there without a proof)
+    # rho(Phi) - 1 is 4.4e-5, and single's certificate from Z = (Phi* -
+    # I)^-1 (I) proves amc's not_found with no barrier run
     sys = benchmark_system(0.2, 0.152802)
     rho = spectral_radius(_coupled_map(sys))
     assert 4e-5 <= rho - 1.0 <= 5e-5
     bounds = _record_candidate_bounds(monkeypatch)
-    rep = solve_feasibility(LMI_CRITERIA["amc"](sys))
+    rep = margin.evaluate_criterion(sys, "amc")
     assert rep.status == "not_found" and rep.restarts == 0 and rep.iterations == 0
-    assert len(bounds) == 1 and bounds[0] > 0.0
+    assert len(bounds) == 1 and rep.lower_bound == bounds[0] >= 10 * SolverConfig().eps_feas

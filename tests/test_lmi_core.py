@@ -351,6 +351,22 @@ def test_dual_bound_settles_infeasible_probe_without_lp(monkeypatch):
     assert 10 * cfg.eps_feas <= rep.lower_bound <= rep.lambda_star
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["_dual_bound", "_candidate_bound"])
+def test_a_bound_that_is_not_finite_proves_nothing(monkeypatch, name, value):
+    # NaN passes no comparison, so a test "bound < 10 * eps_feas" would keep
+    # it as a proof: a bound that is not finite is dropped as a missing one
+    # is, and the solver goes on to the LP or the barrier run.  th2-lmi's
+    # run at (0.3, 3.0) ends on its dual bound, and single there is decided
+    # by its dual candidate
+    problem = LMI_CRITERIA["th2-lmi" if name == "_dual_bound" else "single"](benchmark_system(0.3, 3.0))
+    assert name == "_dual_bound" or problem.dual
+    monkeypatch.setattr(lmi_core, name, lambda *args: value)
+    rep = solve_feasibility(problem)
+    assert rep.status == "not_found" and rep.restarts == 1
+    assert rep.lower_bound is None or np.isfinite(rep.lower_bound)
+
+
 def _record_values(monkeypatch):
     """Route lmi_core._worst, f at each Newton iterate, through a recorder;
     returns its values."""
