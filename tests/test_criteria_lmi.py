@@ -504,8 +504,7 @@ def _zero_column_copies():
     ]
 
 
-@pytest.mark.parametrize("source, target", [("single", "amc"), ("single", "th2-coupled"), ("th2-lmi", "th1")])
-def test_through_verdicts_are_source_verdicts_with_checked_witnesses(corpus_and_grid, source, target):
+def _assert_through_verdicts(corpus_and_grid, source, target):
     # each target accepts exactly the systems its source does (module
     # docstring of criteria_lmi): the verdicts agree, every feasible target
     # witness passes the target's own blocks strictly, and every not_found
@@ -521,6 +520,15 @@ def test_through_verdicts_are_source_verdicts_with_checked_witnesses(corpus_and_
             assert rep.lower_bound == rep0.lower_bound and rep.witness == {}, i
             proven += rep.lower_bound is not None
     assert feasible >= 100 and proven >= 80
+
+
+@pytest.mark.parametrize("source, target", [("single", "amc"), ("single", "th2-coupled")])
+def test_through_verdicts_are_source_verdicts_with_checked_witnesses(corpus_and_grid, source, target):
+    _assert_through_verdicts(corpus_and_grid, source, target)
+
+
+def test_th1_verdicts_are_th2_lmi_verdicts_with_checked_witnesses(corpus_and_grid):
+    _assert_through_verdicts(corpus_and_grid, "th2-lmi", "th1")
 
 
 def test_weighted_start_is_exact_where_the_weighted_test_passes(corpus_and_grid):
