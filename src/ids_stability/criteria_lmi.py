@@ -11,7 +11,8 @@ Farkas multipliers.  The solver checks either one against the compiled
 blocks and decides the problem with no barrier run; one that does not
 certify falls through to the run.  th2-lmi and laa take
 ``optimize_weights``' alpha, so their start exists exactly where the
-weighted spectral test passes; one that certifies skips the run, and one
+weighted spectral test passes, and ``weights_below`` skips it where a
+bound proves that it fails; a start that certifies skips the run, and one
 that does not starts it.  The run alone reaches the same verdicts: cold
 amc is feasible at tau = (0.3, 0.0474), 5e-6 inside the exact margin.
 
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .criteria_spectral import dominant_index, kron_operator, optimize_weights
+from .criteria_spectral import dominant_index, kron_operator, optimize_weights, weights_below
 from .lmi_core import (
     AffineBlock,
     BlockTerm,
@@ -271,7 +272,10 @@ def _stacked_lmi(sys: IdsSystem) -> LmiProblem:
 
         sum_i [tau_1 A_1; ...; tau_N A_N] Q_i [.]^T - blockdiag(Q_1..Q_N) < 0
 
-    with the start of ``_closed_forms`` at ``optimize_weights``' alpha.
+    with the start of ``_closed_forms`` at ``optimize_weights``' alpha.  That
+    start exists only where phi(alpha) < 1, so where ``weights_below`` proves
+    that no weights pass, the problem gets no start and neither the full
+    weight search nor the closed form runs.
     """
     n, N = sys.n, sys.N
     T = np.vstack([t * A for A, t in zip(sys.A, sys.tau)])
@@ -283,13 +287,15 @@ def _stacked_lmi(sys: IdsSystem) -> LmiProblem:
         terms.append(BlockTerm(f"Q{i+1}", T, T.T))
         terms.append(BlockTerm(f"Q{i+1}", -E, E.T))
 
+    block = AffineBlock(dim=n * N, terms=tuple(terms))
+    if weights_below(sys, 1.0)[0] is None:
+        return LmiProblem(tuple(variables), (block,))
     alpha, _rho = optimize_weights(sys)
 
     def witness(X):
         Xinv = sym(np.linalg.inv(X))
         return {f"Q{i+1}": a * Xinv for i, a in enumerate(alpha)}
 
-    block = AffineBlock(dim=n * N, terms=tuple(terms))
     return LmiProblem(tuple(variables), (block,), _closed_forms(sys, alpha, witness)[0])
 
 

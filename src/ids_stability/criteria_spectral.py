@@ -28,6 +28,7 @@ __all__ = [
     "spectral_margin",
     "check_spectral_weighted",
     "optimize_weights",
+    "weights_below",
     "operator_block",
     "single_delay_checks",
     "SingleDelayChecks",
@@ -35,6 +36,7 @@ __all__ = [
 ]
 
 _BOUNDARY_TOL = 1e-12
+_ROUNDING = 1e-9  # the relative guard of a bound that decides weights_below
 
 
 class NonFiniteError(ValueError):
@@ -214,14 +216,21 @@ def _perron_jacobian(Ks: np.ndarray, alpha: np.ndarray, g: np.ndarray, eig: tupl
         return J
 
 
-def _newton_weights(Ks, delta: float):
+def _newton_weights(Ks, delta: float, c: float = math.inf):
     """(phi at the uniform point, (alpha, phi), certified): optimize_weights'
-    Newton search, its certified point or where it hands over its best."""
+    Newton search, its certified point or where it hands over its best.  It
+    stops early, with (None, bound) in place of (alpha, phi), at the first
+    evaluation whose Frank-Wolfe bound over the whole simplex, bound = phi -
+    (g.alpha - min_i g_i), reaches c (1 + 1e-9): phi is convex, so no
+    weights give less."""
     N = len(Ks)
     a, phi, t = np.full(N, 1.0 / N), np.inf, 1.0
     for _ in range(100):
         phi_a, g, eig = _perron_gradient(Ks, a)
         phi_uniform = phi_a if phi == np.inf else phi_uniform
+        bound = -np.inf if g is None else float(phi_a - (g @ a - g.min()))
+        if bound >= c * (1.0 + _ROUNDING):
+            return phi_uniform, (None, bound), False
         f = min(delta, a.min())
         if g is not None and g @ a - f * g.sum() - (1.0 - N * f) * g.min() <= 1e-12 * phi_a:
             return phi_uniform, (tuple(float(x) for x in a), phi_a), True
@@ -341,16 +350,43 @@ def optimize_weights(sys: IdsSystem) -> tuple[tuple[float, ...], float]:
     in alpha.
 
     The result is computed once per system and cached on it
-    (``IdsSystem.optimal_weights``).
+    (``IdsSystem.optimal_weights``).  The starts of th2-lmi and laa ask
+    ``weights_below(sys, 1)`` first, which stops the search once a bound
+    shows that no weights pass, and calls this only where some may.
     """
     return sys.optimal_weights
 
 
-def _minimize_weights(sys: IdsSystem) -> tuple[tuple[float, ...], float]:
+def weights_below(sys: IdsSystem, c: float) -> tuple[tuple[float, ...] | None, float]:
+    """Whether some simplex weights give phi(alpha) < c: (None, bound) when
+    the search proves phi >= bound >= c (1 + 1e-9) everywhere, else
+    ``optimize_weights``' (alpha, phi(alpha)).
+
+    It runs ``optimize_weights``' search and stops at the first Newton
+    evaluation whose Frank-Wolfe bound over the whole simplex (see
+    ``_newton_weights``) reaches that level; by convexity the bound holds
+    at every point, the ellipsoid's included.  A search that does not stop
+    is the optimum, and is cached on the system as ``optimize_weights``'
+    result, so no evaluation is made twice; an early stop caches nothing.
+    A system that already holds its optimum decides from it with no
+    evaluation: (None, phi) where phi reaches the level.
+    """
+    if "optimal_weights" not in vars(sys):
+        alpha, value = _minimize_weights(sys, c)
+        if alpha is None:
+            return None, value
+        vars(sys)["optimal_weights"] = alpha, value
+    alpha, phi = sys.optimal_weights
+    return (None, phi) if phi >= c * (1.0 + _ROUNDING) else (alpha, phi)
+
+
+def _minimize_weights(sys: IdsSystem, c: float = math.inf) -> tuple[tuple[float, ...] | None, float]:
     Ks = np.stack([kron_operator((A,), (t * t,)) for A, t in zip(sys.A, sys.tau)])
     if sys.N == 1:  # a one-point simplex
         return (1.0,), spectral_radius(Ks[0])
-    rho_uniform, found, certified = _newton_weights(Ks, 1e-3)
+    rho_uniform, found, certified = _newton_weights(Ks, 1e-3, c)
+    if found[0] is None:  # a bound reached c
+        return found
     if not certified:
         cand = _ellipsoid_weights(Ks, 1e-3)[0]
         found = min(found, (cand, spectral_radius(sum(K / a for K, a in zip(Ks, cand)))), key=lambda x: x[1])

@@ -44,6 +44,7 @@ never exceeds f on the slice.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -379,6 +380,7 @@ def check_witness(problem: LmiProblem, witness: dict, tol: float) -> bool:
     return True
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def linprog(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> float | None:
     """A certified lower bound on max c.y s.t. A y = b, y >= 0: the value
     c.y of a point y that is checked to satisfy the constraints.
@@ -391,8 +393,8 @@ def linprog(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> float | None:
     the least-norm solution of A (y u) = A y - b, which puts y back on the
     affine set and moves each small entry by as little as a large one,
     relative to its size.  The value is returned only if that y is
-    nonnegative and on the set to rounding; otherwise (no feasible y, or
-    the steps did not converge) None.
+    nonnegative and on the set to rounding; otherwise (no feasible y, the
+    steps did not converge, or an iterate is not finite) None.
     """
     U, sv, Vt = np.linalg.svd(A, full_matrices=False)
     r = sv > 1e-12 * sv[0]
@@ -407,6 +409,8 @@ def linprog(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> float | None:
     gap = 0.5 * (y @ s)
     y, s = y + gap / s.sum(), s + gap / y.sum()
     for _ in range(_LP_STEPS):
+        if not (np.isfinite(y).all() and np.isfinite(l).all() and np.isfinite(s).all()):
+            return None
         rb, rc, gap = Ar @ y - br, Ar.T @ l + s + c, y @ s
         if np.abs(rc).max() <= 1e-9 * scale and gap <= 1e-13 * (1.0 + abs(c @ y)):
             break
@@ -515,12 +519,13 @@ class _Barrier:
         T = np.vstack(Ts)
         return g, T.T @ T, T
 
-    def newton(self, local: tuple, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(gradient, Newton step dw, eigenvalues mu) of the barrier at weight
-        s, from the ``local`` terms of a point.  mu are the eigenvalues of
-        every D_k = S_k^-1/2 (G dw)_k S_k^-1/2, rows of T dw: along dw the
-        slacks are S^1/2 (I + alpha D) S^1/2.  A step that is not finite
-        raises LinAlgError, a numerical failure."""
+    def newton(self, local: tuple, s: float) -> tuple[float, np.ndarray, np.ndarray]:
+        """(squared Newton decrement lam2 = -g.dw, Newton step dw, eigenvalues
+        mu) of the barrier at weight s, from the ``local`` terms of a point.
+        mu are the eigenvalues of every D_k = S_k^-1/2 (G dw)_k S_k^-1/2,
+        rows of T dw: along dw the slacks are S^1/2 (I + alpha D) S^1/2.  A
+        step or decrement that is not finite raises LinAlgError, a numerical
+        failure."""
         g, H, T = local
         g = g.copy()
         g[-1] -= s
@@ -532,12 +537,13 @@ class _Barrier:
             dw = np.linalg.lstsq(H, -g, rcond=None)[0]
         with np.errstate(over="ignore", invalid="ignore"):
             D, off, mu = T @ dw, 0, []
-        if not (np.isfinite(dw).all() and np.isfinite(D).all()):
+            lam2 = float(-g @ dw)
+        if not (np.isfinite(dw).all() and np.isfinite(D).all() and np.isfinite(lam2)):
             raise np.linalg.LinAlgError("the barrier's Newton step is not finite")
         for m, K, _, _ in self.groups:
             mu.append(np.linalg.eigvalsh(D[off : off + K * m * m].reshape(K, m, m)).ravel())
             off += K * m * m
-        return g, dw, np.concatenate(mu)
+        return lam2, dw, np.concatenate(mu)
 
     @staticmethod
     def step_length(dw: np.ndarray, s: float, lam2: float, mu: np.ndarray) -> float:
@@ -552,20 +558,27 @@ class _Barrier:
         its slope at alpha (a Newton step when p is infinite or the model has
         no root), and bisects where that leaves the bracket of the root.  The
         first step is p / (1 + p), or 1; close to p, where the barrier's
-        minimiser often lies, the model is nearly exact."""
+        minimiser often lies, the model is nearly exact.  A model root that
+        is not finite raises LinAlgError, a numerical failure."""
         neg = float(mu.min())
         p = -1.0 / neg if neg < 0.0 else np.inf
         lo, hi, a, d1, d2 = 0.0, p, 0.0, -lam2, lam2
         for _ in range(30):
-            e = d1 - d2 * (p - a) if p < np.inf else 0.0
-            nxt = p + d2 * (p - a) ** 2 / e if e < 0.0 else a - d1 / d2
+            # in Python floats, which raise where numpy's would warn
+            try:
+                e = d1 - d2 * (p - a) if p < np.inf else 0.0
+                nxt = p + d2 * (p - a) ** 2 / e if e < 0.0 else a - d1 / d2
+            except (OverflowError, ZeroDivisionError):
+                nxt = math.inf
+            if not math.isfinite(nxt):
+                raise np.linalg.LinAlgError("the barrier's step length is not finite")
             if not lo < nxt < hi:
                 nxt = 0.5 * (lo + hi) if hi < np.inf else 2.0 * a
             if abs(nxt - a) <= 1e-4 * nxt:
                 return nxt
             a = nxt
             q = mu / (1.0 + a * mu)
-            d1, d2 = -s * dw[-1] - q.sum(), q @ q
+            d1, d2 = float(-s * dw[-1] - q.sum()), float(q @ q)
             if d1 < 0.0:
                 lo = a
             else:
@@ -661,9 +674,8 @@ def _barrier_run(comp: _Compiled, x0: np.ndarray, f0: float, cfg: SolverConfig):
     while best_f > settled and steps < cfg.max_iters:
         if local is None:
             local = bar.local(spectra)
-        g, dw, mu = bar.newton(local, s)
+        lam2, dw, mu = bar.newton(local, s)
         last = (bar, spectra, s, dw)
-        lam2 = float(-g @ dw)
         bound = _t_bound(bar, w[-1], s, mu)
         if bound < cfg.eps_feas or bound - w[-1] < 0.1 * cfg.eps_feas:
             break  # no witness reaches the threshold / the gap has closed

@@ -84,7 +84,8 @@ class IdsSystem(_Value):
     @cached_property
     def optimal_weights(self) -> tuple[tuple[float, ...], float]:
         """``criteria_spectral.optimize_weights``' result, computed on first
-        use; a computation that raises stores nothing."""
+        use (or by a ``weights_below`` search that runs to its end); a
+        computation that raises stores nothing."""
         from .criteria_spectral import _minimize_weights
 
         return _minimize_weights(self)

@@ -488,6 +488,53 @@ def test_check_adversarial_system_gives_a_clean_verdict_or_one_error_line(tmp_pa
         assert len(err) == 1 and err[0].startswith("error:")
 
 
+# systems whose barrier or proof LP overflows: the step length (4 terms,
+# entries near 1e133, full precision needed), the squared Newton decrement
+# (3 x 3, entries near 1e8) and the LP's steps (N = 2, rows near 1e228)
+_OVERFLOWING = {
+    "step-length": (
+        (np.array([[-1.0299824237515514e106]]), np.array([[-8.566779839584403e-119]]),
+         np.array([[-1.395761111293656e133]]), np.array([[1.227381918145922e133]])),
+        (0.3258834424683706, 0.005033833288608912, 0.12160511661397955, 0.007619113876614718),
+    ),
+    "decrement": (
+        (np.array([
+            [-41728584.626078576, 20170421.884211708, 135698801.67822742],
+            [-51046446.38389552, -68458840.07391703, 97849816.24319069],
+            [-43567941.21681341, 5751497.481475611, -10567950.90211921],
+        ]),),
+        (0.22901902175154568,),
+    ),
+    "lp": (
+        (
+            np.array([
+                [-8.444536956244314e82, -9.704194747851736e82, -1.4816722339955008e82],
+                [1.1383840078212058e83, -4.762497804381867e82, 1.3458415485310754e82],
+                [1.6325054553454348e82, -4.567942970224425e82, -7.486047214567183e81],
+            ]),
+            np.array([
+                [-1.2034184667356132e114, -2.55713256927086e114, -4.700588923947756e113],
+                [8.518501610860654e113, -8.097066155128824e112, -1.0709636714836477e114],
+                [-3.0730235077201913e113, 1.2583897722178292e114, -1.0112371272103753e114],
+            ]),
+        ),
+        (0.10440685269092244, 0.7149555832502047),
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("method", ["th2-lmi", "th1"])
+@pytest.mark.parametrize("case", sorted(_OVERFLOWING))
+def test_check_overflowing_barrier_or_lp_gives_a_verdict_or_one_error_line(tmp_path, capsys, method, case):
+    path = _system_file(tmp_path, *_OVERFLOWING[case])
+    code = main(["check", "--system", path, "--method", method])
+    err = capsys.readouterr().err
+    assert (code == 1 and err == "") or (
+        code == 3 and len(err.strip().splitlines()) == 1 and err.startswith("error:")
+    )
+
+
 @pytest.mark.filterwarnings("error")
 def test_check_infinite_kron_weight_warns_nothing(tmp_path, capsys):
     # tau^2 = inf times the zero entries of A (x) A is nan

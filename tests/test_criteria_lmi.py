@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ids_stability import lmi_core, margin
+from ids_stability import criteria_lmi, lmi_core, margin
 
 from ids_stability.criteria_lmi import (
     ConversionError,
@@ -25,7 +25,7 @@ from ids_stability.criteria_lmi import (
     witness_th1_from_th2,
     witness_th1_from_th2coupled,
 )
-from ids_stability.criteria_spectral import check_spectral, kron_operator, spectral_radius
+from ids_stability.criteria_spectral import check_spectral, kron_operator, optimize_weights, spectral_radius, weights_below
 from ids_stability.criteria_lmi import LMI_CRITERIA, _perron_matrix
 from ids_stability.lmi_core import SolverConfig, _Compiled, check_witness, evaluate, solve_feasibility
 from ids_stability.model import DiscreteIds, IdsSystem, benchmark_system, validate_system
@@ -684,3 +684,76 @@ def test_amc_probe_next_to_the_margin_is_proven_by_its_certificate(monkeypatch):
     rep = margin.evaluate_criterion(sys, "amc")
     assert rep.status == "not_found" and rep.restarts == 0 and rep.iterations == 0
     assert len(bounds) == 1 and rep.lower_bound == bounds[0] >= 10 * SolverConfig().eps_feas
+
+
+# -- the weight decision that the stacked starts ask first ---------------------
+
+
+@pytest.fixture(scope="module")
+def five_corpora():
+    return [s for seed in (2024, 7, 1, 2, 3) for s in random_corpus(seed, 100)]
+
+
+def _fresh(sys):
+    """An equal system that holds no cached weights."""
+    return type(sys)(A=sys.A, tau=sys.tau)
+
+
+def _full_search(builder, sys):
+    """``builder(sys)`` with every stacked start taken at ``optimize_weights``'
+    alpha, as without the decision query."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(criteria_lmi, "weights_below", lambda s, c: ((), float("nan")))
+        return builder(sys)
+
+
+def _start_bytes(problem):
+    return [{name: M.tobytes() for name, M in start.items()} for start in problem.starts]
+
+
+def test_weights_that_cannot_pass_attach_no_start(five_corpora):
+    # a "no weights pass" verdict: the full search's alpha gives no start either
+    excluded = 0
+    for i, sys in enumerate(five_corpora):
+        if weights_below(_fresh(sys), 1.0)[0] is None:
+            excluded += 1
+            assert _full_search(build_th2_lmi, _fresh(sys)).starts == (), i
+    assert excluded >= 100
+
+
+def test_stacked_starts_are_those_of_the_full_weight_search(five_corpora):
+    # bitwise, for th2-lmi on cold systems and on systems that already hold
+    # their optimum (spectral-weighted first), and for laa on discrete copies
+    attached = 0
+    for i, sys in enumerate(five_corpora):
+        ref = _start_bytes(_full_search(build_th2_lmi, _fresh(sys)))
+        assert _start_bytes(build_th2_lmi(_fresh(sys))) == ref, i
+        warm = _fresh(sys)
+        optimize_weights(warm)
+        assert _start_bytes(build_th2_lmi(warm)) == ref, i
+        laa = DiscreteIds(A=sys.A, tau=tuple(range(1, sys.N + 1)))
+        assert _start_bytes(build_laa(_fresh(laa))) == _start_bytes(_full_search(build_laa, _fresh(laa))), i
+        attached += bool(ref)
+    assert attached >= 300
+
+
+def test_th1_reports_are_those_of_the_full_weight_search(five_corpora):
+    # th1 is decided through th2-lmi's problem, start included
+    for i, sys in enumerate(five_corpora):
+        ref = _full_search(lambda s: margin.evaluate_criterion(s, "th1"), _fresh(sys))
+        rep = margin.evaluate_criterion(_fresh(sys), "th1")
+        assert (rep.status, rep.lambda_star, rep.lower_bound) == (ref.status, ref.lambda_star, ref.lower_bound), i
+
+
+def test_table1_th2_lmi_column_stays_within_its_eigendecompositions(monkeypatch):
+    # a count, not a time: the 68 th2-lmi weight searches of the table stop
+    # once a bound shows that no weights pass (103 eig calls; 297 when every
+    # search ran to its optimum)
+    calls, builds, eig = [], [], np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda X: calls.append(1) or eig(X))
+    build = LMI_CRITERIA["th2-lmi"]
+    monkeypatch.setitem(LMI_CRITERIA, "th2-lmi", lambda sys: builds.append(1) or build(sys))
+    base = benchmark_system()
+    for row in (0.4, 0.3, 0.2, 0.1):
+        margin.bisect_margin(base.with_delays((row, base.tau[1])), 1, "th2-lmi", lo=1e-4, tol=1e-4)
+    assert len(builds) == 68 and len(calls) <= 110

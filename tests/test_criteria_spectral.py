@@ -21,8 +21,10 @@ from ids_stability.criteria_spectral import (
     optimize_weights,
     single_delay_checks,
     spectral_radius,
+    weights_below,
 )
-from ids_stability.margin import criterion_feasible
+from ids_stability.criteria_lmi import build_th2_lmi
+from ids_stability.margin import criterion_feasible, evaluate_criterion
 from ids_stability.model import DiscreteIds, IdsSystem, benchmark_system, validate_system
 from ids_stability.suites import random_corpus
 
@@ -787,6 +789,59 @@ def test_corpus_order_computes_the_weights_once(monkeypatch):
     for criterion in ("spectral-weighted", "amc", "th2-coupled", "single", "th1", "th2-lmi"):
         criterion_feasible(s, criterion)
     assert len(calls) == 1
+
+
+def _fresh(s):
+    """An equal system that holds no cached weights."""
+    return IdsSystem(A=s.A, tau=s.tau)
+
+
+def test_weights_below_bound_lies_below_the_optimum(reducible_optima):
+    # a bound that decides is a Frank-Wolfe plane over the whole simplex, so
+    # it lies below the least phi (to rounding, where Newton has converged)
+    # and at or above the guarded level; where none decides, the answer is
+    # the full search's, bitwise
+    corpora = [s for seed in (2024, 7, 1, 2, 3) for s in random_corpus(seed, 100)]
+    battery = [s for seed in _REDUCIBLE_REFERENCE for s in _reducible_battery(seed)]
+    reference = [r for seed in _REDUCIBLE_REFERENCE for r in _REDUCIBLE_REFERENCE[seed]]
+    cases = [(s, optimize_weights(s)[1]) for s in corpora] + [(s, rho) for s, (_a, rho) in reducible_optima]
+    cases += [(s, min(optimize_weights(s)[1], r)) for s, r in zip(battery, reference)]
+    decided = early = 0
+    for i, (s, phi) in enumerate(cases):
+        for c in (1.0, 0.9 * phi):
+            alpha, value = weights_below(_fresh(s), c)
+            if alpha is None:
+                decided += 1
+                assert c * (1.0 + 1e-9) <= value <= phi * (1.0 + 1e-12), i
+            else:
+                assert (alpha, value) == optimize_weights(s) and value < c * (1.0 + 1e-9), i
+        cold = _fresh(s)
+        early += weights_below(cold, 0.9 * phi)[0] is None and "optimal_weights" not in vars(cold)
+    assert decided >= 700 and early >= 300
+
+
+def test_weights_below_reads_the_cached_optimum(monkeypatch):
+    # spectral-weighted first: th2-lmi's decision costs no evaluation
+    s = validate_system(benchmark_system(0.3, 0.2))
+    alpha, rho = optimize_weights(s)
+    calls = _spy_compute(monkeypatch)
+    assert weights_below(s, 1.0) == (None, rho) and weights_below(s, 2.0 * rho) == (alpha, rho)
+    assert build_th2_lmi(s).starts == () and calls == []
+
+
+@pytest.mark.parametrize("tau2", [0.05, 0.2], ids=["passes", "cannot-pass"])
+def test_spectral_weighted_after_th2_lmi_is_the_optimum_from_one_search(monkeypatch, tau2):
+    # an early stop caches nothing, so spectral-weighted searches once, in full;
+    # a search that ran to the end is cached, and nothing is searched twice
+    s = validate_system(benchmark_system(0.3, tau2))
+    expected = optimize_weights(_fresh(s))
+    calls, real = [], criteria_spectral._minimize_weights
+    monkeypatch.setattr(criteria_spectral, "_minimize_weights", lambda sys, *c: calls.append(c) or real(sys, *c))
+    build_th2_lmi(s)
+    assert ("optimal_weights" in vars(s)) == (expected[1] < 1.0)
+    v = evaluate_criterion(s, "spectral-weighted")
+    assert v == check_spectral_weighted(s, expected[0]) and v.passed == (tau2 == 0.05)
+    assert calls == [(1.0,)] if tau2 == 0.05 else calls == [(1.0,), ()]
 
 
 def test_operator_block_single_term_is_the_kron_block():

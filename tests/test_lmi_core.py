@@ -665,11 +665,11 @@ def _record_steps(monkeypatch):
         return out
 
     def record_newton(bar, terms, s):
-        g, dw, mu = newton(bar, terms, s)
+        lam2, dw, mu = newton(bar, terms, s)
         sp = next(sp for out, sp in reversed(locals_) if out is terms)
         w = next(w for out, w in reversed(points) if out is sp)
-        steps.append((bar, w, sp, s, dw, float(-g @ dw), mu))
-        return g, dw, mu
+        steps.append((bar, w, sp, s, dw, lam2, mu))
+        return lam2, dw, mu
 
     monkeypatch.setattr(lmi_core._Barrier, "spectra", record_spectra)
     monkeypatch.setattr(lmi_core._Barrier, "local", record_local)
