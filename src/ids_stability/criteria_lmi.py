@@ -11,10 +11,11 @@ Farkas multipliers.  The solver checks either one against the compiled
 blocks and decides the problem with no barrier run; one that does not
 certify falls through to the run.  th2-lmi and laa take
 ``optimize_weights``' alpha, so their start exists exactly where the
-weighted spectral test passes, and ``weights_below`` skips it where a
-bound proves that it fails; a start that certifies skips the run, and one
-that does not starts it.  The run alone reaches the same verdicts: cold
-amc is feasible at tau = (0.3, 0.0474), 5e-6 inside the exact margin.
+weighted spectral test passes; asked at level 1, the search stops where
+a bound proves that it fails, and the problem gets no start.  A start
+that certifies skips the run, and one that does not starts it.  The run
+alone reaches the same verdicts: cold amc is feasible at tau = (0.3,
+0.0474), 5e-6 inside the exact margin.
 
 amc and th2-coupled hold exactly when single does, so ``margin`` decides
 them by solving single and maps a strict Q, with S = Q - Phi(Q) > 0, to a
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .criteria_spectral import dominant_index, kron_operator, optimize_weights, weights_below
+from .criteria_spectral import dominant_index, kron_operator, optimize_weights
 from .lmi_core import (
     AffineBlock,
     BlockTerm,
@@ -273,9 +274,9 @@ def _stacked_lmi(sys: IdsSystem) -> LmiProblem:
         sum_i [tau_1 A_1; ...; tau_N A_N] Q_i [.]^T - blockdiag(Q_1..Q_N) < 0
 
     with the start of ``_closed_forms`` at ``optimize_weights``' alpha.  That
-    start exists only where phi(alpha) < 1, so where ``weights_below`` proves
-    that no weights pass, the problem gets no start and neither the full
-    weight search nor the closed form runs.
+    start exists only where phi(alpha) < 1, so the search is asked at level
+    1: where it proves that no weights pass, the problem gets no start and
+    neither the rest of the search nor the closed form runs.
     """
     n, N = sys.n, sys.N
     T = np.vstack([t * A for A, t in zip(sys.A, sys.tau)])
@@ -288,9 +289,9 @@ def _stacked_lmi(sys: IdsSystem) -> LmiProblem:
         terms.append(BlockTerm(f"Q{i+1}", -E, E.T))
 
     block = AffineBlock(dim=n * N, terms=tuple(terms))
-    if weights_below(sys, 1.0)[0] is None:
+    alpha, _rho = optimize_weights(sys, 1.0)
+    if alpha is None:
         return LmiProblem(tuple(variables), (block,))
-    alpha, _rho = optimize_weights(sys)
 
     def witness(X):
         Xinv = sym(np.linalg.inv(X))

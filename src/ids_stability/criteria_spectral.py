@@ -28,7 +28,6 @@ __all__ = [
     "spectral_margin",
     "check_spectral_weighted",
     "optimize_weights",
-    "weights_below",
     "operator_block",
     "single_delay_checks",
     "SingleDelayChecks",
@@ -36,7 +35,7 @@ __all__ = [
 ]
 
 _BOUNDARY_TOL = 1e-12
-_ROUNDING = 1e-9  # the relative guard of a bound that decides weights_below
+_ROUNDING = 1e-9  # the relative guard of a bound that decides optimize_weights' level
 
 
 class NonFiniteError(ValueError):
@@ -217,8 +216,8 @@ def _perron_jacobian(Ks: np.ndarray, alpha: np.ndarray, g: np.ndarray, eig: tupl
 
 
 def _newton_weights(Ks, delta: float, c: float = math.inf):
-    """(phi at the uniform point, (alpha, phi), certified): optimize_weights'
-    Newton search, its certified point or where it hands over its best.  It
+    """((alpha, phi), certified): optimize_weights' Newton search from the
+    uniform point, its certified point or where it hands over its best.  It
     stops early, with (None, bound) in place of (alpha, phi), at the first
     evaluation whose Frank-Wolfe bound over the whole simplex, bound = phi -
     (g.alpha - min_i g_i), reaches c (1 + 1e-9): phi is convex, so no
@@ -227,13 +226,12 @@ def _newton_weights(Ks, delta: float, c: float = math.inf):
     a, phi, t = np.full(N, 1.0 / N), np.inf, 1.0
     for _ in range(100):
         phi_a, g, eig = _perron_gradient(Ks, a)
-        phi_uniform = phi_a if phi == np.inf else phi_uniform
         bound = -np.inf if g is None else float(phi_a - (g @ a - g.min()))
         if bound >= c * (1.0 + _ROUNDING):
-            return phi_uniform, (None, bound), False
+            return (None, bound), False
         f = min(delta, a.min())
         if g is not None and g @ a - f * g.sum() - (1.0 - N * f) * g.min() <= 1e-12 * phi_a:
-            return phi_uniform, (tuple(float(x) for x in a), phi_a), True
+            return (tuple(float(x) for x in a), phi_a), True
         if phi_a < phi:
             alpha, phi, t = a, phi_a, 1.0
             J = None if g is None else _perron_jacobian(Ks, alpha, g, eig)
@@ -259,7 +257,7 @@ def _newton_weights(Ks, delta: float, c: float = math.inf):
             break
         a = alpha * np.exp(t * dy)
         a[free] *= (1.0 - a[clip].sum()) / a[free].sum()
-    return phi_uniform, (tuple(float(x) for x in alpha), phi), False
+    return (tuple(float(x) for x in alpha), phi), False
 
 
 def _ellipsoid_weights(Ks, delta: float) -> tuple[tuple[float, ...], float]:
@@ -308,7 +306,7 @@ def _ellipsoid_weights(Ks, delta: float) -> tuple[tuple[float, ...], float]:
     return tuple(float(x) for x in alpha), float(bound)
 
 
-def optimize_weights(sys: IdsSystem) -> tuple[tuple[float, ...], float]:
+def optimize_weights(sys: IdsSystem, c: float = math.inf) -> tuple[tuple[float, ...] | None, float]:
     """Minimize phi(alpha) = rho(sum_i tau_i^2 A_i (x) A_i / alpha_i) over the
     open simplex; returns (alpha, phi(alpha)), never worse than the uniform
     point.  With u, v the left and right Perron vectors of M = sum_i
@@ -349,48 +347,36 @@ def optimize_weights(sys: IdsSystem) -> tuple[tuple[float, ...], float]:
     x; with the convex x_i = -log alpha_i, log phi and hence phi are convex
     in alpha.
 
-    The result is computed once per system and cached on it
-    (``IdsSystem.optimal_weights``).  The starts of th2-lmi and laa ask
-    ``weights_below(sys, 1)`` first, which stops the search once a bound
-    shows that no weights pass, and calls this only where some may.
+    Asked for a level c, it also answers whether some weights give phi < c:
+    the search stops at the first Newton evaluation whose Frank-Wolfe bound
+    over the whole simplex (see ``_newton_weights``) reaches c (1 + 1e-9),
+    and returns (None, bound).  By convexity the bound holds at every
+    point, the ellipsoid's included.  The starts of th2-lmi and laa ask at
+    c = 1, and spectral-weighted at the default c = inf, which never stops.
+
+    A search that runs to its end is cached on the system (in its
+    ``__dict__``), and an early stop or a search that raises caches nothing.
+    A system that holds its optimum answers from it with no evaluation:
+    (None, phi) where phi reaches the level.
     """
-    return sys.optimal_weights
-
-
-def weights_below(sys: IdsSystem, c: float) -> tuple[tuple[float, ...] | None, float]:
-    """Whether some simplex weights give phi(alpha) < c: (None, bound) when
-    the search proves phi >= bound >= c (1 + 1e-9) everywhere, else
-    ``optimize_weights``' (alpha, phi(alpha)).
-
-    It runs ``optimize_weights``' search and stops at the first Newton
-    evaluation whose Frank-Wolfe bound over the whole simplex (see
-    ``_newton_weights``) reaches that level; by convexity the bound holds
-    at every point, the ellipsoid's included.  A search that does not stop
-    is the optimum, and is cached on the system as ``optimize_weights``'
-    result, so no evaluation is made twice; an early stop caches nothing.
-    A system that already holds its optimum decides from it with no
-    evaluation: (None, phi) where phi reaches the level.
-    """
-    if "optimal_weights" not in vars(sys):
-        alpha, value = _minimize_weights(sys, c)
-        if alpha is None:
-            return None, value
-        vars(sys)["optimal_weights"] = alpha, value
-    alpha, phi = sys.optimal_weights
-    return (None, phi) if phi >= c * (1.0 + _ROUNDING) else (alpha, phi)
+    found = vars(sys).get("optimal_weights")
+    if found is None:
+        found = _minimize_weights(sys, c)
+        if found[0] is None:
+            return found
+        found = vars(sys).setdefault("optimal_weights", found)
+    return (None, found[1]) if found[1] >= c * (1.0 + _ROUNDING) else found
 
 
 def _minimize_weights(sys: IdsSystem, c: float = math.inf) -> tuple[tuple[float, ...] | None, float]:
     Ks = np.stack([kron_operator((A,), (t * t,)) for A, t in zip(sys.A, sys.tau)])
     if sys.N == 1:  # a one-point simplex
         return (1.0,), spectral_radius(Ks[0])
-    rho_uniform, found, certified = _newton_weights(Ks, 1e-3, c)
-    if found[0] is None:  # a bound reached c
+    found, certified = _newton_weights(Ks, 1e-3, c)
+    if found[0] is None or certified:  # a bound reached c, or the optimum
         return found
-    if not certified:
-        cand = _ellipsoid_weights(Ks, 1e-3)[0]
-        found = min(found, (cand, spectral_radius(sum(K / a for K, a in zip(Ks, cand)))), key=lambda x: x[1])
-    return found if found[1] < rho_uniform else (tuple(1.0 / sys.N for _ in range(sys.N)), rho_uniform)
+    cand = _ellipsoid_weights(Ks, 1e-3)[0]
+    return min(found, (cand, spectral_radius(sum(K / a for K, a in zip(Ks, cand)))), key=lambda x: x[1])
 
 
 def operator_block(sys: IdsSystem) -> np.ndarray:

@@ -10,17 +10,17 @@ x(t) = sum_i A_i x(t - tau_i), whose delays must be strictly increasing.
 
 Both are immutable values: construction stores read-only float64 copies of
 the A_i and a tuple of float delays, so a caller that later changes its own
-arrays changes neither the system nor what is derived from it.  Derived data
-lives on the system: ``tau_max`` is computed from ``tau``, and an integral
-system caches its optimal spectral weights on first use.  Validation checks
-the invariants; it adds nothing to the value.
+arrays changes neither the system nor what is derived from it.  ``tau_max``
+is computed from ``tau``; ``criteria_spectral.optimize_weights`` caches an
+integral system's optimal spectral weights in its ``__dict__``, and this
+module imports no other module of the package.  Validation checks the
+invariants; it adds nothing to the value.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -80,15 +80,6 @@ class IdsSystem(_Value):
 
     A: tuple[np.ndarray, ...]
     tau: tuple[float, ...]
-
-    @cached_property
-    def optimal_weights(self) -> tuple[tuple[float, ...], float]:
-        """``criteria_spectral.optimize_weights``' result, computed on first
-        use (or by a ``weights_below`` search that runs to its end); a
-        computation that raises stores nothing."""
-        from .criteria_spectral import _minimize_weights
-
-        return _minimize_weights(self)
 
     def with_delays(self, tau: tuple[float, ...] | list[float]) -> "IdsSystem":
         return validate_system(IdsSystem(A=self.A, tau=tuple(tau)))

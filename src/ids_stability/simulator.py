@@ -86,7 +86,10 @@ class HistorySpec:
 
     @classmethod
     def sampled(cls, values) -> "HistorySpec":
-        v = np.atleast_2d(np.asarray(values, dtype=float))
+        """Uniform samples from -tau to 0, one row per sample; a flat list
+        is one value per sample (n = 1)."""
+        v = np.asarray(values, dtype=float)
+        v = v.reshape(-1, 1) if v.ndim < 2 else v
         if v.shape[0] < 2:
             raise ValueError("need at least two samples")
         return cls(kind="custom-sampled", samples=v)

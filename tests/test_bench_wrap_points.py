@@ -60,18 +60,21 @@ def test_install_patches_and_restore_puts_every_binding_back(layers):
 
 def test_each_builder_call_is_one_traced_build(layers):
     # builders must not call each other by their wrapped names, or one
-    # build would be counted twice
-    systems = {
-        "th2-lmi": validate_system(model.benchmark_system(0.3, 0.05)),
-        "laa": validate_system(DiscreteIds(A=(np.eye(2) / 4, np.eye(2) / 8), tau=(0.2, 0.5))),
-    }
+    # build would be counted twice; each stacked build makes one weight
+    # search, also the one whose search stops early (no weights pass)
+    systems = [
+        ("th2-lmi", validate_system(model.benchmark_system(0.3, 0.05))),
+        ("th2-lmi", validate_system(model.benchmark_system(0.3, 0.2))),
+        ("laa", validate_system(DiscreteIds(A=(np.eye(2) / 4, np.eye(2) / 8), tau=(0.2, 0.5)))),
+    ]
     tr = layers.install()
     try:
-        for name, sys in systems.items():
+        for name, sys in systems:
             criteria_lmi.LMI_CRITERIA[name](sys)
     finally:
         tr.restore()
-    assert [s.name for s in tr.spans].count(layers.BUILD) == len(systems)
+    names = [s.name for s in tr.spans]
+    assert names.count(layers.BUILD) == names.count(layers.WEIGHTS) == len(systems)
 
 
 def test_one_trajectory_is_one_simulate_span_and_one_span_per_functional_time(layers):

@@ -309,6 +309,16 @@ def test_simulate_zero_system(tmp_path, capsys):
     assert any(l.startswith("#") for l in lines)  # decay comments present
 
 
+def test_simulate_scalar_system_takes_a_flat_sampled_history(tmp_path, capsys):
+    sys_path, hist = tmp_path / "scalar.json", tmp_path / "history.json"
+    sys_path.write_text(save_system(validate_system(IdsSystem(A=(np.array([[-1.0]]),), tau=(0.4,)))))
+    hist.write_text("[1.0, 0.5, 0.2]")
+    argv = ["simulate", "--system", str(sys_path), "--h", "0.05", "--T", "1.0", "--history", f"sampled:{hist}"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "t, x1" and lines[1] == "-0.4, 1"
+
+
 def test_simulate_bad_history_is_usage_error(bench_file, capsys):
     code = main(
         [

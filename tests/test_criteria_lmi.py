@@ -25,7 +25,7 @@ from ids_stability.criteria_lmi import (
     witness_th1_from_th2,
     witness_th1_from_th2coupled,
 )
-from ids_stability.criteria_spectral import check_spectral, kron_operator, optimize_weights, spectral_radius, weights_below
+from ids_stability.criteria_spectral import check_spectral, kron_operator, optimize_weights, spectral_radius
 from ids_stability.criteria_lmi import LMI_CRITERIA, _perron_matrix
 from ids_stability.lmi_core import SolverConfig, _Compiled, check_witness, evaluate, solve_feasibility
 from ids_stability.model import DiscreteIds, IdsSystem, benchmark_system, validate_system
@@ -701,9 +701,9 @@ def _fresh(sys):
 
 def _full_search(builder, sys):
     """``builder(sys)`` with every stacked start taken at ``optimize_weights``'
-    alpha, as without the decision query."""
+    alpha, as without the level that stops the search early."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(criteria_lmi, "weights_below", lambda s, c: ((), float("nan")))
+        mp.setattr(criteria_lmi, "optimize_weights", lambda s, c: optimize_weights(s))
         return builder(sys)
 
 
@@ -715,7 +715,7 @@ def test_weights_that_cannot_pass_attach_no_start(five_corpora):
     # a "no weights pass" verdict: the full search's alpha gives no start either
     excluded = 0
     for i, sys in enumerate(five_corpora):
-        if weights_below(_fresh(sys), 1.0)[0] is None:
+        if optimize_weights(_fresh(sys), 1.0)[0] is None:
             excluded += 1
             assert _full_search(build_th2_lmi, _fresh(sys)).starts == (), i
     assert excluded >= 100

@@ -21,7 +21,6 @@ from ids_stability.criteria_spectral import (
     optimize_weights,
     single_delay_checks,
     spectral_radius,
-    weights_below,
 )
 from ids_stability.criteria_lmi import build_th2_lmi
 from ids_stability.margin import criterion_feasible, evaluate_criterion
@@ -290,7 +289,7 @@ def test_perron_gradient_is_none_without_a_real_dominant_eigenvalue():
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
     assert criteria_spectral._perron_gradient(np.stack([rot, rot]), (0.5, 0.5)) == (4.0, None, None)
     # so Newton hands over at once and keeps the uniform point
-    assert criteria_spectral._newton_weights(np.stack([rot] * 3), 1e-3) == (9.0, ((1 / 3,) * 3, 9.0), False)
+    assert criteria_spectral._newton_weights(np.stack([rot] * 3), 1e-3) == (((1 / 3,) * 3, 9.0), False)
 
 
 def test_spectral_radius_rejects_non_finite_and_stacked_matrices():
@@ -368,8 +367,8 @@ def _stacked(s):
 
 def test_newton_certifies_the_corpus_and_hands_kinks_over(three_term_optima, two_term_optima):
     assert len(three_term_optima) == 68 and len(two_term_optima) == 154
-    assert all(criteria_spectral._newton_weights(_stacked(s), 1e-3)[2] for s, _ in three_term_optima + two_term_optima)
-    assert all(not criteria_spectral._newton_weights(_stacked(validate_system(s)), 1e-3)[2] for s in REDUCIBLE)
+    assert all(criteria_spectral._newton_weights(_stacked(s), 1e-3)[1] for s, _ in three_term_optima + two_term_optima)
+    assert all(not criteria_spectral._newton_weights(_stacked(validate_system(s)), 1e-3)[1] for s in REDUCIBLE)
 
 
 def test_newton_hands_over_early_at_kinks(monkeypatch):
@@ -380,7 +379,7 @@ def test_newton_hands_over_early_at_kinks(monkeypatch):
     counts = []
     for s in map(validate_system, REDUCIBLE):
         del calls[:]
-        assert not criteria_spectral._newton_weights(_stacked(s), 1e-3)[2]
+        assert not criteria_spectral._newton_weights(_stacked(s), 1e-3)[1]
         counts.append(len(calls))
     assert counts == [6, 8]
 
@@ -432,7 +431,7 @@ def test_a_handed_over_search_keeps_newtons_best_point():
     )
     s = validate_system(IdsSystem(A=A, tau=(0.9, 0.5, 0.3, 0.5)))
     Ks = _stacked(s)
-    _phi_uniform, best, certified = criteria_spectral._newton_weights(Ks, 1e-3)
+    best, certified = criteria_spectral._newton_weights(Ks, 1e-3)
     assert not certified
     assert best[1] < check_spectral_weighted(s, criteria_spectral._ellipsoid_weights(Ks, 1e-3)[0]).rho
     assert optimize_weights(s) == best
@@ -490,7 +489,7 @@ def test_weights_carry_a_frank_wolfe_certificate(three_term_optima, two_term_opt
         f = min(1e-3, alpha.min())
         gap = g @ alpha - f * g.sum() - (1 - s.N * f) * g.min()
         assert gap >= -1e-15 * phi
-        if criteria_spectral._newton_weights(Ks, 1e-3)[2]:
+        if criteria_spectral._newton_weights(Ks, 1e-3)[1]:
             assert gap <= 1e-12 * phi
         else:
             # at a kink g is one block's gradient, whose bound is weak (here
@@ -609,7 +608,7 @@ def test_optimize_weights_matches_restarts_on_reducible_systems(seed):
         Ks = np.stack([t * t * kron(A, A) for A, t in zip(s.A, s.tau)])
         alpha, bound = criteria_spectral._ellipsoid_weights(Ks, 1e-3)
         assert bound <= check_spectral_weighted(s, alpha).rho
-        fallbacks += not criteria_spectral._newton_weights(Ks, 1e-3)[2]
+        fallbacks += not criteria_spectral._newton_weights(Ks, 1e-3)[1]
     assert fallbacks >= 10
 
 
@@ -705,9 +704,9 @@ def _spy_compute(monkeypatch):
     calls = []
     real = criteria_spectral._minimize_weights
 
-    def spy(sys):
+    def spy(sys, c):
         calls.append(sys)
-        return real(sys)
+        return real(sys, c)
 
     monkeypatch.setattr(criteria_spectral, "_minimize_weights", spy)
     return calls
@@ -809,14 +808,14 @@ def test_weights_below_bound_lies_below_the_optimum(reducible_optima):
     decided = early = 0
     for i, (s, phi) in enumerate(cases):
         for c in (1.0, 0.9 * phi):
-            alpha, value = weights_below(_fresh(s), c)
+            alpha, value = optimize_weights(_fresh(s), c)
             if alpha is None:
                 decided += 1
                 assert c * (1.0 + 1e-9) <= value <= phi * (1.0 + 1e-12), i
             else:
                 assert (alpha, value) == optimize_weights(s) and value < c * (1.0 + 1e-9), i
         cold = _fresh(s)
-        early += weights_below(cold, 0.9 * phi)[0] is None and "optimal_weights" not in vars(cold)
+        early += optimize_weights(cold, 0.9 * phi)[0] is None and "optimal_weights" not in vars(cold)
     assert decided >= 700 and early >= 300
 
 
@@ -825,7 +824,7 @@ def test_weights_below_reads_the_cached_optimum(monkeypatch):
     s = validate_system(benchmark_system(0.3, 0.2))
     alpha, rho = optimize_weights(s)
     calls = _spy_compute(monkeypatch)
-    assert weights_below(s, 1.0) == (None, rho) and weights_below(s, 2.0 * rho) == (alpha, rho)
+    assert optimize_weights(s, 1.0) == (None, rho) and optimize_weights(s, 2.0 * rho) == (alpha, rho)
     assert build_th2_lmi(s).starts == () and calls == []
 
 
@@ -841,7 +840,7 @@ def test_spectral_weighted_after_th2_lmi_is_the_optimum_from_one_search(monkeypa
     assert ("optimal_weights" in vars(s)) == (expected[1] < 1.0)
     v = evaluate_criterion(s, "spectral-weighted")
     assert v == check_spectral_weighted(s, expected[0]) and v.passed == (tau2 == 0.05)
-    assert calls == [(1.0,)] if tau2 == 0.05 else calls == [(1.0,), ()]
+    assert calls == [(1.0,)] if tau2 == 0.05 else calls == [(1.0,), (math.inf,)]
 
 
 def test_operator_block_single_term_is_the_kron_block():

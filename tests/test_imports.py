@@ -66,6 +66,20 @@ def test_no_package_module_imports_scipy():
     assert not importers
 
 
+def test_model_imports_no_other_package_module():
+    # model is the bottom layer: every other module may import it, so it
+    # imports none of them, at module level or inside a function
+    path = Path(ids_stability.__file__).parent / "model.py"
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported += [a.name for a in node.names if a.name.partition(".")[0] == "ids_stability"]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level or (node.module or "").partition(".")[0] == "ids_stability":
+                imported.append("." * node.level + (node.module or ""))
+    assert not imported, f"model.py imports {imported}"
+
+
 def test_importing_the_package_and_cli_loads_no_scipy():
     code = "import sys, ids_stability, ids_stability.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}

@@ -206,12 +206,15 @@ def _spy_weights(monkeypatch, module, result=None):
     calls = []
     real = criteria_spectral.optimize_weights
 
-    def spy(sys):
+    def spy(sys, *c):
         calls.append(sys)
-        return real(sys) if result is None else result
+        return real(sys, *c) if result is None else result
 
     monkeypatch.setattr(module, "optimize_weights", spy)
     return calls
+
+
+NO_PASS = benchmark_system(0.3, 0.2)  # a bound proves that no weights pass
 
 
 @pytest.mark.parametrize(
@@ -219,12 +222,14 @@ def _spy_weights(monkeypatch, module, result=None):
     [
         ("build_th2_lmi", benchmark_system(0.3, 0.05)),
         ("build_laa", DiscreteIds(A=(np.eye(2) / 4, np.eye(2) / 8), tau=(0.2, 0.5))),
+        ("build_th2_lmi", NO_PASS),
     ],
 )
 def test_builders_optimize_weights_through_criteria_lmi_binding(monkeypatch, builder, system):
+    # one search per build, also where it stops early and attaches no start
     calls = _spy_weights(monkeypatch, criteria_lmi)
-    getattr(criteria_lmi, builder)(validate_system(system))
-    assert len(calls) == 1
+    problem = getattr(criteria_lmi, builder)(validate_system(system))
+    assert len(calls) == 1 and (problem.starts == ()) == (system is NO_PASS)
 
 
 def test_spectral_weighted_optimizes_through_criteria_spectral_binding(monkeypatch):

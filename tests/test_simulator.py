@@ -324,6 +324,14 @@ def test_history_kinds_and_validation():
         HistorySpec(kind="nope").as_callable(2, 0.3)
 
 
+def test_sampled_history_reads_a_flat_list_as_scalar_samples():
+    spec = HistorySpec.sampled([1.0, 0.5, 0.2])
+    assert spec.samples.shape == (3, 1)
+    np.testing.assert_allclose(spec.as_callable(1, 0.4)(np.array([-0.4, -0.1, 0.0])), [[1.0], [0.35], [0.2]])
+    with pytest.raises(ValueError, match="at least two samples"):
+        HistorySpec.sampled([1.0])
+
+
 def _constant_trajectory(sys, c, h, T):
     m = [int(round(t / h)) for t in sys.tau]
     khist = max(m)
