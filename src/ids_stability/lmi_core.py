@@ -650,12 +650,14 @@ def _barrier_run(comp: _Compiled, x0: np.ndarray, f0: float, cfg: SolverConfig):
     """Path following from (x0, t0 = -f(x0) - 1): Newton steps of the length
     that minimises the barrier along them centre it, a centring ends once
     the squared Newton decrement is at most 1/4, and s then grows by
-    _GROWTH.  Every Newton step bounds t* from above (``_t_bound``), so the
-    run stops at the first step whose bound shows that no witness reaches
-    -eps_feas, or whose gap to t is below 0.1 * eps_feas.  Returns the least
-    f seen, its point, the Newton steps taken, the centres followed by the
-    last point, and the arguments of ``_dual_bound`` for the last Newton
-    step.  Raises LinAlgError, a numerical failure, where rounding puts the
+    _GROWTH.  A decrement that rounding made negative ends the run, as a
+    step length below 1e-12 does: counted as centred, it would grow s
+    without a step until s overflows.  Every Newton step bounds t* from
+    above (``_t_bound``), so the run stops at the first step whose bound
+    shows that no witness reaches -eps_feas, or whose gap to t is below
+    0.1 * eps_feas.  Returns the least f seen, its point, the Newton steps
+    taken, the centres followed by the last point, and the arguments of
+    ``_dual_bound`` for the last Newton step.  Raises LinAlgError, a numerical failure, where rounding puts the
     start outside the barrier's domain: against entries near 1e154 the 1 of
     t0 is lost, and a start slack that is not positive definite would give
     the barrier no value."""
@@ -679,6 +681,8 @@ def _barrier_run(comp: _Compiled, x0: np.ndarray, f0: float, cfg: SolverConfig):
         bound = _t_bound(bar, w[-1], s, mu)
         if bound < cfg.eps_feas or bound - w[-1] < 0.1 * cfg.eps_feas:
             break  # no witness reaches the threshold / the gap has closed
+        if lam2 < 0.0:
+            break  # rounding stalls the centring: no step, and no centre either
         if lam2 <= 0.25:
             centres.append(bar.x(w))
             s *= _GROWTH

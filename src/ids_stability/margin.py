@@ -14,10 +14,14 @@ and "th1" by "th2-lmi", which accept exactly the same systems (see
 
 The criteria of :data:`PREDICTED` hold exactly when N rho(sum_i tau_i^2
 A_i (x) A_i) < 1, so ``criteria_spectral.spectral_margin`` gives their
-boundary in closed form.  Their search replays the bisection on that
-boundary and probes the criterion only at the two ends of the predicted
-final bracket; where a probe disagrees, plain bisection takes over and
-reuses what the probes proved.
+boundary in closed form: that edge is exact.  The criteria of
+:data:`MU_PREDICTED` imply mu < 1, so ``criteria_spectral.mu_margin`` (N <=
+2) gives an upper bound of their margin, which is exact at N = 1 only; on
+the paper rows it lies 1.1e-5 to 5.8e-5 above th2-lmi's margin, inside one
+final bracket.  Either search replays the bisection on its edge and probes
+the criterion only at the two ends of the predicted final bracket; where a
+probe disagrees, plain bisection takes over and reuses what the probes
+proved.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .model import DiscreteIds, IdsSystem, ValidationError, validate_system
 __all__ = [
     "CRITERIA",
     "PREDICTED",
+    "MU_PREDICTED",
     "evaluate_criterion",
     "criterion_feasible",
     "bisect_margin",
@@ -103,6 +108,11 @@ CRITERIA = {
 #: by the positive-operator result, "single-delay" as tau_1 rho(A_1) < 1)
 PREDICTED = frozenset({"spectral", "amc", "th2-coupled", "single", "single-delay"})
 
+#: criteria whose margin ``criteria_spectral.mu_margin`` bounds from above:
+#: th2-lmi is the D-scaling bound of mu, so it implies mu < 1, and "th1" is
+#: decided by "th2-lmi"
+MU_PREDICTED = frozenset({"th2-lmi", "th1"})
+
 TABLE1_COLUMNS = ("th2-lmi", "amc", "single", "spectral")
 
 
@@ -164,14 +174,17 @@ def bisect_margin(
     holds, assuming monotone feasibility; None when it already fails at lo.
 
     A probe is one cold criterion evaluation.  After the probes at lo and
-    hi, a criterion of :data:`PREDICTED` replays the midpoint loop against
-    its closed-form margin and probes only the two ends of the predicted
-    final bracket.  When both confirm it, monotonicity makes every midpoint
-    of the replay agree with a real probe, so the bracket is the one
-    bisection reaches.  Otherwise, and for every other criterion, the loop
-    runs with real probes, skipping each midpoint that the probes so far
-    decide.  Either way the result has a passing probe, and one within tol
-    above it fails.
+    hi, a criterion of :data:`PREDICTED` or :data:`MU_PREDICTED` replays the
+    midpoint loop against its predicted edge, looked up in
+    ``criteria_spectral`` when the search runs, and probes only the two ends
+    of the predicted final bracket.  When both confirm it, monotonicity
+    makes every midpoint of the replay agree with a real probe, so the
+    bracket is the one bisection reaches.  The spectral edge is exact; the
+    mu edge only bounds the margin from above, so it is confirmed where the
+    margin lies in the edge's final bracket, as on the paper rows.
+    Otherwise, and for every other criterion, the loop runs with real
+    probes, skipping each midpoint that the probes so far decide.  Either
+    way the result has a passing probe, and one within tol above it fails.
     """
     _check_criterion(criterion, sys_template)
     if hi is None:
@@ -215,7 +228,12 @@ def bisect_margin(
                 b = mid
         return a, b
 
-    edge = criteria_spectral.spectral_margin(sys_template, vary_index) if criterion in PREDICTED else None
+    if criterion in PREDICTED:
+        edge = criteria_spectral.spectral_margin(sys_template, vary_index)
+    elif criterion in MU_PREDICTED:
+        edge = criteria_spectral.mu_margin(sys_template, vary_index)
+    else:
+        edge = None
     if edge is not None and lo < edge <= hi:
         a, b = bisect(lambda v: v < edge)
         if decide(a) and not decide(b):

@@ -87,8 +87,14 @@ class HistorySpec:
     @classmethod
     def sampled(cls, values) -> "HistorySpec":
         """Uniform samples from -tau to 0, one row per sample; a flat list
-        is one value per sample (n = 1)."""
-        v = np.asarray(values, dtype=float)
+        is one value per sample (n = 1).  Deeper nesting and rows of
+        unequal length are rejected."""
+        try:
+            v = np.asarray(values, dtype=float)
+        except ValueError:  # ragged rows, or an entry that is not a number
+            v = None
+        if v is None or v.ndim > 2:
+            raise ValueError("samples must be a list of numbers or of equal-length vectors")
         v = v.reshape(-1, 1) if v.ndim < 2 else v
         if v.shape[0] < 2:
             raise ValueError("need at least two samples")

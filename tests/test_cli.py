@@ -357,6 +357,18 @@ def test_simulate_non_finite_history_is_usage_error(bench_file, tmp_path, capsys
     assert captured.out == "" and "history values must be finite" in captured.err
 
 
+@pytest.mark.parametrize("samples", ["[[[1.0]],[[0.5]],[[0.2]]]", "[[1.0, 2.0], [0.5]]"])
+def test_simulate_deep_or_ragged_sampled_history_is_usage_error(tmp_path, capsys, samples):
+    sys_path, hist = tmp_path / "scalar.json", tmp_path / "history.json"
+    sys_path.write_text(save_system(validate_system(IdsSystem(A=(np.array([[-1.0]]),), tau=(0.4,)))))
+    hist.write_text(samples)
+    argv = ["simulate", "--system", str(sys_path), "--h", "0.05", "--T", "1.0", "--history", f"sampled:{hist}"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: samples must be a list of numbers or of equal-length vectors"]
+
+
 def test_table1_cli_quick(tmp_path, capsys):
     out = tmp_path / "table.csv"
     code = main(["table1", "--tol", "2e-3", "--out", str(out)])
@@ -543,6 +555,18 @@ def test_check_overflowing_barrier_or_lp_gives_a_verdict_or_one_error_line(tmp_p
     assert (code == 1 and err == "") or (
         code == 3 and len(err.strip().splitlines()) == 1 and err.startswith("error:")
     )
+
+
+@pytest.mark.parametrize("method", ["th2-lmi", "th1"])
+def test_check_negative_newton_decrement_gives_a_verdict(tmp_path, capsys, method):
+    # a corpus system in units D = diag(10, 1e-2, 1e-2): rounding makes the
+    # squared Newton decrement negative, which must end the barrier run, not
+    # count as centred and grow s without a step until it overflows
+    sys, D = random_corpus(2, 100)[74], np.diag([10.0, 1e-2, 1e-2])
+    path = _system_file(tmp_path, tuple(np.linalg.inv(D) @ A @ D for A in sys.A), sys.tau)
+    assert main(["check", "--system", path, "--method", method]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.splitlines()[-1] == "verdict: not_found"
 
 
 @pytest.mark.filterwarnings("error")

@@ -746,9 +746,11 @@ def test_th1_reports_are_those_of_the_full_weight_search(five_corpora):
 
 
 def test_table1_th2_lmi_column_stays_within_its_eigendecompositions(monkeypatch):
-    # a count, not a time: the 68 th2-lmi weight searches of the table stop
-    # once a bound shows that no weights pass (103 eig calls; 297 when every
-    # search ran to its optimum)
+    # a count, not a time: the column's 16 th2-lmi builds (4 probes a cell,
+    # at lo, hi and the ends of the mu edge's bracket) make 27 eig calls,
+    # their weight searches stopping once a bound shows that no weights
+    # pass (103 over plain bisection's 68 builds; 297 when every search ran
+    # to its optimum)
     calls, builds, eig = [], [], np.linalg.eig
     monkeypatch.setattr(np.linalg, "eig", lambda X: calls.append(1) or eig(X))
     build = LMI_CRITERIA["th2-lmi"]
@@ -756,4 +758,4 @@ def test_table1_th2_lmi_column_stays_within_its_eigendecompositions(monkeypatch)
     base = benchmark_system()
     for row in (0.4, 0.3, 0.2, 0.1):
         margin.bisect_margin(base.with_delays((row, base.tau[1])), 1, "th2-lmi", lo=1e-4, tol=1e-4)
-    assert len(builds) == 68 and len(calls) <= 110
+    assert len(builds) == 16 and len(calls) <= 30

@@ -17,6 +17,7 @@ from ids_stability.criteria_spectral import (
     kron,
     kron_operator,
     laa_spectral,
+    mu_margin,
     operator_block,
     optimize_weights,
     single_delay_checks,
@@ -297,6 +298,45 @@ def test_spectral_radius_rejects_non_finite_and_stacked_matrices():
         spectral_radius(np.array([[np.inf, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="square"):
         spectral_radius(np.stack([np.eye(2), np.eye(2)]))
+
+
+def _ids(As, tau):
+    return validate_system(IdsSystem(A=tuple(np.asarray(A, dtype=float) for A in As), tau=tau))
+
+
+def test_mu_margin_of_one_term_is_the_inverse_radius():
+    # B = 0, so the resolvent sweep reduces to 1/rho(A), th2-lmi's exact margin at N = 1
+    assert mu_margin(_ids([A1], (0.2,)), 0) == 1.0 / spectral_radius(A1)
+
+
+_NILPOTENT = [[0.0, 1.0], [0.0, 0.0]]
+_HUGE = np.full((2, 2), 1e308)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "As, tau, k, edge",
+    [
+        ([2.0 * np.eye(2), A2], (0.5, 0.1), 1, 0.0),  # rho(B) = 1: fails at every tau_2
+        # (zI - B)^-1 is diagonal, so each resolvent product stays strictly upper triangular
+        ([np.diag([0.3, -0.5]), _NILPOTENT], (0.5, 0.1), 1, math.inf),
+        ([A1, A2, A1], (0.1, 0.1, 0.1), 1, None),  # no sweep for three terms
+        ([_HUGE], (0.1,), 0, None),  # rho(A) overflows
+        ([np.diag([0.3, -0.5]), _HUGE], (0.5, 0.1), 1, None),  # the resolvent product overflows
+        ([_HUGE, np.eye(2)], (10.0, 0.1), 1, None),  # B = tau_1 A_1 overflows
+    ],
+    ids=["other-term-fails", "nilpotent", "three-terms", "rho-overflows", "resolvent-overflows", "B-overflows"],
+)
+def test_mu_margin_edge_cases(As, tau, k, edge):
+    assert mu_margin(_ids(As, tau), k) == edge
+
+
+def test_mu_margin_bounds_the_paper_rows_within_one_bracket():
+    # the th2-lmi margins of the table lie at most 1e-4 below the mu edge
+    th2_lmi = {0.4: 0.0317765, 0.3: 0.114629, 0.2: 0.241787, 0.1: 0.488149}
+    for row, m in th2_lmi.items():
+        edge = mu_margin(benchmark_system(row, 0.1), 1)
+        assert m < edge < m + 1e-4, row
 
 
 def test_optimize_weights_three_terms_never_worse_than_uniform():

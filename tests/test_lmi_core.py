@@ -722,9 +722,10 @@ def _singular_problems():
     return cases
 
 
-def test_th2_lmi_margin_cell_newton_steps(monkeypatch):
-    # one table cell, row 0.3: the bisection's 17 cold solves, pinned so a
-    # change of the barrier's step count shows
+def test_th2_lmi_margin_cell_newton_steps(monkeypatch, plain_margin):
+    # one table cell, row 0.3: the search's 4 cold solves at lo, hi and the
+    # two ends of the mu edge's bracket, and plain bisection's 17, pinned so
+    # a change of the barrier's step count shows
     iterations = []
     real = margin_module.solve_feasibility
 
@@ -734,7 +735,12 @@ def test_th2_lmi_margin_cell_newton_steps(monkeypatch):
         return rep
 
     monkeypatch.setattr(margin_module, "solve_feasibility", solve)
-    m = margin_module.bisect_margin(benchmark_system(0.3, 0.1), 1, "th2-lmi", lo=1e-4, tol=1e-4)
+    sys = benchmark_system(0.3, 0.1)
+    m = margin_module.bisect_margin(sys, 1, "th2-lmi", lo=1e-4, tol=1e-4)
     assert f"{m:.6g}" == "0.114629"
+    assert len(iterations) == 4
+    assert sum(iterations) == 32
+    iterations.clear()
+    assert plain_margin(sys, 1, "th2-lmi") == m
     assert len(iterations) == 17
     assert sum(iterations) == 172

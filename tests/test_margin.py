@@ -9,6 +9,7 @@ from ids_stability import criteria_lmi, criteria_spectral, margin
 from ids_stability.lmi_core import FeasReport, evaluate, normalize_witness
 from ids_stability.margin import bisect_margin, criterion_feasible, evaluate_criterion, table1
 from ids_stability.model import DiscreteIds, IdsSystem, benchmark_system, validate_system
+from ids_stability.suites import random_corpus
 
 A1 = np.array([[-4.0, 1.0], [-13.0, 2.0]])
 
@@ -251,17 +252,44 @@ def test_predicted_search_equals_plain_bisection(plain_margin, N, n, seed):
             assert bisect_margin(sys, k, criterion) == plain_margin(sys, k, criterion)
 
 
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.integers(1, 2), st.integers(1, 3), st.integers(0, 10_000))
+def test_mu_predicted_search_equals_plain_bisection(plain_margin, N, n, seed):
+    rng = np.random.default_rng(seed)
+    sys = validate_system(IdsSystem(A=tuple(rng.standard_normal((N, n, n))), tau=tuple(rng.uniform(0.02, 0.5, N))))
+    for k in range(N):
+        for criterion in sorted(margin.MU_PREDICTED):
+            assert bisect_margin(sys, k, criterion) == plain_margin(sys, k, criterion)
+
+
+def test_plain_th2_lmi_margins_lie_below_the_mu_edge(plain_margin):
+    # th2-lmi implies mu < 1, so each passing probe lies below the mu edge; a
+    # margin above it is a soundness bug.  Plain bisection, because the
+    # predicted search probes below the edge by construction.
+    systems = [s for s in random_corpus(3, 12) if s.N <= 2]
+    checked = 0
+    for sys in systems:
+        for k in range(sys.N):
+            m, edge = plain_margin(sys, k, "th2-lmi"), criteria_spectral.mu_margin(sys, k)
+            if m is not None and edge is not None:
+                assert m <= edge, (sys, k)
+                checked += 1
+    assert checked >= 8
+
+
 @pytest.mark.parametrize(
     "wrong", [lambda e: 0.5 * e, lambda e: 2.0 * e, lambda e: 0.0, lambda e: math.inf, lambda e: None]
 )
-@pytest.mark.parametrize("criterion", ["spectral", "amc"])
+@pytest.mark.parametrize("criterion", ["spectral", "amc", "th2-lmi"])
 def test_a_wrong_prediction_still_returns_a_certified_margin(
     monkeypatch, probe_limit, plain_margin, wrong, criterion
 ):
-    real = criteria_spectral.spectral_margin
-    monkeypatch.setattr(criteria_spectral, "spectral_margin", lambda sys, k: wrong(real(sys, k)))
+    name = "mu_margin" if criterion in margin.MU_PREDICTED else "spectral_margin"
+    real, called = getattr(criteria_spectral, name), []
+    monkeypatch.setattr(criteria_spectral, name, lambda sys, k: called.append(k) or wrong(real(sys, k)))
     sys, tol = benchmark_system(0.3, 0.1), 1e-4
     m = bisect_margin(sys, 1, criterion, tol=tol)
+    assert called == [1]
     assert criterion_feasible(sys.with_delays((0.3, m)), criterion)[0]
     assert not criterion_feasible(sys.with_delays((0.3, m + tol)), criterion)[0]
     assert m == plain_margin(sys, 1, criterion, tol=tol)
@@ -276,9 +304,9 @@ def test_overflowing_entries_keep_the_plain_margin(plain_margin, k, lo, hi, tol)
 
 
 def test_table1_probes_the_ends_of_each_predicted_bracket(monkeypatch):
-    # th2-lmi keeps plain bisection; each other column probes lo in row 0.4,
-    # where it fails, and lo, hi and the two ends of the predicted bracket in
-    # the three rows with a margin (1 + 3 * 4)
+    # th2-lmi probes lo, hi and the two ends of the mu edge's bracket in
+    # each row (4 * 4); each other column probes lo in row 0.4, where it
+    # fails, and the same four in the three rows with a margin (1 + 3 * 4)
     probed = {}
     real = margin.criterion_feasible
 
@@ -288,4 +316,4 @@ def test_table1_probes_the_ends_of_each_predicted_bracket(monkeypatch):
 
     monkeypatch.setattr(margin, "criterion_feasible", count)
     margin.table1(benchmark_system())
-    assert probed == {"th2-lmi": 68, "amc": 13, "single": 13, "spectral": 13}
+    assert probed == {"th2-lmi": 16, "amc": 13, "single": 13, "spectral": 13}
