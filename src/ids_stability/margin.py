@@ -19,9 +19,10 @@ boundary in closed form: that edge is exact.  The criteria of
 2) gives an upper bound of their margin, which is exact at N = 1 only; on
 the paper rows it lies 1.1e-5 to 5.8e-5 above th2-lmi's margin, inside one
 final bracket.  Either search replays the bisection on its edge and probes
-the criterion only at the two ends of the predicted final bracket; where a
-probe disagrees, plain bisection takes over and reuses what the probes
-proved.
+the criterion only at the two ends of the predicted final bracket: when the
+lower end passes and the upper end fails, monotonicity implies that lo
+passes and hi fails, so a confirmed search makes 2 probes.  Where a probe
+disagrees, plain bisection takes over and reuses what the probes proved.
 """
 
 from __future__ import annotations
@@ -153,8 +154,6 @@ def criterion_feasible(
 
 def _with_delay(sys, index: int, value: float):
     tau = list(sys.tau)
-    if not 0 <= index < len(tau):
-        raise ValueError(f"vary index {index} out of range for N={len(tau)}")
     tau[index] = float(value)
     if isinstance(sys, DiscreteIds):
         return validate_system(DiscreteIds(A=sys.A, tau=tuple(tau)))
@@ -173,20 +172,26 @@ def bisect_margin(
     """Largest value of the varied delay (within tol) at which the criterion
     holds, assuming monotone feasibility; None when it already fails at lo.
 
-    A probe is one cold criterion evaluation.  After the probes at lo and
-    hi, a criterion of :data:`PREDICTED` or :data:`MU_PREDICTED` replays the
-    midpoint loop against its predicted edge, looked up in
+    A probe is one cold criterion evaluation, and this search keeps each
+    verdict.  A criterion of :data:`PREDICTED` or :data:`MU_PREDICTED` first
+    replays the midpoint loop against its predicted edge, looked up in
     ``criteria_spectral`` when the search runs, and probes only the two ends
-    of the predicted final bracket.  When both confirm it, monotonicity
-    makes every midpoint of the replay agree with a real probe, so the
-    bracket is the one bisection reaches.  The spectral edge is exact; the
-    mu edge only bounds the margin from above, so it is confirmed where the
-    margin lies in the edge's final bracket, as on the paper rows.
-    Otherwise, and for every other criterion, the loop runs with real
-    probes, skipping each midpoint that the probes so far decide.  Either
-    way the result has a passing probe, and one within tol above it fails.
+    a < b of the predicted final bracket.  When a passes and b fails,
+    monotonicity implies that lo passes, hi fails and every midpoint of the
+    replay agrees with a real probe, so a is the margin that bisection
+    reaches, after 2 probes.  The spectral edge is exact; the mu edge only
+    bounds the margin from above, so it is confirmed where the margin lies
+    in the edge's final bracket, as on the paper rows.  Otherwise, and for
+    every other criterion, the search decides lo and hi, then runs the loop
+    with real probes, skipping each value that the probes so far decide.
+    Either way the result has a passing probe, and one within tol above it
+    fails.  The loop also stops where no float lies between a and b, so a
+    tol below their spacing still ends it.
     """
     _check_criterion(criterion, sys_template)
+    N = len(sys_template.tau)
+    if not 0 <= vary_index < N:
+        raise ValueError(f"vary index {vary_index} out of range for N={N}")
     if hi is None:
         hi = 10.0 * max(sys_template.tau)
     if not all(math.isfinite(v) for v in (lo, hi, tol)):
@@ -196,32 +201,27 @@ def bisect_margin(
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    def probe(value: float) -> bool:
+    verdicts = {}  # probe value -> verdict, for this search only
+
+    def decide(value: float) -> bool:
+        passed = max((v for v, ok in verdicts.items() if ok), default=-math.inf)
+        failed = min((v for v, ok in verdicts.items() if not ok), default=math.inf)
+        if not passed < value < failed:
+            return value <= passed  # implied by a probe, by monotonicity
         try:
             probe_sys = _with_delay(sys_template, vary_index, value)
         except ValidationError:
-            return False  # varying a discrete delay out of order
-        return criterion_feasible(probe_sys, criterion, cfg)[0]
-
-    if not probe(lo):
-        return None
-    if probe(hi):
-        return hi
-    passed, failed = lo, hi  # the largest passing and the least failing probe
-
-    def decide(value: float) -> bool:
-        nonlocal passed, failed
-        if passed < value < failed:
-            if probe(value):
-                passed = value
-            else:
-                failed = value
-        return value <= passed
+            verdicts[value] = False  # varying a discrete delay out of order
+        else:
+            verdicts[value] = criterion_feasible(probe_sys, criterion, cfg)[0]
+        return verdicts[value]
 
     def bisect(holds) -> tuple[float, float]:
         a, b = lo, hi
         while b - a > tol:
             mid = 0.5 * (a + b)
+            if not a < mid < b:
+                break  # no float lies between a and b
             if holds(mid):
                 a = mid
             else:
@@ -238,6 +238,10 @@ def bisect_margin(
         a, b = bisect(lambda v: v < edge)
         if decide(a) and not decide(b):
             return a
+    if not decide(lo):
+        return None
+    if decide(hi):
+        return hi
     return bisect(decide)[0]
 
 

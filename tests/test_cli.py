@@ -271,6 +271,22 @@ def test_margin_non_finite_bracket_is_usage_error(bench_file, capsys, probe_limi
     assert captured.out == "" and "finite" in captured.err
 
 
+def test_margin_tol_below_the_float_spacing_returns(bench_file, capsys):
+    argv = ["margin", "--system", bench_file(0.3, 0.1), "--vary", "1", "--method", "spectral"]
+    assert main([*argv, "--tol", "1e-30"]) == 0
+    assert abs(float(capsys.readouterr().out) - 0.0474051) <= 1e-7
+
+
+@pytest.mark.parametrize("method", ["spectral", "th2-lmi", "spectral-weighted"])
+def test_margin_vary_index_out_of_range_is_usage_error(bench_file, capsys, method):
+    # checked before the predicted edge, which would index past the delays
+    argv = ["margin", "--system", bench_file(0.3, 0.1), "--vary", "2", "--method", method]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: vary index 2 out of range for N=2"]
+
+
 def test_margin_th2_lmi_small_row(bench_file, capsys):
     assert (
         main(["margin", "--system", bench_file(0.1, 0.1), "--vary", "1", "--method", "th2-lmi"])

@@ -594,8 +594,8 @@ def test_closed_form_verdicts_carry_checked_certificates(closed_form_solves):
 def test_coupled_margin_cells_run_no_newton_step(monkeypatch, plain_margin):
     # every amc and single probe of the margin table is decided by single's
     # closed forms: none of them starts the barrier.  The table probes only the ends
-    # of each predicted bracket, so the 102 points that plain bisection
-    # visits are evaluated as well
+    # of each predicted bracket (14 solves), so the 102 points that plain
+    # bisection visits are evaluated as well
     built, solved = [], []
     for name in ("amc", "single"):
         build = LMI_CRITERIA[name]
@@ -610,11 +610,11 @@ def test_coupled_margin_cells_run_no_newton_step(monkeypatch, plain_margin):
 
     monkeypatch.setattr(margin, "solve_feasibility", solve)
     margin.table1(benchmark_system(0.3, 0.1))
-    assert len(solved) == 26
+    assert len(solved) == 14
     for row in (0.4, 0.3, 0.2, 0.1):
         for name in ("amc", "single"):
             plain_margin(benchmark_system(row, 0.1), 1, name)
-    assert len(solved) == 26 + 102
+    assert len(solved) == 14 + 102
     assert all(rep.restarts == 0 and rep.iterations <= 1 for rep in solved)
 
 
@@ -746,11 +746,11 @@ def test_th1_reports_are_those_of_the_full_weight_search(five_corpora):
 
 
 def test_table1_th2_lmi_column_stays_within_its_eigendecompositions(monkeypatch):
-    # a count, not a time: the column's 16 th2-lmi builds (4 probes a cell,
-    # at lo, hi and the ends of the mu edge's bracket) make 27 eig calls,
-    # their weight searches stopping once a bound shows that no weights
-    # pass (103 over plain bisection's 68 builds; 297 when every search ran
-    # to its optimum)
+    # a count, not a time: the column's 8 th2-lmi builds (2 probes a cell,
+    # at the ends of the mu edge's bracket) make 12 eig calls, their weight
+    # searches stopping once a bound shows that no weights pass (27 when
+    # each cell also probed lo and hi; 103 over plain bisection's 68 builds;
+    # 297 when every search ran to its optimum)
     calls, builds, eig = [], [], np.linalg.eig
     monkeypatch.setattr(np.linalg, "eig", lambda X: calls.append(1) or eig(X))
     build = LMI_CRITERIA["th2-lmi"]
@@ -758,4 +758,4 @@ def test_table1_th2_lmi_column_stays_within_its_eigendecompositions(monkeypatch)
     base = benchmark_system()
     for row in (0.4, 0.3, 0.2, 0.1):
         margin.bisect_margin(base.with_delays((row, base.tau[1])), 1, "th2-lmi", lo=1e-4, tol=1e-4)
-    assert len(builds) == 16 and len(calls) <= 30
+    assert len(builds) == 8 and len(calls) <= 13

@@ -723,9 +723,9 @@ def _singular_problems():
 
 
 def test_th2_lmi_margin_cell_newton_steps(monkeypatch, plain_margin):
-    # one table cell, row 0.3: the search's 4 cold solves at lo, hi and the
-    # two ends of the mu edge's bracket, and plain bisection's 17, pinned so
-    # a change of the barrier's step count shows
+    # one table cell, row 0.3: the search's 2 cold solves at the two ends of
+    # the mu edge's bracket, and plain bisection's 17, pinned so a change of
+    # the barrier's step count shows
     iterations = []
     real = margin_module.solve_feasibility
 
@@ -738,8 +738,8 @@ def test_th2_lmi_margin_cell_newton_steps(monkeypatch, plain_margin):
     sys = benchmark_system(0.3, 0.1)
     m = margin_module.bisect_margin(sys, 1, "th2-lmi", lo=1e-4, tol=1e-4)
     assert f"{m:.6g}" == "0.114629"
-    assert len(iterations) == 4
-    assert sum(iterations) == 32
+    assert len(iterations) == 2
+    assert sum(iterations) == 31
     iterations.clear()
     assert plain_margin(sys, 1, "th2-lmi") == m
     assert len(iterations) == 17

@@ -304,9 +304,9 @@ def test_overflowing_entries_keep_the_plain_margin(plain_margin, k, lo, hi, tol)
 
 
 def test_table1_probes_the_ends_of_each_predicted_bracket(monkeypatch):
-    # th2-lmi probes lo, hi and the two ends of the mu edge's bracket in
-    # each row (4 * 4); each other column probes lo in row 0.4, where it
-    # fails, and the same four in the three rows with a margin (1 + 3 * 4)
+    # th2-lmi probes the two ends of the mu edge's bracket in each row
+    # (4 * 2); each other column probes lo in row 0.4, where its edge is 0.0
+    # and it fails, and the two ends in the three rows with a margin (1 + 3 * 2)
     probed = {}
     real = margin.criterion_feasible
 
@@ -316,4 +316,48 @@ def test_table1_probes_the_ends_of_each_predicted_bracket(monkeypatch):
 
     monkeypatch.setattr(margin, "criterion_feasible", count)
     margin.table1(benchmark_system())
-    assert probed == {"th2-lmi": 16, "amc": 13, "single": 13, "spectral": 13}
+    assert probed == {"th2-lmi": 8, "amc": 7, "single": 7, "spectral": 7}
+
+
+def _probed_delays(monkeypatch, k):
+    """The value of delay k at each probe, in order."""
+    probed, real = [], margin.criterion_feasible
+
+    def record(sys, criterion, cfg=None, alpha=None):
+        probed.append(sys.tau[k])
+        return real(sys, criterion, cfg, alpha)
+
+    monkeypatch.setattr(margin, "criterion_feasible", record)
+    return probed
+
+
+@pytest.mark.parametrize("criterion", ["spectral", "th2-lmi"])
+def test_a_confirmed_search_probes_only_the_bracket_ends(monkeypatch, plain_margin, criterion):
+    # a passing lower end and a failing upper end imply that lo passes and hi
+    # fails, so neither is probed
+    sys, lo, hi, tol = benchmark_system(0.3, 0.1), 1e-4, 3.0, 1e-4
+    probed = _probed_delays(monkeypatch, 1)
+    m = bisect_margin(sys, 1, criterion, lo=lo, hi=hi, tol=tol)
+    assert len(probed) == 2 and probed[0] == m and 0 < probed[1] - m <= tol
+    assert lo not in probed and hi not in probed
+    monkeypatch.undo()
+    assert m == plain_margin(sys, 1, criterion, lo=lo, hi=hi, tol=tol)
+
+
+def test_a_wrong_edge_above_a_failing_lo_still_returns_none(monkeypatch):
+    # row 0.4 fails at lo; the patched edge's lower end fails, which implies
+    # that hi fails, so the search probes lo and stops
+    monkeypatch.setattr(criteria_spectral, "spectral_margin", lambda sys, k: 0.02)
+    probed = _probed_delays(monkeypatch, 1)
+    assert bisect_margin(benchmark_system(0.4, 0.1), 1, "amc") is None
+    assert len(probed) == 2 and 1e-4 < probed[0] < 0.02 and probed[1] == 1e-4
+
+
+@pytest.mark.parametrize("criterion", ["spectral", "spectral-weighted"])
+def test_a_tol_below_the_float_spacing_stops_at_adjacent_floats(criterion):
+    # with a predicted edge and without one, the loop ends once b is the
+    # float after a, where halving no longer moves it
+    sys = benchmark_system(0.3, 0.1)
+    m = bisect_margin(sys, 1, criterion, tol=1e-30)
+    assert criterion_feasible(sys.with_delays((0.3, m)), criterion)[0]
+    assert not criterion_feasible(sys.with_delays((0.3, math.nextafter(m, math.inf))), criterion)[0]
