@@ -172,11 +172,11 @@ def bisect_margin(
     """Largest value of the varied delay (within tol) at which the criterion
     holds, assuming monotone feasibility; None when it already fails at lo.
 
-    A probe is one cold criterion evaluation, and this search keeps each
-    verdict.  A criterion of :data:`PREDICTED` or :data:`MU_PREDICTED` first
-    replays the midpoint loop against its predicted edge, looked up in
-    ``criteria_spectral`` when the search runs, and probes only the two ends
-    a < b of the predicted final bracket.  When a passes and b fails,
+    A probe is one cold criterion evaluation.  A criterion of
+    :data:`PREDICTED` or :data:`MU_PREDICTED` first replays the midpoint
+    loop against its predicted edge, looked up in ``criteria_spectral`` when
+    the search runs, and probes only the two ends a < b of the predicted
+    final bracket.  When a passes and b fails,
     monotonicity implies that lo passes, hi fails and every midpoint of the
     replay agrees with a real probe, so a is the margin that bisection
     reaches, after 2 probes.  The spectral edge is exact; the mu edge only
@@ -201,20 +201,23 @@ def bisect_margin(
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    verdicts = {}  # probe value -> verdict, for this search only
-
-    def decide(value: float) -> bool:
-        passed = max((v for v, ok in verdicts.items() if ok), default=-math.inf)
-        failed = min((v for v, ok in verdicts.items() if not ok), default=math.inf)
-        if not passed < value < failed:
-            return value <= passed  # implied by a probe, by monotonicity
+    def probe(value: float) -> bool:
         try:
             probe_sys = _with_delay(sys_template, vary_index, value)
         except ValidationError:
-            verdicts[value] = False  # varying a discrete delay out of order
-        else:
-            verdicts[value] = criterion_feasible(probe_sys, criterion, cfg)[0]
-        return verdicts[value]
+            return False  # varying a discrete delay out of order
+        return criterion_feasible(probe_sys, criterion, cfg)[0]
+
+    passed, failed = -math.inf, math.inf  # the largest passing and the least failing probe
+
+    def decide(value: float) -> bool:
+        nonlocal passed, failed
+        if passed < value < failed:
+            if probe(value):
+                passed = value
+            else:
+                failed = value
+        return value <= passed
 
     def bisect(holds) -> tuple[float, float]:
         a, b = lo, hi
