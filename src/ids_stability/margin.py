@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 from . import criteria_lmi, criteria_spectral
 from .lmi_core import FeasReport, SolverConfig, evaluate, normalize_witness, solve_feasibility
-from .model import DiscreteIds, IdsSystem, ValidationError, validate_system
+from .model import DiscreteIds, IdsSystem, validate_system
 
 __all__ = [
     "CRITERIA",
@@ -187,6 +187,11 @@ def bisect_margin(
     Either way the result has a passing probe, and one within tol above it
     fails.  The loop also stops where no float lies between a and b, so a
     tol below their spacing still ends it.
+
+    A discrete system's delays must stay strictly increasing, so the
+    bracket of its delay k is clamped to the open interval (tau_{k-1},
+    tau_{k+1}), its ends stepped inwards by one float; a bracket that the
+    clamp leaves empty raises ValueError.
     """
     _check_criterion(criterion, sys_template)
     N = len(sys_template.tau)
@@ -200,13 +205,18 @@ def bisect_margin(
         raise ValueError(f"invalid bracket [{lo}, {hi}]")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if isinstance(sys_template, DiscreteIds):
+        below, above = (0.0, *sys_template.tau, math.inf)[vary_index : vary_index + 3 : 2]
+        inner = max(lo, math.nextafter(below, math.inf)), min(hi, math.nextafter(above, -math.inf))
+        if not inner[0] < inner[1]:
+            raise ValueError(
+                f"delay {vary_index} of a discrete system lies in ({below:g}, {above:g}) "
+                f"to keep the delays increasing; the bracket [{lo:g}, {hi:g}] misses it"
+            )
+        lo, hi = inner
 
     def probe(value: float) -> bool:
-        try:
-            probe_sys = _with_delay(sys_template, vary_index, value)
-        except ValidationError:
-            return False  # varying a discrete delay out of order
-        return criterion_feasible(probe_sys, criterion, cfg)[0]
+        return criterion_feasible(_with_delay(sys_template, vary_index, value), criterion, cfg)[0]
 
     passed, failed = -math.inf, math.inf  # the largest passing and the least failing probe
 

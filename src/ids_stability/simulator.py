@@ -11,9 +11,12 @@ whose right-hand side is a fixed linear map of the last max(m_i) states.
 ``simulate`` folds the trapezoid weights of every delay into that map and
 the solve into it once, x_k = K [x_{k-khist}; ...; x_{k-1}], and composes K
 with itself into a kernel that maps those khist states to the next 32, so
-one matrix-vector product advances 32 steps.  The residual of every step is
-then recomputed against the equation, its window sums taken by blocked
-prefix and suffix sums that each add only entries of their own window.
+one matrix-vector product advances 32 steps.  The kernel depends only on
+the system and h, so it is built once per system and h and cached on the
+system: a further trajectory pays only for its own steps.  The residual of
+every step is then recomputed against the equation, its window sums taken
+by blocked prefix and suffix sums that each add only entries of their own
+window.
 
 The module also fits exponential decay envelopes and evaluates the
 certificate functionals of the LMI criteria along trajectories.  A
@@ -231,14 +234,27 @@ class Trajectory:
         X = self.samples
         return (X[:, :, None] * X[:, None, :]).reshape(X.shape[0], -1)
 
+    @cached_property
+    def _t_last(self) -> float:
+        """T - max(tau_snapped), the last time at which the longest window
+        of a certificate functional lies inside the trajectory."""
+        return self.T - max(self.tau_snapped)
+
     @property
     def times(self) -> np.ndarray:
         return (np.arange(self.samples.shape[0]) - self.hist_len) * self.h
 
-    def index_of(self, t: float) -> int:
-        k = self.hist_len + int(round(t / self.h))
-        if abs((k - self.hist_len) * self.h - t) > 1e-9 * max(1.0, abs(t)):
+    def _grid_step(self, t: float) -> int:
+        """The j with t = j h, up to 1e-9 max(1, |t|): the grid rule of
+        ``index_of`` and of :func:`eval_functional`."""
+        j = round(t / self.h)
+        a = abs(t)
+        if abs(j * self.h - t) > 1e-9 * (a if a > 1.0 else 1.0):
             raise ValueError(f"t={t} is not on the simulation grid (h={self.h})")
+        return j
+
+    def index_of(self, t: float) -> int:
+        k = self.hist_len + self._grid_step(t)
         if k < 0 or k >= self.samples.shape[0]:
             raise ValueError(f"t={t} outside the simulated range")
         return k
@@ -272,16 +288,7 @@ def simulate(sys: IdsSystem, history: HistorySpec, h: float, T: float) -> Trajec
     X = np.zeros((khist + steps + 1, n))
     X[: khist + 1] = phi((np.arange(khist + 1) - khist) * h)
 
-    # B[j] = sum_i w_ij A_i weighs x_{k-khist+j}; the last, x_k's, is implicit
-    B = np.einsum("ij,iab->jab", _trapezoid_weights(m, h, khist), np.asarray(sys.A))
-    step_mat = np.eye(n) - B[-1]
-    if np.linalg.cond(step_mat) > 1e12:
-        raise SimulationError(
-            "implicit step matrix (I - (h/2) sum A_i) is numerically singular; try halving h"
-        )
-    # one step is x_k = K [x_{k-khist}; ...; x_{k-1}]; one block is _BLOCK steps
-    K = np.linalg.solve(step_mat, B[:-1].transpose(1, 0, 2).reshape(n, -1))
-    F = _block_kernel(K, min(_BLOCK, steps))
+    F = _step_kernel(sys, h, min(_BLOCK, steps))
     flat = X.reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(khist + 1, khist + steps + 1, _BLOCK):
@@ -310,11 +317,44 @@ def simulate(sys: IdsSystem, history: HistorySpec, h: float, T: float) -> Trajec
 # Steps per kernel product.  A block of L steps does the per-step flops in
 # one call instead of L.  Building its kernel F takes about L^2 khist n^3
 # flops (2 L khist^2 n^3 when khist < L) and F holds L khist n^2 floats: for
-# khist = 200, n = 3 and L = 32 that is 5.5 Mflop (0.3 ms) and 460 kB.  On
-# the benchmark's systems simulate times the same for L = 16 to 32; from 48
-# on, the build costs more than the shorter loop saves (64 takes 20-30 %
-# longer at khist near 200, n = 3).
+# khist = 200, n = 3 and L = 32 that is 5.5 Mflop (0.3 ms) and 460 kB.  The
+# build is paid once per system and h (``_step_kernel``), so later
+# trajectories of the system pay only for their steps.  On the benchmark's
+# systems simulate timed the same for L = 16 to 32 with a build in every
+# call; from 48 on, the build cost more than the shorter loop saved (64 took
+# 20-30 % longer at khist near 200, n = 3).
 _BLOCK = 32
+
+
+def _step_kernel(sys: IdsSystem, h: float, L: int) -> np.ndarray:
+    """The read-only kernel of ``simulate`` that maps the last khist =
+    max(m_i) states to the next L.
+
+    It depends only on the system, h and L, so it is cached on the system
+    (in its ``__dict__``), one entry per system keyed by (h, L): a new key
+    replaces it, and a build that raises caches nothing.  The entry is read
+    and replaced in one statement each, so concurrent callers can at worst
+    build the same kernel twice.
+    """
+    found = vars(sys).get("step_kernel")
+    if found is not None and found[0] == (h, L):
+        return found[1]
+    n = sys.n
+    m = [int(round(t / h)) for t in sys.tau]
+    khist = max(m)
+    # B[j] = sum_i w_ij A_i weighs x_{k-khist+j}; the last, x_k's, is implicit
+    B = np.einsum("ij,iab->jab", _trapezoid_weights(m, h, khist), np.asarray(sys.A))
+    step_mat = np.eye(n) - B[-1]
+    if np.linalg.cond(step_mat) > 1e12:
+        raise SimulationError(
+            "implicit step matrix (I - (h/2) sum A_i) is numerically singular; try halving h"
+        )
+    # one step is x_k = K [x_{k-khist}; ...; x_{k-1}]; one block is L steps
+    K = np.linalg.solve(step_mat, B[:-1].transpose(1, 0, 2).reshape(n, -1))
+    F = _block_kernel(K, L)
+    F.flags.writeable = False
+    vars(sys)["step_kernel"] = ((h, L), F)
+    return F
 
 
 def _block_kernel(K: np.ndarray, L: int) -> np.ndarray:
@@ -567,10 +607,11 @@ def eval_functional(
         raise ValueError(
             f"t must be a scalar grid time (got {type(t).__name__} of shape {np.shape(t)})"
         ) from None
-    tau = max(traj.tau_snapped)
-    if t < -1e-12 or t > traj.T - tau + 1e-12:
-        raise ValueError(f"t={t} outside [0, T - tau] = [0, {traj.T - tau:.6g}]")
-    k = traj.index_of(t)
+    t_last = traj._t_last
+    if t < -1e-12 or t > t_last + 1e-12:
+        raise ValueError(f"t={t} outside [0, T - tau] = [0, {t_last:.6g}]")
+    # a grid time in this range is a sample row with the whole window below it
+    k = traj.hist_len + traj._grid_step(t)
     if not isinstance(witness, FunctionalWitness):
         witness = FunctionalWitness(which, witness)
     elif witness.which != which:

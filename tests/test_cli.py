@@ -287,6 +287,17 @@ def test_margin_vary_index_out_of_range_is_usage_error(bench_file, capsys, metho
     assert captured.err.splitlines() == ["error: vary index 2 out of range for N=2"]
 
 
+def test_margin_varies_a_discrete_delay_between_its_neighbours(tmp_path, capsys):
+    path = tmp_path / "discrete.json"
+    path.write_text(save_system(DiscreteIds(A=(np.eye(2) / 4, np.eye(2) / 8), tau=(0.2, 0.5))))
+    argv = ["margin", "--system", str(path), "--vary", "1", "--method", "laa-spectral"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "5\n"
+    assert main([*argv, "--hi", "0.2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "to keep the delays increasing" in captured.err
+
+
 def test_margin_th2_lmi_small_row(bench_file, capsys):
     assert (
         main(["margin", "--system", bench_file(0.1, 0.1), "--vary", "1", "--method", "th2-lmi"])

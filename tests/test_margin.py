@@ -123,6 +123,24 @@ def test_laa_margins_are_delay_free():
     assert ok1 and ok2
 
 
+def test_discrete_margins_are_not_capped_by_the_neighbouring_delays():
+    # each probe keeps the delays increasing, so a delay-free verdict holds
+    # on the whole bracket: up to hi for the last delay, and up to the float
+    # below the next delay for the first
+    d = validate_system(DiscreteIds(A=(np.eye(2) / 4, np.eye(2) / 8), tau=(0.2, 0.5)))
+    assert bisect_margin(d, 1, "laa-spectral") == 5.0
+    assert bisect_margin(d, 0, "laa-spectral") == math.nextafter(0.5, 0.0)
+    assert bisect_margin(d, 1, "laa-spectral", lo=0.1, hi=0.3) == 0.3
+
+
+def test_a_discrete_bracket_outside_the_delay_order_is_rejected():
+    d = validate_system(DiscreteIds(A=(np.eye(2) / 4, np.eye(2) / 8), tau=(0.2, 0.5)))
+    with pytest.raises(ValueError, match=r"lies in \(0.2, inf\) to keep the delays increasing"):
+        bisect_margin(d, 1, "laa-spectral", lo=0.1, hi=0.2)
+    with pytest.raises(ValueError, match=r"lies in \(0, 0.5\).*\[0.5, 0.7\] misses it"):
+        bisect_margin(d, 0, "laa", lo=0.5, hi=0.7)
+
+
 def test_single_delay_criterion():
     sys = validate_system(IdsSystem(A=(A1,), tau=(0.44,)))
     ok, _ = criterion_feasible(sys, "single-delay")

@@ -1,10 +1,12 @@
 import io
 import itertools
 import math
+import os
 import threading
 from dataclasses import FrozenInstanceError, replace
 from functools import cached_property
 from sys import getswitchinterval, setswitchinterval
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -972,3 +974,105 @@ def test_residual_checks_the_equation_not_the_solve():
     bent = traj.samples.copy()
     bent[first + 100] += 1e-6
     assert _max_residual(sys.A, m, traj.h, bent, first) >= 1e-8
+
+
+def _count_kernel_builds(monkeypatch):
+    builds = []
+    real = simulator_module._block_kernel
+
+    def counting_block_kernel(K, L):
+        builds.append((K.shape, L))
+        return real(K, L)
+
+    monkeypatch.setattr(simulator_module, "_block_kernel", counting_block_kernel)
+    return builds
+
+
+def test_trajectories_of_one_system_build_its_step_kernel_once(monkeypatch):
+    builds = _count_kernel_builds(monkeypatch)
+    sys = benchmark_system(0.3, 0.1)
+    for seed in (1, 2):
+        simulate(sys, HistorySpec.random_smooth(seed), h=0.01, T=3.0)
+    assert builds == [((2, 60), 32)]
+    # the system keeps one kernel, keyed by h and the block length: a new h
+    # or a horizon shorter than one block builds anew, and so does going back
+    simulate(sys, HistorySpec.random_smooth(1), h=0.005, T=3.0)
+    simulate(sys, HistorySpec.random_smooth(1), h=0.005, T=3.0)
+    simulate(sys, HistorySpec.random_smooth(1), h=0.01, T=0.3)
+    simulate(sys, HistorySpec.random_smooth(1), h=0.01, T=3.0)
+    assert builds == [((2, 60), 32), ((2, 120), 32), ((2, 60), 30), ((2, 60), 32)]
+    key, F = vars(sys)["step_kernel"]
+    assert key == (0.01, 32) and F.shape == (64, 60) and not F.flags.writeable
+
+
+def test_a_cached_step_kernel_gives_the_samples_of_a_fresh_system():
+    sys = benchmark_system(0.3, 0.1)
+    hist = make_compatible(sys, HistorySpec.random_smooth(4))
+    simulate(sys, HistorySpec.random_smooth(1), h=0.01, T=3.0)
+    warm = simulate(sys, hist, h=0.01, T=3.0)
+    fresh = simulate(benchmark_system(0.3, 0.1), hist, h=0.01, T=3.0)
+    np.testing.assert_array_equal(warm.samples, fresh.samples)
+    assert warm.max_residual == fresh.max_residual
+
+
+def test_a_singular_step_matrix_raises_on_every_call_and_caches_nothing(monkeypatch):
+    builds = _count_kernel_builds(monkeypatch)
+    sys = _scalar(20.0, 0.8)
+    for _ in range(2):
+        with pytest.raises(SimulationError, match="halving h"):
+            simulate(sys, HistorySpec.constant([1.0]), h=0.1, T=2.0)
+    assert builds == [] and set(vars(sys)) == {"A", "tau"}
+
+
+BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench")
+
+
+def test_benchmark_trajectories_build_one_kernel_per_system(monkeypatch):
+    # the benchmark's traffic: 100 trajectories of 11 systems at seed 1
+    monkeypatch.syspath_prepend(BENCH)
+    import workloads
+
+    wl = workloads.Trajectories()
+    items = wl.setup(1, 1)
+    builds = _count_kernel_builds(monkeypatch)
+    runner = workloads.Runner(SimpleNamespace(mark=lambda: 0.0))
+    wl.run(items, runner)
+    assert len(items) == len(runner.checks) == 100
+    assert [(rid, f) for rid, f in runner.checks if f] == []
+    assert len(builds) == len({id(item[1]) for item in items}) == 11
+
+
+def _direct_functional(sys, traj, w, t):
+    """One slice of the Gram rows against the folded matrices, at index_of(t)."""
+    k = traj.index_of(t)
+    C = w.folded(sys, traj)
+    return float(np.vdot(C, traj.gram_rows[k + 1 - len(C) : k + 1]))
+
+
+def test_functional_at_the_ends_of_its_range():
+    sys = benchmark_system(0.3, 0.1)
+    traj = simulate(sys, make_compatible(sys, HistorySpec.random_smooth(3)), h=0.01, T=2.0)
+    w = FunctionalWitness("th2", _witnesses(np.random.default_rng(2), 2, 2)["th2"])
+    last = traj.T - max(traj.tau_snapped)
+    assert last == 1.7
+    cases = {
+        0.0: (0, 0.0, np.float64(0.0), -5e-13),
+        1.0: (1, np.float64(1.0)),
+        1.5: (1.5, 1.5 + 1.2e-9),  # off by more than 1e-9, but not by 1e-9 * t
+        last: (last, np.float64(last), last + 5e-13),
+    }
+    for grid_t, times in cases.items():
+        V = _direct_functional(sys, traj, w, grid_t)
+        assert abs(V - _reference_functional(sys, traj, "th2", w, grid_t)) <= 1e-12 * abs(V)
+        for t in times:
+            assert eval_functional(sys, traj, "th2", w, t) == V
+    errors = {
+        last + 2e-12: "t=1.700000000002 outside [0, T - tau] = [0, 1.7]",
+        -2e-12: "t=-2e-12 outside [0, T - tau] = [0, 1.7]",
+        1.5 + 3e-9: "t=1.500000003 is not on the simulation grid (h=0.01)",
+        np.float64(0.505): "t=0.505 is not on the simulation grid (h=0.01)",
+    }
+    for t, message in errors.items():
+        with pytest.raises(ValueError) as exc:
+            eval_functional(sys, traj, "th2", w, t)
+        assert str(exc.value) == message
