@@ -206,14 +206,16 @@ def bisect_margin(
     if tol <= 0:
         raise ValueError("tol must be positive")
     if isinstance(sys_template, DiscreteIds):
-        below, above = (0.0, *sys_template.tau, math.inf)[vary_index : vary_index + 3 : 2]
-        inner = max(lo, math.nextafter(below, math.inf)), min(hi, math.nextafter(above, -math.inf))
-        if not inner[0] < inner[1]:
+        tau = sys_template.tau
+        below = tau[vary_index - 1] if vary_index > 0 else 0.0
+        above = tau[vary_index + 1] if vary_index < N - 1 else math.inf
+        a, b = max(lo, math.nextafter(below, math.inf)), min(hi, math.nextafter(above, -math.inf))
+        if not a < b:
             raise ValueError(
                 f"delay {vary_index} of a discrete system lies in ({below:g}, {above:g}) "
                 f"to keep the delays increasing; the bracket [{lo:g}, {hi:g}] misses it"
             )
-        lo, hi = inner
+        lo, hi = a, b
 
     def probe(value: float) -> bool:
         return criterion_feasible(_with_delay(sys_template, vary_index, value), criterion, cfg)[0]
