@@ -12,6 +12,7 @@ assertions against the continuous values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,18 +35,25 @@ class SampledFunction:
     """Vector-valued function on [-tau, 0] sampled on a uniform grid.
 
     ``values`` has shape (m+1, n) with m >= 2 panels; row k is the value at
-    s = -tau + k*h, h = tau/m.
+    s = -tau + k*h, h = tau/m.  Construction stores a read-only float64 copy
+    of ``values``, so a caller that later changes its own array does not
+    change the function.
     """
 
     tau: float
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        tau = float(self.tau)
+        v = np.array(self.values, dtype=float)
+        if not (math.isfinite(tau) and tau > 0):
+            raise ValueError(f"tau must be finite and positive (got {tau})")
         if v.ndim != 2 or v.shape[0] < 3:
             raise ValueError("need at least 3 samples (m >= 2) of vectors")
+        if not np.isfinite(v).all():
+            raise ValueError("values must be finite")
+        v.flags.writeable = False
+        object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "values", v)
 
     @classmethod
@@ -95,6 +103,22 @@ def _check_dim(M: np.ndarray, n: int, what: str) -> np.ndarray:
     return M
 
 
+def _shared_dim(omegas) -> int:
+    """The dimension n that all functions share."""
+    n = omegas[0].n
+    if any(om.n != n for om in omegas):
+        raise ValueError("all functions must share one dimension")
+    return n
+
+
+def _check_weights(omegas, Q_list) -> list[np.ndarray]:
+    """One n x n weight matrix per function, as float arrays."""
+    if len(omegas) != len(Q_list):
+        raise ValueError("need one weight matrix per function")
+    n = _shared_dim(omegas)
+    return [_check_dim(Q, n, f"Q[{i}]") for i, Q in enumerate(Q_list)]
+
+
 def gap_continuous(omega: SampledFunction, Q: np.ndarray) -> float:
     """tau * int w.T Q w  minus  (int w).T Q (int w)."""
     Q = _check_dim(Q, omega.n, "Q")
@@ -103,6 +127,7 @@ def gap_continuous(omega: SampledFunction, Q: np.ndarray) -> float:
 
 
 def gap_continuous_budget(omega: SampledFunction, Q: np.ndarray) -> float:
+    Q = _check_dim(Q, omega.n, "Q")
     lam = float(np.linalg.eigvalsh(0.5 * (Q + Q.T))[-1])
     return 10.0 * omega.h**2 * omega.max_norm() ** 2 * lam
 
@@ -136,15 +161,10 @@ def gap_multiple(omegas, Q_list) -> float:
 
     with x_i the integral of w_i over its own window.
     """
-    if len(omegas) != len(Q_list):
-        raise ValueError("need one weight matrix per function")
-    n = omegas[0].n
-    Qs = [_check_dim(Q, n, f"Q[{i}]") for i, Q in enumerate(Q_list)]
+    Qs = _check_weights(omegas, Q_list)
     rhs = 0.0
-    xsum = np.zeros(n)
+    xsum = np.zeros(omegas[0].n)
     for om, Q in zip(omegas, Qs):
-        if om.n != n:
-            raise ValueError("all functions must share one dimension")
         rhs += om.tau * om.quad_form_integral(np.linalg.inv(Q))
         xsum += om.integral()
     lhs = float(xsum @ np.linalg.solve(sum(Qs), xsum))
@@ -153,8 +173,8 @@ def gap_multiple(omegas, Q_list) -> float:
 
 def gap_multiple_budget(omegas, Q_list) -> float:
     total = 0.0
-    for om, Q in zip(omegas, Q_list):
-        W = om.tau * np.linalg.inv(np.asarray(Q, dtype=float))
+    for om, Q in zip(omegas, _check_weights(omegas, Q_list)):
+        W = om.tau * np.linalg.inv(Q)
         lam = float(np.linalg.eigvalsh(0.5 * (W + W.T))[-1])
         total += 10.0 * om.h**2 * om.max_norm() ** 2 * lam
     return total
@@ -166,21 +186,20 @@ def gap_shared_weight(omegas, Q: np.ndarray) -> float:
 
         N * sum_i tau_i * int w_i.T Q w_i  minus  (sum x_i).T Q (sum x_i).
     """
-    n = omegas[0].n
+    n = _shared_dim(omegas)
     Q = _check_dim(Q, n, "Q")
     N = len(omegas)
     rhs = 0.0
     xsum = np.zeros(n)
     for om in omegas:
-        if om.n != n:
-            raise ValueError("all functions must share one dimension")
         rhs += om.tau * om.quad_form_integral(Q)
         xsum += om.integral()
     return N * rhs - float(xsum @ Q @ xsum)
 
 
 def gap_shared_weight_budget(omegas, Q: np.ndarray) -> float:
-    lam = float(np.linalg.eigvalsh(0.5 * (np.asarray(Q) + np.asarray(Q).T))[-1])
+    Q = _check_dim(Q, _shared_dim(omegas), "Q")
+    lam = float(np.linalg.eigvalsh(0.5 * (Q + Q.T))[-1])
     N = len(omegas)
     return sum(
         10.0 * om.h**2 * om.max_norm() ** 2 * lam * N * max(om.tau, 1.0)

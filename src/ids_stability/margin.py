@@ -10,7 +10,12 @@ term T -> tau_i^2 A_i.T T A_i preserves the PSD cone (Krein-Rutman).
 "single-delay" compares rho(A_1) with 1/tau_1; "laa" and "laa-spectral"
 do not depend on tau.  "amc" and "th2-coupled" are decided by "single",
 and "th1" by "th2-lmi", which accept exactly the same systems (see
-``criteria_lmi``); ``_through`` says what their reports carry.
+``criteria_lmi``); ``_through`` says what their reports carry.  The last
+LMI report is remembered on the system (``_lmi``), one entry keyed by
+(criterion, cfg), so amc, th2-coupled and single checked in turn on one
+system solve single once, and th1 then th2-lmi solve th2-lmi once.  One
+entry, not one per key, bounds what a system holds.  A margin probe never
+hits it: ``_with_delay`` builds a new system for every probe.
 
 The criteria of :data:`PREDICTED` hold exactly when N rho(sum_i tau_i^2
 A_i (x) A_i) < 1, so ``criteria_spectral.spectral_margin`` gives their
@@ -48,8 +53,22 @@ __all__ = [
 
 
 def _lmi(criterion: str):
+    """Solve ``criterion``'s own LMI, remembering the last report on the
+    system (in its ``__dict__``), one entry per system keyed by (criterion,
+    cfg): a new key replaces it.  The entry is read and replaced in one
+    statement each, and its witness arrays are read-only, so each caller
+    gets its own dict over them and no caller can change a later report."""
+
     def evaluate(sys, cfg, alpha) -> FeasReport:
-        return solve_feasibility(criteria_lmi.LMI_CRITERIA[criterion](sys), cfg)
+        found = vars(sys).get("lmi_report")
+        if found is None or found[0] != (criterion, cfg):
+            rep = solve_feasibility(criteria_lmi.LMI_CRITERIA[criterion](sys), cfg)
+            for W in rep.witness.values():
+                W.flags.writeable = False
+            found = ((criterion, cfg), rep)
+            vars(sys)["lmi_report"] = found
+        rep = found[1]
+        return replace(rep, witness=dict(rep.witness))
 
     return evaluate
 

@@ -11,11 +11,11 @@ x(t) = sum_i A_i x(t - tau_i), whose delays must be strictly increasing.
 Both are immutable values: construction stores read-only float64 copies of
 the A_i and a tuple of float delays, so a caller that later changes its own
 arrays changes neither the system nor what is derived from it.  ``tau_max``
-is computed from ``tau``.  Two values derived from a system are cached in
-its ``__dict__``: ``criteria_spectral.optimize_weights`` stores an integral
-system's optimal spectral weights, and ``simulator.simulate`` its step
-kernel for the last grid step h.  This module imports no other module of
-the package.  Validation checks the invariants; it adds nothing to the
+is computed from ``tau``.  Three values derived from a system are cached
+in its ``__dict__``: ``criteria_spectral.optimize_weights`` stores an
+integral system's optimal spectral weights, ``simulator.simulate`` its step
+kernel for the last grid step h, and ``margin`` its last LMI report.  This
+module imports no other module of the package.  Validation checks the invariants; it adds nothing to the
 value.
 """
 

@@ -14,6 +14,7 @@ from ids_stability.jensen import (
     gap_discrete_multi,
     gap_multiple,
     gap_multiple_budget,
+    gap_shared_weight_budget,
 )
 
 
@@ -27,6 +28,48 @@ def test_sampled_function_validation():
         SampledFunction(tau=0.0, values=np.zeros((5, 2)))
     with pytest.raises(ValueError):
         SampledFunction(tau=1.0, values=np.zeros((2, 2)))  # m >= 2 needs 3 rows
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf])
+def test_sampled_function_rejects_a_non_finite_tau(tau):
+    with pytest.raises(ValueError, match="tau must be finite and positive"):
+        SampledFunction(tau=tau, values=np.zeros((5, 2)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sampled_function_rejects_non_finite_values(bad):
+    values = np.zeros((5, 2))
+    values[2, 1] = bad
+    with pytest.raises(ValueError, match="values must be finite"):
+        SampledFunction(tau=1.0, values=values)
+
+
+def test_sampled_function_keeps_its_own_read_only_copy():
+    values = np.ones((5, 2))
+    om = SampledFunction(tau=1.0, values=values)
+    values[:] = 7.0
+    assert np.array_equal(om.integral(), [1.0, 1.0])
+    assert om.values.dtype == np.float64 and not om.values.flags.writeable
+
+
+def _two_functions(n0=2, n1=2):
+    return [SampledFunction(tau=t, values=np.ones((5, n))) for t, n in ((0.5, n0), (1.0, n1))]
+
+
+def test_budgets_check_their_weights_as_the_gaps_do():
+    one = SampledFunction(tau=1.0, values=np.ones((5, 2)))
+    I2, I3 = np.eye(2), np.eye(3)
+    with pytest.raises(ValueError, match="one weight matrix per function"):
+        gap_multiple_budget([one], [I2, I2])
+    with pytest.raises(ValueError, match=r"Q\[1\] has shape"):
+        gap_multiple_budget(_two_functions(), [I2, I3])
+    with pytest.raises(ValueError, match="Q has shape"):
+        gap_continuous_budget(one, I3)
+    with pytest.raises(ValueError, match="Q has shape"):
+        gap_shared_weight_budget(_two_functions(), I3)
+    for budget, Q in ((gap_multiple_budget, [I2, I2]), (gap_shared_weight_budget, I2)):
+        with pytest.raises(ValueError, match="share one dimension"):
+            budget(_two_functions(2, 3), Q)
 
 
 def test_constant_function_attains_equality():

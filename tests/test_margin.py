@@ -379,3 +379,76 @@ def test_a_tol_below_the_float_spacing_stops_at_adjacent_floats(criterion):
     m = bisect_margin(sys, 1, criterion, tol=1e-30)
     assert criterion_feasible(sys.with_delays((0.3, m)), criterion)[0]
     assert not criterion_feasible(sys.with_delays((0.3, math.nextafter(m, math.inf))), criterion)[0]
+
+
+# -- the last LMI report, remembered on the system ----------------------------
+
+
+def _count_solves(monkeypatch):
+    solved, real = [], margin.solve_feasibility
+
+    def count(problem, cfg=None):
+        solved.append([v.name for v in problem.variables])
+        return real(problem, cfg)
+
+    monkeypatch.setattr(margin, "solve_feasibility", count)
+    return solved
+
+
+@pytest.mark.parametrize(
+    "criteria, source",
+    [(("amc", "th2-coupled", "single"), ["Q"]), (("th1", "th2-lmi"), ["Q1", "Q2"])],
+)
+def test_criteria_decided_by_one_source_solve_it_once(monkeypatch, criteria, source):
+    sys = benchmark_system(0.2, 0.05)
+    solved = _count_solves(monkeypatch)
+    for c in criteria:
+        assert criterion_feasible(sys, c)[0]
+    assert solved == [source]
+
+
+def test_another_config_or_criterion_solves_again_and_replaces_the_entry(monkeypatch):
+    sys = benchmark_system(0.2, 0.05)
+    cfg, other = margin.SolverConfig(), margin.SolverConfig(eps_feas=1e-6)
+    solved = _count_solves(monkeypatch)
+    for criterion, c in [("single", cfg), ("single", cfg), ("single", other), ("th2-lmi", other),
+                         ("th2-lmi", other), ("single", other)]:
+        evaluate_criterion(sys, criterion, c)
+        assert vars(sys)["lmi_report"][0] == (criterion, c)
+    assert solved == [["Q"], ["Q"], ["Q1", "Q2"], ["Q"]]
+
+
+def test_a_caller_cannot_change_a_later_report():
+    sys = benchmark_system(0.2, 0.05)
+    rep = evaluate_criterion(sys, "single")
+    Q = rep.witness["Q"].copy()
+    assert not rep.witness["Q"].flags.writeable
+    with pytest.raises(ValueError):
+        rep.witness["Q"][0, 0] = 1.0
+    rep.witness["Q"] = np.zeros((2, 2))
+    rep.witness["P"] = np.eye(2)
+    _ok, witness = criterion_feasible(sys, "single")
+    assert set(witness) == {"Q"} and np.array_equal(witness["Q"], Q)
+    assert not witness["Q"].flags.writeable
+
+
+def _same_result(a, b) -> bool:
+    """Equal verdict objects, reports bitwise: status, lambda_star,
+    lower_bound and every witness array."""
+    if not isinstance(a, FeasReport):
+        return a == b
+    return (
+        (a.status, a.lambda_star, a.lower_bound) == (b.status, b.lambda_star, b.lower_bound)
+        and list(a.witness) == list(b.witness)
+        and all(a.witness[k].tobytes() == b.witness[k].tobytes() for k in a.witness)
+    )
+
+
+def test_remembered_reports_equal_a_fresh_systems_bitwise():
+    integral = ("spectral", "spectral-weighted", "amc", "th2-coupled", "single", "th1", "th2-lmi")
+    systems = [s for seed in (2024, 7) for s in random_corpus(seed, 100)]
+    systems += [validate_system(DiscreteIds(A=s.A, tau=tuple(sorted(s.tau)))) for s in systems]
+    for sys in systems:
+        for c in integral if isinstance(sys, IdsSystem) else ("laa-spectral", "laa"):
+            fresh = type(sys)(A=sys.A, tau=sys.tau)
+            assert _same_result(evaluate_criterion(sys, c), evaluate_criterion(fresh, c)), (sys, c)
