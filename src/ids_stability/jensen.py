@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +38,8 @@ class SampledFunction:
     ``values`` has shape (m+1, n) with m >= 2 panels; row k is the value at
     s = -tau + k*h, h = tau/m.  Construction stores a read-only float64 copy
     of ``values``, so a caller that later changes its own array does not
-    change the function.
+    change the function, and the integral and max norm, which every gap
+    with this function needs, are computed once and kept.
     """
 
     tau: float
@@ -50,7 +52,8 @@ class SampledFunction:
             raise ValueError(f"tau must be finite and positive (got {tau})")
         if v.ndim != 2 or v.shape[0] < 3:
             raise ValueError("need at least 3 samples (m >= 2) of vectors")
-        if not np.isfinite(v).all():
+        # a finite sum is the cheap test; only an overflow needs the full one
+        if not math.isfinite(v.sum()) and not np.isfinite(v).all():
             raise ValueError("values must be finite")
         v.flags.writeable = False
         object.__setattr__(self, "tau", tau)
@@ -80,13 +83,24 @@ class SampledFunction:
         return w
 
     def integral(self) -> np.ndarray:
-        return _trapezoid(self.values, self.h)
+        """The trapezoid integral, read-only."""
+        return self._integral
+
+    @cached_property
+    def _integral(self) -> np.ndarray:
+        x = _trapezoid(self.values, self.h)
+        x.flags.writeable = False
+        return x
 
     def quad_form_integral(self, M: np.ndarray) -> float:
         v = self.values
         return float(_trapezoid(((v @ M) * v).sum(axis=1), self.h))
 
     def max_norm(self) -> float:
+        return self._max_norm
+
+    @cached_property
+    def _max_norm(self) -> float:
         return float(np.sqrt(np.max((self.values * self.values).sum(axis=1))))
 
 

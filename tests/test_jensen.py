@@ -50,6 +50,8 @@ def test_sampled_function_keeps_its_own_read_only_copy():
     values[:] = 7.0
     assert np.array_equal(om.integral(), [1.0, 1.0])
     assert om.values.dtype == np.float64 and not om.values.flags.writeable
+    # an immutable value, so its integral is computed once and kept read-only
+    assert om.integral() is om.integral() and not om.integral().flags.writeable
 
 
 def _two_functions(n0=2, n1=2):
