@@ -15,8 +15,8 @@ is computed from ``tau``.  Three values derived from a system are cached
 in its ``__dict__``: ``criteria_spectral.optimize_weights`` stores an
 integral system's optimal spectral weights, ``simulator.simulate`` its step
 kernel for the last grid step h, and ``margin`` its last LMI report.  This
-module imports no other module of the package.  Validation checks the invariants; it adds nothing to the
-value.
+module imports no other module of the package.  Validation checks the
+invariants; it adds nothing to the value.
 """
 
 from __future__ import annotations
